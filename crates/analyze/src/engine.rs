@@ -620,8 +620,8 @@ mod tests {
         );
         assert_eq!(file_module("src/lib.rs").unwrap(), vec!["asqp"]);
         assert_eq!(
-            file_module("crates/serve/src/bin/chaos_run.rs").unwrap(),
-            vec!["asqp_serve", "bin", "chaos_run"]
+            file_module("crates/serve/src/bin/replay.rs").unwrap(),
+            vec!["asqp_serve", "bin", "replay"]
         );
         assert!(file_module("crates/db/tests/sql_roundtrip.rs").is_none());
         assert!(file_module("crates/nn/examples/matmul_micro.rs").is_none());

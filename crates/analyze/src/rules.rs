@@ -78,6 +78,12 @@ pub const NONDET: Scope = Scope {
         // The streaming driver's transcript is double-run byte-compared
         // in CI; every decision must be a pure function of the seed.
         "asqp_serve::stream",
+        // The one request ladder takes time from its caller's seam, and
+        // the event kernel and its one-shard scenario run on a virtual
+        // clock: none of them may read a real one.
+        "asqp_serve::ladder",
+        "asqp_serve::kernel",
+        "asqp_serve::sim",
     ],
     // Telemetry is timing-by-design; the fault planner is seeded and pure.
     exempt: &["asqp_telemetry", "asqp_serve::fault"],
@@ -108,6 +114,9 @@ pub const ITER_ORDER: Scope = Scope {
         "asqp_serve::multitenant",
         "asqp_serve::mt_sim",
         "asqp_serve::stream",
+        "asqp_serve::ladder",
+        "asqp_serve::kernel",
+        "asqp_serve::sim",
     ],
     exempt: &[],
 };
@@ -122,7 +131,7 @@ pub const REDUCE: Scope = Scope {
 /// The serving request path: every admitted request must resolve.
 pub const PANIC: Scope = Scope {
     applies: &["asqp_serve", "asqp_core::session"],
-    // The chaos harness binary is operator tooling, not the request path.
+    // The replay binary is operator tooling, not the request path.
     exempt: &["asqp_serve::bin"],
 };
 
@@ -374,11 +383,11 @@ mod tests {
                        if bad { panic!(\"no\"); }\n\
                        let c = v[0];\n\
                    }\n";
-        let fs = full("crates/serve/src/server.rs", src);
+        let fs = full("crates/serve/src/multitenant.rs", src);
         let rules: Vec<_> = fs.iter().map(|(r, _)| r.as_str()).collect();
         assert_eq!(rules, vec!["panic-path"; 4], "{fs:?}");
-        // …but the chaos harness binary is exempt.
-        assert!(full("crates/serve/src/bin/chaos_run.rs", src).is_empty());
+        // …but the replay binary is exempt.
+        assert!(full("crates/serve/src/bin/replay.rs", src).is_empty());
     }
 
     #[test]

@@ -56,8 +56,6 @@ const NONDET_OUT: &[&str] = &[
     "asqp_serve::lib",
     "asqp_serve::multitenant",
     "asqp_serve::queue",
-    "asqp_serve::server",
-    "asqp_serve::sim",
 ];
 
 /// Reviewed opt-outs for ITER_ORDER: modules that never iterate hash
@@ -92,8 +90,6 @@ const ITER_ORDER_OUT: &[&str] = &[
     "asqp_serve::fault",
     "asqp_serve::lib",
     "asqp_serve::queue",
-    "asqp_serve::server",
-    "asqp_serve::sim",
 ];
 
 /// Reviewed opt-outs for PANIC: core/db modules that are *not* the

@@ -27,8 +27,8 @@ use asqp_db::{
 };
 use asqp_rl::{AgentKind, Environment, ToyCoverageEnv, Trainer, TrainerConfig};
 use asqp_serve::{
-    run_mt_sim, run_sim, run_stream, FaultPlan, MirrorBackend, MtSimConfig, RetryPolicy,
-    ServeConfig, Server, SimConfig, StreamConfig,
+    run_mt_sim, run_sim, run_stream, FaultPlan, MirrorBackend, MtConfig, MtServer, MtSimConfig,
+    RetryPolicy, SimConfig, StreamConfig,
 };
 use asqp_telemetry::MemoryRecorder;
 use std::process::ExitCode;
@@ -298,7 +298,7 @@ fn session_bench(samples: usize, out: &mut Vec<BenchResult>) {
 }
 
 /// Gated serving benches. `serve/throughput` pushes a 64-request mix
-/// through the bounded worker pool with fault injection disabled — it
+/// through a one-shard `MtServer` with fault injection disabled — it
 /// tracks the cost of admission, routing, dispatch and reply plumbing on
 /// top of raw execution. `serve/sim_chaos` runs the deterministic
 /// discrete-event chaos simulation (virtual clock, no sleeps): pure
@@ -306,16 +306,15 @@ fn session_bench(samples: usize, out: &mut Vec<BenchResult>) {
 fn serve_benches(reduced: bool, samples: usize, out: &mut Vec<BenchResult>) {
     let fact_rows = if reduced { 5_000 } else { 20_000 };
     let db = Arc::new(workloads::star_db(fact_rows));
-    let server = Server::start(
-        MirrorBackend::single(db, 50),
-        ServeConfig {
-            workers: 4,
-            queue_depth: 256,
-            deadline_ns: 0,
-            retry: RetryPolicy::default(),
-            faults: FaultPlan::disabled(),
-        },
-    );
+    let server = MtServer::start(MtConfig {
+        shards: 1,
+        workers_per_shard: 4,
+        queue_depth: 256,
+        deadline_ns: 0,
+        retry: RetryPolicy::default(),
+        faults: FaultPlan::disabled(),
+    });
+    server.register_tenant(0, 0, MirrorBackend::single(db, 50));
     let mix: Vec<Query> = [
         workloads::scan_query(),
         workloads::clustered_query(fact_rows),
@@ -331,7 +330,7 @@ fn serve_benches(reduced: bool, samples: usize, out: &mut Vec<BenchResult>) {
             .iter()
             .map(|q| {
                 server
-                    .submit(q.clone())
+                    .submit(0, q.clone())
                     .expect("queue depth is above the burst")
             })
             .collect();

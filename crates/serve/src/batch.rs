@@ -146,13 +146,13 @@ impl ScanBatcher {
                 // Arc still see the result; later arrivals lead afresh.
                 self.flights().remove(&key);
                 self.leads.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("serve.mt.scan.lead", 1);
+                telemetry::counter("serve.scan.lead", 1);
                 (result, ScanRole::Leader)
             }
             ScanRole::Follower => {
                 let result = flight.wait();
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("serve.mt.scan.shared", 1);
+                telemetry::counter("serve.scan.shared", 1);
                 (result, ScanRole::Follower)
             }
         }

@@ -4,7 +4,7 @@
 //! full-fidelity [`Answer`], a *degraded* [`Answer`] (the subset answer,
 //! tagged, after the full-DB path missed its deadline or exhausted its
 //! retries), or a [`ServeError`]. Admission-control rejections surface
-//! synchronously from `Server::submit` as [`ServeError::Overloaded`] —
+//! synchronously from `MtServer::submit` as [`ServeError::Overloaded`] —
 //! backpressure the client can act on immediately.
 
 use asqp_db::{DbError, ResultSet};

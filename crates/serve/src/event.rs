@@ -1,16 +1,14 @@
-//! Structured chaos-run event log with a canonical rendering.
+//! Structured replay event log with a canonical rendering.
 //!
-//! Workers append events concurrently, so the *insertion order* of the log
-//! varies run to run even under an identical fault plan. What is
-//! deterministic is the per-request event sequence: every event carries
-//! `(request, seq)` where `seq` is the request's own step counter.
-//! [`EventLog::render`] sorts by that key, producing a byte-for-byte
-//! stable transcript for same-seed runs that the chaos suite (and the CI
-//! `chaos` job) can diff directly.
+//! Requests overlap in (virtual) time, so the *insertion order* of the
+//! log interleaves them. Every event carries `(request, seq)` where `seq`
+//! is the request's own step counter, and [`EventLog::render`] sorts by
+//! that key: one request's lifecycle reads top to bottom, and same-seed
+//! runs give a byte-for-byte stable transcript that the chaos suite (and
+//! the CI `replay` job) can diff directly.
 
 use crate::error::ServedSource;
 use std::fmt;
-use std::sync::Mutex;
 
 /// One step in a request's lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,19 +72,55 @@ impl fmt::Display for EventKind {
     }
 }
 
-/// One logged event: `(request, seq)` is the canonical sort key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    pub request: u64,
-    /// Per-request step counter (0, 1, 2, … within one request).
-    pub seq: u32,
-    pub kind: EventKind,
+/// Request accounting: how many requests took each exit. Every admitted
+/// request must end up in exactly one resolution bucket.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ServerStats {
+    pub admitted: u64,
+    pub rejected: u64,
+    pub resolved_subset: u64,
+    pub resolved_full: u64,
+    pub degraded: u64,
+    pub retries: u64,
+    pub fatal: u64,
 }
 
-/// Append-only, thread-safe event log.
+impl ServerStats {
+    pub fn resolved(&self) -> u64 {
+        self.resolved_subset + self.resolved_full + self.degraded + self.fatal
+    }
+
+    /// Count one lifecycle step.
+    pub(crate) fn note(&mut self, kind: &EventKind) {
+        let bucket = match kind {
+            EventKind::Admitted => &mut self.admitted,
+            EventKind::Rejected { .. } => &mut self.rejected,
+            EventKind::TransientError { .. } => &mut self.retries,
+            EventKind::Failed => &mut self.fatal,
+            EventKind::Resolved { source, .. } => match source {
+                ServedSource::Subset => &mut self.resolved_subset,
+                ServedSource::Full => &mut self.resolved_full,
+                ServedSource::DegradedSubset => &mut self.degraded,
+            },
+            _ => return,
+        };
+        *bucket += 1;
+    }
+}
+
+/// One logged event: `(request, seq)` is the canonical sort key.
+#[derive(Debug)]
+struct Event {
+    request: u64,
+    /// Per-request step counter (0, 1, 2, … within one request).
+    seq: u32,
+    kind: EventKind,
+}
+
+/// Append-only event log.
 #[derive(Debug, Default)]
 pub struct EventLog {
-    events: Mutex<Vec<Event>>,
+    events: Vec<Event>,
 }
 
 impl EventLog {
@@ -94,41 +128,46 @@ impl EventLog {
         EventLog::default()
     }
 
-    /// Poison-recovering lock: the log is a plain `Vec` push target, valid
-    /// after any interrupted append, and a panicked worker must not make
-    /// later diagnostics (which read this log) unavailable.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Event>> {
-        self.events.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    pub fn push(&self, request: u64, seq: u32, kind: EventKind) {
-        self.lock().push(Event { request, seq, kind });
+    pub fn push(&mut self, request: u64, seq: u32, kind: EventKind) {
+        self.events.push(Event { request, seq, kind });
     }
 
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.events.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of all events in canonical `(request, seq)` order.
-    pub fn canonical(&self) -> Vec<Event> {
-        let mut evs = self.lock().clone();
-        evs.sort_by_key(|e| (e.request, e.seq));
-        evs
+        self.events.is_empty()
     }
 
     /// Canonical text transcript: one `req=<id> seq=<n> <kind>` line per
     /// event, sorted by `(request, seq)`. Byte-for-byte comparable across
     /// runs of the same deterministic schedule.
     pub fn render(&self) -> String {
+        let mut events: Vec<&Event> = self.events.iter().collect();
+        events.sort_by_key(|e| (e.request, e.seq));
         let mut out = String::new();
-        for e in self.canonical() {
+        for e in events {
             out.push_str(&format!("req={} seq={} {}\n", e.request, e.seq, e.kind));
         }
         out
+    }
+}
+
+/// One request's run of a transcript: numbers its events into the log and
+/// tallies them — the note-taker of the logged drivers.
+pub(crate) struct Script<'a> {
+    pub log: &'a mut EventLog,
+    pub stats: &'a mut ServerStats,
+    pub request: u64,
+    pub seq: u32,
+}
+
+impl Script<'_> {
+    pub fn note(&mut self, kind: EventKind) {
+        self.stats.note(&kind);
+        self.log.push(self.request, self.seq, kind);
+        self.seq += 1;
     }
 }
 
@@ -138,12 +177,12 @@ mod tests {
 
     #[test]
     fn render_is_insertion_order_independent() {
-        let a = EventLog::new();
+        let mut a = EventLog::new();
         a.push(1, 0, EventKind::Admitted);
         a.push(1, 1, EventKind::Routed { answerable: true });
         a.push(2, 0, EventKind::Admitted);
 
-        let b = EventLog::new();
+        let mut b = EventLog::new();
         b.push(2, 0, EventKind::Admitted);
         b.push(1, 1, EventKind::Routed { answerable: true });
         b.push(1, 0, EventKind::Admitted);
@@ -154,7 +193,7 @@ mod tests {
 
     #[test]
     fn render_format_is_stable() {
-        let log = EventLog::new();
+        let mut log = EventLog::new();
         log.push(
             7,
             0,

@@ -1,43 +1,47 @@
 //! `asqp-serve`: the concurrent session front-end for ASQP-RL.
 //!
-//! The paper's exploration session is single-user; this crate turns it
-//! into a serving tier suitable for many concurrent analysts sharing one
-//! approximation set:
+//! The paper's exploration session is single-user and makes one decision
+//! per query: answer from the approximation set or fall back to the full
+//! database. This crate turns it into a serving tier for many concurrent
+//! analysts, with **one** of each moving part:
 //!
-//! - [`Server`] — bounded worker pool over a shared
-//!   [`SessionBackend`], with admission control
-//!   ([`ServeError::Overloaded`] backpressure past a configurable queue
-//!   depth), per-request deadlines, retry-with-jittered-backoff for
-//!   transient full-DB errors, and timeout-then-degrade semantics: a
-//!   request the full database cannot answer in time is answered from
-//!   the approximation set and tagged [`ServedSource::DegradedSubset`].
+//! - [`ladder`] — the only request ladder: route → subset |
+//!   full-with-retries → degrade, with per-request deadlines,
+//!   retry-with-jittered-backoff for transient full-DB errors, and
+//!   timeout-then-degrade semantics (a request the full database cannot
+//!   answer in time is answered from the approximation set and tagged
+//!   [`ServedSource::DegradedSubset`]). It reads no clock and runs no
+//!   query itself; each driver below hands it a [`ladder::Seam`].
+//! - [`MtServer`] — the only threaded server: tenants striped across
+//!   independent shard pools ([`TenantRegistry`]) behind bounded
+//!   admission queues ([`ServeError::Overloaded`] backpressure),
+//!   copy-on-write approximation-set sharing per workload cluster
+//!   (`asqp_core::CowSession`), single-flight shared-scan batching
+//!   ([`ScanBatcher`]) keyed by the exact query text, and exact
+//!   per-tenant accounting. One session is one tenant on one shard.
 //! - [`FaultPlan`] — seeded, hash-based fault injection (transient
 //!   errors, latency spikes, a stalled worker) whose every decision is a
 //!   pure function of `(seed, request, attempt)`.
-//! - [`run_sim`] — a discrete-event simulator replaying the same
-//!   serving semantics on a virtual clock, so chaos runs are
-//!   byte-for-byte reproducible and diffable across runs and machines.
-//! - [`MtServer`] — sharded multi-tenant serving: tenants striped across
-//!   independent shard pools ([`TenantRegistry`]), copy-on-write
-//!   approximation-set sharing per workload cluster
-//!   (`asqp_core::CowSession`), single-flight shared-scan batching
-//!   ([`ScanBatcher`]) keyed by the exact query text, and exact
-//!   per-tenant accounting.
-//! - [`run_mt_sim`] — the multi-tenant simulator replaying a generated
-//!   trace of up to ~10⁶ tenants under the same seeded fault plan, with
-//!   a digest-based transcript the CI `multitenant` job diffs.
+//! - `kernel` — the only discrete-event kernel: a virtual clock and one
+//!   `(time, tie)`-ordered heap over per-shard queues and workers.
+//!   [`run_sim`] is its one-shard scenario with a full event transcript;
+//!   [`run_mt_sim`] its N-shard one, replaying a generated trace of up to
+//!   ~10⁶ tenants into a digest-based transcript. Both are byte-for-byte
+//!   reproducible and diffable across runs and machines.
 //! - [`run_stream`] — the living-data scenario: a [`LiveBackend`] serves
 //!   fault-injected queries while seeded ingest batches and in-place
 //!   updates mutate the full database, with periodic data-drift
 //!   observations re-materialising the serving view and a write ledger
-//!   proving zero lost writes (the CI `streaming` job double-runs it and
-//!   byte-compares the transcripts).
+//!   proving zero lost writes.
+//!
+//! The `asqp-replay <chaos|mt|stream>` binary prints the three
+//! transcripts; the CI `replay` job double-runs and byte-compares them.
 //!
 //! Telemetry: the server emits `serve.*` counters (admitted, rejected,
-//! degraded, retries, resolved.{subset,full}, fatal) and a
-//! `serve.queue.depth` gauge through `asqp-telemetry`; the multi-tenant
-//! layer adds `serve.mt.*` (per-outcome, shared scans, tenants) and
-//! `serve.mtsim.*` aggregates.
+//! degraded, retries, resolved.{subset,full}, fatal, tenants,
+//! scan.{lead,shared}) and a `serve.queue.depth` gauge through
+//! `asqp-telemetry`; the simulators add `serve.mtsim.*` aggregates and
+//! the living-data backend `serve.stream.*`.
 
 pub mod backend;
 pub mod backoff;
@@ -45,10 +49,11 @@ pub mod batch;
 pub mod error;
 pub mod event;
 pub mod fault;
+mod kernel;
+pub mod ladder;
 pub mod mt_sim;
 pub mod multitenant;
 pub mod queue;
-pub mod server;
 pub mod sim;
 pub mod stream;
 pub mod tenant;
@@ -57,12 +62,11 @@ pub use backend::{MirrorBackend, RouteDecision, SessionBackend};
 pub use backoff::RetryPolicy;
 pub use batch::{ScanBatcher, ScanKey, ScanRole};
 pub use error::{Answer, ServeError, ServeResult, ServedSource};
-pub use event::{Event, EventKind, EventLog};
+pub use event::{EventKind, EventLog, ServerStats};
 pub use fault::{FaultDecision, FaultPlan};
 pub use mt_sim::{run_mt_sim, MtSimConfig, MtSimReport};
-pub use multitenant::{MtConfig, MtServer};
+pub use multitenant::{MtConfig, MtServer, Ticket};
 pub use queue::AdmissionQueue;
-pub use server::{ServeConfig, Server, ServerStats, Ticket};
 pub use sim::{run_sim, SimConfig, SimReport};
 pub use stream::{
     run_stream, stream_fixture, LiveBackend, StreamConfig, StreamReport, StreamStats,

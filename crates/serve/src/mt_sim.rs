@@ -1,10 +1,10 @@
 //! Deterministic multi-tenant discrete-event simulator.
 //!
-//! Scales the single-session chaos simulator ([`run_sim`](crate::run_sim))
-//! to the ROADMAP's "millions of users" claim: a generated trace of up to
+//! Scales the one-shard chaos simulator ([`run_sim`](crate::run_sim)) to
+//! the ROADMAP's "millions of users" claim: a generated trace of up to
 //! ~10⁶ simulated tenants — every arrival time, request count, plan shape
-//! and fault a pure hash of the seed — replayed through the full
-//! multi-tenant serving semantics on a virtual clock:
+//! and fault a pure hash of the seed — replayed through the same `kernel`
+//! and [`ladder`] with the full multi-tenant serving semantics:
 //!
 //! - tenants register on first arrival and are dealt across shard pools
 //!   by the striped [`StripedAllocator`] policy;
@@ -22,7 +22,7 @@
 //! - admission rejections, retries, degradations and resolutions are
 //!   attributed to the owning tenant, and the per-tenant accounting
 //!   lines plus an event-stream digest form the transcript the CI
-//!   `multitenant` job diffs byte-for-byte across double runs.
+//!   `replay` job diffs byte-for-byte across double runs.
 //!
 //! At 10⁵–10⁶ users a full event log would dominate memory, so instead
 //! of storing events the simulator folds every one of them (with its
@@ -31,15 +31,18 @@
 //! streams, not just identical totals.
 
 use crate::backoff::RetryPolicy;
+use crate::error::ServedSource;
+use crate::event::{EventKind, ServerStats};
 use crate::fault::{splitmix64, FaultPlan};
-use crate::server::ServerStats;
+use crate::kernel::{self, pct, sim_rows, Clock, Scenario};
+use crate::ladder::{self, Seam};
 use crate::tenant::{StripedAllocator, TenantId, TenantStats};
+use asqp_db::DbResult;
 use asqp_embed::{kmeans, sq_dist};
 use asqp_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Configuration of one simulated multi-tenant run.
 #[derive(Debug, Clone)]
@@ -157,7 +160,7 @@ impl MtSimReport {
 
     /// Canonical transcript: header, one accounting line per tenant, the
     /// event-stream digest, and a summary footer. This is the unit the
-    /// CI `multitenant` job diffs byte-for-byte across double runs.
+    /// CI `replay` job diffs byte-for-byte across double runs.
     pub fn render(&self) -> String {
         let s = &self.stats;
         let mut out = String::with_capacity(self.per_tenant.len() * 96 + 256);
@@ -207,10 +210,6 @@ fn h3(seed: u64, a: u64, b: u64, salt: u64) -> u64 {
     splitmix64(seed ^ splitmix64(a ^ splitmix64(b ^ salt)))
 }
 
-fn pct(h: u64, p: u8) -> bool {
-    h % 100 < p as u64
-}
-
 /// Map a hash to `[-1, 1)`.
 fn signed_unit(h: u64) -> f32 {
     (h >> 11) as f32 / (1u64 << 53) as f32 * 2.0 - 1.0
@@ -256,25 +255,18 @@ fn nearest_centroid(centroids: &[Vec<f32>], point: &[f32]) -> u64 {
     best
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum MtEvent {
-    Arrival { tenant: u64, rid: u64, shape: u64 },
-    WorkerFree { shard: usize, worker: usize },
-}
-
-struct Pending {
+/// One request of the generated trace.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Arrival {
     tenant: u64,
     rid: u64,
     shape: u64,
-    admitted_ns: u64,
 }
 
-struct ShardState {
-    queue: VecDeque<Pending>,
-    idle: BTreeSet<usize>,
-}
-
-/// Flat per-tenant account (the simulator-side `TenantCounters`).
+/// Flat per-tenant account (the simulator-side `TenantCounters`), kept
+/// to 44 bytes: at 10⁵–10⁶ tenants touched in arrival order the replay is
+/// bound by misses on this table (a `TenantStats`-sized account measured
+/// 4 % slower).
 #[derive(Default, Clone)]
 struct Acct {
     shard: u32,
@@ -288,12 +280,16 @@ struct Acct {
     retries: u32,
     shared: u32,
     forked: bool,
-    departed: bool,
+    /// Requests not yet rejected or resolved.
     remaining: u32,
+    /// Consecutive confidently-deviating misses.
     streak: u32,
 }
 
-struct SimState {
+/// The N-shard scenario: tenants, their placement and the event digest.
+struct SimState<'a> {
+    cfg: &'a MtSimConfig,
+    centroids: Vec<Vec<f32>>,
     accts: Vec<Acct>,
     alloc: StripedAllocator,
     /// In-flight subset scans: (group, epoch, shape) → finish time.
@@ -302,19 +298,7 @@ struct SimState {
     forks: u64,
     departed: u64,
     shared_hits: u64,
-    retries_total: u64,
     makespan: u64,
-}
-
-impl SimState {
-    fn fold(&mut self, code: u64, a: u64, b: u64, c: u64) {
-        self.digest =
-            splitmix64(self.digest ^ splitmix64(code ^ splitmix64(a ^ splitmix64(b ^ c))));
-    }
-
-    fn acct_mut(&mut self, tenant: u64) -> Option<&mut Acct> {
-        self.accts.get_mut(tenant as usize)
-    }
 }
 
 // Event codes folded into the digest.
@@ -329,12 +313,246 @@ const EV_SHARED_HIT: u64 = 8;
 const EV_FORK: u64 = 9;
 const EV_DEPART: u64 = 10;
 
+impl SimState<'_> {
+    fn fold(&mut self, code: u64, a: u64, b: u64, c: u64) {
+        self.digest =
+            splitmix64(self.digest ^ splitmix64(code ^ splitmix64(a ^ splitmix64(b ^ c))));
+    }
+
+    fn acct_mut(&mut self, tenant: u64) -> Option<&mut Acct> {
+        self.accts.get_mut(tenant as usize)
+    }
+
+    /// Bookkeeping after a tenant's request leaves the system (resolved
+    /// or rejected): when its last request is done, the tenant may
+    /// depart, freeing its stripe for later arrivals.
+    fn request_done(&mut self, tenant: u64, now: u64) {
+        let last = self.acct_mut(tenant).is_some_and(|a| {
+            a.remaining = a.remaining.saturating_sub(1);
+            a.remaining == 0
+        });
+        if last
+            && pct(
+                h2(self.cfg.faults.seed, tenant, SALT_DEPART),
+                self.cfg.depart_pct,
+            )
+            && self.alloc.depart(tenant).is_some()
+        {
+            self.departed += 1;
+            self.fold(EV_DEPART, tenant, 0, now);
+        }
+    }
+}
+
+impl Scenario for SimState<'_> {
+    type Job = Arrival;
+
+    /// First arrival registers the tenant: striped placement plus
+    /// nearest-centroid COW group.
+    fn place(&mut self, job: &Arrival, _: u64) -> usize {
+        let tenant = job.tenant;
+        if self.accts.get(tenant as usize).map(|a| a.registered) == Some(false) {
+            let shard = self.alloc.register(tenant);
+            let embedding = tenant_embedding(self.cfg, self.cfg.faults.seed, tenant);
+            let group = nearest_centroid(&self.centroids, &embedding);
+            if let Some(a) = self.acct_mut(tenant) {
+                a.registered = true;
+                a.shard = shard as u32;
+                a.group = group as u32;
+            }
+            self.fold(EV_REGISTER, tenant, shard as u64, group);
+        }
+        self.accts
+            .get(tenant as usize)
+            .map_or(0, |a| a.shard as usize)
+    }
+
+    fn admit(&mut self, job: &Arrival, now: u64) {
+        if let Some(a) = self.acct_mut(job.tenant) {
+            a.admitted += 1;
+        }
+        self.fold(EV_ADMIT, job.tenant, job.rid, now);
+    }
+
+    /// Attributed to the rejecting tenant, not a global counter.
+    fn reject(&mut self, job: Arrival, now: u64) {
+        if let Some(a) = self.acct_mut(job.tenant) {
+            a.rejected += 1;
+        }
+        self.fold(EV_REJECT, job.tenant, job.rid, now);
+        self.request_done(job.tenant, now);
+    }
+
+    fn serve(&mut self, job: Arrival, admitted_ns: u64, now: u64) -> u64 {
+        let cfg = self.cfg;
+        let seed = cfg.faults.seed;
+        let Arrival { tenant, rid, shape } = job;
+        let (group, forked) = self
+            .accts
+            .get(tenant as usize)
+            .map_or((0, false), |a| (a.group as u64, a.forked));
+        let answerable = if forked {
+            pct(
+                h3(seed, tenant, shape, SALT_FORKROUTE),
+                cfg.forked_subset_pct,
+            )
+        } else {
+            shared_routes_to_subset(cfg, seed, group, shape)
+        };
+        let mut seam = TenantRequest {
+            job,
+            group,
+            // Share epoch: 0 on the cluster's shared set, unique
+            // (tenant+1) once forked — forked tenants never coalesce.
+            epoch: if forked { tenant + 1 } else { 0 },
+            clock: Clock::start(admitted_ns, now, cfg.deadline_ns),
+            rows: sim_rows(seed, rid),
+            st: self,
+        };
+        // The simulated backend never fails, so neither does the ladder.
+        let full_routed = ladder::serve(&mut seam, &cfg.retry, &cfg.faults, rid, answerable)
+            .is_ok_and(|served| served.source != ServedSource::Subset);
+        let now = seam.clock.now;
+
+        // Drift: a full-routed request that confidently deviates extends
+        // the tenant's streak; at the trigger the tenant forks off the
+        // shared set (the COW copy-on-write moment — everyone else's
+        // epoch-0 routing is untouched).
+        if full_routed && !forked && pct(h3(seed, rid, group, SALT_DRIFT), cfg.drift_pct) {
+            let trip = self.acct_mut(tenant).is_some_and(|a| {
+                a.streak += 1;
+                a.forked = a.streak >= cfg.drift_trigger;
+                a.forked
+            });
+            if trip {
+                self.forks += 1;
+                self.fold(EV_FORK, tenant, group, now);
+            }
+        }
+
+        self.makespan = self.makespan.max(now);
+        self.request_done(tenant, now);
+        now
+    }
+}
+
+/// The ladder's seam for one tenant request. Clock and note-taker are
+/// one struct because the digest folds the virtual time of every retry
+/// and resolution.
+struct TenantRequest<'s, 'c> {
+    st: &'s mut SimState<'c>,
+    job: Arrival,
+    group: u64,
+    epoch: u64,
+    clock: Clock,
+    rows: usize,
+}
+
+impl Seam for TenantRequest<'_, '_> {
+    type Rows = usize;
+
+    fn remaining_ns(&mut self) -> u64 {
+        self.clock.remaining_ns()
+    }
+
+    fn pause(&mut self, ns: u64) {
+        self.clock.now += ns;
+    }
+
+    /// Shared-scan batching: ride an identical in-flight scan when the
+    /// group, epoch and exact query (shape id) all match.
+    fn subset(&mut self) -> DbResult<usize> {
+        let Arrival { tenant, rid, shape } = self.job;
+        let now = self.clock.now;
+        let key = (self.group, self.epoch, shape);
+        let leader_finish = self.st.inflight.get(&key).copied().filter(|&f| f > now);
+        self.clock.now = match leader_finish {
+            Some(f) => {
+                self.st.shared_hits += 1;
+                if let Some(a) = self.st.acct_mut(tenant) {
+                    a.shared += 1;
+                }
+                self.st.fold(EV_SHARED_HIT, tenant, rid, f);
+                f
+            }
+            None => {
+                let f = now + self.st.cfg.subset_service_ns;
+                self.st.inflight.insert(key, f);
+                f
+            }
+        };
+        Ok(self.rows)
+    }
+
+    fn full(&mut self) -> DbResult<usize> {
+        self.clock.now += self.st.cfg.full_service_ns;
+        Ok(self.rows)
+    }
+
+    fn degraded(&mut self) -> DbResult<usize> {
+        self.clock.now += self.st.cfg.subset_service_ns;
+        Ok(self.rows)
+    }
+
+    fn row_count(rows: &usize) -> usize {
+        *rows
+    }
+
+    fn note(&mut self, kind: EventKind) {
+        let Arrival { tenant, rid, .. } = self.job;
+        let now = self.clock.now;
+        match kind {
+            EventKind::TransientError { .. } => {
+                if let Some(a) = self.st.acct_mut(tenant) {
+                    a.retries += 1;
+                }
+                self.st.fold(EV_RETRY, tenant, rid, now);
+            }
+            EventKind::Resolved { source, rows } => {
+                let Some(a) = self.st.acct_mut(tenant) else {
+                    return;
+                };
+                let code = match source {
+                    ServedSource::Subset => {
+                        a.subset += 1;
+                        // A confident subset answer resets the tenant's
+                        // drift streak (mirrors `CowSession::finish`).
+                        a.streak = 0;
+                        EV_RESOLVE_SUBSET
+                    }
+                    ServedSource::Full => {
+                        a.full += 1;
+                        EV_RESOLVE_FULL
+                    }
+                    ServedSource::DegradedSubset => {
+                        a.degraded += 1;
+                        EV_RESOLVE_DEGRADED
+                    }
+                };
+                self.st.fold(code, tenant, rid, now ^ rows as u64);
+            }
+            _ => {}
+        }
+    }
+}
+
 /// Run one simulated multi-tenant scenario. Pure: identical configs
 /// produce identical reports (and identical [`MtSimReport::render`]
 /// transcripts).
 pub fn run_mt_sim(cfg: &MtSimConfig) -> MtSimReport {
     let seed = cfg.faults.seed;
-    let centroids = fit_centroids(cfg, seed);
+    let mut st = SimState {
+        cfg,
+        centroids: fit_centroids(cfg, seed),
+        accts: vec![Acct::default(); cfg.tenants as usize],
+        alloc: StripedAllocator::new(cfg.shards),
+        inflight: BTreeMap::new(),
+        digest: splitmix64(seed ^ SALT_ARCH),
+        forks: 0,
+        departed: 0,
+        shared_hits: 0,
+        makespan: 0,
+    };
 
     // ---- Trace generation: every request of every tenant, pure hashes.
     let mut trace: Vec<(u64, u64, u64)> = Vec::new(); // (arrival, tenant, k)
@@ -347,190 +565,39 @@ pub fn run_mt_sim(cfg: &MtSimConfig) -> MtSimReport {
             let arrival = base + k * 4 * cfg.inter_arrival_ns + jitter;
             trace.push((arrival, t, k));
         }
+        if let Some(a) = st.acct_mut(t) {
+            a.remaining = reqs as u32;
+        }
     }
     trace.sort_unstable();
-
-    let mut heap: BinaryHeap<Reverse<(u64, u64, MtEvent)>> = BinaryHeap::new();
-    let mut tie = 0u64;
-    let mut push_event =
-        |heap: &mut BinaryHeap<Reverse<(u64, u64, MtEvent)>>, t: u64, e: MtEvent| {
-            heap.push(Reverse((t, tie, e)));
-            tie += 1;
-        };
-
-    let mut requests_of: Vec<u32> = vec![0; cfg.tenants as usize];
-    for (rid, &(arrival, tenant, k)) in trace.iter().enumerate() {
-        let shape = h3(seed, tenant, k, SALT_SHAPE) % cfg.shapes_per_group.max(1);
-        if let Some(r) = requests_of.get_mut(tenant as usize) {
-            *r += 1;
-        }
-        push_event(
-            &mut heap,
-            arrival,
-            MtEvent::Arrival {
-                tenant,
-                rid: rid as u64,
-                shape,
-            },
-        );
-    }
     let total_requests = trace.len() as u64;
-    drop(trace);
 
-    // ---- Shard pools: workers come online at t=0 except the fault
-    // plan's stalled worker (global index).
-    let mut shards: Vec<ShardState> = (0..cfg.shards.max(1))
-        .map(|_| ShardState {
-            queue: VecDeque::new(),
-            idle: BTreeSet::new(),
-        })
-        .collect();
-    for s in 0..cfg.shards.max(1) {
-        for w in 0..cfg.workers_per_shard.max(1) {
-            let global = s * cfg.workers_per_shard.max(1) + w;
-            match cfg.faults.worker_stall(global) {
-                Some(stall) => push_event(
-                    &mut heap,
-                    stall,
-                    MtEvent::WorkerFree {
-                        shard: s,
-                        worker: w,
-                    },
-                ),
-                None => {
-                    if let Some(shard) = shards.get_mut(s) {
-                        shard.idle.insert(w);
-                    }
-                }
-            }
-        }
-    }
+    let arrivals = trace.into_iter().enumerate().map(|(rid, (at, tenant, k))| {
+        let shape = h3(seed, tenant, k, SALT_SHAPE) % cfg.shapes_per_group.max(1);
+        let rid = rid as u64;
+        (at, Arrival { tenant, rid, shape })
+    });
+    let (workers, depth) = (cfg.workers_per_shard, cfg.queue_depth);
+    kernel::run(&mut st, cfg.shards, workers, depth, &cfg.faults, arrivals);
 
-    let mut st = SimState {
-        accts: vec![Acct::default(); cfg.tenants as usize],
-        alloc: StripedAllocator::new(cfg.shards.max(1)),
-        inflight: BTreeMap::new(),
-        digest: splitmix64(seed ^ SALT_ARCH),
-        forks: 0,
-        departed: 0,
-        shared_hits: 0,
-        retries_total: 0,
-        makespan: 0,
-    };
-    for (t, &n) in requests_of.iter().enumerate() {
-        if let Some(a) = st.accts.get_mut(t) {
-            a.remaining = n;
-        }
-    }
-    drop(requests_of);
-
-    // ---- The event loop.
-    while let Some(Reverse((now, _, ev))) = heap.pop() {
-        match ev {
-            MtEvent::Arrival { tenant, rid, shape } => {
-                // First arrival registers the tenant: striped placement
-                // plus nearest-centroid COW group.
-                let registered = st.accts.get(tenant as usize).map(|a| a.registered);
-                if registered == Some(false) {
-                    let shard = st.alloc.register(tenant);
-                    let group = nearest_centroid(&centroids, &tenant_embedding(cfg, seed, tenant));
-                    if let Some(a) = st.acct_mut(tenant) {
-                        a.registered = true;
-                        a.shard = shard as u32;
-                        a.group = group as u32;
-                    }
-                    st.fold(EV_REGISTER, tenant, shard as u64, group);
-                }
-                let shard_idx = st
-                    .accts
-                    .get(tenant as usize)
-                    .map(|a| a.shard as usize)
-                    .unwrap_or(0);
-                let at_depth = shards
-                    .get(shard_idx)
-                    .map(|s| s.queue.len() >= cfg.queue_depth)
-                    .unwrap_or(true);
-                if at_depth {
-                    // Attributed to the rejecting tenant, not a global
-                    // counter.
-                    if let Some(a) = st.acct_mut(tenant) {
-                        a.rejected += 1;
-                    }
-                    st.fold(EV_REJECT, tenant, rid, now);
-                    request_done(cfg, seed, &mut st, tenant, now);
-                    continue;
-                }
-                if let Some(a) = st.acct_mut(tenant) {
-                    a.admitted += 1;
-                }
-                st.fold(EV_ADMIT, tenant, rid, now);
-                if let Some(shard) = shards.get_mut(shard_idx) {
-                    shard.queue.push_back(Pending {
-                        tenant,
-                        rid,
-                        shape,
-                        admitted_ns: now,
-                    });
-                    if let Some(&w) = shard.idle.iter().next() {
-                        if let Some(job) = shard.queue.pop_front() {
-                            shard.idle.remove(&w);
-                            let done = serve_one_mt(cfg, seed, &mut st, job, now);
-                            push_event(
-                                &mut heap,
-                                done,
-                                MtEvent::WorkerFree {
-                                    shard: shard_idx,
-                                    worker: w,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            MtEvent::WorkerFree { shard, worker } => {
-                let job = shards.get_mut(shard).and_then(|s| s.queue.pop_front());
-                match job {
-                    Some(job) => {
-                        let done = serve_one_mt(cfg, seed, &mut st, job, now);
-                        push_event(&mut heap, done, MtEvent::WorkerFree { shard, worker });
-                    }
-                    None => {
-                        if let Some(s) = shards.get_mut(shard) {
-                            s.idle.insert(worker);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- Fold the accounts into the report.
-    let mut stats = ServerStats::default();
     let per_tenant: Vec<TenantStats> = st
         .accts
         .iter()
-        .map(|a| {
-            stats.admitted += a.admitted as u64;
-            stats.rejected += a.rejected as u64;
-            stats.resolved_subset += a.subset as u64;
-            stats.resolved_full += a.full as u64;
-            stats.degraded += a.degraded as u64;
-            stats.retries += a.retries as u64;
-            TenantStats {
-                shard: a.shard as usize,
-                group: a.group as u64,
-                admitted: a.admitted as u64,
-                rejected: a.rejected as u64,
-                resolved_subset: a.subset as u64,
-                resolved_full: a.full as u64,
-                degraded: a.degraded as u64,
-                retries: a.retries as u64,
-                fatal: 0,
-                shared_scan_hits: a.shared as u64,
-                forked: a.forked,
-            }
+        .map(|a| TenantStats {
+            shard: a.shard as usize,
+            group: a.group as u64,
+            admitted: a.admitted as u64,
+            rejected: a.rejected as u64,
+            resolved_subset: a.subset as u64,
+            resolved_full: a.full as u64,
+            degraded: a.degraded as u64,
+            retries: a.retries as u64,
+            fatal: 0,
+            shared_scan_hits: a.shared as u64,
+            forked: a.forked,
         })
         .collect();
+    let stats: ServerStats = per_tenant.iter().sum();
 
     debug_assert_eq!(stats.admitted + stats.rejected, total_requests);
     telemetry::counter("serve.mtsim.requests", total_requests);
@@ -559,183 +626,6 @@ pub fn run_mt_sim(cfg: &MtSimConfig) -> MtSimReport {
 /// scan sharing sound). Post-fork routing is private to the tenant.
 fn shared_routes_to_subset(cfg: &MtSimConfig, seed: u64, group: u64, shape: u64) -> bool {
     pct(h3(seed, group, shape, SALT_SHAPE), cfg.subset_pct)
-}
-
-fn sim_rows(seed: u64, rid: u64) -> u64 {
-    splitmix64(seed ^ rid.wrapping_mul(SALT_SHAPE)) % 50
-}
-
-/// Bookkeeping after a tenant's request leaves the system (resolved or
-/// rejected): when its last request is done, the tenant may depart,
-/// freeing its stripe for later arrivals.
-fn request_done(cfg: &MtSimConfig, seed: u64, st: &mut SimState, tenant: u64, now: u64) {
-    let last = match st.acct_mut(tenant) {
-        Some(a) => {
-            a.remaining = a.remaining.saturating_sub(1);
-            a.remaining == 0
-        }
-        None => false,
-    };
-    if last
-        && pct(h2(seed, tenant, SALT_DEPART), cfg.depart_pct)
-        && st.alloc.depart(tenant).is_some()
-    {
-        if let Some(a) = st.acct_mut(tenant) {
-            a.departed = true;
-        }
-        st.departed += 1;
-        st.fold(EV_DEPART, tenant, 0, now);
-    }
-}
-
-/// Walk one admitted request through the multi-tenant ladder on virtual
-/// time. Returns the worker-release time.
-fn serve_one_mt(
-    cfg: &MtSimConfig,
-    seed: u64,
-    st: &mut SimState,
-    job: Pending,
-    start_ns: u64,
-) -> u64 {
-    let Pending {
-        tenant,
-        rid,
-        shape,
-        admitted_ns,
-    } = job;
-    let mut now = start_ns;
-    let deadline = if cfg.deadline_ns == 0 {
-        u64::MAX
-    } else {
-        admitted_ns.saturating_add(cfg.deadline_ns)
-    };
-    let remaining = |now: u64| deadline.saturating_sub(now);
-
-    let (group, forked) = st
-        .accts
-        .get(tenant as usize)
-        .map(|a| (a.group as u64, a.forked))
-        .unwrap_or((0, false));
-    // Share epoch: 0 on the cluster's shared set, unique (tenant+1) once
-    // forked — forked tenants never coalesce with anyone.
-    let epoch = if forked { tenant + 1 } else { 0 };
-    let answerable = if forked {
-        pct(
-            h3(seed, tenant, shape, SALT_FORKROUTE),
-            cfg.forked_subset_pct,
-        )
-    } else {
-        shared_routes_to_subset(cfg, seed, group, shape)
-    };
-
-    if answerable {
-        // Shared-scan batching: ride an identical in-flight scan when the
-        // group, epoch and exact query (shape id) all match.
-        let key = (group, epoch, shape);
-        let leader_finish = st.inflight.get(&key).copied().filter(|&f| f > now);
-        let finish = match leader_finish {
-            Some(f) => {
-                st.shared_hits += 1;
-                if let Some(a) = st.acct_mut(tenant) {
-                    a.shared += 1;
-                }
-                st.fold(EV_SHARED_HIT, tenant, rid, f);
-                f
-            }
-            None => {
-                let f = now + cfg.subset_service_ns;
-                st.inflight.insert(key, f);
-                f
-            }
-        };
-        now = finish;
-        if let Some(a) = st.acct_mut(tenant) {
-            a.subset += 1;
-            // A confident subset answer resets the tenant's drift streak
-            // (mirrors `CowSession::finish`).
-            a.streak = 0;
-        }
-        st.fold(EV_RESOLVE_SUBSET, tenant, rid, now ^ sim_rows(seed, rid));
-        st.makespan = st.makespan.max(now);
-        request_done(cfg, seed, st, tenant, now);
-        return now;
-    }
-
-    // Full route: the attempt ladder under the shared fault plan.
-    let mut attempts = 0u32;
-    let mut resolved_full = false;
-    loop {
-        if attempts >= cfg.retry.max_attempts() {
-            break;
-        }
-        let rem = remaining(now);
-        if rem == 0 {
-            break;
-        }
-        let fault = cfg.faults.decide(rid, attempts);
-        if fault.latency_ns >= rem {
-            now += rem;
-            break;
-        }
-        now += fault.latency_ns;
-        attempts += 1;
-        if fault.inject_error {
-            if let Some(a) = st.acct_mut(tenant) {
-                a.retries += 1;
-            }
-            st.retries_total += 1;
-            st.fold(EV_RETRY, tenant, rid, now);
-            if attempts >= cfg.retry.max_attempts() {
-                break;
-            }
-            let sleep = cfg.retry.backoff_ns(seed, rid, attempts - 1);
-            now += sleep.min(remaining(now));
-        } else {
-            now += cfg.full_service_ns;
-            resolved_full = true;
-            break;
-        }
-    }
-
-    if resolved_full {
-        if let Some(a) = st.acct_mut(tenant) {
-            a.full += 1;
-        }
-        st.fold(EV_RESOLVE_FULL, tenant, rid, now ^ sim_rows(seed, rid));
-    } else {
-        // Degrade to the approximation set.
-        now += cfg.subset_service_ns;
-        if let Some(a) = st.acct_mut(tenant) {
-            a.degraded += 1;
-        }
-        st.fold(EV_RESOLVE_DEGRADED, tenant, rid, now ^ sim_rows(seed, rid));
-    }
-
-    // Drift: a full-routed request that confidently deviates extends the
-    // tenant's streak; at the trigger the tenant forks off the shared set
-    // (the COW copy-on-write moment — everyone else's epoch-0 routing is
-    // untouched).
-    if !forked && pct(h3(seed, rid, group, SALT_DRIFT), cfg.drift_pct) {
-        let trip = match st.acct_mut(tenant) {
-            Some(a) => {
-                a.streak += 1;
-                a.streak >= cfg.drift_trigger
-            }
-            None => false,
-        };
-        if trip {
-            if let Some(a) = st.acct_mut(tenant) {
-                a.forked = true;
-                a.streak = 0;
-            }
-            st.forks += 1;
-            st.fold(EV_FORK, tenant, group, now);
-        }
-    }
-
-    st.makespan = st.makespan.max(now);
-    request_done(cfg, seed, st, tenant, now);
-    now
 }
 
 #[cfg(test)]

@@ -1,12 +1,16 @@
-//! Sharded multi-tenant serving over copy-on-write approximation sets.
+//! The threaded server: sharded multi-tenant serving over copy-on-write
+//! approximation sets.
 //!
-//! [`MtServer`] scales the single-session [`Server`](crate::Server) out
-//! to many tenants:
+//! [`MtServer::submit`] is the front door, rejecting synchronously with
+//! [`ServeError::Overloaded`] once the tenant's shard queue is at depth;
+//! a fixed pool of workers per shard walks each admitted request through
+//! the [`ladder`] on the wall clock. Graceful shutdown closes
+//! the queues, drains what was admitted, and joins the pools.
 //!
 //! - **Sharding** — tenants are dealt across independent shard pools
 //!   (own [`AdmissionQueue`], own workers) by the deterministic striped
 //!   policy in [`TenantRegistry`]; one hot shard backs up without
-//!   stalling the rest.
+//!   stalling the rest. One session is one tenant on one shard.
 //! - **COW set sharing** — each tenant registers its *own*
 //!   [`SessionBackend`] (typically an `asqp_core::CowSession` over a
 //!   cluster-shared base), so memory scales with clusters, not tenants;
@@ -17,30 +21,40 @@
 //!   single-flight [`ScanBatcher`]; followers count as per-tenant
 //!   `shared_scan_hits`.
 //! - **Exact per-tenant accounting** — every admission, rejection
-//!   (attributed to the *rejecting* tenant, fixing the global
-//!   `AdmissionQueue` counter), resolution, retry and degradation lands
-//!   on the submitting tenant's [`TenantCounters`], so
+//!   (attributed to the *rejecting* tenant), resolution, retry and
+//!   degradation lands on the submitting tenant's [`TenantCounters`], so
 //!   `admitted == resolved` holds per tenant, not just globally.
-//!
-//! The degradation ladder per request is identical to the single-tenant
-//! server: route → subset | full-with-retries → degrade-to-subset.
 
 use crate::backend::SessionBackend;
 use crate::backoff::RetryPolicy;
 use crate::batch::{ScanBatcher, ScanKey, ScanRole};
 use crate::error::{Answer, ServeError, ServeResult, ServedSource};
+use crate::event::{EventKind, ServerStats};
 use crate::fault::FaultPlan;
+use crate::ladder::{self, Seam};
 use crate::queue::AdmissionQueue;
-use crate::server::{ServerStats, Ticket};
 use crate::tenant::{TenantCounters, TenantId, TenantRegistry, TenantStats};
-use asqp_db::{DbError, Query};
+use asqp_db::{DbResult, Query, ResultSet};
 use asqp_telemetry as telemetry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// A pending request: wait on it for the resolution.
+pub struct Ticket {
+    pub request: u64,
+    rx: Receiver<ServeResult>,
+}
+
+impl Ticket {
+    /// Block until the request resolves.
+    pub fn wait(self) -> ServeResult {
+        self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+    }
+}
 
 /// Multi-tenant serving configuration.
 #[derive(Debug, Clone)]
@@ -88,13 +102,10 @@ struct MtJob<B> {
     slot: Arc<TenantSlot<B>>,
 }
 
-struct Shard<B> {
-    queue: AdmissionQueue<MtJob<B>>,
-}
-
 struct MtShared<B> {
     config: MtConfig,
-    shards: Vec<Shard<B>>,
+    /// One admission queue per shard.
+    queues: Vec<AdmissionQueue<MtJob<B>>>,
     batcher: ScanBatcher,
     draining: AtomicBool,
 }
@@ -115,13 +126,11 @@ impl<B: SessionBackend> MtServer<B> {
             config.shards > 0 && config.workers_per_shard > 0,
             "multi-tenant server needs at least one shard and one worker"
         );
-        let shards = (0..config.shards)
-            .map(|_| Shard {
-                queue: AdmissionQueue::new(config.queue_depth),
-            })
+        let queues = (0..config.shards)
+            .map(|_| AdmissionQueue::new(config.queue_depth))
             .collect();
         let shared = Arc::new(MtShared {
-            shards,
+            queues,
             batcher: ScanBatcher::new(),
             draining: AtomicBool::new(false),
             config,
@@ -133,7 +142,7 @@ impl<B: SessionBackend> MtServer<B> {
                 let shared = Arc::clone(&shared);
                 let handle = std::thread::Builder::new()
                     .name(format!("asqp-mt-{shard}-{local}"))
-                    .spawn(move || mt_worker_loop(shard, global, shared))
+                    .spawn(move || worker_loop(shard, global, shared))
                     // asqp::allow(panic-path): pool startup, before any request is admitted
                     .expect("spawn mt worker");
                 workers.push(handle);
@@ -163,23 +172,25 @@ impl<B: SessionBackend> MtServer<B> {
     /// allocated stripe and the new backend/group, while its lifetime
     /// counters carry over.
     pub fn register_tenant(&self, tenant: TenantId, group: u64, backend: B) -> usize {
-        if let Some(slot) = self.slots().get(&tenant) {
+        // One write-locked section from the check to the insert: the
+        // registry overwrites an entry's group, so a racing first
+        // registration that lost the slot must not reach it.
+        let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
+        if let Some(slot) = slots.get(&tenant) {
             return slot.shard;
         }
         // `register` hands back the entry's counters directly (never a
         // fabricated orphan), so a returning tenant's accounting stays
         // lossless across the departure round trip.
         let (shard, counters) = self.registry.register(tenant, group);
-        let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
-        slots.entry(tenant).or_insert_with(|| {
-            telemetry::counter("serve.mt.tenants", 1);
-            Arc::new(TenantSlot {
-                group,
-                shard,
-                backend,
-                counters,
-            })
-        });
+        telemetry::counter("serve.tenants", 1);
+        let slot = TenantSlot {
+            group,
+            shard,
+            backend,
+            counters,
+        };
+        slots.insert(tenant, Arc::new(slot));
         shard
     }
 
@@ -187,11 +198,8 @@ impl<B: SessionBackend> MtServer<B> {
     /// refuses new submissions; accounting for its served requests
     /// survives in the registry snapshot.
     pub fn depart_tenant(&self, tenant: TenantId) -> Option<usize> {
-        let removed = {
-            let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
-            slots.remove(&tenant)
-        };
-        removed.as_ref()?;
+        let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
+        slots.remove(&tenant)?;
         self.registry.depart(tenant)
     }
 
@@ -207,9 +215,8 @@ impl<B: SessionBackend> MtServer<B> {
             Some(slot) => Arc::clone(slot),
             None => return Err(ServeError::UnknownTenant { tenant }),
         };
-        let shard = match self.shared.shards.get(slot.shard) {
-            Some(shard) => shard,
-            None => return Err(ServeError::UnknownTenant { tenant }),
+        let Some(queue) = self.shared.queues.get(slot.shard) else {
+            return Err(ServeError::UnknownTenant { tenant });
         };
         let request = self.next_request.fetch_add(1, Ordering::Relaxed);
         let (reply, rx) = sync_channel(1);
@@ -220,19 +227,19 @@ impl<B: SessionBackend> MtServer<B> {
             reply,
             slot: Arc::clone(&slot),
         };
-        match shard.queue.try_push(job) {
+        match queue.try_push(job) {
             Ok(()) => {
                 slot.counters.admitted.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("serve.mt.admitted", 1);
-                telemetry::gauge("serve.mt.queue.depth", shard.queue.len() as f64);
-                Ok(Ticket::internal(request, rx))
+                telemetry::counter("serve.admitted", 1);
+                telemetry::gauge("serve.queue.depth", queue.len() as f64);
+                Ok(Ticket { request, rx })
             }
             Err(e) => {
                 if matches!(e, ServeError::Overloaded { .. }) {
-                    // The fix for the global rejection counter: the shed
-                    // request belongs to the tenant that submitted it.
+                    // The shed request belongs to the tenant that
+                    // submitted it.
                     slot.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter("serve.mt.rejected", 1);
+                    telemetry::counter("serve.rejected", 1);
                 }
                 Err(e)
             }
@@ -254,21 +261,9 @@ impl<B: SessionBackend> MtServer<B> {
         self.registry.snapshot().remove(&tenant)
     }
 
-    /// Aggregate counters across all tenants (the single-tenant
-    /// [`ServerStats`] shape, so existing lossless-accounting assertions
-    /// port over).
+    /// Aggregate counters across all tenants.
     pub fn stats(&self) -> ServerStats {
-        let mut s = ServerStats::default();
-        for stats in self.registry.snapshot().values() {
-            s.admitted += stats.admitted;
-            s.rejected += stats.rejected;
-            s.resolved_subset += stats.resolved_subset;
-            s.resolved_full += stats.resolved_full;
-            s.degraded += stats.degraded;
-            s.retries += stats.retries;
-            s.fatal += stats.fatal;
-        }
-        s
+        self.registry.snapshot().values().sum()
     }
 
     /// Subset executions saved by shared-scan batching.
@@ -280,8 +275,8 @@ impl<B: SessionBackend> MtServer<B> {
     /// workers. Idempotent.
     pub fn shutdown(&self) {
         self.shared.draining.store(true, Ordering::Release);
-        for shard in &self.shared.shards {
-            shard.queue.close();
+        for queue in &self.shared.queues {
+            queue.close();
         }
         let handles = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|p| p.into_inner()));
         for h in handles {
@@ -296,36 +291,94 @@ impl<B: SessionBackend> Drop for MtServer<B> {
     }
 }
 
-fn mt_worker_loop<B: SessionBackend>(shard: usize, global_worker: usize, shared: Arc<MtShared<B>>) {
+fn worker_loop<B: SessionBackend>(shard: usize, global_worker: usize, shared: Arc<MtShared<B>>) {
     if let Some(stall_ns) = shared.config.faults.worker_stall(global_worker) {
-        telemetry::counter("serve.mt.worker.stalled", 1);
+        telemetry::counter("serve.worker.stalled", 1);
         std::thread::sleep(Duration::from_nanos(stall_ns));
     }
-    let queue = match shared.shards.get(shard) {
-        Some(s) => &s.queue,
-        None => return,
+    let Some(queue) = shared.queues.get(shard) else {
+        return;
     };
     while let Some(job) = queue.pop() {
-        mt_process(&shared, job);
+        process(&shared, job);
     }
 }
 
-fn remaining_ns(admitted_at: Instant, deadline_ns: u64) -> u64 {
-    if deadline_ns == 0 {
-        return u64::MAX;
-    }
-    deadline_ns.saturating_sub(admitted_at.elapsed().as_nanos() as u64)
+/// The ladder's seam on the wall clock: real sleeps, the tenant's own
+/// backend, and notes that only bump its counters.
+struct Request<'a, B> {
+    shared: &'a MtShared<B>,
+    slot: &'a TenantSlot<B>,
+    query: &'a Query,
+    admitted_at: Instant,
 }
 
-fn sleep_ns(ns: u64) {
-    if ns > 0 {
-        std::thread::sleep(Duration::from_nanos(ns));
+impl<B: SessionBackend> Seam for Request<'_, B> {
+    type Rows = ResultSet;
+
+    fn remaining_ns(&mut self) -> u64 {
+        match self.shared.config.deadline_ns {
+            0 => u64::MAX,
+            deadline => deadline.saturating_sub(self.admitted_at.elapsed().as_nanos() as u64),
+        }
+    }
+
+    fn pause(&mut self, ns: u64) {
+        if ns > 0 {
+            std::thread::sleep(Duration::from_nanos(ns));
+        }
+    }
+
+    /// Answered through the single-flight batcher so identical in-flight
+    /// scans from same-group, same-epoch tenants execute once. Epoch and
+    /// scan come from one atomic backend snapshot — keying on a
+    /// separately-read epoch would let a concurrent fork (another of this
+    /// tenant's in-flight requests crossing its drift trigger) slip
+    /// between key construction and execution, publishing fork-private
+    /// rows to shared-base followers.
+    fn subset(&mut self) -> DbResult<ResultSet> {
+        let (epoch, scan) = self.slot.backend.pinned_subset_scan(self.query);
+        let key = ScanKey::for_query(self.slot.group, epoch, self.query);
+        let (outcome, role) = self.shared.batcher.execute(key, scan);
+        if role == ScanRole::Follower {
+            let hits = &self.slot.counters.shared_scan_hits;
+            hits.fetch_add(1, Ordering::Relaxed);
+        }
+        outcome
+    }
+
+    fn full(&mut self) -> DbResult<ResultSet> {
+        self.slot.backend.answer_full(self.query)
+    }
+
+    fn degraded(&mut self) -> DbResult<ResultSet> {
+        self.slot.backend.answer_subset(self.query)
+    }
+
+    fn row_count(rows: &ResultSet) -> usize {
+        rows.rows.len()
+    }
+
+    fn note(&mut self, kind: EventKind) {
+        let c = &self.slot.counters;
+        let (counter, name) = match kind {
+            EventKind::TransientError { .. } => (&c.retries, "serve.retries"),
+            EventKind::Failed => (&c.fatal, "serve.fatal"),
+            EventKind::Resolved { source, .. } => match source {
+                ServedSource::Subset => (&c.resolved_subset, "serve.resolved.subset"),
+                ServedSource::Full => (&c.resolved_full, "serve.resolved.full"),
+                ServedSource::DegradedSubset => (&c.degraded, "serve.degraded"),
+            },
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        telemetry::counter(name, 1);
     }
 }
 
-/// Walk one admitted request through the degradation ladder, attributing
-/// every outcome to the submitting tenant.
-fn mt_process<B: SessionBackend>(shared: &MtShared<B>, job: MtJob<B>) {
+/// Walk one admitted request down the ladder, attributing every outcome
+/// to the submitting tenant, and reply.
+fn process<B: SessionBackend>(shared: &MtShared<B>, job: MtJob<B>) {
     let MtJob {
         request,
         query,
@@ -333,117 +386,75 @@ fn mt_process<B: SessionBackend>(shared: &MtShared<B>, job: MtJob<B>) {
         reply,
         slot,
     } = job;
-    let cfg = &shared.config;
-    let counters = &slot.counters;
-
     let decision = slot.backend.plan(&query);
-
-    let resolve = |result: ServeResult| {
-        match &result {
-            Ok(a) => {
-                let (counter, name) = match a.source {
-                    ServedSource::Subset => (&counters.resolved_subset, "serve.mt.resolved.subset"),
-                    ServedSource::Full => (&counters.resolved_full, "serve.mt.resolved.full"),
-                    ServedSource::DegradedSubset => (&counters.degraded, "serve.mt.degraded"),
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter(name, 1);
-                let _ = slot.backend.finish(&query, &decision);
-                // `finish` may have crossed the tenant's drift trigger
-                // and forked its COW session.
-                if slot.backend.share_epoch() != 0 {
-                    counters.forked.store(1, Ordering::Relaxed);
-                }
-            }
-            Err(_) => {
-                counters.fatal.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("serve.mt.fatal", 1);
-            }
-        }
-        let _ = reply.send(result);
+    let mut seam = Request {
+        shared,
+        slot: &slot,
+        query: &query,
+        admitted_at,
     };
-
-    // Subset route: answered through the single-flight batcher so
-    // identical in-flight scans from same-group, same-epoch tenants
-    // execute once. Epoch and scan come from one atomic backend snapshot
-    // — keying on a separately-read epoch would let a concurrent fork
-    // (another of this tenant's in-flight requests crossing its drift
-    // trigger) slip between key construction and execution, publishing
-    // fork-private rows to shared-base followers.
-    if decision.answerable {
-        let (epoch, scan) = slot.backend.pinned_subset_scan(&query);
-        let key = ScanKey::for_query(slot.group, epoch, &query);
-        let (outcome, role) = shared.batcher.execute(key, scan);
-        if role == ScanRole::Follower {
-            counters.shared_scan_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        return match outcome {
-            Ok(rows) => resolve(Ok(Answer {
-                request,
-                rows,
-                source: ServedSource::Subset,
-                attempts: 0,
-            })),
-            Err(e) => resolve(Err(ServeError::Fatal(e))),
-        };
-    }
-
-    // Full route: the attempt ladder (identical to `server::process`).
-    let mut attempts = 0u32;
-    loop {
-        if attempts >= cfg.retry.max_attempts() {
-            break;
-        }
-        let remaining = remaining_ns(admitted_at, cfg.deadline_ns);
-        if remaining == 0 {
-            break;
-        }
-        let fault = cfg.faults.decide(request, attempts);
-        if fault.latency_ns >= remaining {
-            sleep_ns(remaining);
-            attempts += 1;
-            break;
-        }
-        sleep_ns(fault.latency_ns);
-
-        let outcome = if fault.inject_error {
-            Err(DbError::Busy("injected fault".into()))
-        } else {
-            slot.backend.answer_full(&query)
-        };
-        attempts += 1;
-        match outcome {
-            Ok(rows) => {
-                return resolve(Ok(Answer {
-                    request,
-                    rows,
-                    source: ServedSource::Full,
-                    attempts,
-                }));
-            }
-            Err(e) if e.is_transient() => {
-                counters.retries.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("serve.mt.retries", 1);
-                if attempts >= cfg.retry.max_attempts() {
-                    break;
-                }
-                let sleep = cfg.retry.backoff_ns(cfg.faults.seed, request, attempts - 1);
-                sleep_ns(sleep.min(remaining_ns(admitted_at, cfg.deadline_ns)));
-            }
-            Err(e) => {
-                return resolve(Err(ServeError::Fatal(e)));
-            }
+    let cfg = &shared.config;
+    let served = ladder::serve(
+        &mut seam,
+        &cfg.retry,
+        &cfg.faults,
+        request,
+        decision.answerable,
+    );
+    if served.is_ok() {
+        let _ = slot.backend.finish(&query, &decision);
+        // `finish` may have crossed the tenant's drift trigger and forked
+        // its COW session.
+        if slot.backend.share_epoch() != 0 {
+            slot.counters.forked.store(1, Ordering::Relaxed);
         }
     }
-
-    // Degrade: answer from the approximation set, tagged.
-    match slot.backend.answer_subset(&query) {
-        Ok(rows) => resolve(Ok(Answer {
+    // A dropped receiver means the client gave up waiting; the request
+    // still counted as resolved above.
+    let _ = reply.send(match served {
+        Ok(s) => Ok(Answer {
             request,
-            rows,
-            source: ServedSource::DegradedSubset,
-            attempts,
-        })),
-        Err(e) => resolve(Err(ServeError::Fatal(e))),
+            rows: s.rows,
+            source: s.source,
+            attempts: s.attempts,
+        }),
+        Err(e) => Err(ServeError::Fatal(e)),
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::MirrorBackend;
+    use std::sync::Barrier;
+
+    /// Regression: two racing first registrations of one tenant under
+    /// different groups left the registry reporting one group while the
+    /// slot coalesced scans under the other (a fifth of the tenants here,
+    /// before the check and the registry call shared one locked section).
+    #[test]
+    fn racing_first_registrations_agree_on_the_group() {
+        const TENANTS: u64 = 2_000;
+        let db = Arc::new(asqp_db::Database::new());
+        let server = MtServer::start(MtConfig::default());
+        let barrier = Barrier::new(2);
+        std::thread::scope(|s| {
+            for group in [1u64, 2] {
+                let (server, barrier, db) = (&server, &barrier, &db);
+                s.spawn(move || {
+                    for tenant in 0..TENANTS {
+                        barrier.wait();
+                        let backend = MirrorBackend::single(Arc::clone(db), 50);
+                        server.register_tenant(tenant, group, backend);
+                    }
+                });
+            }
+        });
+        let snapshot = server.registry.snapshot();
+        for (tenant, slot) in server.slots().iter() {
+            let registered = snapshot.get(tenant).map(|stats| stats.group);
+            assert_eq!(registered, Some(slot.group), "tenant {tenant}");
+        }
+        assert_eq!(snapshot.len() as u64, TENANTS);
     }
 }

@@ -1,7 +1,7 @@
 //! Bounded admission-control queue with backpressure and drain semantics.
 //!
 //! `try_push` never blocks: past the configured depth it fails immediately
-//! with [`ServeError::Overloaded`], which `Server::submit` surfaces
+//! with [`ServeError::Overloaded`], which `MtServer::submit` surfaces
 //! synchronously to the caller — load-shedding at the front door rather
 //! than letting latency collect in an unbounded buffer. `pop` blocks
 //! workers until a job or shutdown arrives; after `close`, remaining jobs
@@ -37,11 +37,6 @@ impl<T> AdmissionQueue<T> {
             }),
             available: Condvar::new(),
         }
-    }
-
-    /// Configured admission depth.
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 
     /// Poison-recovering lock: a worker that panicked while holding the
@@ -90,11 +85,6 @@ impl<T> AdmissionQueue<T> {
             }
             st = self.available.wait(st).unwrap_or_else(|p| p.into_inner());
         }
-    }
-
-    /// Non-blocking pop (used by the discrete-event simulator).
-    pub fn try_pop(&self) -> Option<T> {
-        self.lock().items.pop_front()
     }
 
     /// Stop admitting; wake all blocked workers so they can drain and exit.

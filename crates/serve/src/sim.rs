@@ -1,23 +1,20 @@
 //! Deterministic discrete-event chaos simulator.
 //!
-//! The threaded [`Server`](crate::Server) proves the concurrency story
+//! The threaded [`MtServer`](crate::MtServer) proves the concurrency story
 //! (no panics, no lost requests) but its event interleaving — and hence
 //! which submissions hit a full queue — depends on OS scheduling. This
-//! module replays the *same* serving semantics (admission control,
-//! routing, the attempt ladder with the same [`FaultPlan`] and
-//! [`RetryPolicy`] decision hashes, degradation) on a virtual clock with
-//! a strictly ordered event heap, so a chaos run is a pure function of
-//! its configuration: same seed ⇒ byte-for-byte identical
+//! module runs the *same* [`ladder`] behind the same admission control on
+//! the `kernel`'s virtual clock, so a chaos run is a pure function of its
+//! configuration: same seed ⇒ byte-for-byte identical
 //! [`EventLog::render`] output. That is the artifact the chaos suite and
-//! the CI `chaos` job diff across runs.
+//! the CI `replay` job diff across runs.
 
 use crate::backoff::RetryPolicy;
-use crate::error::ServedSource;
-use crate::event::{EventKind, EventLog};
+use crate::event::{EventKind, EventLog, Script, ServerStats};
 use crate::fault::{splitmix64, FaultPlan};
-use crate::server::ServerStats;
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use crate::kernel::{self, pct, sim_rows, Clock, Scenario};
+use crate::ladder::{self, Seam};
+use asqp_db::DbResult;
 
 /// Configuration of one simulated chaos run.
 #[derive(Debug, Clone)]
@@ -96,223 +93,110 @@ impl SimReport {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum SimEvent {
-    Arrival { request: u64 },
-    WorkerFree { worker: usize },
+/// The one-shard scenario: every request is logged under its own id.
+struct Chaos<'a> {
+    cfg: &'a SimConfig,
+    report: SimReport,
 }
 
-struct PendingJob {
-    request: u64,
-    admitted_ns: u64,
-    seq: u32,
+impl Chaos<'_> {
+    fn script(&mut self, request: u64, seq: u32) -> Script<'_> {
+        Script {
+            log: &mut self.report.log,
+            stats: &mut self.report.stats,
+            request,
+            seq,
+        }
+    }
+}
+
+impl Scenario for Chaos<'_> {
+    type Job = u64;
+
+    fn admit(&mut self, &request: &u64, _: u64) {
+        self.script(request, 0).note(EventKind::Admitted);
+    }
+
+    fn reject(&mut self, request: u64, _: u64) {
+        let depth = self.cfg.queue_depth;
+        self.script(request, 0).note(EventKind::Rejected { depth });
+    }
+
+    fn serve(&mut self, request: u64, admitted_ns: u64, now: u64) -> u64 {
+        let cfg = self.cfg;
+        let mut seam = VirtualRequest {
+            cfg,
+            clock: Clock::start(admitted_ns, now, cfg.deadline_ns),
+            rows: sim_rows(cfg.faults.seed, request),
+            script: self.script(request, 1), // seq 0 is the admission
+        };
+        // Hash routing, like `MirrorBackend`'s but keyed by request id.
+        let answerable = pct(
+            splitmix64(cfg.faults.seed ^ splitmix64(request ^ 0x5e1f)),
+            cfg.subset_pct,
+        );
+        // The simulated backend never fails, so neither does the ladder.
+        let _ = ladder::serve(&mut seam, &cfg.retry, &cfg.faults, request, answerable);
+        let done = seam.clock.now;
+        self.report.makespan_ns = self.report.makespan_ns.max(done);
+        done
+    }
+}
+
+/// The ladder's seam on virtual time: work costs its configured service
+/// time and every note goes to the transcript.
+struct VirtualRequest<'a> {
+    cfg: &'a SimConfig,
+    clock: Clock,
+    rows: usize,
+    script: Script<'a>,
+}
+
+impl Seam for VirtualRequest<'_> {
+    type Rows = usize;
+
+    fn remaining_ns(&mut self) -> u64 {
+        self.clock.remaining_ns()
+    }
+
+    fn pause(&mut self, ns: u64) {
+        self.clock.now += ns;
+    }
+
+    fn subset(&mut self) -> DbResult<usize> {
+        self.clock.now += self.cfg.subset_service_ns;
+        Ok(self.rows)
+    }
+
+    fn full(&mut self) -> DbResult<usize> {
+        self.clock.now += self.cfg.full_service_ns;
+        Ok(self.rows)
+    }
+
+    fn row_count(rows: &usize) -> usize {
+        *rows
+    }
+
+    fn note(&mut self, kind: EventKind) {
+        self.script.note(kind);
+    }
 }
 
 /// Run one simulated chaos scenario. Pure: identical configs produce
 /// identical reports.
 pub fn run_sim(cfg: &SimConfig) -> SimReport {
-    let log = EventLog::new();
-    let mut stats = ServerStats::default();
-    let mut heap: BinaryHeap<Reverse<(u64, u64, SimEvent)>> = BinaryHeap::new();
-    let mut tie = 0u64;
-    let mut push_event =
-        |heap: &mut BinaryHeap<Reverse<(u64, u64, SimEvent)>>, t: u64, e: SimEvent| {
-            heap.push(Reverse((t, tie, e)));
-            tie += 1;
-        };
-
-    for r in 0..cfg.requests {
-        push_event(
-            &mut heap,
-            r * cfg.inter_arrival_ns,
-            SimEvent::Arrival { request: r },
-        );
-    }
-    // Workers come online at t=0, except the fault plan's stalled worker.
-    let mut idle: BTreeSet<usize> = BTreeSet::new();
-    for w in 0..cfg.workers {
-        match cfg.faults.worker_stall(w) {
-            Some(stall) => push_event(&mut heap, stall, SimEvent::WorkerFree { worker: w }),
-            None => {
-                idle.insert(w);
-            }
-        }
-    }
-
-    let mut queue: VecDeque<PendingJob> = VecDeque::new();
-    let mut makespan = 0u64;
-
-    while let Some(Reverse((now, _, ev))) = heap.pop() {
-        match ev {
-            SimEvent::Arrival { request } => {
-                if queue.len() >= cfg.queue_depth {
-                    log.push(
-                        request,
-                        0,
-                        EventKind::Rejected {
-                            depth: cfg.queue_depth,
-                        },
-                    );
-                    stats.rejected += 1;
-                    continue;
-                }
-                log.push(request, 0, EventKind::Admitted);
-                stats.admitted += 1;
-                queue.push_back(PendingJob {
-                    request,
-                    admitted_ns: now,
-                    seq: 1,
-                });
-                if let Some(&w) = idle.iter().next() {
-                    if let Some(job) = queue.pop_front() {
-                        idle.remove(&w);
-                        let done = serve_one(cfg, &log, &mut stats, job, now);
-                        makespan = makespan.max(done);
-                        push_event(&mut heap, done, SimEvent::WorkerFree { worker: w });
-                    }
-                }
-            }
-            SimEvent::WorkerFree { worker } => match queue.pop_front() {
-                Some(job) => {
-                    let done = serve_one(cfg, &log, &mut stats, job, now);
-                    makespan = makespan.max(done);
-                    push_event(&mut heap, done, SimEvent::WorkerFree { worker });
-                }
-                None => {
-                    idle.insert(worker);
-                }
-            },
-        }
-    }
-
-    SimReport {
-        stats,
-        log,
-        makespan_ns: makespan,
-    }
-}
-
-/// Pure routing rule for simulated requests (mirrors `MirrorBackend`'s
-/// hash routing, keyed by request id instead of query text).
-fn routes_to_subset(seed: u64, request: u64, subset_pct: u8) -> bool {
-    splitmix64(seed ^ splitmix64(request ^ 0x5e1f)) % 100 < subset_pct as u64
-}
-
-/// Deterministic pseudo row count for a resolved answer.
-fn sim_rows(seed: u64, request: u64) -> usize {
-    (splitmix64(seed ^ request.wrapping_mul(0x2545_f491_4f6c_dd1d)) % 50) as usize
-}
-
-/// Walk one request through the same degradation ladder as
-/// `server::process`, on virtual time. Returns the completion time.
-fn serve_one(
-    cfg: &SimConfig,
-    log: &EventLog,
-    stats: &mut ServerStats,
-    job: PendingJob,
-    start_ns: u64,
-) -> u64 {
-    let PendingJob {
-        request,
-        admitted_ns,
-        mut seq,
-    } = job;
-    let mut now = start_ns;
-    let push = |seq: &mut u32, kind: EventKind| {
-        log.push(request, *seq, kind);
-        *seq += 1;
-    };
-    let deadline = if cfg.deadline_ns == 0 {
-        u64::MAX
-    } else {
-        admitted_ns.saturating_add(cfg.deadline_ns)
-    };
-    let remaining = |now: u64| deadline.saturating_sub(now);
-
-    let answerable = routes_to_subset(cfg.faults.seed, request, cfg.subset_pct);
-    push(&mut seq, EventKind::Routed { answerable });
-
-    if answerable {
-        now += cfg.subset_service_ns;
-        push(
-            &mut seq,
-            EventKind::Resolved {
-                source: ServedSource::Subset,
-                rows: sim_rows(cfg.faults.seed, request),
-            },
-        );
-        stats.resolved_subset += 1;
-        return now;
-    }
-
-    let mut attempts = 0u32;
-    let degrade_reason = loop {
-        if attempts >= cfg.retry.max_attempts() {
-            break EventKind::RetriesExhausted;
-        }
-        let rem = remaining(now);
-        if rem == 0 {
-            break EventKind::DeadlineExceeded;
-        }
-        let fault = cfg.faults.decide(request, attempts);
-        push(
-            &mut seq,
-            EventKind::Attempt {
-                attempt: attempts,
-                latency_ns: fault.latency_ns,
-            },
-        );
-        if fault.latency_ns >= rem {
-            now += rem;
-            break EventKind::DeadlineExceeded;
-        }
-        now += fault.latency_ns;
-        attempts += 1;
-        if fault.inject_error {
-            push(
-                &mut seq,
-                EventKind::TransientError {
-                    attempt: attempts - 1,
-                },
-            );
-            stats.retries += 1;
-            if attempts >= cfg.retry.max_attempts() {
-                break EventKind::RetriesExhausted;
-            }
-            let sleep = cfg.retry.backoff_ns(cfg.faults.seed, request, attempts - 1);
-            push(
-                &mut seq,
-                EventKind::Backoff {
-                    attempt: attempts - 1,
-                    sleep_ns: sleep,
-                },
-            );
-            now += sleep.min(remaining(now));
-        } else {
-            now += cfg.full_service_ns;
-            push(
-                &mut seq,
-                EventKind::Resolved {
-                    source: ServedSource::Full,
-                    rows: sim_rows(cfg.faults.seed, request),
-                },
-            );
-            stats.resolved_full += 1;
-            return now;
-        }
-    };
-
-    push(&mut seq, degrade_reason);
-    now += cfg.subset_service_ns;
-    push(
-        &mut seq,
-        EventKind::Resolved {
-            source: ServedSource::DegradedSubset,
-            rows: sim_rows(cfg.faults.seed, request),
+    let mut chaos = Chaos {
+        cfg,
+        report: SimReport {
+            stats: ServerStats::default(),
+            log: EventLog::new(),
+            makespan_ns: 0,
         },
-    );
-    stats.degraded += 1;
-    now
+    };
+    let arrivals = (0..cfg.requests).map(|r| (r * cfg.inter_arrival_ns, r));
+    let (workers, depth) = (cfg.workers, cfg.queue_depth);
+    kernel::run(&mut chaos, 1, workers, depth, &cfg.faults, arrivals);
+    chaos.report
 }
 
 #[cfg(test)]

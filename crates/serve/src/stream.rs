@@ -1,8 +1,8 @@
 //! Living-data streaming scenario: serving while the database grows.
 //!
 //! The chaos simulator ([`run_sim`](crate::run_sim)) proves the serving
-//! ladder on a *frozen* database. This module closes the remaining gap
-//! to the paper's exploration story: the full database keeps receiving
+//! [`ladder`] on a *frozen* database. This module closes the remaining
+//! gap to the paper's exploration story: the full database keeps receiving
 //! rows while analysts query it, and the approximation-set view must
 //! follow the data without ever serving from a torn or silently stale
 //! state.
@@ -27,13 +27,13 @@
 //!   `(seed, op)`. Same seed ⇒ byte-identical [`StreamReport::render`]
 //!   transcript (including every real row count the live database
 //!   returned), plus a write ledger whose `lost_writes=0` footer line is
-//!   what the CI `streaming` job greps for.
+//!   what the CI `replay` job greps for.
 
 use crate::backend::{MirrorBackend, RouteDecision, SessionBackend};
 use crate::backoff::RetryPolicy;
-use crate::error::ServedSource;
-use crate::event::{EventKind, EventLog};
+use crate::event::{EventKind, EventLog, Script, ServerStats};
 use crate::fault::{splitmix64, FaultPlan};
+use crate::ladder::{self, Seam};
 use asqp_db::{sql, Database, DbResult, Query, ResultSet, Row, Schema, Value, ValueType};
 use asqp_telemetry as telemetry;
 use std::collections::BTreeMap;
@@ -253,7 +253,7 @@ pub struct StreamReport {
 
 impl StreamReport {
     /// Canonical transcript plus a summary footer. The last line is
-    /// always `lost_writes=<n>` — the CI `streaming` job double-runs,
+    /// always `lost_writes=<n>` — the CI `replay` job double-runs,
     /// byte-compares two renders, and greps for `^lost_writes=0$`.
     pub fn render(&self) -> String {
         let s = &self.stats;
@@ -341,8 +341,9 @@ pub fn run_stream(cfg: &StreamConfig) -> DbResult<StreamReport> {
         cfg.subset_pct,
         cfg.stride,
     )?;
-    let log = EventLog::new();
+    let mut log = EventLog::new();
     let mut stats = StreamStats::default();
+    let mut served = ServerStats::default();
     // The no-lost-writes ledger: every acknowledged append adds here, and
     // the final row count must match exactly.
     let mut ledger_rows = cfg.seed_rows as u64;
@@ -387,8 +388,19 @@ pub fn run_stream(cfg: &StreamConfig) -> DbResult<StreamReport> {
             stats.updated_rows += n as u64;
             log.push(op, 0, EventKind::Updated { rows: n });
         } else {
-            let q = gen_stream_query(h, next_id)?;
-            serve_stream_query(cfg, &backend, &log, &mut stats, op, &q)?;
+            let query = gen_stream_query(h, next_id)?;
+            let answerable = backend.plan(&query).answerable;
+            let mut seam = LiveQuery {
+                backend: &backend,
+                query: &query,
+                script: Script {
+                    log: &mut log,
+                    stats: &mut served,
+                    request: op,
+                    seq: 0,
+                },
+            };
+            ladder::serve(&mut seam, &cfg.retry, &cfg.faults, op, answerable)?;
             stats.queries += 1;
         }
         if cfg.observe_every > 0 && (op + 1) % cfg.observe_every == 0 {
@@ -408,6 +420,10 @@ pub fn run_stream(cfg: &StreamConfig) -> DbResult<StreamReport> {
     let actual = backend.row_count("events") as u64;
     stats.lost_writes = ledger_rows.abs_diff(actual);
     stats.ops = cfg.ops;
+    stats.resolved_subset = served.resolved_subset;
+    stats.resolved_full = served.resolved_full;
+    stats.degraded = served.degraded;
+    stats.retries = served.retries;
     Ok(StreamReport {
         final_fingerprint: backend.data_fingerprint(),
         stats,
@@ -415,81 +431,39 @@ pub fn run_stream(cfg: &StreamConfig) -> DbResult<StreamReport> {
     })
 }
 
-/// Walk one query through the retry/degrade ladder against the live
-/// backend (real executions; injected faults gate the full route only).
-fn serve_stream_query(
-    cfg: &StreamConfig,
-    backend: &LiveBackend,
-    log: &EventLog,
-    stats: &mut StreamStats,
-    op: u64,
-    q: &Query,
-) -> DbResult<()> {
-    let mut seq = 0u32;
-    let push = |seq: &mut u32, kind: EventKind| {
-        log.push(op, *seq, kind);
-        *seq += 1;
-    };
-    let decision = backend.plan(q);
-    push(
-        &mut seq,
-        EventKind::Routed {
-            answerable: decision.answerable,
-        },
-    );
+/// The ladder's seam over the live backend: real executions, no
+/// deadline, and backoff that takes no time — the driver is
+/// single-threaded, so there is nobody to wait for.
+struct LiveQuery<'a> {
+    backend: &'a LiveBackend,
+    query: &'a Query,
+    script: Script<'a>,
+}
 
-    if decision.answerable {
-        let rs = backend.answer_subset(q)?;
-        push(
-            &mut seq,
-            EventKind::Resolved {
-                source: ServedSource::Subset,
-                rows: rs.rows.len(),
-            },
-        );
-        stats.resolved_subset += 1;
-        return Ok(());
+impl Seam for LiveQuery<'_> {
+    type Rows = ResultSet;
+
+    fn remaining_ns(&mut self) -> u64 {
+        u64::MAX
     }
 
-    let mut attempt = 0u32;
-    while attempt < cfg.retry.max_attempts() {
-        let fault = cfg.faults.decide(op, attempt);
-        push(
-            &mut seq,
-            EventKind::Attempt {
-                attempt,
-                latency_ns: fault.latency_ns,
-            },
-        );
-        if fault.inject_error {
-            push(&mut seq, EventKind::TransientError { attempt });
-            stats.retries += 1;
-            attempt += 1;
-            continue;
-        }
-        let rs = backend.answer_full(q)?;
-        push(
-            &mut seq,
-            EventKind::Resolved {
-                source: ServedSource::Full,
-                rows: rs.rows.len(),
-            },
-        );
-        stats.resolved_full += 1;
-        return Ok(());
+    fn pause(&mut self, _: u64) {}
+
+    fn subset(&mut self) -> DbResult<ResultSet> {
+        self.backend.answer_subset(self.query)
     }
 
-    push(&mut seq, EventKind::RetriesExhausted);
-    let rs = backend.answer_subset(q)?;
-    push(
-        &mut seq,
-        EventKind::Resolved {
-            source: ServedSource::DegradedSubset,
-            rows: rs.rows.len(),
-        },
-    );
-    stats.degraded += 1;
-    Ok(())
+    fn full(&mut self) -> DbResult<ResultSet> {
+        self.backend.answer_full(self.query)
+    }
+
+    fn row_count(rows: &ResultSet) -> usize {
+        rows.rows.len()
+    }
+
+    fn note(&mut self, kind: EventKind) {
+        self.script.note(kind);
+    }
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 //! `admitted + rejected` always equals that tenant's submissions and the
 //! accounting stays exact no matter how tenants interleave.
 
+use crate::event::ServerStats;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -174,6 +175,23 @@ impl TenantStats {
             self.retries,
             self.shared_scan_hits,
         )
+    }
+}
+
+/// Aggregate accounting across tenants.
+impl<'a> std::iter::Sum<&'a TenantStats> for ServerStats {
+    fn sum<I: Iterator<Item = &'a TenantStats>>(tenants: I) -> ServerStats {
+        let mut s = ServerStats::default();
+        for t in tenants {
+            s.admitted += t.admitted;
+            s.rejected += t.rejected;
+            s.resolved_subset += t.resolved_subset;
+            s.resolved_full += t.resolved_full;
+            s.degraded += t.degraded;
+            s.retries += t.retries;
+            s.fatal += t.fatal;
+        }
+        s
     }
 }
 

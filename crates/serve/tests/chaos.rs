@@ -6,8 +6,8 @@
 use asqp_data::{imdb, Scale};
 use asqp_db::Query;
 use asqp_serve::{
-    run_sim, EventKind, FaultPlan, MirrorBackend, RetryPolicy, ServeConfig, ServeError,
-    ServeResult, Server, SimConfig,
+    run_sim, FaultPlan, MirrorBackend, MtConfig, MtServer, RetryPolicy, ServeError, ServeResult,
+    SimConfig,
 };
 use asqp_telemetry as telemetry;
 use std::sync::Arc;
@@ -24,9 +24,24 @@ fn test_queries(n: usize) -> Vec<Query> {
         .collect()
 }
 
-fn chaos_config(seed: u64) -> ServeConfig {
-    ServeConfig {
-        workers: 4,
+/// One session behind the threaded server: tenant 0 on one shard.
+fn start(config: MtConfig) -> MtServer<MirrorBackend> {
+    let server = MtServer::start(config);
+    server.register_tenant(0, 0, test_backend());
+    server
+}
+
+/// The telemetry recorder is process-wide and `scoped` sections are
+/// serialized: every test that runs a server takes one, so the accounting
+/// test below sees only its own emissions.
+fn isolated<T>(f: impl FnOnce() -> T) -> T {
+    telemetry::scoped(Arc::new(telemetry::MemoryRecorder::new()), f)
+}
+
+fn chaos_config(seed: u64) -> MtConfig {
+    MtConfig {
+        shards: 1,
+        workers_per_shard: 4,
         queue_depth: 64,
         deadline_ns: 300_000,
         retry: RetryPolicy {
@@ -70,6 +85,18 @@ fn sim_seeds_decorrelate() {
     assert_ne!(a.render(), b.render());
 }
 
+/// Regression: `workers: 0` used to admit up to the queue depth and then
+/// return with those requests never served. The kernel clamps to one.
+#[test]
+fn sim_with_zero_workers_strands_nothing() {
+    let r = run_sim(&SimConfig {
+        workers: 0,
+        ..SimConfig::chaos(7)
+    });
+    assert!(r.stats.admitted > 0);
+    assert_eq!(r.stats.admitted, r.stats.resolved());
+}
+
 /// The acceptance scenario: 64 concurrent clients against the threaded
 /// server under an injected fault plan (≥5% error rate, latency spikes,
 /// one stalled worker). Zero panics, and every submission resolves to
@@ -79,7 +106,7 @@ fn sim_seeds_decorrelate() {
 fn threaded_chaos_loses_no_requests() {
     let recorder = Arc::new(telemetry::MemoryRecorder::new());
     let report = telemetry::scoped(recorder.clone(), || {
-        let server = Arc::new(Server::start(test_backend(), chaos_config(0xC0FFEE)));
+        let server = Arc::new(start(chaos_config(0xC0FFEE)));
         let queries = test_queries(64);
 
         let results: Vec<ServeResult> = std::thread::scope(|s| {
@@ -87,7 +114,7 @@ fn threaded_chaos_loses_no_requests() {
                 .into_iter()
                 .map(|q| {
                     let server = Arc::clone(&server);
-                    s.spawn(move || server.query_blocking(q))
+                    s.spawn(move || server.query_blocking(0, q))
                 })
                 .collect();
             handles
@@ -136,64 +163,14 @@ fn threaded_chaos_loses_no_requests() {
     );
 }
 
-/// Per-request event sequences from the threaded server are well-formed:
-/// admitted requests end in exactly one resolution, rejected ones carry
-/// only the rejection.
-#[test]
-fn threaded_chaos_event_log_is_well_formed() {
-    let server = Server::start(test_backend(), chaos_config(77));
-    let tickets: Vec<_> = test_queries(32)
-        .into_iter()
-        .filter_map(|q| server.submit(q).ok())
-        .collect();
-    for t in tickets {
-        t.wait().expect("admitted request must resolve");
-    }
-    server.shutdown();
-
-    let events = server.log().canonical();
-    assert!(!events.is_empty());
-    let mut by_request: std::collections::BTreeMap<u64, Vec<&EventKind>> =
-        std::collections::BTreeMap::new();
-    for e in &events {
-        by_request.entry(e.request).or_default().push(&e.kind);
-    }
-    for (req, kinds) in by_request {
-        match kinds[0] {
-            EventKind::Admitted => {
-                let resolutions = kinds
-                    .iter()
-                    .filter(|k| matches!(k, EventKind::Resolved { .. } | EventKind::Failed))
-                    .count();
-                assert_eq!(resolutions, 1, "request {req} must resolve exactly once");
-                assert!(
-                    matches!(
-                        kinds.last().unwrap(),
-                        EventKind::Resolved { .. } | EventKind::Failed
-                    ),
-                    "request {req} must end in its resolution"
-                );
-            }
-            EventKind::Rejected { .. } => {
-                assert_eq!(
-                    kinds.len(),
-                    1,
-                    "rejected request {req} must log nothing else"
-                );
-            }
-            other => panic!("request {req} starts with {other:?}"),
-        }
-    }
-}
-
 /// Graceful shutdown drains what was admitted: every ticket held at
 /// shutdown time still resolves, and new submissions are refused.
 #[test]
 fn shutdown_drains_inflight_requests() {
-    let server = Server::start(
-        test_backend(),
-        ServeConfig {
-            workers: 2,
+    isolated(|| {
+        let server = start(MtConfig {
+            shards: 1,
+            workers_per_shard: 2,
             queue_depth: 32,
             deadline_ns: 0, // no deadline: exercise the drain itself
             retry: RetryPolicy::default(),
@@ -201,33 +178,33 @@ fn shutdown_drains_inflight_requests() {
                 base_latency_ns: 200_000, // slow the workers so a backlog forms
                 ..FaultPlan::disabled()
             },
-        },
-    );
-    let tickets: Vec<_> = test_queries(16)
-        .into_iter()
-        .map(|q| server.submit(q).expect("queue depth not reached"))
-        .collect();
+        });
+        let tickets: Vec<_> = test_queries(16)
+            .into_iter()
+            .map(|q| server.submit(0, q).expect("queue depth not reached"))
+            .collect();
 
-    server.shutdown();
-    assert!(matches!(
-        server.submit(test_queries(1).remove(0)),
-        Err(ServeError::ShuttingDown)
-    ));
-    for t in tickets {
-        t.wait()
-            .expect("admitted request must survive shutdown drain");
-    }
-    assert_eq!(server.stats().resolved(), 16);
+        server.shutdown();
+        assert!(matches!(
+            server.submit(0, test_queries(1).remove(0)),
+            Err(ServeError::ShuttingDown)
+        ));
+        for t in tickets {
+            t.wait()
+                .expect("admitted request must survive shutdown drain");
+        }
+        assert_eq!(server.stats().resolved(), 16);
+    })
 }
 
 /// Backpressure: with the only worker stalled, submissions past the queue
 /// depth fail fast with `Overloaded` and the admitted ones still resolve.
 #[test]
 fn admission_control_rejects_past_depth() {
-    let server = Server::start(
-        test_backend(),
-        ServeConfig {
-            workers: 1,
+    isolated(|| {
+        let server = start(MtConfig {
+            shards: 1,
+            workers_per_shard: 1,
             queue_depth: 2,
             deadline_ns: 0,
             retry: RetryPolicy::default(),
@@ -236,56 +213,56 @@ fn admission_control_rejects_past_depth() {
                 stall_ns: 50_000_000, // hold the worker 50ms so the queue fills
                 ..FaultPlan::disabled()
             },
-        },
-    );
-    let queries = test_queries(10);
-    let mut tickets = Vec::new();
-    let mut rejected = 0;
-    for q in queries {
-        match server.submit(q) {
-            Ok(t) => tickets.push(t),
-            Err(ServeError::Overloaded { depth }) => {
-                assert_eq!(depth, 2);
-                rejected += 1;
+        });
+        let queries = test_queries(10);
+        let mut tickets = Vec::new();
+        let mut rejected = 0;
+        for q in queries {
+            match server.submit(0, q) {
+                Ok(t) => tickets.push(t),
+                Err(ServeError::Overloaded { depth }) => {
+                    assert_eq!(depth, 2);
+                    rejected += 1;
+                }
+                Err(e) => panic!("unexpected: {e}"),
             }
-            Err(e) => panic!("unexpected: {e}"),
         }
-    }
-    assert_eq!(tickets.len(), 2, "only the queue depth may be admitted");
-    assert_eq!(rejected, 8);
-    for t in tickets {
-        t.wait().expect("admitted requests resolve after the stall");
-    }
-    server.shutdown();
+        assert_eq!(tickets.len(), 2, "only the queue depth may be admitted");
+        assert_eq!(rejected, 8);
+        for t in tickets {
+            t.wait().expect("admitted requests resolve after the stall");
+        }
+        server.shutdown();
+    })
 }
 
 /// Degradation ladder end to end: a deadline the full-DB route can never
 /// meet must still answer every request — from the subset, tagged.
 #[test]
 fn impossible_deadline_degrades_instead_of_failing() {
-    let server = Server::start(
-        test_backend(),
-        ServeConfig {
-            workers: 2,
+    isolated(|| {
+        let server = start(MtConfig {
+            shards: 1,
+            workers_per_shard: 2,
             queue_depth: 32,
             deadline_ns: 1, // nothing fits in 1ns
             retry: RetryPolicy::default(),
             faults: FaultPlan::disabled(),
-        },
-    );
-    let mut degraded = 0;
-    for q in test_queries(12) {
-        let answer = server.query_blocking(q).expect("must resolve");
-        if answer.degraded() {
-            degraded += 1;
+        });
+        let mut degraded = 0;
+        for q in test_queries(12) {
+            let answer = server.query_blocking(0, q).expect("must resolve");
+            if answer.degraded() {
+                degraded += 1;
+            }
         }
-    }
-    // Hash-routing sends ~half the queries to the full path; all of those
-    // must have degraded.
-    let stats = server.stats();
-    assert_eq!(stats.degraded, degraded);
-    assert_eq!(stats.resolved_full, 0, "no full answer fits a 1ns deadline");
-    assert_eq!(stats.resolved(), 12);
-    assert!(degraded > 0, "the workload must exercise the full route");
-    server.shutdown();
+        // Hash-routing sends ~half the queries to the full path; all of those
+        // must have degraded.
+        let stats = server.stats();
+        assert_eq!(stats.degraded, degraded);
+        assert_eq!(stats.resolved_full, 0, "no full answer fits a 1ns deadline");
+        assert_eq!(stats.resolved(), 12);
+        assert!(degraded > 0, "the workload must exercise the full route");
+        server.shutdown();
+    })
 }

@@ -9,14 +9,14 @@
 //!   ledger at `lost_writes=0`;
 //! * the threaded harness proves *liveness under real concurrency* —
 //!   writer threads ingest into a shared [`LiveBackend`] while the
-//!   worker-pool [`Server`] answers fault-injected queries from it, and
+//!   threaded [`MtServer`] answers fault-injected queries from it, and
 //!   at the end every acknowledged row is present, the serving view has
 //!   converged to the live fingerprint, and no request was lost.
 
 use asqp_db::{sql, Query, Row, Value};
 use asqp_serve::{
-    run_stream, stream_fixture, FaultPlan, LiveBackend, RetryPolicy, ServeConfig, ServeResult,
-    Server, StreamConfig,
+    run_stream, stream_fixture, FaultPlan, LiveBackend, MtConfig, MtServer, RetryPolicy,
+    ServeResult, StreamConfig,
 };
 use asqp_telemetry as telemetry;
 use std::sync::Arc;
@@ -113,20 +113,19 @@ fn threaded_ingest_loses_no_writes_and_no_requests() {
             LiveBackend::new(stream_fixture(9, seed_rows).expect("fixture"), 50, 4)
                 .expect("backend"),
         );
-        let server = Arc::new(Server::start(
-            Arc::clone(&backend),
-            ServeConfig {
-                workers: 4,
-                queue_depth: 256,
-                deadline_ns: 0,
-                retry: RetryPolicy {
-                    max_retries: 3,
-                    base_ns: 20_000,
-                    cap_ns: 200_000,
-                },
-                faults: FaultPlan::chaos(0xBEE5),
+        let server = Arc::new(MtServer::start(MtConfig {
+            shards: 1,
+            workers_per_shard: 4,
+            queue_depth: 256,
+            deadline_ns: 0,
+            retry: RetryPolicy {
+                max_retries: 3,
+                base_ns: 20_000,
+                cap_ns: 200_000,
             },
-        ));
+            faults: FaultPlan::chaos(0xBEE5),
+        }));
+        server.register_tenant(0, 0, Arc::clone(&backend));
 
         let (acked, results): (u64, Vec<ServeResult>) = std::thread::scope(|s| {
             // Writers: seeded append + update batches, counting acked rows.
@@ -159,7 +158,7 @@ fn threaded_ingest_loses_no_writes_and_no_requests() {
                 .into_iter()
                 .map(|q| {
                     let server = Arc::clone(&server);
-                    s.spawn(move || server.query_blocking(q))
+                    s.spawn(move || server.query_blocking(0, q))
                 })
                 .collect();
 

@@ -114,21 +114,22 @@ fn session_end_to_end_with_fine_tune() {
 
 #[test]
 fn concurrent_server_over_trained_session() {
-    use asqp::serve::{FaultPlan, ServeConfig, ServedSource, Server};
+    use asqp::serve::{FaultPlan, MtConfig, MtServer, ServedSource};
 
     let db = std::sync::Arc::new(asqp::data::imdb::generate(Scale::Tiny, 8));
     let workload = asqp::data::imdb::workload(12, 8);
     let model = train(&db, &workload, &quick_cfg(80, 20, 8)).unwrap();
     let session = Session::new(db.clone(), model, SessionConfig::default()).unwrap();
 
-    let server = Server::start(
-        session,
-        ServeConfig {
-            workers: 3,
-            faults: FaultPlan::chaos(8),
-            ..ServeConfig::default()
-        },
-    );
+    // One session is one tenant on one shard.
+    let server = MtServer::start(MtConfig {
+        shards: 1,
+        workers_per_shard: 3,
+        queue_depth: 64,
+        faults: FaultPlan::chaos(8),
+        ..MtConfig::default()
+    });
+    server.register_tenant(0, 0, session);
     let clients = 4usize;
     std::thread::scope(|s| {
         for _ in 0..clients {
@@ -138,7 +139,7 @@ fn concurrent_server_over_trained_session() {
             s.spawn(move || {
                 for q in queries {
                     let answer = server
-                        .submit(q.clone())
+                        .submit(0, q.clone())
                         .expect("queue depth exceeds the burst")
                         .wait()
                         .expect("chaos faults are transient, never fatal");
