@@ -43,6 +43,7 @@ const NONDET_OUT: &[&str] = &[
     "asqp_db::sql_stmt",
     "asqp_db::stats",
     "asqp_db::table",
+    "asqp_db::testkit",
     "asqp_db::value",
     "asqp_db::workload",
     "asqp_db::zonemap",
@@ -79,6 +80,7 @@ const ITER_ORDER_OUT: &[&str] = &[
     "asqp_db::sql",
     "asqp_db::sql_stmt",
     "asqp_db::table",
+    "asqp_db::testkit",
     "asqp_db::value",
     "asqp_db::workload",
     "asqp_db::zonemap",
@@ -124,6 +126,7 @@ const PANIC_OUT: &[&str] = &[
     "asqp_db::sql_stmt",
     "asqp_db::stats",
     "asqp_db::table",
+    "asqp_db::testkit",
     "asqp_db::value",
     "asqp_db::workload",
     "asqp_db::zonemap",

@@ -7,7 +7,7 @@ use asqp_baselines::Spn;
 use asqp_bench::workloads;
 use asqp_core::{preprocess, CoverageTracker, PreprocessConfig};
 use asqp_data::Scale;
-use asqp_db::{execute_with_options, Database, ExecMode, ExecOptions, Query};
+use asqp_db::{execute_with_options, Database, ExecOptions, Query};
 use asqp_embed::Embedder;
 use asqp_rl::{AgentKind, Environment, ToyCoverageEnv, Trainer, TrainerConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -58,22 +58,13 @@ fn run_opts(db: &Database, q: &Query, opts: ExecOptions) -> usize {
     execute_with_options(db, q, opts).unwrap().result.rows.len()
 }
 
-/// Vectorized vs row-oriented executor on the paths DESIGN.md §5 entry 6
-/// names: selective scans, zone-map pruning and the sharded join probe.
+/// The executor on the paths DESIGN.md §5 entry 6 names: selective scans,
+/// zone-map pruning and the sharded join probe.
 fn bench_vectorized_exec(c: &mut Criterion) {
     let db = workloads::star_db(100_000);
     let vec_opts = ExecOptions::default();
-    let vec_seq = ExecOptions {
-        mode: ExecMode::Vectorized,
-        shards: 1,
-        ..ExecOptions::default()
-    };
-    let vec_sharded = ExecOptions {
-        mode: ExecMode::Vectorized,
-        shards: 4,
-        ..ExecOptions::default()
-    };
-    let row_opts = ExecOptions::row_oriented();
+    let vec_seq = ExecOptions { shards: 1 };
+    let vec_sharded = ExecOptions { shards: 4 };
 
     // Selective conjunctive scan over the 100K-row fact table (~3% pass).
     let scan_q = workloads::scan_query();
@@ -81,9 +72,6 @@ fn bench_vectorized_exec(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("vectorized_vs_row/vectorized", |b| {
         b.iter(|| black_box(run_opts(&db, &scan_q, vec_opts)))
-    });
-    g.bench_function("vectorized_vs_row/row_oriented", |b| {
-        b.iter(|| black_box(run_opts(&db, &scan_q, row_opts)))
     });
 
     // Zone-map pruning: the same narrow range over the clustered `id`
@@ -108,9 +96,6 @@ fn bench_vectorized_exec(c: &mut Criterion) {
     });
     g.bench_function("parallel_probe/vectorized_sequential", |b| {
         b.iter(|| black_box(run_opts(&db, &join_q, vec_seq)))
-    });
-    g.bench_function("parallel_probe/row_oriented", |b| {
-        b.iter(|| black_box(run_opts(&db, &join_q, row_opts)))
     });
     g.finish();
 }

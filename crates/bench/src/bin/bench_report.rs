@@ -21,10 +21,7 @@ use asqp_bench::measure::{calibration_ns, measure, BenchResult};
 use asqp_bench::workloads;
 use asqp_core::{preprocess, AsqpConfig, PreprocessConfig, Session, SessionConfig};
 use asqp_db::zonemap::TableZones;
-use asqp_db::{
-    execute_with_options, plan_query, Database, ExecMode, ExecOptions, OptimizerMode, Query,
-    StatsAccum,
-};
+use asqp_db::{execute_with_options, plan_query, Database, ExecOptions, Query, StatsAccum};
 use asqp_rl::{AgentKind, Environment, ToyCoverageEnv, Trainer, TrainerConfig};
 use asqp_serve::{
     run_mt_sim, run_sim, run_stream, FaultPlan, MirrorBackend, MtConfig, MtServer, MtSimConfig,
@@ -78,17 +75,8 @@ fn run_exec(db: &Database, q: &Query, opts: ExecOptions) -> usize {
 fn exec_benches(fact_rows: usize, samples: usize, out: &mut Vec<BenchResult>) {
     let db = workloads::star_db(fact_rows);
     let vec_opts = ExecOptions::default();
-    let vec_seq = ExecOptions {
-        mode: ExecMode::Vectorized,
-        shards: 1,
-        ..ExecOptions::default()
-    };
-    let vec_sharded = ExecOptions {
-        mode: ExecMode::Vectorized,
-        shards: 4,
-        ..ExecOptions::default()
-    };
-    let row_opts = ExecOptions::row_oriented();
+    let vec_seq = ExecOptions { shards: 1 };
+    let vec_sharded = ExecOptions { shards: 4 };
 
     let scan_q = workloads::scan_query();
     let clustered_q = workloads::clustered_query(fact_rows);
@@ -98,9 +86,6 @@ fn exec_benches(fact_rows: usize, samples: usize, out: &mut Vec<BenchResult>) {
 
     out.push(measure("scan/vectorized", warmup, samples, || {
         run_exec(&db, &scan_q, vec_opts)
-    }));
-    out.push(measure("scan/row_oriented", warmup, samples, || {
-        run_exec(&db, &scan_q, row_opts)
     }));
     out.push(measure("zonemap/clustered", warmup, samples, || {
         run_exec(&db, &clustered_q, vec_opts)
@@ -114,37 +99,22 @@ fn exec_benches(fact_rows: usize, samples: usize, out: &mut Vec<BenchResult>) {
     out.push(measure("join/sequential", warmup, samples, || {
         run_exec(&db, &join_q, vec_seq)
     }));
-    out.push(measure("join/row_oriented", warmup, samples, || {
-        run_exec(&db, &join_q, row_opts)
-    }));
 }
 
 /// Gated optimizer and plan-cache benches.
 ///
-/// * `db/optimizer/reorder_*` — the selective star join planned cost-based
-///   vs. with the legacy greedy heuristic (same executor either way).
-/// * `db/optimizer/limit_*` — a selective scan with `LIMIT`, with and
-///   without scan-level limit pushdown.
-/// * `db/plan_cache/{hit,miss}` — one planned query with a warm cache vs.
-///   a cache cleared before every execution (plan-from-scratch cost).
-/// * `db/plan_cache/rl_loop_{on,off}` — a reward-evaluation-shaped
-///   templated query mix over an approximation subset, cache on vs. off:
-///   the inner-loop iteration time the ISSUE's acceptance bar measures.
+/// * `db/optimizer/reorder_cost` — the selective star join, whose
+///   cost-based order starts at the filtered dimension.
+/// * `db/optimizer/limit_pushdown` — a selective scan with `LIMIT`, stopped
+///   at the scan by limit pushdown.
+/// * `db/plan_cache/{hit,miss}` — planning one query with a warm cache vs.
+///   a cache cleared before every call (bind + cost from scratch).
+/// * `db/plan_cache/rl_loop_on` — a reward-evaluation-shaped templated
+///   query mix over an approximation subset, every plan a cache hit: the
+///   inner-loop iteration time.
 fn optimizer_benches(fact_rows: usize, samples: usize, out: &mut Vec<BenchResult>) {
     let db = workloads::star_db(fact_rows);
-    let cost = ExecOptions {
-        plan_cache: false,
-        ..ExecOptions::default()
-    };
-    let greedy = ExecOptions {
-        optimizer: OptimizerMode::Heuristic,
-        plan_cache: false,
-        ..ExecOptions::default()
-    };
-    let cached = ExecOptions {
-        plan_cache: true,
-        ..ExecOptions::default()
-    };
+    let opts = ExecOptions::default();
     let warmup = (samples / 4).max(2);
 
     let join_q = workloads::selective_join_query();
@@ -152,13 +122,7 @@ fn optimizer_benches(fact_rows: usize, samples: usize, out: &mut Vec<BenchResult
         "db/optimizer/reorder_cost",
         warmup,
         samples,
-        || run_exec(&db, &join_q, cost),
-    ));
-    out.push(measure(
-        "db/optimizer/reorder_greedy",
-        warmup,
-        samples,
-        || run_exec(&db, &join_q, greedy),
+        || run_exec(&db, &join_q, opts),
     ));
 
     let limit_q = workloads::limited_scan_query();
@@ -166,25 +130,19 @@ fn optimizer_benches(fact_rows: usize, samples: usize, out: &mut Vec<BenchResult
         "db/optimizer/limit_pushdown",
         warmup,
         samples,
-        || run_exec(&db, &limit_q, cost),
-    ));
-    out.push(measure(
-        "db/optimizer/limit_unpushed",
-        warmup,
-        samples,
-        || run_exec(&db, &limit_q, greedy),
+        || run_exec(&db, &limit_q, opts),
     ));
 
-    // Planning cost in isolation: a warm cache returns memoised decisions,
-    // a cleared one re-lowers, re-rewrites and re-costs the join order.
-    db.plan_cache().clear();
-    plan_query(&db, &join_q, true).unwrap(); // warm the single entry
+    // Planning cost in isolation: a warm cache attaches memoised decisions
+    // to the bound query, a cleared one also estimates every scan and join
+    // and orders the joins.
+    plan_query(&db, &join_q).unwrap(); // warm the entry
     out.push(measure("db/plan_cache/hit", warmup, samples, || {
-        plan_query(&db, &join_q, true).unwrap().join_order.len()
+        plan_query(&db, &join_q).unwrap().join_order.len()
     }));
     out.push(measure("db/plan_cache/miss", warmup, samples, || {
         db.plan_cache().clear();
-        plan_query(&db, &join_q, true).unwrap().join_order.len()
+        plan_query(&db, &join_q).unwrap().join_order.len()
     }));
 
     // The RL inner loop: score one candidate subset against a templated
@@ -210,23 +168,9 @@ fn optimizer_benches(fact_rows: usize, samples: usize, out: &mut Vec<BenchResult
     .into_iter()
     .collect();
     let subset = db.subset(&selection).expect("subset of the star schema");
-    subset.plan_cache().clear();
-    out.push(measure(
-        "db/plan_cache/rl_loop_off",
-        warmup,
-        samples,
-        || {
-            mix.iter()
-                .map(|q| run_exec(&subset, q, cost))
-                .sum::<usize>()
-        },
-    ));
-    mix.iter().for_each(|q| {
-        run_exec(&subset, q, cached);
-    });
     out.push(measure("db/plan_cache/rl_loop_on", warmup, samples, || {
         mix.iter()
-            .map(|q| run_exec(&subset, q, cached))
+            .map(|q| run_exec(&subset, q, opts))
             .sum::<usize>()
     }));
 }

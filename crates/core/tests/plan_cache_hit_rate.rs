@@ -9,7 +9,6 @@
 //! proven from the optimizer's own telemetry counters.
 
 use asqp_core::metric::{score_with_counts, FullCounts, MetricParams};
-use asqp_db::plan_cache::cache_enabled_default;
 use asqp_db::sql::parse;
 use asqp_db::{Database, Query, Schema, Value, ValueType, Workload};
 use asqp_telemetry as telemetry;
@@ -91,9 +90,6 @@ fn templated_workload() -> Workload {
 
 #[test]
 fn reward_loop_hit_rate_exceeds_90_percent() {
-    if !cache_enabled_default() {
-        return; // cache disabled via ASQP_PLAN_CACHE for this process
-    }
     let db = build_db();
     let workload = templated_workload();
 

@@ -1,4 +1,4 @@
-//! Prints the optimizer's plan for a star join, cold and warm:
+//! Prints the plan for a star join, cold and warm:
 //!
 //! ```text
 //! cargo run -p asqp-db --example explain
@@ -6,37 +6,11 @@
 //!
 //! The transcript in README.md ("Cost-based optimizer") is this output.
 
-use asqp_db::{explain, explain_analyze, Database, Schema, Value, ValueType};
+use asqp_db::testkit::star_db;
+use asqp_db::{explain, explain_analyze};
 
 fn main() {
-    let mut db = Database::new();
-    let events = db
-        .create_table(
-            "events",
-            Schema::build(&[
-                ("id", ValueType::Int),
-                ("user_id", ValueType::Int),
-                ("qty", ValueType::Int),
-            ]),
-        )
-        .unwrap();
-    for i in 0..10_000i64 {
-        events
-            .push_row(&[Value::Int(i), Value::Int(i % 500), Value::Int(i % 100)])
-            .unwrap();
-    }
-    let users = db
-        .create_table(
-            "users",
-            Schema::build(&[("id", ValueType::Int), ("age", ValueType::Int)]),
-        )
-        .unwrap();
-    for i in 0..500i64 {
-        users
-            .push_row(&[Value::Int(i), Value::Int(18 + (i * 7) % 72)])
-            .unwrap();
-    }
-
+    let db = star_db();
     let q = asqp_db::sql::parse(
         "SELECT e.id FROM events AS e, users AS u \
          WHERE e.user_id = u.id AND u.age < 25 AND e.qty < 10 LIMIT 20",

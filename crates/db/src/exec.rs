@@ -1,5 +1,6 @@
-//! Query execution: predicate pushdown, hash joins, residual filters,
-//! projection, aggregation, DISTINCT, ORDER BY and LIMIT.
+//! Query execution: runs exactly one [`Plan`] — vectorized filtered scans,
+//! hash joins in the planned order, residual filters, then projection or
+//! aggregation, DISTINCT, ORDER BY and LIMIT.
 //!
 //! Intermediate join state is a vector of *row-id tuples* (one row id per
 //! bound table), never materialised rows — values are fetched lazily from the
@@ -7,77 +8,40 @@
 //! (which base rows produced each result row) fall out for free; ASQP-RL's
 //! pre-processing builds its RL action space from exactly that lineage.
 //!
-//! Two scan/probe implementations share this pipeline (see [`ExecMode`]):
-//! the default **vectorized** path compiles pushed-down conjuncts into typed
-//! column kernels evaluated over selection vectors on ~2048-row morsels with
-//! zone-map pruning (the private `vector` module), and shards scans and
-//! hash-join probes
-//! across crossbeam scoped threads with deterministic in-order concatenation;
-//! the **row-oriented** path materialises one `Row` per candidate and is kept
-//! as a correctness oracle and benchmark baseline.
+//! Scans compile each binding's pushed conjuncts into typed column kernels
+//! evaluated over selection vectors on ~2048-row morsels with zone-map
+//! pruning (the private `vector` module); scans and hash-join probes are
+//! sharded across crossbeam scoped threads with deterministic in-order
+//! concatenation, so the result is the same for any shard count.
 
 use crate::catalog::Database;
-use crate::error::{DbError, DbResult};
-use crate::expr::{ColRef, Expr};
-use crate::optimizer::{self, OptimizerMode, PlanCacheStatus};
-use crate::query::{Query, SelectItem, TableRef};
-use crate::table::Table;
+use crate::error::DbResult;
+use crate::expr::Expr;
+use crate::optimizer::plan_query;
+use crate::plan::{Layout, Output, Plan, PlanCacheStatus};
+use crate::query::Query;
 use crate::value::{canonical_f64_bits, Row, Value};
 use asqp_telemetry as telemetry;
 use std::collections::HashMap;
 
-mod aggregate;
+pub(crate) mod aggregate;
 mod vector;
 
-/// Which scan/probe implementation the executor uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Typed column kernels over selection vectors on morsels, zone-map
-    /// pruning, sharded scans/probes. The default.
-    Vectorized,
-    /// Row-at-a-time predicate evaluation over materialised rows; retained
-    /// as a correctness oracle and as the benchmark baseline.
-    RowOriented,
-}
-
-/// Executor tuning knobs, passed to [`execute_with_options`].
+/// The one execution setting.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    pub mode: ExecMode,
     /// Worker count for morsel scans and join probes (1 = sequential).
     /// Results are identical for any value: shards are contiguous ranges
     /// concatenated in submission order.
     pub shards: usize,
-    /// How the join order is chosen (cost-based planning vs. the legacy
-    /// greedy heuristic). Orthogonal to `mode`: either scan/probe
-    /// implementation runs either plan.
-    pub optimizer: OptimizerMode,
-    /// Consult the database's shared plan cache when planning (only
-    /// meaningful with [`OptimizerMode::CostBased`]). Defaults to the
-    /// process-wide `ASQP_PLAN_CACHE` setting.
-    pub plan_cache: bool,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            mode: ExecMode::Vectorized,
             shards: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            optimizer: OptimizerMode::CostBased,
-            plan_cache: crate::plan_cache::cache_enabled_default(),
-        }
-    }
-}
-
-impl ExecOptions {
-    /// The legacy row-at-a-time configuration (sequential).
-    pub fn row_oriented() -> Self {
-        ExecOptions {
-            mode: ExecMode::RowOriented,
-            shards: 1,
-            ..ExecOptions::default()
         }
     }
 }
@@ -134,336 +98,46 @@ pub struct ExecTrace {
     /// Intermediate size after each join step, before residual filters
     /// (aligned with `join_order[1..]`).
     pub join_rows: Vec<usize>,
-    /// The optimizer's estimates (empty in heuristic mode), FROM order /
-    /// join-step order respectively.
+    /// The estimates the plan was chosen under, FROM order / join-step
+    /// order respectively.
     pub est_scan_rows: Vec<f64>,
     pub est_join_rows: Vec<f64>,
 }
 
-/// One table bound in the FROM clause, with its slot offset in the flat
-/// execution row layout.
-struct Binding<'a> {
-    name: String,
-    table: &'a Table,
-    offset: usize,
-}
-
-/// Flat row layout over all FROM bindings.
-struct Layout<'a> {
-    bindings: Vec<Binding<'a>>,
-    total_slots: usize,
-    /// Precomputed `slot → (binding index, local column index)`, replacing a
-    /// per-fetch linear scan over the bindings.
-    slot_map: Vec<(usize, usize)>,
-}
-
-impl<'a> Layout<'a> {
-    fn new(db: &'a Database, from: &[TableRef]) -> DbResult<Self> {
-        if from.is_empty() {
-            return Err(DbError::InvalidQuery("FROM clause is empty".into()));
-        }
-        let mut bindings = Vec::with_capacity(from.len());
-        let mut slot_map = Vec::new();
-        let mut offset = 0;
-        for tref in from {
-            let name = tref.binding().to_string();
-            if bindings.iter().any(|b: &Binding| b.name == name) {
-                return Err(DbError::Duplicate(format!("table binding {name}")));
-            }
-            let table = db.table(&tref.table)?;
-            let bi = bindings.len();
-            slot_map.extend((0..table.schema().len()).map(|c| (bi, c)));
-            bindings.push(Binding {
-                name,
-                table,
-                offset,
-            });
-            offset += table.schema().len();
-        }
-        Ok(Layout {
-            bindings,
-            total_slots: offset,
-            slot_map,
-        })
-    }
-
-    /// Resolve a (possibly unqualified) column reference to a flat slot.
-    fn resolve(&self, c: &ColRef) -> DbResult<usize> {
-        match &c.table {
-            Some(t) => {
-                let b = self
-                    .bindings
-                    .iter()
-                    .find(|b| b.name == *t)
-                    .ok_or_else(|| DbError::UnknownTable(t.clone()))?;
-                let idx = b.table.schema().require(&c.column)?;
-                Ok(b.offset + idx)
-            }
-            None => {
-                let mut hit: Option<usize> = None;
-                for b in &self.bindings {
-                    if let Some(idx) = b.table.schema().index_of(&c.column) {
-                        if hit.is_some() {
-                            return Err(DbError::AmbiguousColumn(c.column.clone()));
-                        }
-                        hit = Some(b.offset + idx);
-                    }
-                }
-                hit.ok_or_else(|| DbError::UnknownColumn(c.column.clone()))
-            }
-        }
-    }
-
-    /// Which binding owns a flat slot, and the local column index. O(1)
-    /// lookup in the precomputed slot table.
-    fn slot_owner(&self, slot: usize) -> (usize, usize) {
-        self.slot_map[slot]
-    }
-
-    /// Qualified output name for a flat slot.
-    fn slot_name(&self, slot: usize) -> String {
-        let (b, c) = self.slot_owner(slot);
-        format!(
-            "{}.{}",
-            self.bindings[b].name,
-            self.bindings[b].table.schema().column(c).name
-        )
-    }
-
-    /// Fetch the value of `slot` for the intermediate row-id tuple `ids`
-    /// (ids aligned with `self.bindings`).
-    fn fetch(&self, ids: &[usize], slot: usize) -> Value {
-        let (b, c) = self.slot_owner(slot);
-        self.bindings[b].table.column(c).get(ids[b])
-    }
-}
-
-/// Slots an expression reads, mapped to the set of bindings it touches.
-fn expr_bindings(layout: &Layout, e: &Expr, slots_out: &mut Vec<usize>) -> Vec<usize> {
-    collect_slots(e, slots_out);
-    let mut bs: Vec<usize> = slots_out.iter().map(|&s| layout.slot_owner(s).0).collect();
-    bs.sort_unstable();
-    bs.dedup();
-    bs
-}
-
-fn collect_slots(e: &Expr, out: &mut Vec<usize>) {
-    match e {
-        Expr::Slot(s) => out.push(*s),
-        Expr::Column(_) | Expr::Literal(_) => {}
-        Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } => {
-            collect_slots(lhs, out);
-            collect_slots(rhs, out);
-        }
-        Expr::And(a, b) | Expr::Or(a, b) => {
-            collect_slots(a, out);
-            collect_slots(b, out);
-        }
-        Expr::Not(x) | Expr::In { expr: x, .. } | Expr::Like { expr: x, .. } => {
-            collect_slots(x, out)
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_slots(expr, out);
-            collect_slots(low, out);
-            collect_slots(high, out);
-        }
-        Expr::IsNull { expr, .. } => collect_slots(expr, out),
-    }
-}
-
-/// Rewrite a bound single-binding expression so its slots are local to that
-/// binding's table (for pushdown scanning).
-fn localize(e: &Expr, offset: usize) -> Expr {
-    match e {
-        Expr::Slot(s) => Expr::Slot(s - offset),
-        Expr::Column(c) => Expr::Column(c.clone()),
-        Expr::Literal(v) => Expr::Literal(v.clone()),
-        Expr::Cmp { op, lhs, rhs } => Expr::Cmp {
-            op: *op,
-            lhs: Box::new(localize(lhs, offset)),
-            rhs: Box::new(localize(rhs, offset)),
-        },
-        Expr::Arith { op, lhs, rhs } => Expr::Arith {
-            op: *op,
-            lhs: Box::new(localize(lhs, offset)),
-            rhs: Box::new(localize(rhs, offset)),
-        },
-        Expr::And(a, b) => Expr::And(Box::new(localize(a, offset)), Box::new(localize(b, offset))),
-        Expr::Or(a, b) => Expr::Or(Box::new(localize(a, offset)), Box::new(localize(b, offset))),
-        Expr::Not(x) => Expr::Not(Box::new(localize(x, offset))),
-        Expr::In {
-            expr,
-            list,
-            negated,
-        } => Expr::In {
-            expr: Box::new(localize(expr, offset)),
-            list: list.clone(),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(localize(expr, offset)),
-            low: Box::new(localize(low, offset)),
-            high: Box::new(localize(high, offset)),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(localize(expr, offset)),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(localize(expr, offset)),
-            negated: *negated,
-        },
-    }
-}
-
-/// Scan one table, returning row ids that pass the (localized) predicate.
-/// Fetches only the slots the predicate references (projection pruning) and
-/// stops after `limit` passing rows (limit pushdown).
-fn filtered_scan(table: &Table, pred: Option<&Expr>, limit: Option<usize>) -> DbResult<Vec<usize>> {
-    let n = table.row_count();
-    let cap = limit.unwrap_or(usize::MAX);
-    let mut out = Vec::new();
-    match pred {
-        None => out.extend(0..n.min(cap)),
-        Some(p) => {
-            let mut slots = Vec::new();
-            collect_slots(p, &mut slots);
-            slots.sort_unstable();
-            slots.dedup();
-            // Sparse row over just the referenced slots.
-            let mut row: Row = vec![Value::Null; table.schema().len()];
-            for rid in 0..n {
-                for &s in &slots {
-                    row[s] = table.value(rid, s);
-                }
-                if p.matches(&row)? {
-                    out.push(rid);
-                    if out.len() >= cap {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Equi-join condition resolved to flat slots.
-struct BoundJoin {
-    left_slot: usize,
-    right_slot: usize,
-    left_binding: usize,
-    right_binding: usize,
-}
-
-/// Execute a query, discarding lineage.
-pub fn execute(db: &Database, query: &Query) -> DbResult<ResultSet> {
-    Ok(execute_with_lineage(db, query)?.result)
-}
-
-/// Execute a query, keeping per-row lineage for non-aggregate queries.
-/// Uses the default (vectorized) executor configuration.
-pub fn execute_with_lineage(db: &Database, query: &Query) -> DbResult<QueryOutput> {
-    execute_with_options(db, query, ExecOptions::default())
-}
-
-/// Execute with an explicit executor configuration. All modes produce
-/// identical results (rows, order, lineage); see [`ExecMode`].
-// asqp::panic-free-audited: indices come from match arms that pin the slice
-// length (`bs.len() == 1` before `bs[0]`) or from `layout.resolve`, which
-// returns binding slots it allocated itself
+/// Plan `query` through the shared plan cache and execute that plan.
+// asqp::panic-free-audited: bind, plan and execute index only by binding
+// indices and slots the binder allocated itself: a conjunct's bindings are
+// matched as a one-element slice before the element is used, and
+// `join_order` is a permutation of the bindings (built by `cost_order`, or
+// checked by `cache_valid` before a cached one is replayed)
 pub fn execute_with_options(
     db: &Database,
     query: &Query,
     opts: ExecOptions,
 ) -> DbResult<QueryOutput> {
+    let _exec_span = telemetry::span("db.execute");
+    execute(&plan_query(db, query)?, opts.shards)
+}
+
+/// Execute `plan`: its scans, its join order, its scan limit. Results
+/// (rows, order, lineage) do not depend on `shards`.
+pub fn execute(plan: &Plan, shards: usize) -> DbResult<QueryOutput> {
     // Telemetry is per-stage, never per-row: with no recorder installed
     // each emission below is one relaxed atomic load.
-    let _exec_span = telemetry::span("db.execute");
-    let layout = Layout::new(db, &query.from)?;
-    let resolve = |c: &ColRef| layout.resolve(c);
-
-    // --- Bind predicate and classify conjuncts --------------------------
-    let mut single: Vec<Vec<Expr>> = (0..layout.bindings.len()).map(|_| Vec::new()).collect();
-    let mut residual: Vec<(Expr, Vec<usize>)> = Vec::new();
-    if let Some(pred) = &query.predicate {
-        let bound = pred.bind(&resolve)?;
-        for conj in bound.split_conjuncts() {
-            let mut slots = Vec::new();
-            let bs = expr_bindings(&layout, &conj, &mut slots);
-            match bs.len() {
-                0 => residual.push((conj, bs)), // constant predicate
-                1 => single[bs[0]].push(conj),
-                _ => residual.push((conj, bs)),
-            }
-        }
-    }
-
-    // --- Bind join conditions -------------------------------------------
-    let mut joins: Vec<BoundJoin> = Vec::with_capacity(query.joins.len());
-    for j in &query.joins {
-        let ls = layout.resolve(&j.left)?;
-        let rs = layout.resolve(&j.right)?;
-        let (lb, _) = layout.slot_owner(ls);
-        let (rb, _) = layout.slot_owner(rs);
-        if lb == rb {
-            // Self-condition within one table: treat as a pushed filter.
-            let e = Expr::eq(Expr::Slot(ls), Expr::Slot(rs));
-            single[lb].push(localize(&e, layout.bindings[lb].offset));
-            continue;
-        }
-        joins.push(BoundJoin {
-            left_slot: ls,
-            right_slot: rs,
-            left_binding: lb,
-            right_binding: rb,
-        });
-    }
-
-    // --- Plan ------------------------------------------------------------
-    // Cost-based planning happens on the *unbound* query (the optimizer
-    // re-derives conjunct classification itself, which is what makes cached
-    // plans literal-independent). Heuristic mode skips planning entirely.
-    let planned = match opts.optimizer {
-        OptimizerMode::CostBased => Some(optimizer::plan_query(db, query, opts.plan_cache)?),
-        OptimizerMode::Heuristic => None,
-    };
-    // Limit pushdown is only ever planned for single-table queries whose
-    // conjuncts all push down; the guard is belt-and-braces for cached plans.
-    let scan_limit = if layout.bindings.len() == 1 {
-        planned.as_ref().and_then(|p| p.scan_limit)
-    } else {
-        None
-    };
+    let bound = &plan.bound;
+    let layout = &bound.layout;
 
     // --- Filtered scans (predicate pushdown) ----------------------------
     let mut scans: Vec<Vec<usize>> = Vec::with_capacity(layout.bindings.len());
     {
         let _scan_span = telemetry::span("db.exec.scan");
-        for (i, b) in layout.bindings.iter().enumerate() {
-            let local: Vec<Expr> = single[i].iter().map(|e| localize(e, b.offset)).collect();
-            let scan = match opts.mode {
-                ExecMode::Vectorized => {
-                    vector::filtered_scan_vectorized(b.table, &local, opts.shards, scan_limit)?
-                }
-                ExecMode::RowOriented => {
-                    filtered_scan(b.table, Expr::conjunction(local).as_ref(), scan_limit)?
-                }
-            };
-            scans.push(scan);
+        for (b, pushed) in layout.bindings.iter().zip(&bound.pushed) {
+            scans.push(vector::filtered_scan_vectorized(
+                b.table,
+                pushed,
+                shards,
+                plan.scan_limit,
+            )?);
         }
         if telemetry::enabled() {
             telemetry::counter(
@@ -483,18 +157,10 @@ pub fn execute_with_options(
 
     // --- Join ------------------------------------------------------------
     // Intermediate rows are row-id tuples aligned with layout.bindings;
-    // usize::MAX marks a binding not yet joined. The join order comes from
-    // the cost-based plan when one exists (and is a valid permutation —
-    // cached plans are re-validated here too), else from the legacy greedy
-    // smallest-scan heuristic.
+    // usize::MAX marks a binding not yet joined.
     const UNSET: usize = usize::MAX;
     let nb = layout.bindings.len();
-    let scan_lens: Vec<usize> = scans.iter().map(|s| s.len()).collect();
-    let order: Vec<usize> = planned
-        .as_ref()
-        .map(|p| p.join_order.clone())
-        .filter(|o| is_permutation(o, nb))
-        .unwrap_or_else(|| greedy_order(&scan_lens, &joins));
+    let order = &plan.join_order;
     let mut joined = vec![false; nb];
     let start = order[0];
     let mut inter: Vec<Vec<usize>> = scans[start]
@@ -506,8 +172,11 @@ pub fn execute_with_options(
         })
         .collect();
     joined[start] = true;
-    let mut remaining_joins: Vec<BoundJoin> = joins;
-    let mut pending_residual = residual;
+    let mut pending_residual: Vec<(&Expr, &[usize])> = bound
+        .residual
+        .iter()
+        .map(|(c, bs)| (&c.bound, &bs[..]))
+        .collect();
     let mut join_rows: Vec<usize> = Vec::with_capacity(nb.saturating_sub(1));
 
     let join_span = if nb > 1 {
@@ -515,22 +184,20 @@ pub fn execute_with_options(
     } else {
         None
     };
-    for &next in order.iter().skip(1) {
-        // Conditions linking `next` to the joined set (probe side keys from
-        // the intermediate, build side keys from `next`).
-        let mut link: Vec<(usize, usize)> = Vec::new(); // (probe slot, build slot)
-        remaining_joins.retain(|j| {
-            let takes = (j.left_binding == next && joined[j.right_binding])
-                || (j.right_binding == next && joined[j.left_binding]);
-            if takes {
+    for (&next, conds) in order[1..].iter().zip(plan.join_steps()) {
+        // Conditions linking `next` to the joined set, as (probe slot from
+        // the intermediate, build slot from `next`).
+        let link: Vec<(usize, usize)> = conds
+            .iter()
+            .map(|&j| &bound.joins[j])
+            .map(|j| {
                 if j.left_binding == next {
-                    link.push((j.right_slot, j.left_slot));
+                    (j.right_slot, j.left_slot)
                 } else {
-                    link.push((j.left_slot, j.right_slot));
+                    (j.left_slot, j.right_slot)
                 }
-            }
-            !takes
-        });
+            })
+            .collect();
 
         let b = &layout.bindings[next];
         if link.is_empty() {
@@ -546,20 +213,19 @@ pub fn execute_with_options(
             inter = out;
         } else {
             // Hash join: build on `next`'s filtered rows, probe the
-            // intermediate (sharded when large and the mode allows it).
-            let probe_shards =
-                if opts.mode == ExecMode::Vectorized && inter.len() >= PARALLEL_PROBE_MIN {
-                    opts.shards
-                } else {
-                    1
-                };
+            // intermediate (sharded when large).
+            let probe_shards = if inter.len() >= PARALLEL_PROBE_MIN {
+                shards
+            } else {
+                1
+            };
             let numeric = |col: &crate::column::Column| {
                 matches!(
                     col.data(),
                     crate::column::ColumnData::Int(_) | crate::column::ColumnData::Float(_)
                 )
             };
-            let single_numeric_key = opts.mode == ExecMode::Vectorized && link.len() == 1 && {
+            let single_numeric_key = link.len() == 1 && {
                 let (ps, bs) = link[0];
                 let (pb, pc) = layout.slot_owner(ps);
                 let bc = layout.slot_owner(bs).1;
@@ -578,7 +244,7 @@ pub fn execute_with_options(
                         hash.entry(canonical_f64_bits(v)).or_default().push(rid);
                     }
                 }
-                inter = vector::probe_numeric(&layout, &inter, &hash, pb, pc, next, probe_shards)?;
+                inter = vector::probe_numeric(layout, &inter, &hash, pb, pc, next, probe_shards)?;
             } else {
                 let build_local: Vec<usize> = link
                     .iter()
@@ -596,30 +262,18 @@ pub fn execute_with_options(
                     }
                     hash.entry(key).or_default().push(rid);
                 }
-                inter = vector::probe_general(&layout, &inter, &hash, &link, next, probe_shards)?;
+                inter = vector::probe_general(layout, &inter, &hash, &link, next, probe_shards)?;
             }
         }
         joined[next] = true;
         join_rows.push(inter.len());
 
         // Apply residual conjuncts that are now fully bound.
-        let ready: Vec<Expr> = {
-            let mut keep = Vec::new();
-            let mut ready = Vec::new();
-            for (e, bs) in pending_residual.drain(..) {
-                if bs.iter().all(|&bi| joined[bi]) {
-                    ready.push(e);
-                } else {
-                    keep.push((e, bs));
-                }
-            }
-            pending_residual = keep;
-            ready
-        };
-        if !ready.is_empty() {
-            let pred = Expr::conjunction(ready).expect("non-empty");
-            inter = filter_intermediate(&layout, inter, &pred)?;
-        }
+        let (ready, waiting): (Vec<_>, Vec<_>) = pending_residual
+            .into_iter()
+            .partition(|(_, bs)| bs.iter().all(|&bi| joined[bi]));
+        pending_residual = waiting;
+        inter = filter_intermediate(layout, inter, ready.iter().map(|(e, _)| *e))?;
     }
 
     if nb > 1 && telemetry::enabled() {
@@ -627,67 +281,38 @@ pub fn execute_with_options(
     }
     drop(join_span);
 
-    // Constant/zero-binding residuals (e.g. `1 = 0`).
-    if !pending_residual.is_empty() {
-        let pred =
-            Expr::conjunction(pending_residual.into_iter().map(|(e, _)| e).collect()).unwrap();
-        inter = filter_intermediate(&layout, inter, &pred)?;
-    }
+    // Still pending only when no join step ran: the constant conjuncts
+    // (e.g. `1 = 0`) of a single-table query.
+    inter = filter_intermediate(layout, inter, pending_residual.iter().map(|(e, _)| *e))?;
 
     let trace = ExecTrace {
-        cache: planned.as_ref().map(|p| p.cache).unwrap_or_default(),
-        join_order: order,
-        scan_rows: scan_lens,
+        cache: plan.cache,
+        join_order: order.clone(),
+        scan_rows: scans.iter().map(|s| s.len()).collect(),
         join_rows,
-        est_scan_rows: planned
-            .as_ref()
-            .map(|p| p.est_scan_rows.clone())
-            .unwrap_or_default(),
-        est_join_rows: planned.map(|p| p.est_join_rows).unwrap_or_default(),
+        est_scan_rows: plan.est_scan_rows.clone(),
+        est_join_rows: plan.est_join_rows.clone(),
     };
+    let binding_tables = layout
+        .bindings
+        .iter()
+        .map(|b| b.table.name().to_string())
+        .collect();
 
     // --- Aggregate or project -------------------------------------------
-    if query.is_aggregate() {
-        let _agg_span = telemetry::span("db.exec.aggregate");
-        let result = aggregate::aggregate(&layout, &inter, query, &resolve)?;
-        return Ok(QueryOutput {
-            result,
-            binding_tables: layout
-                .bindings
-                .iter()
-                .map(|b| b.table.name().to_string())
-                .collect(),
-            lineage: Vec::new(),
-            trace,
-        });
-    }
-
-    // Projection slots and output names.
-    let mut proj: Vec<usize> = Vec::new();
-    let mut names: Vec<String> = Vec::new();
-    for item in &query.select {
-        match item {
-            SelectItem::Star => {
-                for s in 0..layout.total_slots {
-                    proj.push(s);
-                    names.push(layout.slot_name(s));
-                }
-            }
-            SelectItem::Column(c) => {
-                let s = layout.resolve(c)?;
-                proj.push(s);
-                names.push(c.to_string());
-            }
-            SelectItem::Aggregate(_) => unreachable!("handled above"),
+    let limit = bound.query.limit.unwrap_or(usize::MAX);
+    let (proj, names, order) = match &bound.output {
+        Output::Groups(groups) => {
+            let _agg_span = telemetry::span("db.exec.aggregate");
+            return Ok(QueryOutput {
+                result: aggregate::aggregate(layout, &inter, groups, limit),
+                binding_tables,
+                lineage: Vec::new(),
+                trace,
+            });
         }
-    }
-
-    // ORDER BY keys resolved to flat slots.
-    let order: Vec<(usize, bool)> = query
-        .order_by
-        .iter()
-        .map(|k| Ok((layout.resolve(&k.column)?, k.desc)))
-        .collect::<DbResult<_>>()?;
+        Output::Rows { proj, names, order } => (proj, names, order),
+    };
 
     if !order.is_empty() {
         let _sort_span = telemetry::span("db.exec.sort");
@@ -711,7 +336,6 @@ pub fn execute_with_options(
 
     // Project (+ DISTINCT + LIMIT with early exit when unordered).
     let _project_span = telemetry::span("db.exec.project");
-    let limit = query.limit.unwrap_or(usize::MAX);
     let mut rows: Vec<Row> = Vec::new();
     let mut lineage: Vec<Lineage> = Vec::new();
     let mut seen: HashMap<Row, ()> = HashMap::new();
@@ -720,7 +344,7 @@ pub fn execute_with_options(
             break;
         }
         let row: Row = proj.iter().map(|&s| layout.fetch(t, s)).collect();
-        if query.distinct {
+        if bound.query.distinct {
             if seen.contains_key(&row) {
                 continue;
             }
@@ -733,81 +357,29 @@ pub fn execute_with_options(
 
     Ok(QueryOutput {
         result: ResultSet {
-            columns: names,
+            columns: names.clone(),
             rows,
         },
-        binding_tables: layout
-            .bindings
-            .iter()
-            .map(|b| b.table.name().to_string())
-            .collect(),
+        binding_tables,
         lineage,
         trace,
     })
 }
 
-/// Is `order` a permutation of `0..nb`? Cached plans are re-checked so a
-/// corrupt or mismatched entry can never index out of bounds.
-fn is_permutation(order: &[usize], nb: usize) -> bool {
-    let mut seen = vec![false; nb];
-    order.len() == nb
-        && order
-            .iter()
-            .all(|&b| b < nb && !std::mem::replace(&mut seen[b], true))
-}
-
-/// The legacy greedy join order: start from the smallest filtered scan,
-/// then always extend with the smallest *connected* binding (smallest
-/// remaining binding as the cartesian fallback). A pure function of scan
-/// sizes and join connectivity, replicating the selection the execution
-/// loop used before cost-based planning existed.
-fn greedy_order(scan_lens: &[usize], joins: &[BoundJoin]) -> Vec<usize> {
-    let nb = scan_lens.len();
-    let mut joined = vec![false; nb];
-    let mut used = vec![false; joins.len()];
-    let start = (0..nb).min_by_key(|&b| scan_lens[b]).unwrap_or(0);
-    let mut order = vec![start];
-    joined[start] = true;
-    while order.len() < nb {
-        let connected = |b: usize| {
-            joins.iter().zip(&used).any(|(j, &u)| {
-                !u && ((j.left_binding == b && joined[j.right_binding])
-                    || (j.right_binding == b && joined[j.left_binding]))
-            })
-        };
-        let next = (0..nb)
-            .filter(|&b| !joined[b] && connected(b))
-            .min_by_key(|&b| scan_lens[b])
-            .or_else(|| {
-                (0..nb)
-                    .filter(|&b| !joined[b])
-                    .min_by_key(|&b| scan_lens[b])
-            });
-        let Some(next) = next else { break };
-        joined[next] = true;
-        order.push(next);
-        // A condition is consumed once both its endpoints are joined —
-        // exactly when the execution loop's `retain` would take it.
-        for (j, u) in joins.iter().zip(used.iter_mut()) {
-            if !*u && joined[j.left_binding] && joined[j.right_binding] {
-                *u = true;
-            }
-        }
-    }
-    order
-}
-
-fn filter_intermediate(
+/// Keep the tuples every conjunct in `conjuncts` is `TRUE` for (evaluated
+/// as one AND under three-valued logic, so an error in any of them
+/// surfaces).
+fn filter_intermediate<'e>(
     layout: &Layout,
     inter: Vec<Vec<usize>>,
-    pred: &Expr,
+    conjuncts: impl Iterator<Item = &'e Expr>,
 ) -> DbResult<Vec<Vec<usize>>> {
-    let mut slots = Vec::new();
-    collect_slots(pred, &mut slots);
-    slots.sort_unstable();
-    slots.dedup();
+    let Some(pred) = Expr::conjunction(conjuncts.cloned().collect()) else {
+        return Ok(inter);
+    };
+    let slots = pred.slots();
     // Evaluate against a sparse flat row holding only the needed slots.
-    let mut flat: Row = vec![Value::Null; layout.total_slots];
+    let mut flat: Row = vec![Value::Null; layout.total_slots()];
     let mut out = Vec::with_capacity(inter.len());
     for t in inter {
         for &s in &slots {
@@ -818,118 +390,4 @@ fn filter_intermediate(
         }
     }
     Ok(out)
-}
-
-/// Reference executor: nested loops over full cartesian products with the
-/// complete predicate applied at the end. Exponentially slow — used only as
-/// a correctness oracle in tests and proptest properties.
-pub fn execute_nested_loop(db: &Database, query: &Query) -> DbResult<ResultSet> {
-    let layout = Layout::new(db, &query.from)?;
-    let resolve = |c: &ColRef| layout.resolve(c);
-
-    // Full predicate: WHERE plus all join conditions.
-    let mut preds: Vec<Expr> = Vec::new();
-    for j in &query.joins {
-        preds.push(Expr::eq(
-            Expr::Slot(layout.resolve(&j.left)?),
-            Expr::Slot(layout.resolve(&j.right)?),
-        ));
-    }
-    if let Some(p) = &query.predicate {
-        preds.push(p.bind(&resolve)?);
-    }
-    let pred = Expr::conjunction(preds);
-
-    // Cartesian product of all row ids.
-    let nb = layout.bindings.len();
-    let mut inter: Vec<Vec<usize>> = vec![vec![]];
-    for b in 0..nb {
-        let n = layout.bindings[b].table.row_count();
-        let mut out = Vec::with_capacity(inter.len() * n.max(1));
-        for t in &inter {
-            for rid in 0..n {
-                let mut nt = t.clone();
-                nt.push(rid);
-                out.push(nt);
-            }
-        }
-        inter = out;
-    }
-
-    let mut flat: Row = vec![Value::Null; layout.total_slots];
-    let mut kept: Vec<Vec<usize>> = Vec::new();
-    for t in inter {
-        for (s, v) in flat.iter_mut().enumerate() {
-            *v = layout.fetch(&t, s);
-        }
-        let ok = match &pred {
-            Some(p) => p.matches(&flat)?,
-            None => true,
-        };
-        if ok {
-            kept.push(t);
-        }
-    }
-
-    if query.is_aggregate() {
-        return aggregate::aggregate(&layout, &kept, query, &resolve);
-    }
-
-    let mut proj: Vec<usize> = Vec::new();
-    let mut names: Vec<String> = Vec::new();
-    for item in &query.select {
-        match item {
-            SelectItem::Star => {
-                for s in 0..layout.total_slots {
-                    proj.push(s);
-                    names.push(layout.slot_name(s));
-                }
-            }
-            SelectItem::Column(c) => {
-                let s = layout.resolve(c)?;
-                proj.push(s);
-                names.push(c.to_string());
-            }
-            SelectItem::Aggregate(_) => unreachable!(),
-        }
-    }
-
-    let order: Vec<(usize, bool)> = query
-        .order_by
-        .iter()
-        .map(|k| Ok((layout.resolve(&k.column)?, k.desc)))
-        .collect::<DbResult<_>>()?;
-    if !order.is_empty() {
-        kept.sort_by(|a, b| {
-            for &(s, desc) in &order {
-                let ord = layout.fetch(a, s).cmp(&layout.fetch(b, s));
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-
-    let limit = query.limit.unwrap_or(usize::MAX);
-    let mut rows: Vec<Row> = Vec::new();
-    let mut seen: HashMap<Row, ()> = HashMap::new();
-    for t in &kept {
-        if rows.len() >= limit {
-            break;
-        }
-        let row: Row = proj.iter().map(|&s| layout.fetch(t, s)).collect();
-        if query.distinct {
-            if seen.contains_key(&row) {
-                continue;
-            }
-            seen.insert(row.clone(), ());
-        }
-        rows.push(row);
-    }
-    Ok(ResultSet {
-        columns: names,
-        rows,
-    })
 }

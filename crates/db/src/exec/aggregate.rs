@@ -1,9 +1,8 @@
 //! Hash aggregation over joined row-id tuples.
 
-use super::Layout;
-use crate::error::{DbError, DbResult};
-use crate::expr::ColRef;
-use crate::query::{AggExpr, AggFunc, Query, SelectItem};
+use super::ResultSet;
+use crate::plan::{GroupItem, Groups, Layout};
+use crate::query::AggFunc;
 use crate::value::{Row, Value};
 use std::collections::HashMap;
 
@@ -101,74 +100,22 @@ impl AggState {
 }
 
 /// Aggregate the joined intermediate and produce the final result set.
-pub(super) fn aggregate(
+pub(crate) fn aggregate(
     layout: &Layout,
     inter: &[Vec<usize>],
-    query: &Query,
-    resolve: &dyn Fn(&ColRef) -> DbResult<usize>,
-) -> DbResult<super::ResultSet> {
-    // Resolve group keys and validate plain select columns against them.
-    let group_slots: Vec<usize> = query
-        .group_by
-        .iter()
-        .map(resolve)
-        .collect::<DbResult<_>>()?;
-
-    struct OutItem {
-        name: String,
-        kind: OutKind,
-    }
-    enum OutKind {
-        /// Index into the group-key vector.
-        Key(usize),
-        /// Index into the per-group aggregate-state vector.
-        Agg(usize),
-    }
-
-    let mut agg_specs: Vec<AggExpr> = Vec::new();
-    let mut items: Vec<OutItem> = Vec::new();
-    for sel in &query.select {
-        match sel {
-            SelectItem::Star => {
-                return Err(DbError::InvalidQuery(
-                    "SELECT * cannot be combined with aggregates".into(),
-                ))
-            }
-            SelectItem::Column(c) => {
-                let slot = resolve(c)?;
-                let key_pos = group_slots.iter().position(|&g| g == slot).ok_or_else(|| {
-                    DbError::InvalidQuery(format!("column {c} is not in GROUP BY"))
-                })?;
-                items.push(OutItem {
-                    name: c.to_string(),
-                    kind: OutKind::Key(key_pos),
-                });
-            }
-            SelectItem::Aggregate(a) => {
-                items.push(OutItem {
-                    name: a.to_string(),
-                    kind: OutKind::Agg(agg_specs.len()),
-                });
-                agg_specs.push(a.clone());
-            }
-        }
-    }
-
-    // Resolve aggregate argument slots once.
-    let agg_slots: Vec<Option<usize>> = agg_specs
-        .iter()
-        .map(|a| a.arg.as_ref().map(resolve).transpose())
-        .collect::<DbResult<_>>()?;
+    groups: &Groups,
+    limit: usize,
+) -> ResultSet {
+    let fresh =
+        || -> Vec<AggState> { groups.aggs.iter().map(|&(f, _)| AggState::new(f)).collect() };
 
     // Accumulate.
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+    let mut by_key: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
     for t in inter {
-        let key: Vec<Value> = group_slots.iter().map(|&s| layout.fetch(t, s)).collect();
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| agg_specs.iter().map(|a| AggState::new(a.func)).collect());
-        for (st, slot) in states.iter_mut().zip(&agg_slots) {
-            match slot {
+        let key: Vec<Value> = groups.keys.iter().map(|&s| layout.fetch(t, s)).collect();
+        let states = by_key.entry(key).or_insert_with(fresh);
+        for (st, (_, arg)) in states.iter_mut().zip(&groups.aggs) {
+            match arg {
                 Some(s) => st.update(Some(&layout.fetch(t, *s))),
                 None => st.update(None),
             }
@@ -176,50 +123,31 @@ pub(super) fn aggregate(
     }
 
     // Global aggregate over an empty input still yields one row.
-    if groups.is_empty() && group_slots.is_empty() {
-        groups.insert(
-            Vec::new(),
-            agg_specs.iter().map(|a| AggState::new(a.func)).collect(),
-        );
+    if by_key.is_empty() && groups.keys.is_empty() {
+        by_key.insert(Vec::new(), fresh());
     }
 
     // Emit rows (deterministic order: sort by group key).
-    let mut keyed: Vec<(Vec<Value>, Vec<AggState>)> = groups.into_iter().collect();
+    let mut keyed: Vec<(Vec<Value>, Vec<AggState>)> = by_key.into_iter().collect();
     keyed.sort_by(|a, b| a.0.cmp(&b.0));
 
     let mut rows: Vec<Row> = keyed
         .iter()
         .map(|(key, states)| {
-            items
+            groups
+                .items
                 .iter()
-                .map(|it| match &it.kind {
-                    OutKind::Key(i) => key[*i].clone(),
-                    OutKind::Agg(i) => states[*i].finish(),
+                .map(|(_, item)| match item {
+                    GroupItem::Key(i) => key[*i].clone(),
+                    GroupItem::Agg(i) => states[*i].finish(),
                 })
                 .collect()
         })
         .collect();
 
-    // ORDER BY over output columns (group keys or aggregate aliases by name).
-    if !query.order_by.is_empty() {
-        let key_cols: Vec<(usize, bool)> = query
-            .order_by
-            .iter()
-            .map(|k| {
-                let name = k.column.to_string();
-                let pos = items
-                    .iter()
-                    .position(|it| {
-                        it.name == name || it.name.ends_with(&format!(".{}", k.column.column))
-                    })
-                    .ok_or_else(|| {
-                        DbError::InvalidQuery(format!("ORDER BY {name}: not an output column"))
-                    })?;
-                Ok((pos, k.desc))
-            })
-            .collect::<DbResult<_>>()?;
+    if !groups.order.is_empty() {
         rows.sort_by(|a, b| {
-            for &(pos, desc) in &key_cols {
+            for &(pos, desc) in &groups.order {
                 let ord = a[pos].cmp(&b[pos]);
                 let ord = if desc { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
@@ -229,13 +157,10 @@ pub(super) fn aggregate(
             std::cmp::Ordering::Equal
         });
     }
+    rows.truncate(limit);
 
-    if let Some(l) = query.limit {
-        rows.truncate(l);
-    }
-
-    Ok(super::ResultSet {
-        columns: items.into_iter().map(|i| i.name).collect(),
+    ResultSet {
+        columns: groups.items.iter().map(|(name, _)| name.clone()).collect(),
         rows,
-    })
+    }
 }

@@ -1,4 +1,4 @@
-//! Vectorized scan path: localized conjuncts are *compiled* into typed
+//! Vectorized scan path: pushed conjuncts are *compiled* into typed
 //! column kernels, evaluated over selection vectors on [`MORSEL_ROWS`]-sized
 //! morsels. Kernels read the columnar payloads directly (dictionary codes,
 //! `i64`/`f64` slices) and never materialise per-cell [`Value`]s; only the
@@ -15,10 +15,10 @@
 //! shard covers a contiguous chunk range and results are concatenated in
 //! shard order, so output row ids are identical to a sequential scan.
 
-use super::{collect_slots, Layout};
 use crate::column::ColumnData;
 use crate::error::{DbError, DbResult};
 use crate::expr::{CmpOp, Expr};
+use crate::plan::{Conjunct, Layout};
 use crate::table::Table;
 use crate::value::{canonical_f64_bits, Row, Value};
 use crate::zonemap::{Zone, ZoneBounds, MORSEL_ROWS};
@@ -186,15 +186,18 @@ fn kernel_skips(k: &Kernel, zone: &Zone) -> bool {
     }
 }
 
-/// A compiled localized predicate for one table.
+/// One table's pushed conjuncts, compiled.
 pub(super) struct Compiled {
     kernels: Vec<Kernel>,
     any_prunable: bool,
     always_empty: bool,
 }
 
-pub(super) fn compile(conjuncts: &[Expr], table: &Table) -> Compiled {
-    let mut kernels: Vec<Kernel> = conjuncts.iter().map(|c| compile_one(c, table)).collect();
+pub(super) fn compile(conjuncts: &[Conjunct], table: &Table) -> Compiled {
+    let mut kernels: Vec<Kernel> = conjuncts
+        .iter()
+        .map(|c| compile_one(&c.bound, table))
+        .collect();
     // Typed kernels first (cheapest filters shrink the selection before the
     // generic fallback runs); stable within each class.
     kernels.sort_by_key(|k| matches!(k, Kernel::Generic { .. }) as u8);
@@ -208,10 +211,7 @@ pub(super) fn compile(conjuncts: &[Expr], table: &Table) -> Compiled {
 }
 
 fn compile_one(conj: &Expr, table: &Table) -> Kernel {
-    let mut slots = Vec::new();
-    collect_slots(conj, &mut slots);
-    slots.sort_unstable();
-    slots.dedup();
+    let slots = conj.slots();
     let generic = || Kernel::Generic {
         expr: conj.clone(),
         slots: slots.clone(),
@@ -558,7 +558,7 @@ where
 /// sequential early-stopping scan.
 pub(super) fn filtered_scan_vectorized(
     table: &Table,
-    conjuncts: &[Expr],
+    conjuncts: &[Conjunct],
     shards: usize,
     limit: Option<usize>,
 ) -> DbResult<Vec<usize>> {

@@ -1,179 +1,182 @@
-//! Plan printer: renders the optimizer's logical tree with estimated (and,
-//! for `EXPLAIN ANALYZE`, actual) cardinalities plus plan-cache status.
+//! Plan printer: renders a [`Plan`] with estimated (and, for `EXPLAIN
+//! ANALYZE`, actual) cardinalities plus plan-cache status.
 //!
-//! [`explain`] plans without executing; [`explain_analyze`] executes the
-//! query with the default executor configuration and aligns the observed
-//! scan/join cardinalities with the optimizer's estimates from the
-//! execution trace.
+//! [`explain`] costs the query from scratch without executing it or
+//! touching the plan cache; [`explain_analyze`] plans through the cache,
+//! executes *that plan* and renders it with the trace of that execution —
+//! what it prints is what ran.
 
 use crate::catalog::Database;
 use crate::error::DbResult;
-use crate::exec::{execute_with_options, ExecOptions, ExecTrace};
-use crate::optimizer::{optimize, Optimized};
-use crate::plan::LogicalPlan;
-use crate::plan_cache::{cache_enabled_default, normalized_key};
-use crate::query::Query;
+use crate::exec::{execute, ExecOptions, ExecTrace};
+use crate::expr::Expr;
+use crate::optimizer::{optimize, plan_query};
+use crate::plan::{bind, Bound, Output, Plan};
+use crate::plan_cache::normalized_key;
+use crate::query::{Query, SelectItem};
 use std::fmt::Write as _;
 
-/// Render the optimized plan for `query` without executing it.
+/// Render the plan a fresh optimization of `query` chooses, without
+/// executing it.
 ///
 /// The header reports plan-cache temperature for this query shape: `warm`
-/// (a later execution will reuse a cached plan), `cold` (it will plan and
-/// populate the cache) or `off` (caching disabled via `ASQP_PLAN_CACHE`).
+/// (an execution will replay a cached plan — chosen under whichever
+/// literals warmed it, which `EXPLAIN ANALYZE` shows) or `cold` (it will
+/// plan and populate the cache).
 pub fn explain(db: &Database, query: &Query) -> DbResult<String> {
-    let opt = optimize(db, query)?;
-    let cache = if !cache_enabled_default() {
-        "off"
-    } else if db.plan_cache().peek(&normalized_key(query)) {
-        // peek never refreshes the LRU tick: explaining a plan must not
-        // change eviction behaviour.
+    let plan = optimize(db, bind(db, query)?)?;
+    // peek never refreshes the LRU tick: explaining a plan must not change
+    // eviction behaviour.
+    let cache = if db.plan_cache().peek(&normalized_key(query)) {
         "warm"
     } else {
         "cold"
     };
-    let mut out = String::new();
-    let _ = writeln!(out, "QUERY: {}", query.to_sql());
-    let _ = writeln!(out, "PLAN (cost-based, cache: {cache}):");
-    render(&mut out, &opt, None);
-    Ok(out)
+    Ok(render(&plan, cache, None))
 }
 
-/// Execute `query` (default executor configuration), then render the plan
-/// annotated with actual cardinalities next to the estimates.
+/// Plan `query` through the cache, execute that plan (default executor
+/// configuration), and render it with actual cardinalities next to the
+/// estimates it was chosen under.
 pub fn explain_analyze(db: &Database, query: &Query) -> DbResult<String> {
-    let output = execute_with_options(db, query, ExecOptions::default())?;
-    let opt = optimize(db, query)?;
-    let mut out = String::new();
-    let _ = writeln!(out, "QUERY: {}", query.to_sql());
-    let _ = writeln!(
-        out,
-        "PLAN (cost-based, cache: {}):",
-        output.trace.cache.as_str()
-    );
-    render(&mut out, &opt, Some(&output.trace));
+    let plan = plan_query(db, query)?;
+    let output = execute(&plan, ExecOptions::default().shards)?;
+    let mut out = render(&plan, plan.cache.as_str(), Some(&output.trace));
     let _ = writeln!(out, "rows returned: {}", output.result.len());
     Ok(out)
 }
 
-fn render(out: &mut String, opt: &Optimized, trace: Option<&ExecTrace>) {
-    // Join actuals only align with the rendered tree when the executed
-    // order matches this optimization (a cached plan from the same template
-    // normally agrees; a stale-but-valid one may not).
-    let joins_aligned = trace.is_some_and(|t| t.join_order == opt.physical.join_order);
-    render_node(out, &opt.root, opt, trace, joins_aligned, 1);
+fn list<T: ToString>(items: impl Iterator<Item = T>, sep: &str) -> String {
+    items.map(|i| i.to_string()).collect::<Vec<_>>().join(sep)
 }
 
-fn render_node(
-    out: &mut String,
-    node: &LogicalPlan,
-    opt: &Optimized,
-    trace: Option<&ExecTrace>,
-    joins_aligned: bool,
-    depth: usize,
-) {
-    let pad = "  ".repeat(depth);
-    match node {
-        LogicalPlan::Limit { input, n } => {
-            let _ = writeln!(out, "{pad}Limit {n}");
-            render_node(out, input, opt, trace, joins_aligned, depth + 1);
+fn render(plan: &Plan, cache: &str, trace: Option<&ExecTrace>) -> String {
+    let bound = &plan.bound;
+    let query = bound.query;
+    let mut out = String::new();
+    let _ = writeln!(out, "QUERY: {}", query.to_sql());
+    let _ = writeln!(out, "PLAN (cost-based, cache: {cache}):");
+
+    // The fixed operator chain above the joins, outermost first.
+    let mut chain: Vec<String> = Vec::new();
+    chain.extend(query.limit.map(|n| format!("Limit {n}")));
+    let sort = (!query.order_by.is_empty()).then(|| {
+        let keys = query
+            .order_by
+            .iter()
+            .map(|k| format!("{}{}", k.column, if k.desc { " DESC" } else { "" }));
+        format!("Sort [{}]", list(keys, ", "))
+    });
+    if query.is_aggregate() {
+        // Groups are sorted after aggregation; rows before projection.
+        chain.extend(sort);
+        let aggs = query
+            .select
+            .iter()
+            .filter(|s| matches!(s, SelectItem::Aggregate(_)));
+        chain.push(format!(
+            "Aggregate [{}] group by [{}]",
+            list(aggs, ", "),
+            list(query.group_by.iter(), ", ")
+        ));
+    } else {
+        chain.extend(query.distinct.then(|| "Distinct".to_string()));
+        chain.push(format!("Project [{}]", list(query.select.iter(), ", ")));
+        chain.extend(sort);
+    }
+    let residual = bound
+        .residual
+        .iter()
+        .map(|(c, _)| c.named.clone())
+        .collect();
+    chain.extend(Expr::conjunction(residual).map(|p| format!("Filter {p}  [residual]")));
+    for (depth, line) in chain.iter().enumerate() {
+        let _ = writeln!(out, "{}{line}", "  ".repeat(depth + 1));
+    }
+
+    // The left-deep join tree: join step `n` has steps `..n` as its left
+    // input and the scan of `join_order[n]` as its right, so the driving
+    // scan prints deepest and first.
+    let steps = plan.join_steps();
+    let cols = referenced_columns(bound);
+    let pad = |depth: usize| "  ".repeat(chain.len() + 1 + depth);
+    for (depth, (step, conds)) in steps.iter().enumerate().rev().enumerate() {
+        let on = if conds.is_empty() {
+            "(cartesian)".to_string()
+        } else {
+            let conds = conds.iter().map(|&j| &bound.joins[j].cond);
+            format!("ON {}", list(conds, " AND "))
+        };
+        let actual = trace.and_then(|t| t.join_rows.get(step));
+        let est = card(plan.est_join_rows.get(step), actual);
+        let _ = writeln!(out, "{}Join {on}  ({est})", pad(depth));
+    }
+    for (i, &b) in plan.join_order.iter().enumerate() {
+        let binding = &bound.layout.bindings[b];
+        let name = match binding.table.name() {
+            table if table == binding.name => table.to_string(),
+            table => format!("{table} AS {}", binding.name),
+        };
+        let actual = trace.and_then(|t| t.scan_rows.get(b));
+        let est = card(plan.est_scan_rows.get(b), actual);
+        // Scan `i` hangs under join step `i - 1`; the first two are siblings.
+        let depth = steps.len() - i.saturating_sub(1);
+        let _ = write!(out, "{}Scan {name}  ({est})", pad(depth));
+        if !bound.pushed[b].is_empty() {
+            let filters = bound.pushed[b].iter().map(|f| &f.named);
+            let _ = write!(out, "  [pushed: {}]", list(filters, " AND "));
         }
-        LogicalPlan::Distinct { input } => {
-            let _ = writeln!(out, "{pad}Distinct");
-            render_node(out, input, opt, trace, joins_aligned, depth + 1);
+        if let Some(needed) = &cols {
+            let columns = binding.table.schema().columns().iter();
+            let read = columns
+                .zip(&needed[binding.offset..])
+                .filter(|(_, &n)| n)
+                .map(|(c, _)| &c.name);
+            let _ = write!(out, "  [cols: {}]", list(read, ", "));
         }
-        LogicalPlan::Project { input, items } => {
-            let items: Vec<String> = items.iter().map(|i| i.to_string()).collect();
-            let _ = writeln!(out, "{pad}Project [{}]", items.join(", "));
-            render_node(out, input, opt, trace, joins_aligned, depth + 1);
+        if let Some(n) = plan.scan_limit {
+            let _ = write!(out, "  [limit {n}]");
         }
-        LogicalPlan::Sort { input, keys } => {
-            let keys: Vec<String> = keys
-                .iter()
-                .map(|k| format!("{}{}", k.column, if k.desc { " DESC" } else { "" }))
-                .collect();
-            let _ = writeln!(out, "{pad}Sort [{}]", keys.join(", "));
-            render_node(out, input, opt, trace, joins_aligned, depth + 1);
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => {
-            let groups: Vec<String> = group_by.iter().map(|g| g.to_string()).collect();
-            let aggs: Vec<String> = aggregates.iter().map(|a| a.to_string()).collect();
-            let _ = writeln!(
-                out,
-                "{pad}Aggregate [{}] group by [{}]",
-                aggs.join(", "),
-                groups.join(", ")
-            );
-            render_node(out, input, opt, trace, joins_aligned, depth + 1);
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let _ = writeln!(out, "{pad}Filter {predicate}  [residual]");
-            render_node(out, input, opt, trace, joins_aligned, depth + 1);
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            est_rows,
-        } => {
-            let cond = if on.is_empty() {
-                "(cartesian)".to_string()
-            } else {
-                let conds: Vec<String> = on.iter().map(|j| j.to_string()).collect();
-                format!("ON {}", conds.join(" AND "))
-            };
-            // This node is join step `left.join_count()` (0-based) in the
-            // left-deep order.
-            let step = left.join_count();
-            let actual = trace
-                .filter(|_| joins_aligned)
-                .and_then(|t| t.join_rows.get(step));
-            let _ = writeln!(
-                out,
-                "{pad}Join {cond}  ({})",
-                card(est_rows.as_ref(), actual)
-            );
-            render_node(out, left, opt, trace, joins_aligned, depth + 1);
-            render_node(out, right, opt, trace, joins_aligned, depth + 1);
-        }
-        LogicalPlan::Scan {
-            binding,
-            filters,
-            columns,
-            limit,
-            est_rows,
-        } => {
-            let info = &opt.ctx.bindings[*binding];
-            let name = if info.name == info.table {
-                info.table.clone()
-            } else {
-                format!("{} AS {}", info.table, info.name)
-            };
-            let actual = trace.and_then(|t| t.scan_rows.get(*binding));
-            let _ = write!(
-                out,
-                "{pad}Scan {name}  ({})",
-                card(est_rows.as_ref(), actual)
-            );
-            if !filters.is_empty() {
-                let fs: Vec<String> = filters.iter().map(|f| f.to_string()).collect();
-                let _ = write!(out, "  [pushed: {}]", fs.join(" AND "));
+        let _ = writeln!(out);
+    }
+    out
+}
+
+/// Which flat slots the query reads anywhere — output, filters, join keys —
+/// or `None` under `SELECT *` (nothing to prune).
+fn referenced_columns(bound: &Bound) -> Option<Vec<bool>> {
+    let layout = &bound.layout;
+    let mut slots: Vec<usize> = Vec::new();
+    match &bound.output {
+        Output::Rows { proj, order, .. } => {
+            if bound.query.select.contains(&SelectItem::Star) {
+                return None;
             }
-            if let Some(cols) = columns {
-                let _ = write!(out, "  [cols: {}]", cols.join(", "));
-            }
-            if let Some(n) = limit {
-                let _ = write!(out, "  [limit {n}]");
-            }
-            let _ = writeln!(out);
+            slots.extend(proj);
+            slots.extend(order.iter().map(|&(s, _)| s));
+        }
+        Output::Groups(g) => {
+            slots.extend(&g.keys);
+            slots.extend(g.aggs.iter().filter_map(|&(_, arg)| arg));
         }
     }
+    for (b, pushed) in layout.bindings.iter().zip(&bound.pushed) {
+        for c in pushed {
+            slots.extend(c.bound.slots().iter().map(|s| b.offset + s));
+        }
+    }
+    for (c, _) in &bound.residual {
+        slots.extend(c.bound.slots());
+    }
+    slots.extend(bound.joins.iter().flat_map(|j| [j.left_slot, j.right_slot]));
+    let mut needed = vec![false; layout.total_slots()];
+    for s in slots {
+        needed[s] = true;
+    }
+    Some(needed)
 }
 
-/// `est ~N rows` plus `, actual M` when an aligned execution trace exists.
+/// `est ~N rows` plus `, actual M` when an execution trace exists.
 fn card(est: Option<&f64>, actual: Option<&usize>) -> String {
     let mut s = match est {
         Some(e) => format!("est ~{} rows", e.round().max(0.0) as u64),
@@ -258,14 +261,10 @@ mod tests {
     fn cache_status_reflects_prior_planning() {
         let db = db();
         let q = parse("SELECT b.id FROM big b WHERE b.x = 4").unwrap();
-        if cache_enabled_default() {
-            assert!(explain(&db, &q).unwrap().contains("cache: cold"));
-            db.execute(&q).unwrap(); // populates the shared cache
-            let plan = explain(&db, &q).unwrap();
-            assert!(plan.contains("cache: warm"), "{plan}");
-        } else {
-            assert!(explain(&db, &q).unwrap().contains("cache: off"));
-        }
+        assert!(explain(&db, &q).unwrap().contains("cache: cold"));
+        db.execute(&q).unwrap(); // populates the shared cache
+        let plan = explain(&db, &q).unwrap();
+        assert!(plan.contains("cache: warm"), "{plan}");
     }
 
     #[test]

@@ -212,32 +212,32 @@ impl Expr {
         }
     }
 
-    /// Replace every named column reference using `resolve`, producing an
-    /// executable expression over flat row slots.
-    pub fn bind(&self, resolve: &dyn Fn(&ColRef) -> DbResult<usize>) -> DbResult<Expr> {
+    /// Rebuild this node with `f` applied to each direct child expression;
+    /// leaves come back as clones. The one structural recursion every
+    /// tree-to-tree rewrite (binding, literal parameterization) goes through.
+    pub fn map_children<E>(&self, f: &mut impl FnMut(&Expr) -> Result<Expr, E>) -> Result<Expr, E> {
+        let mut child = |e: &Expr| f(e).map(Box::new);
         Ok(match self {
-            Expr::Column(c) => Expr::Slot(resolve(c)?),
-            Expr::Slot(s) => Expr::Slot(*s),
-            Expr::Literal(v) => Expr::Literal(v.clone()),
+            Expr::Column(_) | Expr::Slot(_) | Expr::Literal(_) => self.clone(),
             Expr::Cmp { op, lhs, rhs } => Expr::Cmp {
                 op: *op,
-                lhs: Box::new(lhs.bind(resolve)?),
-                rhs: Box::new(rhs.bind(resolve)?),
+                lhs: child(lhs)?,
+                rhs: child(rhs)?,
             },
             Expr::Arith { op, lhs, rhs } => Expr::Arith {
                 op: *op,
-                lhs: Box::new(lhs.bind(resolve)?),
-                rhs: Box::new(rhs.bind(resolve)?),
+                lhs: child(lhs)?,
+                rhs: child(rhs)?,
             },
-            Expr::And(a, b) => Expr::And(Box::new(a.bind(resolve)?), Box::new(b.bind(resolve)?)),
-            Expr::Or(a, b) => Expr::Or(Box::new(a.bind(resolve)?), Box::new(b.bind(resolve)?)),
-            Expr::Not(e) => Expr::Not(Box::new(e.bind(resolve)?)),
+            Expr::And(a, b) => Expr::And(child(a)?, child(b)?),
+            Expr::Or(a, b) => Expr::Or(child(a)?, child(b)?),
+            Expr::Not(e) => Expr::Not(child(e)?),
             Expr::In {
                 expr,
                 list,
                 negated,
             } => Expr::In {
-                expr: Box::new(expr.bind(resolve)?),
+                expr: child(expr)?,
                 list: list.clone(),
                 negated: *negated,
             },
@@ -247,9 +247,9 @@ impl Expr {
                 high,
                 negated,
             } => Expr::Between {
-                expr: Box::new(expr.bind(resolve)?),
-                low: Box::new(low.bind(resolve)?),
-                high: Box::new(high.bind(resolve)?),
+                expr: child(expr)?,
+                low: child(low)?,
+                high: child(high)?,
                 negated: *negated,
             },
             Expr::Like {
@@ -257,42 +257,62 @@ impl Expr {
                 pattern,
                 negated,
             } => Expr::Like {
-                expr: Box::new(expr.bind(resolve)?),
+                expr: child(expr)?,
                 pattern: pattern.clone(),
                 negated: *negated,
             },
             Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(expr.bind(resolve)?),
+                expr: child(expr)?,
                 negated: *negated,
             },
         })
     }
 
-    /// Collect every named column reference in the tree.
-    pub fn collect_columns(&self, out: &mut Vec<ColRef>) {
+    /// Visit every leaf (`Column`, `Slot`, `Literal`) left to right.
+    pub fn for_each_leaf<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         match self {
-            Expr::Column(c) => out.push(c.clone()),
-            Expr::Slot(_) | Expr::Literal(_) => {}
-            Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } => {
-                lhs.collect_columns(out);
-                rhs.collect_columns(out);
+            Expr::Column(_) | Expr::Slot(_) | Expr::Literal(_) => f(self),
+            Expr::Cmp { lhs: a, rhs: b, .. }
+            | Expr::Arith { lhs: a, rhs: b, .. }
+            | Expr::And(a, b)
+            | Expr::Or(a, b) => {
+                a.for_each_leaf(f);
+                b.for_each_leaf(f);
             }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.collect_columns(out);
-                b.collect_columns(out);
-            }
-            Expr::Not(e) | Expr::In { expr: e, .. } | Expr::Like { expr: e, .. } => {
-                e.collect_columns(out)
-            }
+            Expr::Not(e)
+            | Expr::In { expr: e, .. }
+            | Expr::Like { expr: e, .. }
+            | Expr::IsNull { expr: e, .. } => e.for_each_leaf(f),
             Expr::Between {
                 expr, low, high, ..
             } => {
-                expr.collect_columns(out);
-                low.collect_columns(out);
-                high.collect_columns(out);
+                expr.for_each_leaf(f);
+                low.for_each_leaf(f);
+                high.for_each_leaf(f);
             }
-            Expr::IsNull { expr, .. } => expr.collect_columns(out),
         }
+    }
+
+    /// Replace every named column reference using `resolve`, producing an
+    /// executable expression over row slots.
+    pub fn bind(&self, resolve: &dyn Fn(&ColRef) -> DbResult<usize>) -> DbResult<Expr> {
+        match self {
+            Expr::Column(c) => Ok(Expr::Slot(resolve(c)?)),
+            other => other.map_children(&mut |e| e.bind(resolve)),
+        }
+    }
+
+    /// The slots a bound expression reads, ascending and deduplicated.
+    pub fn slots(&self) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.for_each_leaf(&mut |e| {
+            if let Expr::Slot(s) = e {
+                out.push(*s);
+            }
+        });
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Evaluate against a flat row. Logical results use SQL 3VL: `Null`

@@ -5,14 +5,16 @@
 //! * columnar storage with dictionary-encoded strings ([`Table`], [`Column`])
 //! * a SQL subset (SPJ + aggregates) with a text parser ([`sql::parse`]) and
 //!   canonical printer ([`Query::to_sql`])
-//! * an executor with predicate pushdown and hash joins
-//!   ([`Database::execute`]), including per-row **lineage**
-//!   ([`Database::execute_with_lineage`]) mapping result rows back to base
-//!   rows — the hook ASQP-RL's pre-processing uses to build its action space
-//! * a cost-based optimizer ([`plan_query`]) over a logical-plan IR
-//!   ([`plan`]): predicate/projection/limit pushdown plus histogram-driven
-//!   join reordering, with an LRU [`PlanCache`] keyed by normalized SQL so
-//!   the RL loop's templated queries replan once, not thousands of times
+//! * one path from query to rows — bind → plan → execute: [`plan::bind`]
+//!   resolves names and classifies conjuncts (predicate and limit
+//!   pushdown), [`plan_query`] attaches the cost-based join order (from an
+//!   LRU [`PlanCache`] keyed by normalized SQL, so the RL loop's templated
+//!   queries plan once, not thousands of times), and [`exec::execute`] runs
+//!   exactly that [`Plan`] with vectorized scans and hash joins. EXPLAIN
+//!   ([`explain()`], [`explain_analyze`]) renders the same `Plan` value
+//! * per-row **lineage** ([`Database::execute_with_lineage`]) mapping
+//!   result rows back to base rows — the hook ASQP-RL's pre-processing uses
+//!   to build its action space
 //! * table/column statistics ([`TableStats`]) feeding workload synthesis and
 //!   sampling baselines
 //! * sub-database materialisation ([`Database::subset`]) used to evaluate
@@ -38,6 +40,8 @@ pub mod sql;
 pub mod sql_stmt;
 pub mod stats;
 pub mod table;
+#[doc(hidden)]
+pub mod testkit;
 pub mod value;
 pub mod workload;
 pub mod zonemap;
@@ -45,14 +49,11 @@ pub mod zonemap;
 pub use catalog::Database;
 pub use column::{Column, ColumnData};
 pub use error::{DbError, DbResult, ErrorClass};
-pub use exec::{
-    execute_nested_loop, execute_with_options, ExecMode, ExecOptions, ExecTrace, Lineage,
-    QueryOutput, ResultSet,
-};
+pub use exec::{execute_with_options, ExecOptions, ExecTrace, Lineage, QueryOutput, ResultSet};
 pub use explain::{explain, explain_analyze};
 pub use expr::{ArithOp, CmpOp, ColRef, Expr};
-pub use optimizer::{optimize, plan_query, OptimizerMode, PhysicalPlan, PlanCacheStatus};
-pub use plan::{LogicalPlan, PlanContext};
+pub use optimizer::plan_query;
+pub use plan::{Plan, PlanCacheStatus};
 pub use plan_cache::PlanCache;
 pub use query::{AggExpr, AggFunc, JoinCond, OrderKey, Query, QueryBuilder, SelectItem, TableRef};
 pub use schema::{ColumnDef, Schema};

@@ -1,13 +1,12 @@
 //! Cost-based query optimizer.
 //!
-//! [`optimize`] lowers a [`Query`] to the logical IR ([`crate::plan`]),
-//! applies the rewrite rules (predicate pushdown, projection pruning, limit
-//! pushdown) and then reorders the join tree with a [`CostModel`] fed from
-//! memoised [`TableStats`] histograms and zone-map bounds. [`plan_query`] is
-//! the executor's entry point: it wraps `optimize` with the shared
-//! [`PlanCache`](crate::plan_cache::PlanCache) so templated queries — same
-//! shape, different literals — reuse their join order and pushdown decisions
-//! instead of replanning.
+//! [`plan_query`] is the one way a query becomes a [`Plan`]: it binds the
+//! query ([`crate::plan::bind`]) and then either replays the decisions the
+//! shared [`PlanCache`](crate::plan_cache::PlanCache) holds for this query
+//! shape — templated queries, same shape with different literals, plan once
+//! — or makes them with [`optimize`]: a [`CostModel`] fed from memoised
+//! [`TableStats`] histograms and zone-map bounds estimates every filtered
+//! scan and join, and [`cost_order`] picks the join order.
 //!
 //! Everything here is deterministic: cost ties break toward the lowest
 //! binding index, estimates are pure functions of table statistics, and the
@@ -17,168 +16,59 @@
 
 use crate::catalog::Database;
 use crate::error::DbResult;
-use crate::expr::{CmpOp, ColRef, Expr};
-use crate::plan::{
-    build_join_tree, flatten_join_tree, limit_pushable, lower, prune_columns, push_limit,
-    push_predicates, rebuild_chain, split_join_tree, LogicalPlan, PlanContext,
-};
+use crate::expr::{CmpOp, Expr};
+use crate::plan::{bind, Bound, BoundJoin, Conjunct, Plan, PlanCacheStatus};
 use crate::plan_cache::{normalized_key, schema_fingerprint, CachedPlan};
-use crate::query::{JoinCond, Query};
+use crate::query::Query;
 use crate::stats::TableStats;
+use crate::table::Table;
 use crate::value::Value;
 use crate::zonemap::{TableZones, ZoneBounds};
 use asqp_telemetry as telemetry;
 use std::sync::Arc;
 
-/// How the executor chooses a join order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OptimizerMode {
-    /// Full pipeline: rewrites + cost-based join reordering (+ plan cache).
-    #[default]
-    CostBased,
-    /// Legacy greedy smallest-scan-first order, no planning. Kept as the
-    /// oracle baseline and for A/B benchmarks.
-    Heuristic,
-}
-
-/// Whether a plan came from the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanCacheStatus {
-    Hit,
-    Miss,
-    /// The cache was not consulted (disabled, or heuristic mode).
-    #[default]
-    Bypass,
-}
-
-impl PlanCacheStatus {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PlanCacheStatus::Hit => "hit",
-            PlanCacheStatus::Miss => "miss",
-            PlanCacheStatus::Bypass => "bypass",
-        }
-    }
-}
-
-/// The optimizer's decisions in the form the executor consumes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhysicalPlan {
-    /// Binding indices (into `Query::from`) in execution order.
-    pub join_order: Vec<usize>,
-    /// Shape-only flag (see [`CachedPlan::limit_pushdown`]).
-    pub limit_pushdown: bool,
-    /// The LIMIT value to stop the (single) scan at, instantiated from the
-    /// live query when `limit_pushdown` holds.
-    pub scan_limit: Option<usize>,
-    /// Estimated filtered rows per binding.
-    pub est_scan_rows: Vec<f64>,
-    /// Estimated intermediate rows after each join step (len = bindings-1).
-    pub est_join_rows: Vec<f64>,
-    pub cache: PlanCacheStatus,
-}
-
-/// A fully optimized query: the annotated logical tree (for EXPLAIN) plus
-/// the physical decisions (for the executor).
-#[derive(Debug, Clone)]
-pub struct Optimized {
-    pub root: LogicalPlan,
-    pub ctx: PlanContext,
-    pub physical: PhysicalPlan,
-}
-
-/// Run the full optimization pipeline, without consulting the plan cache.
-pub fn optimize(db: &Database, query: &Query) -> DbResult<Optimized> {
-    let ctx = PlanContext::new(db, &query.from)?;
-    let root = {
-        let _s = telemetry::span("db.optimize.lower");
-        lower(query, &ctx)?
-    };
-    let root = {
-        let _s = telemetry::span("db.optimize.pushdown");
-        push_limit(prune_columns(push_predicates(root, &ctx)?, &ctx)?)
-    };
-    let _s = telemetry::span("db.optimize.reorder");
-    let limit_pushdown = limit_pushable(&root);
-    let (chain, core) = split_join_tree(root);
-    let (scans, conds) = flatten_join_tree(core);
-
-    let model = CostModel::new(db, &ctx)?;
-    let est_scan_rows: Vec<f64> = scans
+/// Make the optimizer's decisions for `bound` from scratch, without
+/// consulting the plan cache: estimate every filtered scan and every join
+/// condition, then order the joins by cost.
+pub fn optimize<'a>(db: &Database, bound: Bound<'a>) -> DbResult<Plan<'a>> {
+    let model = CostModel::new(db, &bound)?;
+    let est_scan_rows: Vec<f64> = bound
+        .pushed
         .iter()
-        .map(|s| match s {
-            LogicalPlan::Scan {
-                binding, filters, ..
-            } => model.scan_rows(*binding, filters),
-            _ => unreachable!("flatten_join_tree returns scans"),
-        })
+        .enumerate()
+        .map(|(b, filters)| model.scan_rows(b, filters))
         .collect();
-    let mut triples: Vec<(usize, usize, f64)> = Vec::with_capacity(conds.len());
-    for j in &conds {
-        let lb = ctx.binding_of(&j.left)?;
-        let rb = ctx.binding_of(&j.right)?;
-        triples.push((lb, rb, model.join_selectivity(j)?));
-    }
-    let (join_order, est_join_rows) = cost_order(&est_scan_rows, &triples);
-
-    let scans: Vec<LogicalPlan> = scans
-        .into_iter()
-        .map(|s| match s {
-            LogicalPlan::Scan {
-                binding,
-                filters,
-                columns,
-                limit,
-                ..
-            } => LogicalPlan::Scan {
-                est_rows: Some(est_scan_rows[binding]),
-                binding,
-                filters,
-                columns,
-                limit,
-            },
-            _ => unreachable!(),
-        })
+    let conds: Vec<(usize, usize, f64)> = bound
+        .joins
+        .iter()
+        .map(|j| (j.left_binding, j.right_binding, model.join_selectivity(j)))
         .collect();
-    let core = build_join_tree(scans, conds, &join_order, &est_join_rows, &ctx)?;
-    let root = rebuild_chain(chain, core);
-
-    let physical = PhysicalPlan {
+    let (join_order, est_join_rows) = cost_order(&est_scan_rows, &conds);
+    Ok(Plan {
+        scan_limit: bound.query.limit.filter(|_| bound.limit_pushable()),
+        bound,
         join_order,
-        limit_pushdown,
-        scan_limit: if limit_pushdown { query.limit } else { None },
         est_scan_rows,
         est_join_rows,
         cache: PlanCacheStatus::Bypass,
-    };
-    Ok(Optimized {
-        root,
-        ctx,
-        physical,
     })
 }
 
-/// Plan a query for execution, going through the database's shared plan
-/// cache when `use_cache` holds. Hits are validated against the executing
-/// database's per-binding table names and schema fingerprints, so a cache
-/// shared across clones/subsets can never produce an ill-typed plan.
-pub fn plan_query(db: &Database, query: &Query, use_cache: bool) -> DbResult<PhysicalPlan> {
+/// Plan a query for execution through the database's shared plan cache.
+/// Hits are validated against the executing database's per-binding table
+/// names, schema fingerprints and data versions, so a cache shared across
+/// clones/subsets can never produce an ill-typed or stale plan.
+pub fn plan_query<'a>(db: &'a Database, query: &'a Query) -> DbResult<Plan<'a>> {
+    let bound = bind(db, query)?;
     let _s = telemetry::span("db.optimize");
-    if !use_cache {
-        return Ok(optimize(db, query)?.physical);
-    }
     let key = normalized_key(query);
     if let Some(cached) = db.plan_cache().get(&key) {
-        if cache_valid(db, query, &cached) {
+        if cache_valid(&bound, &cached) {
             telemetry::counter("db.plan_cache.hit", 1);
-            return Ok(PhysicalPlan {
+            return Ok(Plan {
+                scan_limit: query.limit.filter(|_| cached.limit_pushdown),
+                bound,
                 join_order: cached.join_order,
-                limit_pushdown: cached.limit_pushdown,
-                scan_limit: if cached.limit_pushdown {
-                    query.limit
-                } else {
-                    None
-                },
                 est_scan_rows: cached.est_scan_rows,
                 est_join_rows: cached.est_join_rows,
                 cache: PlanCacheStatus::Hit,
@@ -186,100 +76,100 @@ pub fn plan_query(db: &Database, query: &Query, use_cache: bool) -> DbResult<Phy
         }
     }
     telemetry::counter("db.plan_cache.miss", 1);
-    let mut physical = optimize(db, query)?.physical;
-    let mut tables = Vec::with_capacity(query.from.len());
-    for tref in &query.from {
-        let table = db.table(&tref.table)?;
-        tables.push((
-            tref.table.clone(),
-            schema_fingerprint(table.schema()),
-            table.data_version(),
-        ));
-    }
+    let mut plan = optimize(db, bound)?;
+    let tables = plan.bound.layout.bindings.iter().map(|b| {
+        (
+            b.table.name().to_string(),
+            schema_fingerprint(b.table.schema()),
+            b.table.data_version(),
+        )
+    });
     db.plan_cache().put(
         key,
         CachedPlan {
-            join_order: physical.join_order.clone(),
-            limit_pushdown: physical.limit_pushdown,
-            est_scan_rows: physical.est_scan_rows.clone(),
-            est_join_rows: physical.est_join_rows.clone(),
-            tables,
+            join_order: plan.join_order.clone(),
+            limit_pushdown: plan.bound.limit_pushable(),
+            est_scan_rows: plan.est_scan_rows.clone(),
+            est_join_rows: plan.est_join_rows.clone(),
+            tables: tables.collect(),
         },
     );
-    physical.cache = PlanCacheStatus::Miss;
-    Ok(physical)
+    plan.cache = PlanCacheStatus::Miss;
+    Ok(plan)
 }
 
-/// A cached plan applies iff the query still names the same tables and each
-/// table's schema fingerprint *and data version* are unchanged on the
-/// executing database. The version check is what makes the cache safe under
-/// incremental ingest: an append or update bumps the table's version, so
-/// plans tuned to the old statistics are replanned instead of replayed.
-fn cache_valid(db: &Database, query: &Query, cached: &CachedPlan) -> bool {
-    if cached.tables.len() != query.from.len() || cached.join_order.len() != query.from.len() {
-        return false;
-    }
-    query
-        .from
-        .iter()
-        .zip(&cached.tables)
-        .all(|(tref, (name, fp, version))| {
-            tref.table == *name
-                && db.table(&tref.table).is_ok_and(|t| {
-                    schema_fingerprint(t.schema()) == *fp && t.data_version() == *version
-                })
-        })
+/// A cached plan applies iff its join order is a permutation of the query's
+/// bindings, the query still names the same tables, and each table's schema
+/// fingerprint *and data version* are unchanged on the executing database.
+/// The version check is what makes the cache safe under incremental ingest:
+/// an append or update bumps the table's version, so plans tuned to the old
+/// statistics are replanned instead of replayed. The permutation check
+/// means a corrupt entry is replanned too, never executed.
+fn cache_valid(bound: &Bound, cached: &CachedPlan) -> bool {
+    let bindings = &bound.layout.bindings;
+    let mut seen = vec![false; bindings.len()];
+    cached.join_order.len() == bindings.len()
+        && cached
+            .join_order
+            .iter()
+            .all(|&b| b < seen.len() && !std::mem::replace(&mut seen[b], true))
+        && cached.tables.len() == bindings.len()
+        && bindings
+            .iter()
+            .zip(&cached.tables)
+            .all(|(b, (name, fingerprint, version))| {
+                b.table.name() == name
+                    && schema_fingerprint(b.table.schema()) == *fingerprint
+                    && b.table.data_version() == *version
+            })
 }
 
 /// Selectivity and cardinality estimates for one query's bindings, built on
 /// memoised table statistics and zone-map whole-column bounds.
-pub struct CostModel {
+pub struct CostModel<'a> {
     stats: Vec<Arc<TableStats>>,
     zones: Vec<Arc<TableZones>>,
-    ctx: PlanContext,
+    tables: Vec<&'a Table>,
 }
 
-impl CostModel {
-    pub fn new(db: &Database, ctx: &PlanContext) -> DbResult<CostModel> {
-        let mut stats = Vec::with_capacity(ctx.bindings.len());
-        let mut zones = Vec::with_capacity(ctx.bindings.len());
-        for b in &ctx.bindings {
-            stats.push(db.table_stats(&b.table)?);
-            zones.push(db.table(&b.table)?.zone_maps());
+impl<'a> CostModel<'a> {
+    pub fn new(db: &Database, bound: &Bound<'a>) -> DbResult<CostModel<'a>> {
+        let tables: Vec<&Table> = bound.layout.bindings.iter().map(|b| b.table).collect();
+        let mut stats = Vec::with_capacity(tables.len());
+        for t in &tables {
+            stats.push(db.table_stats(t.name())?);
         }
         Ok(CostModel {
             stats,
-            zones,
-            ctx: ctx.clone(),
+            zones: tables.iter().map(|t| t.zone_maps()).collect(),
+            tables,
         })
     }
 
     /// Estimated rows surviving a binding's pushed-down filters.
-    pub fn scan_rows(&self, binding: usize, filters: &[Expr]) -> f64 {
+    pub fn scan_rows(&self, binding: usize, filters: &[Conjunct]) -> f64 {
         let rows = self.stats[binding].row_count as f64;
-        filters
-            .iter()
-            .fold(rows, |acc, f| acc * self.conjunct_selectivity(binding, f))
+        filters.iter().fold(rows, |acc, f| {
+            acc * self.conjunct_selectivity(binding, &f.named)
+        })
     }
 
     /// Equi-join selectivity: `1 / max(distinct_left, distinct_right, 1)`,
     /// the textbook containment assumption.
-    pub fn join_selectivity(&self, cond: &JoinCond) -> DbResult<f64> {
-        let d = |c: &ColRef| -> DbResult<usize> {
-            let b = self.ctx.binding_of(c)?;
-            Ok(self.stats[b].column(&c.column).map_or(0, |cs| cs.distinct))
+    pub fn join_selectivity(&self, join: &BoundJoin) -> f64 {
+        let distinct = |binding: usize, column: &str| {
+            self.stats[binding]
+                .column(column)
+                .map_or(0, |cs| cs.distinct)
         };
-        let dl = d(&cond.left)?;
-        let dr = d(&cond.right)?;
-        Ok(1.0 / dl.max(dr).max(1) as f64)
+        let dl = distinct(join.left_binding, &join.cond.left.column);
+        let dr = distinct(join.right_binding, &join.cond.right.column);
+        1.0 / dl.max(dr).max(1) as f64
     }
 
     /// Zone-map whole-column numeric bounds for a column, if tracked.
     fn zone_bounds(&self, binding: usize, column: &str) -> Option<(f64, f64)> {
-        let ci = self.ctx.bindings[binding]
-            .columns
-            .iter()
-            .position(|n| n == column)?;
+        let ci = self.tables[binding].schema().index_of(column)?;
         let zones = self.zones[binding].columns.get(ci)?.as_ref()?;
         match zones.whole.bounds? {
             ZoneBounds::Int { min, max } => Some((min as f64, max as f64)),
@@ -466,8 +356,7 @@ mod tests {
     use crate::value::ValueType;
 
     /// fact(10_000 rows) joins dim(100) and tiny(5); a filter on dim leaves
-    /// ~5 rows, so the cost-based order must start at dim, while the greedy
-    /// smallest-scan heuristic would start at tiny.
+    /// ~3 rows, so the cost-based order must start at dim, not at tiny.
     fn db() -> Database {
         let mut db = Database::new();
         let fact = db
@@ -510,12 +399,13 @@ mod tests {
              WHERE f.dim_id = d.id AND f.tiny_id = y.id AND d.x < 3",
         )
         .unwrap();
-        let opt = optimize(&db, &q).unwrap();
+        let plan = plan_query(&db, &q).unwrap();
         // Bindings: f=0, d=1, y=2. The filtered dim scan (~3 rows) beats
         // tiny (5 rows) and starts; fact joins next (connected), tiny last.
-        assert_eq!(opt.physical.join_order, vec![1, 0, 2]);
-        assert!(opt.physical.est_scan_rows[1] < 5.0);
-        assert_eq!(opt.physical.est_join_rows.len(), 2);
+        assert_eq!(plan.join_order, vec![1, 0, 2]);
+        assert!(plan.est_scan_rows[1] < 5.0);
+        assert_eq!(plan.est_join_rows.len(), 2);
+        assert_eq!(plan.join_steps(), vec![vec![0], vec![1]]);
     }
 
     #[test]
@@ -533,8 +423,13 @@ mod tests {
     fn zone_bounds_prove_empty_ranges() {
         let db = db();
         let q = parse("SELECT d.id FROM dim AS d WHERE d.x > 5000").unwrap();
-        let opt = optimize(&db, &q).unwrap();
-        assert_eq!(opt.physical.est_scan_rows, vec![0.0]);
+        let plan = optimize(&db, bind(&db, &q).unwrap()).unwrap();
+        assert_eq!(plan.est_scan_rows, vec![0.0]);
+        assert_eq!(plan.cache, PlanCacheStatus::Bypass);
+        assert!(
+            db.plan_cache().is_empty(),
+            "optimize never touches the cache"
+        );
     }
 
     #[test]
@@ -542,28 +437,29 @@ mod tests {
         let db = db();
         let q1 = parse("SELECT f.id FROM fact AS f WHERE f.dim_id = 3 LIMIT 7").unwrap();
         let q2 = parse("SELECT f.id FROM fact AS f WHERE f.dim_id = 90 LIMIT 11").unwrap();
-        let p1 = plan_query(&db, &q1, true).unwrap();
+        let p1 = plan_query(&db, &q1).unwrap();
         assert_eq!(p1.cache, PlanCacheStatus::Miss);
-        assert!(p1.limit_pushdown);
         assert_eq!(p1.scan_limit, Some(7));
-        let p2 = plan_query(&db, &q2, true).unwrap();
+        let p2 = plan_query(&db, &q2).unwrap();
         assert_eq!(p2.cache, PlanCacheStatus::Hit);
         assert_eq!(p2.scan_limit, Some(11), "limit instantiated per query");
         assert_eq!(p2.join_order, p1.join_order);
+        assert_eq!(
+            p2.est_scan_rows, p1.est_scan_rows,
+            "a hit carries the estimates the plan was chosen under"
+        );
+    }
+
+    fn status(db: &Database, q: &Query) -> PlanCacheStatus {
+        plan_query(db, q).unwrap().cache
     }
 
     #[test]
     fn cache_rejects_schema_changes() {
         let mut db = db();
         let q = parse("SELECT d.id FROM dim AS d WHERE d.x < 5").unwrap();
-        assert_eq!(
-            plan_query(&db, &q, true).unwrap().cache,
-            PlanCacheStatus::Miss
-        );
-        assert_eq!(
-            plan_query(&db, &q, true).unwrap().cache,
-            PlanCacheStatus::Hit
-        );
+        assert_eq!(status(&db, &q), PlanCacheStatus::Miss);
+        assert_eq!(status(&db, &q), PlanCacheStatus::Hit);
 
         // Replace dim with a different schema under the same name.
         db.drop_table("dim").unwrap();
@@ -575,7 +471,7 @@ mod tests {
             .unwrap();
         dim.push_row(&[Value::Int(1), Value::Float(0.5)]).unwrap();
         assert_eq!(
-            plan_query(&db, &q, true).unwrap().cache,
+            status(&db, &q),
             PlanCacheStatus::Miss,
             "fingerprint mismatch forces a replan"
         );
@@ -589,29 +485,43 @@ mod tests {
         // the tables' relative sizes inverted.
         let mut db = db();
         let q = parse("SELECT f.id FROM fact AS f, dim AS d WHERE f.dim_id = d.id").unwrap();
-        assert_eq!(
-            plan_query(&db, &q, true).unwrap().cache,
-            PlanCacheStatus::Miss
-        );
-        assert_eq!(
-            plan_query(&db, &q, true).unwrap().cache,
-            PlanCacheStatus::Hit
-        );
+        assert_eq!(status(&db, &q), PlanCacheStatus::Miss);
+        assert_eq!(status(&db, &q), PlanCacheStatus::Hit);
 
         let rows: Vec<Vec<Value>> = (0..10)
             .map(|i| vec![Value::Int(100 + i), Value::Int(100 + i)])
             .collect();
         db.append_rows("dim", &rows).unwrap();
-        let replanned = plan_query(&db, &q, true).unwrap();
         assert_eq!(
-            replanned.cache,
+            status(&db, &q),
             PlanCacheStatus::Miss,
             "data-version mismatch forces a replan after an append"
         );
         assert_eq!(
-            plan_query(&db, &q, true).unwrap().cache,
+            status(&db, &q),
             PlanCacheStatus::Hit,
             "the refreshed entry is served again at the new version"
+        );
+    }
+
+    #[test]
+    fn cache_rejects_join_orders_that_are_not_permutations() {
+        let db = db();
+        let q = parse("SELECT f.id FROM fact AS f, dim AS d WHERE f.dim_id = d.id").unwrap();
+        let good = plan_query(&db, &q).unwrap().join_order;
+        let key = normalized_key(&q);
+        for corrupt in [vec![0, 0], vec![0, 2], vec![1]] {
+            let mut entry = db.plan_cache().get(&key).unwrap();
+            entry.join_order = corrupt;
+            db.plan_cache().put(key.clone(), entry);
+            let replanned = plan_query(&db, &q).unwrap();
+            assert_eq!(replanned.cache, PlanCacheStatus::Miss);
+            assert_eq!(replanned.join_order, good);
+        }
+        assert_eq!(
+            status(&db, &q),
+            PlanCacheStatus::Hit,
+            "the replan overwrote the entry"
         );
     }
 
@@ -619,13 +529,10 @@ mod tests {
     fn subsets_hit_the_parent_cache() {
         let db = db();
         let q = parse("SELECT f.id FROM fact AS f, dim AS d WHERE f.dim_id = d.id").unwrap();
-        assert_eq!(
-            plan_query(&db, &q, true).unwrap().cache,
-            PlanCacheStatus::Miss
-        );
+        assert_eq!(status(&db, &q), PlanCacheStatus::Miss);
         let sub = db.subset(&std::collections::BTreeMap::new()).unwrap();
         assert_eq!(
-            plan_query(&sub, &q, true).unwrap().cache,
+            status(&sub, &q),
             PlanCacheStatus::Hit,
             "subset shares the parent's plan cache and schemas"
         );

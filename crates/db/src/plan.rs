@@ -1,104 +1,143 @@
-//! Logical query plans: a canonical IR lowered from [`Query`], plus the
-//! rewrite rules the optimizer applies to it.
+//! The binder and the plan: one bound [`Plan`] value per query, consumed by
+//! the cost model, the plan cache, the executor and EXPLAIN alike.
 //!
-//! The IR is deliberately small — one operator per clause of the SQL subset
-//! — and every rewrite is a standalone `LogicalPlan -> LogicalPlan`
-//! function, so adding a rule means adding a function and a call site in
-//! [`crate::optimizer::optimize`] (see DESIGN.md §11):
+//! [`bind`] is the only place names become slots. It checks the FROM
+//! clause, resolves every column the query mentions, splits the WHERE
+//! conjunction, and classifies each conjunct: one that reads a single
+//! binding is *pushed* into that binding's scan, the rest (cross-binding or
+//! constant) stay *residual*; a join condition within one binding is a
+//! pushed filter too. Every conjunct keeps its *named* form next to the
+//! bound one — EXPLAIN and the cost model read names, kernels read slots.
 //!
-//! * [`push_predicates`] — split the WHERE conjunction and sink every
-//!   conjunct that references exactly one binding into that binding's scan;
-//!   multi-binding (and constant) conjuncts stay in a residual
-//!   [`LogicalPlan::Filter`].
-//! * [`prune_columns`] — annotate each scan with the set of columns the
-//!   query actually references, so scans need not materialise full rows.
-//! * [`push_limit`] — sink a LIMIT through order- and cardinality-
-//!   preserving operators (projections) into a single scan, letting the
-//!   executor stop scanning after `n` passing rows.
-//!
-//! Join reordering lives in [`crate::optimizer`] because it needs a cost
-//! model; the tree surgery helpers it uses ([`split_join_tree`],
-//! [`build_join_tree`]) are here with the IR.
-//!
-//! Plans hold *named* expressions (never bound slots) and binding indices
-//! into the query's FROM clause; [`PlanContext`] carries the name/schema
-//! environment and mirrors the executor's resolution semantics exactly, so
-//! the optimizer's conjunct classification always agrees with `exec`'s.
+//! Every plan this engine can produce is a left-deep join under a fixed
+//! Filter → Aggregate|Sort → Project → Distinct → Limit chain, so a
+//! [`Plan`] is a struct, not a tree: the bound query plus the optimizer's
+//! decisions (join order, scan limit, estimates). What EXPLAIN prints is by
+//! construction what the executor runs.
 
 use crate::catalog::Database;
 use crate::error::{DbError, DbResult};
 use crate::expr::{ColRef, Expr};
-use crate::query::{AggExpr, JoinCond, OrderKey, Query, SelectItem, TableRef};
+use crate::query::{AggFunc, JoinCond, Query, SelectItem};
+use crate::table::Table;
+use crate::value::Value;
 
-/// Name/schema environment for one query: the FROM bindings in order.
-#[derive(Debug, Clone)]
-pub struct PlanContext {
-    pub bindings: Vec<BindingInfo>,
-}
-
-/// One FROM binding: its visible name, catalog table, and column names.
-#[derive(Debug, Clone)]
-pub struct BindingInfo {
+/// One table bound in the FROM clause, with its slot offset in the flat
+/// execution row layout.
+#[derive(Debug)]
+pub struct Binding<'a> {
     /// Alias if given, else the table name.
-    pub name: String,
-    /// Catalog table name.
-    pub table: String,
-    /// Schema column names, in schema order.
-    pub columns: Vec<String>,
+    pub name: &'a str,
+    pub table: &'a Table,
+    pub offset: usize,
 }
 
-impl PlanContext {
-    /// Mirrors the executor's `Layout::new` checks: non-empty FROM, unique
-    /// binding names, known tables.
-    pub fn new(db: &Database, from: &[TableRef]) -> DbResult<Self> {
-        if from.is_empty() {
+/// A WHERE conjunct as written and as bound. Pushed conjuncts are bound to
+/// their table's *local* column indices (scan kernels see one table);
+/// residual ones to flat slots.
+#[derive(Debug)]
+pub struct Conjunct {
+    pub named: Expr,
+    pub bound: Expr,
+}
+
+/// Equi-join condition between two different bindings, resolved to flat
+/// slots.
+#[derive(Debug)]
+pub struct BoundJoin<'a> {
+    pub cond: &'a JoinCond,
+    pub left_slot: usize,
+    pub right_slot: usize,
+    pub left_binding: usize,
+    pub right_binding: usize,
+}
+
+/// What the query returns, resolved to slots.
+#[derive(Debug)]
+pub enum Output {
+    /// SPJ: projected slots with their output names, ORDER BY as
+    /// `(slot, desc)`.
+    Rows {
+        proj: Vec<usize>,
+        names: Vec<String>,
+        order: Vec<(usize, bool)>,
+    },
+    Groups(Groups),
+}
+
+/// An aggregate query's output, validated: plain select columns are group
+/// keys, ORDER BY names output columns.
+#[derive(Debug)]
+pub struct Groups {
+    /// GROUP BY slots.
+    pub keys: Vec<usize>,
+    /// Per aggregate call: function and argument slot (`None` = `COUNT(*)`).
+    pub aggs: Vec<(AggFunc, Option<usize>)>,
+    /// Output columns in SELECT order.
+    pub items: Vec<(String, GroupItem)>,
+    /// ORDER BY as `(output column, desc)`.
+    pub order: Vec<(usize, bool)>,
+}
+
+#[derive(Debug, Clone, Copy)]
+pub enum GroupItem {
+    /// Index into [`Groups::keys`].
+    Key(usize),
+    /// Index into [`Groups::aggs`].
+    Agg(usize),
+}
+
+/// Flat row layout over all FROM bindings: the name → slot environment.
+#[derive(Debug)]
+pub struct Layout<'a> {
+    pub bindings: Vec<Binding<'a>>,
+    /// `slot → (binding index, local column index)`.
+    slot_map: Vec<(usize, usize)>,
+}
+
+impl<'a> Layout<'a> {
+    fn new(db: &'a Database, query: &'a Query) -> DbResult<Self> {
+        if query.from.is_empty() {
             return Err(DbError::InvalidQuery("FROM clause is empty".into()));
         }
-        let mut bindings: Vec<BindingInfo> = Vec::with_capacity(from.len());
-        for tref in from {
-            let name = tref.binding().to_string();
+        let mut bindings: Vec<Binding> = Vec::with_capacity(query.from.len());
+        let mut slot_map = Vec::new();
+        for tref in &query.from {
+            let name = tref.binding();
             if bindings.iter().any(|b| b.name == name) {
                 return Err(DbError::Duplicate(format!("table binding {name}")));
             }
             let table = db.table(&tref.table)?;
-            bindings.push(BindingInfo {
+            let bi = bindings.len();
+            bindings.push(Binding {
                 name,
-                table: tref.table.clone(),
-                columns: table
-                    .schema()
-                    .columns()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect(),
+                table,
+                offset: slot_map.len(),
             });
+            slot_map.extend((0..table.schema().len()).map(|c| (bi, c)));
         }
-        Ok(PlanContext { bindings })
+        Ok(Layout { bindings, slot_map })
     }
 
-    /// Which binding a column reference resolves to. Mirrors the executor's
-    /// `Layout::resolve`: qualified names match the binding, unqualified
-    /// names must be unambiguous across bindings.
-    pub fn binding_of(&self, c: &ColRef) -> DbResult<usize> {
+    /// Resolve a (possibly unqualified) column reference to a flat slot.
+    pub fn resolve(&self, c: &ColRef) -> DbResult<usize> {
         match &c.table {
             Some(t) => {
-                let bi = self
+                let b = self
                     .bindings
                     .iter()
-                    .position(|b| b.name == *t)
+                    .find(|b| b.name == *t)
                     .ok_or_else(|| DbError::UnknownTable(t.clone()))?;
-                if !self.bindings[bi].columns.iter().any(|n| n == &c.column) {
-                    return Err(DbError::UnknownColumn(c.column.clone()));
-                }
-                Ok(bi)
+                Ok(b.offset + b.table.schema().require(&c.column)?)
             }
             None => {
                 let mut hit: Option<usize> = None;
-                for (bi, b) in self.bindings.iter().enumerate() {
-                    if b.columns.iter().any(|n| n == &c.column) {
+                for b in &self.bindings {
+                    if let Some(idx) = b.table.schema().index_of(&c.column) {
                         if hit.is_some() {
                             return Err(DbError::AmbiguousColumn(c.column.clone()));
                         }
-                        hit = Some(bi);
+                        hit = Some(b.offset + idx);
                     }
                 }
                 hit.ok_or_else(|| DbError::UnknownColumn(c.column.clone()))
@@ -106,672 +145,279 @@ impl PlanContext {
         }
     }
 
-    /// Sorted, deduplicated binding indices an expression references.
-    pub fn bindings_of(&self, e: &Expr) -> DbResult<Vec<usize>> {
-        let mut cols = Vec::new();
-        e.collect_columns(&mut cols);
-        let mut out: Vec<usize> = cols
-            .iter()
-            .map(|c| self.binding_of(c))
-            .collect::<DbResult<_>>()?;
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
-    }
-}
-
-/// The logical operator tree. `est_rows` annotations are filled in by the
-/// optimizer's cost model and rendered by EXPLAIN.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LogicalPlan {
-    /// Leaf: one FROM binding, with pushed-down single-binding filters, the
-    /// pruned column set (`None` = all columns) and an optional pushed
-    /// LIMIT (stop after `limit` passing rows).
-    Scan {
-        binding: usize,
-        filters: Vec<Expr>,
-        columns: Option<Vec<String>>,
-        limit: Option<usize>,
-        est_rows: Option<f64>,
-    },
-    /// Left-deep equi-join; `on` holds the conditions first satisfiable at
-    /// this node.
-    Join {
-        left: Box<LogicalPlan>,
-        right: Box<LogicalPlan>,
-        on: Vec<JoinCond>,
-        est_rows: Option<f64>,
-    },
-    /// Residual predicate (multi-binding or constant conjuncts).
-    Filter {
-        input: Box<LogicalPlan>,
-        predicate: Expr,
-    },
-    Aggregate {
-        input: Box<LogicalPlan>,
-        group_by: Vec<ColRef>,
-        aggregates: Vec<AggExpr>,
-    },
-    Sort {
-        input: Box<LogicalPlan>,
-        keys: Vec<OrderKey>,
-    },
-    Project {
-        input: Box<LogicalPlan>,
-        items: Vec<SelectItem>,
-    },
-    Distinct {
-        input: Box<LogicalPlan>,
-    },
-    Limit {
-        input: Box<LogicalPlan>,
-        n: usize,
-    },
-}
-
-impl LogicalPlan {
-    fn scan(binding: usize) -> LogicalPlan {
-        LogicalPlan::Scan {
-            binding,
-            filters: Vec::new(),
-            columns: None,
-            limit: None,
-            est_rows: None,
-        }
+    /// Which binding owns a flat slot, and the local column index.
+    pub fn slot_owner(&self, slot: usize) -> (usize, usize) {
+        self.slot_map[slot]
     }
 
-    /// Number of Join nodes in this subtree (used to map executor join-step
-    /// actuals onto rendered nodes).
-    pub fn join_count(&self) -> usize {
-        match self {
-            LogicalPlan::Scan { .. } => 0,
-            LogicalPlan::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
-            LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Distinct { input }
-            | LogicalPlan::Limit { input, .. } => input.join_count(),
-        }
+    pub fn total_slots(&self) -> usize {
+        self.slot_map.len()
     }
-}
 
-/// Rebuild a node with `f` applied to each direct child (leaves unchanged).
-/// The recursion workhorse for rewrites that only care about some node
-/// kinds and pass everything else through.
-fn map_input(
-    plan: LogicalPlan,
-    mut f: impl FnMut(LogicalPlan) -> DbResult<LogicalPlan>,
-) -> DbResult<LogicalPlan> {
-    Ok(match plan {
-        s @ LogicalPlan::Scan { .. } => s,
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            est_rows,
-        } => LogicalPlan::Join {
-            left: Box::new(f(*left)?),
-            right: Box::new(f(*right)?),
-            on,
-            est_rows,
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(f(*input)?),
-            predicate,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(f(*input)?),
-            group_by,
-            aggregates,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(f(*input)?),
-            keys,
-        },
-        LogicalPlan::Project { input, items } => LogicalPlan::Project {
-            input: Box::new(f(*input)?),
-            items,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(f(*input)?),
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(f(*input)?),
-            n,
-        },
-    })
-}
+    /// Qualified output name for a flat slot.
+    fn slot_name(&self, slot: usize) -> String {
+        let (b, c) = self.slot_owner(slot);
+        let binding = &self.bindings[b];
+        format!("{}.{}", binding.name, binding.table.schema().column(c).name)
+    }
 
-/// Lower a query to the naive canonical tree: a left-deep join over the
-/// FROM bindings in source order, each join condition attached at the
-/// lowest node where both sides are available, the full WHERE conjunction
-/// in one [`LogicalPlan::Filter`], and the trailing clause operators above.
-///
-/// Self-binding join conditions (`a.x = a.y` after alias resolution) become
-/// ordinary filter conjuncts, exactly as the executor treats them.
-pub fn lower(query: &Query, ctx: &PlanContext) -> DbResult<LogicalPlan> {
-    let nb = ctx.bindings.len();
+    /// Fetch the value of `slot` for the row-id tuple `ids` (one base row id
+    /// per binding, FROM order).
+    pub fn fetch(&self, ids: &[usize], slot: usize) -> Value {
+        let (b, c) = self.slot_owner(slot);
+        self.bindings[b].table.column(c).get(ids[b])
+    }
 
-    // Partition join conditions by the highest binding they mention; the
-    // left-deep join introducing that binding is where they attach.
-    let mut join_conds: Vec<Vec<JoinCond>> = (0..nb).map(|_| Vec::new()).collect();
-    let mut conjuncts: Vec<Expr> = Vec::new();
-    for j in &query.joins {
-        let lb = ctx.binding_of(&j.left)?;
-        let rb = ctx.binding_of(&j.right)?;
-        if lb == rb {
-            conjuncts.push(Expr::eq(
-                Expr::Column(j.left.clone()),
-                Expr::Column(j.right.clone()),
-            ));
+    /// A pushed conjunct for binding `b`: `flat` re-expressed over the
+    /// table's local column indices.
+    fn pushed(&self, named: Expr, flat: Expr, b: usize) -> DbResult<Conjunct> {
+        let offset = self.bindings[b].offset;
+        let bound = if offset == 0 {
+            flat
         } else {
-            join_conds[lb.max(rb)].push(j.clone());
-        }
-    }
-    if let Some(pred) = &query.predicate {
-        conjuncts.extend(pred.clone().split_conjuncts());
-    }
-
-    let mut root = LogicalPlan::scan(0);
-    for (b, on) in join_conds.into_iter().enumerate().skip(1) {
-        root = LogicalPlan::Join {
-            left: Box::new(root),
-            right: Box::new(LogicalPlan::scan(b)),
-            on,
-            est_rows: None,
+            named.bind(&|c| Ok(self.resolve(c)? - offset))?
         };
+        Ok(Conjunct { named, bound })
     }
-
-    if let Some(predicate) = Expr::conjunction(conjuncts) {
-        root = LogicalPlan::Filter {
-            input: Box::new(root),
-            predicate,
-        };
-    }
-
-    if query.is_aggregate() {
-        let aggregates: Vec<AggExpr> = query
-            .select
-            .iter()
-            .filter_map(|s| match s {
-                SelectItem::Aggregate(a) => Some(a.clone()),
-                _ => None,
-            })
-            .collect();
-        root = LogicalPlan::Aggregate {
-            input: Box::new(root),
-            group_by: query.group_by.clone(),
-            aggregates,
-        };
-    } else {
-        if !query.order_by.is_empty() {
-            root = LogicalPlan::Sort {
-                input: Box::new(root),
-                keys: query.order_by.clone(),
-            };
-        }
-        root = LogicalPlan::Project {
-            input: Box::new(root),
-            items: query.select.clone(),
-        };
-        if query.distinct {
-            root = LogicalPlan::Distinct {
-                input: Box::new(root),
-            };
-        }
-    }
-    if query.is_aggregate() && !query.order_by.is_empty() {
-        root = LogicalPlan::Sort {
-            input: Box::new(root),
-            keys: query.order_by.clone(),
-        };
-    }
-    if let Some(n) = query.limit {
-        root = LogicalPlan::Limit {
-            input: Box::new(root),
-            n,
-        };
-    }
-    Ok(root)
 }
 
-/// Rewrite: predicate pushdown. Splits every [`LogicalPlan::Filter`] into
-/// conjuncts and sinks each conjunct referencing exactly one binding into
-/// that binding's scan; the rest (cross-binding or constant) stay behind as
-/// a smaller residual filter, dropped entirely when empty.
-pub fn push_predicates(plan: LogicalPlan, ctx: &PlanContext) -> DbResult<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            let mut input = push_predicates(*input, ctx)?;
-            let mut residual: Vec<Expr> = Vec::new();
-            for conj in predicate.split_conjuncts() {
-                let bs = ctx.bindings_of(&conj)?;
-                if bs.len() == 1 {
-                    sink_into_scan(&mut input, bs[0], conj);
-                } else {
-                    residual.push(conj);
-                }
-            }
-            match Expr::conjunction(residual) {
-                Some(predicate) => LogicalPlan::Filter {
-                    input: Box::new(input),
-                    predicate,
-                },
-                None => input,
+/// A query with every name resolved and every conjunct classified.
+#[derive(Debug)]
+pub struct Bound<'a> {
+    pub query: &'a Query,
+    pub layout: Layout<'a>,
+    /// Per binding: the conjuncts its scan evaluates — join conditions
+    /// within the binding first, then WHERE conjuncts in source order. The
+    /// cost model folds selectivities in this order.
+    pub pushed: Vec<Vec<Conjunct>>,
+    /// Cross-binding and constant conjuncts in source order, each with the
+    /// sorted bindings it reads.
+    pub residual: Vec<(Conjunct, Vec<usize>)>,
+    /// Stable-sorted by the later of the two bindings: the order EXPLAIN
+    /// prints conditions in and the cost model multiplies selectivities in.
+    pub joins: Vec<BoundJoin<'a>>,
+    pub output: Output,
+}
+
+impl Bound<'_> {
+    /// May a LIMIT stop the scan itself after `n` passing rows? Only when
+    /// nothing between the scan and the LIMIT drops, reorders or merges
+    /// rows: one table, every conjunct pushed, no aggregate, sort or
+    /// DISTINCT. A property of the query's *shape*, so the plan cache can
+    /// memoise it while LIMIT values vary per query.
+    pub fn limit_pushable(&self) -> bool {
+        self.layout.bindings.len() == 1
+            && self.residual.is_empty()
+            && matches!(&self.output, Output::Rows { order, .. } if order.is_empty())
+            && !self.query.distinct
+    }
+}
+
+/// Bind `query` against `db`.
+pub fn bind<'a>(db: &'a Database, query: &'a Query) -> DbResult<Bound<'a>> {
+    let layout = Layout::new(db, query)?;
+    let nb = layout.bindings.len();
+
+    // WHERE is bound before the join conditions (its errors surface first),
+    // but each binding's own join conditions go ahead of its WHERE
+    // conjuncts in `pushed`, hence the two lists.
+    let mut where_pushed: Vec<Vec<Conjunct>> = (0..nb).map(|_| Vec::new()).collect();
+    let mut residual = Vec::new();
+    if let Some(pred) = &query.predicate {
+        for named in pred.clone().split_conjuncts() {
+            let flat = named.bind(&|c| layout.resolve(c))?;
+            // Slots ascend binding by binding, so owners come out sorted.
+            let mut bs: Vec<usize> = flat
+                .slots()
+                .iter()
+                .map(|&s| layout.slot_owner(s).0)
+                .collect();
+            bs.dedup();
+            match bs[..] {
+                [b] => where_pushed[b].push(layout.pushed(named, flat, b)?),
+                _ => residual.push((Conjunct { named, bound: flat }, bs)),
             }
         }
-        other => map_input(other, |p| push_predicates(p, ctx))?,
+    }
+
+    let mut pushed: Vec<Vec<Conjunct>> = (0..nb).map(|_| Vec::new()).collect();
+    let mut joins = Vec::with_capacity(query.joins.len());
+    for cond in &query.joins {
+        let left_slot = layout.resolve(&cond.left)?;
+        let right_slot = layout.resolve(&cond.right)?;
+        let (left_binding, _) = layout.slot_owner(left_slot);
+        let (right_binding, _) = layout.slot_owner(right_slot);
+        if left_binding == right_binding {
+            let named = Expr::eq(
+                Expr::Column(cond.left.clone()),
+                Expr::Column(cond.right.clone()),
+            );
+            let flat = Expr::eq(Expr::Slot(left_slot), Expr::Slot(right_slot));
+            pushed[left_binding].push(layout.pushed(named, flat, left_binding)?);
+        } else {
+            joins.push(BoundJoin {
+                cond,
+                left_slot,
+                right_slot,
+                left_binding,
+                right_binding,
+            });
+        }
+    }
+    for (p, w) in pushed.iter_mut().zip(where_pushed) {
+        p.extend(w);
+    }
+    joins.sort_by_key(|j| j.left_binding.max(j.right_binding));
+
+    let output = if query.is_aggregate() {
+        Output::Groups(bind_groups(&layout, query)?)
+    } else {
+        let (mut proj, mut names) = (Vec::new(), Vec::new());
+        for item in &query.select {
+            match item {
+                SelectItem::Star => {
+                    proj.extend(0..layout.total_slots());
+                    names.extend((0..layout.total_slots()).map(|s| layout.slot_name(s)));
+                }
+                SelectItem::Column(c) => {
+                    proj.push(layout.resolve(c)?);
+                    names.push(c.to_string());
+                }
+                SelectItem::Aggregate(_) => unreachable!("is_aggregate() is false"),
+            }
+        }
+        let order = query
+            .order_by
+            .iter()
+            .map(|k| Ok((layout.resolve(&k.column)?, k.desc)))
+            .collect::<DbResult<_>>()?;
+        Output::Rows { proj, names, order }
+    };
+    Ok(Bound {
+        query,
+        layout,
+        pushed,
+        residual,
+        joins,
+        output,
     })
 }
 
-/// Append `conj` to the filters of the scan for `binding` (somewhere in the
-/// join subtree under `plan`).
-fn sink_into_scan(plan: &mut LogicalPlan, binding: usize, conj: Expr) {
-    match plan {
-        LogicalPlan::Scan {
-            binding: b,
-            filters,
-            ..
-        } if *b == binding => filters.push(conj),
-        LogicalPlan::Scan { .. } => {}
-        LogicalPlan::Join { left, right, .. } => {
-            // The target scan is in exactly one subtree; try left first.
-            let before = left.as_ref().clone();
-            sink_into_scan(left, binding, conj.clone());
-            if *left.as_ref() == before {
-                sink_into_scan(right, binding, conj);
-            }
-        }
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Distinct { input }
-        | LogicalPlan::Limit { input, .. } => sink_into_scan(input, binding, conj),
+fn bind_groups(layout: &Layout, query: &Query) -> DbResult<Groups> {
+    // ORDER BY keys must be real columns even though they are matched to
+    // output columns by name below.
+    for k in &query.order_by {
+        layout.resolve(&k.column)?;
     }
-}
-
-/// Rewrite: projection pruning. Collects every column the plan references —
-/// select items, sort keys, group keys, aggregate arguments, filter and
-/// join expressions — and annotates each scan with its binding's referenced
-/// column names (schema order). `SELECT *` keeps scans unpruned.
-pub fn prune_columns(plan: LogicalPlan, ctx: &PlanContext) -> DbResult<LogicalPlan> {
-    let mut star = false;
-    let mut needed: Vec<Vec<String>> = vec![Vec::new(); ctx.bindings.len()];
-    collect_needed(&plan, ctx, &mut star, &mut needed)?;
-    if star {
-        return Ok(plan);
-    }
-    Ok(annotate_columns(plan, ctx, &needed))
-}
-
-fn note_col(ctx: &PlanContext, c: &ColRef, needed: &mut [Vec<String>]) -> DbResult<()> {
-    let b = ctx.binding_of(c)?;
-    if !needed[b].contains(&c.column) {
-        needed[b].push(c.column.clone());
-    }
-    Ok(())
-}
-
-fn collect_needed(
-    plan: &LogicalPlan,
-    ctx: &PlanContext,
-    star: &mut bool,
-    needed: &mut [Vec<String>],
-) -> DbResult<()> {
-    let note_expr = |e: &Expr, needed: &mut [Vec<String>]| -> DbResult<()> {
-        let mut cols = Vec::new();
-        e.collect_columns(&mut cols);
-        for c in &cols {
-            note_col(ctx, c, needed)?;
-        }
-        Ok(())
-    };
-    match plan {
-        LogicalPlan::Scan { filters, .. } => {
-            for f in filters {
-                note_expr(f, needed)?;
+    let keys: Vec<usize> = query
+        .group_by
+        .iter()
+        .map(|c| layout.resolve(c))
+        .collect::<DbResult<_>>()?;
+    let mut aggs = Vec::new();
+    let mut items: Vec<(String, GroupItem)> = Vec::new();
+    for sel in &query.select {
+        match sel {
+            SelectItem::Star => {
+                return Err(DbError::InvalidQuery(
+                    "SELECT * cannot be combined with aggregates".into(),
+                ))
             }
-        }
-        LogicalPlan::Join {
-            left, right, on, ..
-        } => {
-            for j in on {
-                note_col(ctx, &j.left, needed)?;
-                note_col(ctx, &j.right, needed)?;
+            SelectItem::Column(c) => {
+                let slot = layout.resolve(c)?;
+                let key = keys.iter().position(|&g| g == slot).ok_or_else(|| {
+                    DbError::InvalidQuery(format!("column {c} is not in GROUP BY"))
+                })?;
+                items.push((c.to_string(), GroupItem::Key(key)));
             }
-            collect_needed(left, ctx, star, needed)?;
-            collect_needed(right, ctx, star, needed)?;
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            note_expr(predicate, needed)?;
-            collect_needed(input, ctx, star, needed)?;
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => {
-            for g in group_by {
-                note_col(ctx, g, needed)?;
+            SelectItem::Aggregate(a) => {
+                items.push((a.to_string(), GroupItem::Agg(aggs.len())));
+                let arg = a.arg.as_ref().map(|c| layout.resolve(c)).transpose()?;
+                aggs.push((a.func, arg));
             }
-            for a in aggregates {
-                if let Some(c) = &a.arg {
-                    note_col(ctx, c, needed)?;
-                }
-            }
-            collect_needed(input, ctx, star, needed)?;
-        }
-        LogicalPlan::Sort { input, keys } => {
-            for k in keys {
-                note_col(ctx, &k.column, needed)?;
-            }
-            collect_needed(input, ctx, star, needed)?;
-        }
-        LogicalPlan::Project { input, items } => {
-            for item in items {
-                match item {
-                    SelectItem::Star => *star = true,
-                    SelectItem::Column(c) => note_col(ctx, c, needed)?,
-                    SelectItem::Aggregate(a) => {
-                        if let Some(c) = &a.arg {
-                            note_col(ctx, c, needed)?;
-                        }
-                    }
-                }
-            }
-            collect_needed(input, ctx, star, needed)?;
-        }
-        LogicalPlan::Distinct { input } | LogicalPlan::Limit { input, .. } => {
-            collect_needed(input, ctx, star, needed)?;
         }
     }
-    Ok(())
-}
-
-fn annotate_columns(plan: LogicalPlan, ctx: &PlanContext, needed: &[Vec<String>]) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Scan {
-            binding,
-            filters,
-            limit,
-            est_rows,
-            ..
-        } => {
-            // Keep schema order for a stable, readable EXPLAIN.
-            let cols: Vec<String> = ctx.bindings[binding]
-                .columns
+    // ORDER BY over output columns (group keys or aggregates, by name).
+    let order = query
+        .order_by
+        .iter()
+        .map(|k| {
+            let name = k.column.to_string();
+            let suffix = format!(".{}", k.column.column);
+            let pos = items
                 .iter()
-                .filter(|n| needed[binding].contains(n))
-                .cloned()
-                .collect();
-            LogicalPlan::Scan {
-                binding,
-                filters,
-                columns: Some(cols),
-                limit,
-                est_rows,
-            }
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            est_rows,
-        } => LogicalPlan::Join {
-            left: Box::new(annotate_columns(*left, ctx, needed)),
-            right: Box::new(annotate_columns(*right, ctx, needed)),
-            on,
-            est_rows,
-        },
-        other => map_input(other, |p| Ok(annotate_columns(p, ctx, needed)))
-            .expect("annotate_columns is infallible"),
-    }
-}
-
-/// Is the operator chain from `plan` down to a scan order- and
-/// cardinality-preserving (only projections in between)? When true, a LIMIT
-/// above the chain may stop the scan itself after `n` passing rows. This is
-/// a *shape* property — independent of whether the query has a LIMIT — so
-/// the plan cache can memoise it while LIMIT values vary per query.
-pub fn limit_pushable(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::Limit { input, .. } | LogicalPlan::Project { input, .. } => {
-            limit_pushable(input)
-        }
-        LogicalPlan::Scan { .. } => true,
-        _ => false,
-    }
-}
-
-/// Rewrite: limit pushdown. When the tree is `Limit → Project* → Scan`
-/// (single table, no residual filter, sort, distinct or aggregate in the
-/// way), annotate the scan so it stops after `n` passing rows.
-pub fn push_limit(plan: LogicalPlan) -> LogicalPlan {
-    if !limit_pushable(&plan) {
-        return plan;
-    }
-    let LogicalPlan::Limit { input, n } = plan else {
-        return plan;
-    };
-    fn set_scan_limit(plan: LogicalPlan, n: usize) -> LogicalPlan {
-        match plan {
-            LogicalPlan::Scan {
-                binding,
-                filters,
-                columns,
-                est_rows,
-                ..
-            } => LogicalPlan::Scan {
-                binding,
-                filters,
-                columns,
-                limit: Some(n),
-                est_rows,
-            },
-            other => map_input(other, |p| Ok(set_scan_limit(p, n)))
-                .expect("set_scan_limit is infallible"),
-        }
-    }
-    LogicalPlan::Limit {
-        input: Box::new(set_scan_limit(*input, n)),
-        n,
-    }
-}
-
-/// Split the operator chain above the join tree from the join tree itself.
-/// Returns the decoration chain outside-in (root first) with their inputs
-/// emptied out, plus the core (the topmost Join/Scan/Filter-over-joins
-/// subtree is *not* included — the residual Filter is part of the chain).
-pub fn split_join_tree(plan: LogicalPlan) -> (Vec<LogicalPlan>, LogicalPlan) {
-    let mut chain = Vec::new();
-    let mut cur = plan;
-    loop {
-        cur = match cur {
-            LogicalPlan::Scan { .. } | LogicalPlan::Join { .. } => return (chain, cur),
-            LogicalPlan::Filter { input, predicate } => {
-                chain.push(LogicalPlan::Filter {
-                    input: Box::new(placeholder()),
-                    predicate,
-                });
-                *input
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggregates,
-            } => {
-                chain.push(LogicalPlan::Aggregate {
-                    input: Box::new(placeholder()),
-                    group_by,
-                    aggregates,
-                });
-                *input
-            }
-            LogicalPlan::Sort { input, keys } => {
-                chain.push(LogicalPlan::Sort {
-                    input: Box::new(placeholder()),
-                    keys,
-                });
-                *input
-            }
-            LogicalPlan::Project { input, items } => {
-                chain.push(LogicalPlan::Project {
-                    input: Box::new(placeholder()),
-                    items,
-                });
-                *input
-            }
-            LogicalPlan::Distinct { input } => {
-                chain.push(LogicalPlan::Distinct {
-                    input: Box::new(placeholder()),
-                });
-                *input
-            }
-            LogicalPlan::Limit { input, n } => {
-                chain.push(LogicalPlan::Limit {
-                    input: Box::new(placeholder()),
-                    n,
-                });
-                *input
-            }
-        };
-    }
-}
-
-fn placeholder() -> LogicalPlan {
-    LogicalPlan::scan(usize::MAX)
-}
-
-/// Inverse of [`split_join_tree`]: thread `core` back under the chain.
-pub fn rebuild_chain(chain: Vec<LogicalPlan>, core: LogicalPlan) -> LogicalPlan {
-    let mut cur = core;
-    for node in chain.into_iter().rev() {
-        cur = match node {
-            LogicalPlan::Filter { predicate, .. } => LogicalPlan::Filter {
-                input: Box::new(cur),
-                predicate,
-            },
-            LogicalPlan::Aggregate {
-                group_by,
-                aggregates,
-                ..
-            } => LogicalPlan::Aggregate {
-                input: Box::new(cur),
-                group_by,
-                aggregates,
-            },
-            LogicalPlan::Sort { keys, .. } => LogicalPlan::Sort {
-                input: Box::new(cur),
-                keys,
-            },
-            LogicalPlan::Project { items, .. } => LogicalPlan::Project {
-                input: Box::new(cur),
-                items,
-            },
-            LogicalPlan::Distinct { .. } => LogicalPlan::Distinct {
-                input: Box::new(cur),
-            },
-            LogicalPlan::Limit { n, .. } => LogicalPlan::Limit {
-                input: Box::new(cur),
-                n,
-            },
-            LogicalPlan::Scan { .. } | LogicalPlan::Join { .. } => {
-                unreachable!("split_join_tree never puts leaves in the chain")
-            }
-        };
-    }
-    cur
-}
-
-/// Flatten a join tree into its scan leaves (by binding) and the union of
-/// its join conditions.
-pub fn flatten_join_tree(core: LogicalPlan) -> (Vec<LogicalPlan>, Vec<JoinCond>) {
-    let mut scans = Vec::new();
-    let mut conds = Vec::new();
-    fn walk(plan: LogicalPlan, scans: &mut Vec<LogicalPlan>, conds: &mut Vec<JoinCond>) {
-        match plan {
-            s @ LogicalPlan::Scan { .. } => scans.push(s),
-            LogicalPlan::Join {
-                left,
-                right,
-                mut on,
-                ..
-            } => {
-                walk(*left, scans, conds);
-                walk(*right, scans, conds);
-                conds.append(&mut on);
-            }
-            _ => unreachable!("join trees contain only Scan and Join nodes"),
-        }
-    }
-    walk(core, &mut scans, &mut conds);
-    scans.sort_by_key(|s| match s {
-        LogicalPlan::Scan { binding, .. } => *binding,
-        _ => unreachable!(),
-    });
-    (scans, conds)
-}
-
-/// Build a left-deep join tree over `scans` in `order`, attaching each
-/// condition at the first node where both of its bindings are available.
-/// `est_join_rows[i]` annotates the node joining `order[i + 1]`.
-pub fn build_join_tree(
-    mut scans: Vec<LogicalPlan>,
-    conds: Vec<JoinCond>,
-    order: &[usize],
-    est_join_rows: &[f64],
-    ctx: &PlanContext,
-) -> DbResult<LogicalPlan> {
-    let binding_of_scan = |s: &LogicalPlan| match s {
-        LogicalPlan::Scan { binding, .. } => *binding,
-        _ => unreachable!(),
-    };
-    let take = |scans: &mut Vec<LogicalPlan>, b: usize| -> LogicalPlan {
-        let i = scans
-            .iter()
-            .position(|s| binding_of_scan(s) == b)
-            .expect("order is a permutation of scan bindings");
-        scans.remove(i)
-    };
-
-    let mut placed = vec![false; ctx.bindings.len()];
-    let mut remaining: Vec<(usize, usize, JoinCond)> = conds
-        .into_iter()
-        .map(|j| {
-            let lb = ctx.binding_of(&j.left)?;
-            let rb = ctx.binding_of(&j.right)?;
-            Ok((lb, rb, j))
+                .position(|(n, _)| *n == name || n.ends_with(&suffix))
+                .ok_or_else(|| {
+                    DbError::InvalidQuery(format!("ORDER BY {name}: not an output column"))
+                })?;
+            Ok((pos, k.desc))
         })
         .collect::<DbResult<_>>()?;
+    Ok(Groups {
+        keys,
+        aggs,
+        items,
+        order,
+    })
+}
 
-    let mut root = take(&mut scans, order[0]);
-    placed[order[0]] = true;
-    for (step, &b) in order.iter().enumerate().skip(1) {
-        let right = take(&mut scans, b);
-        placed[b] = true;
-        let mut on = Vec::new();
-        remaining.retain(|(lb, rb, j)| {
-            if placed[*lb] && placed[*rb] {
-                on.push(j.clone());
-                false
-            } else {
-                true
-            }
-        });
-        root = LogicalPlan::Join {
-            left: Box::new(root),
-            right: Box::new(right),
-            on,
-            est_rows: est_join_rows.get(step - 1).copied(),
-        };
+/// Whether a plan came from the cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlanCacheStatus {
+    Hit,
+    Miss,
+    /// The cache was not consulted (plain EXPLAIN costs from scratch).
+    #[default]
+    Bypass,
+}
+
+impl PlanCacheStatus {
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            PlanCacheStatus::Hit => "hit",
+            PlanCacheStatus::Miss => "miss",
+            PlanCacheStatus::Bypass => "bypass",
+        }
     }
-    Ok(root)
+}
+
+/// The bound query plus the optimizer's decisions: everything the executor
+/// runs and everything EXPLAIN prints.
+#[derive(Debug)]
+pub struct Plan<'a> {
+    pub bound: Bound<'a>,
+    /// Binding indices in execution order (a permutation of the bindings).
+    pub join_order: Vec<usize>,
+    /// Stop the (single) scan after this many passing rows: the live
+    /// query's LIMIT when [`Bound::limit_pushable`] holds.
+    pub scan_limit: Option<usize>,
+    /// Estimated filtered rows per binding.
+    pub est_scan_rows: Vec<f64>,
+    /// Estimated intermediate rows after each join step (len = bindings-1).
+    pub est_join_rows: Vec<f64>,
+    pub cache: PlanCacheStatus,
+}
+
+impl Plan<'_> {
+    /// Per join step `i` (the one joining `join_order[i + 1]`): indices into
+    /// [`Bound::joins`] of the conditions that link the new binding to the
+    /// ones already joined. With none, the step is a cartesian product.
+    pub fn join_steps(&self) -> Vec<Vec<usize>> {
+        let mut joined = vec![false; self.join_order.len()];
+        joined[self.join_order[0]] = true;
+        self.join_order[1..]
+            .iter()
+            .map(|&next| {
+                joined[next] = true;
+                let links = |j: &BoundJoin| {
+                    (j.left_binding == next && joined[j.right_binding])
+                        || (j.right_binding == next && joined[j.left_binding])
+                };
+                let joins = self.bound.joins.iter().enumerate();
+                joins.filter(|(_, j)| links(j)).map(|(i, _)| i).collect()
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -779,7 +425,7 @@ mod tests {
     use super::*;
     use crate::schema::Schema;
     use crate::sql::parse;
-    use crate::value::{Value, ValueType};
+    use crate::value::ValueType;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -806,150 +452,94 @@ mod tests {
         db
     }
 
-    fn plan_for(db: &Database, sql: &str) -> (LogicalPlan, PlanContext) {
-        let q = parse(sql).unwrap();
-        let ctx = PlanContext::new(db, &q.from).unwrap();
-        (lower(&q, &ctx).unwrap(), ctx)
-    }
-
-    fn scan_of(plan: &LogicalPlan, binding: usize) -> &LogicalPlan {
-        match plan {
-            LogicalPlan::Scan { binding: b, .. } if *b == binding => plan,
-            LogicalPlan::Join { left, right, .. } => {
-                if left.join_count() > 0 || matches!(**left, LogicalPlan::Scan { .. }) {
-                    if let s @ LogicalPlan::Scan { binding: b, .. } = &**right {
-                        if *b == binding {
-                            return s;
-                        }
-                    }
-                    scan_of(left, binding)
-                } else {
-                    scan_of(right, binding)
-                }
-            }
-            LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Distinct { input }
-            | LogicalPlan::Limit { input, .. } => scan_of(input, binding),
-            _ => panic!("binding {binding} not found"),
-        }
-    }
-
     #[test]
-    fn pushdown_splits_conjuncts_to_their_scans() {
+    fn conjuncts_are_pushed_to_their_scans_or_stay_residual() {
         let db = db();
-        let (plan, ctx) = plan_for(
-            &db,
+        let q = parse(
             "SELECT t.name FROM title AS t, person AS p \
-             WHERE t.id = p.id AND t.year > 1995 AND p.year < 1994 AND t.year < p.year",
+             WHERE t.id = p.id AND t.year > 1995 AND p.year < 1994 AND t.year < p.year AND 1 = 1",
+        )
+        .unwrap();
+        let bound = bind(&db, &q).unwrap();
+        let named = |cs: &[Conjunct]| cs.iter().map(|c| c.named.to_string()).collect::<Vec<_>>();
+        assert_eq!(named(&bound.pushed[0]), ["t.year > 1995"]);
+        assert_eq!(named(&bound.pushed[1]), ["p.year < 1994"]);
+        // p's conjunct reads p's *local* column 2, not flat slot 5.
+        assert_eq!(bound.pushed[1][0].bound.slots(), [2]);
+        let residual: Vec<(String, &[usize])> = bound
+            .residual
+            .iter()
+            .map(|(c, bs)| (c.named.to_string(), &bs[..]))
+            .collect();
+        assert_eq!(
+            residual,
+            [
+                ("t.year < p.year".to_string(), &[0, 1][..]),
+                ("1 = 1".to_string(), &[][..])
+            ]
         );
-        let plan = push_predicates(plan, &ctx).unwrap();
-        // Single-binding conjuncts sank into their scans.
-        let LogicalPlan::Scan { filters, .. } = scan_of(&plan, 0) else {
-            unreachable!()
-        };
-        assert_eq!(filters.len(), 1, "t.year > 1995 lands on t");
-        let LogicalPlan::Scan { filters, .. } = scan_of(&plan, 1) else {
-            unreachable!()
-        };
-        assert_eq!(filters.len(), 1, "p.year < 1994 lands on p");
-        // The cross-binding conjunct stays in a residual filter.
-        fn has_residual(p: &LogicalPlan) -> bool {
-            match p {
-                LogicalPlan::Filter { .. } => true,
-                LogicalPlan::Join { left, right, .. } => has_residual(left) || has_residual(right),
-                LogicalPlan::Scan { .. } => false,
-                LogicalPlan::Aggregate { input, .. }
-                | LogicalPlan::Sort { input, .. }
-                | LogicalPlan::Project { input, .. }
-                | LogicalPlan::Distinct { input }
-                | LogicalPlan::Limit { input, .. } => has_residual(input),
-            }
-        }
-        assert!(has_residual(&plan), "t.year < p.year must remain residual");
+        assert_eq!(bound.joins.len(), 1);
     }
 
     #[test]
-    fn prune_keeps_only_referenced_columns() {
+    fn join_condition_within_one_binding_is_its_first_pushed_filter() {
         let db = db();
-        let (plan, ctx) = plan_for(
-            &db,
-            "SELECT t.name FROM title AS t, person AS p WHERE t.id = p.id AND p.year > 1991",
-        );
-        let plan = push_predicates(plan, &ctx).unwrap();
-        let plan = prune_columns(plan, &ctx).unwrap();
-        let LogicalPlan::Scan { columns, .. } = scan_of(&plan, 0) else {
-            unreachable!()
-        };
+        let q = parse(
+            "SELECT t.id FROM title AS t JOIN person AS p ON p.id = p.year \
+             WHERE t.id = p.id AND p.year > 1991",
+        )
+        .unwrap();
+        let bound = bind(&db, &q).unwrap();
+        let named: Vec<String> = bound.pushed[1]
+            .iter()
+            .map(|c| c.named.to_string())
+            .collect();
+        assert_eq!(named, ["p.id = p.year", "p.year > 1991"]);
+        assert_eq!(bound.pushed[1][0].bound.slots(), [0, 2]);
         assert_eq!(
-            columns.as_deref(),
-            Some(&["id".to_string(), "name".into()][..])
-        );
-        let LogicalPlan::Scan { columns, .. } = scan_of(&plan, 1) else {
-            unreachable!()
-        };
-        assert_eq!(
-            columns.as_deref(),
-            Some(&["id".to_string(), "year".into()][..])
+            bound.joins.len(),
+            1,
+            "only the cross-binding condition joins"
         );
     }
 
     #[test]
-    fn star_disables_pruning() {
+    fn limit_pushes_through_projection_but_not_sort_distinct_or_join() {
         let db = db();
-        let (plan, ctx) = plan_for(&db, "SELECT * FROM title AS t WHERE t.year > 1995");
-        let plan = prune_columns(push_predicates(plan, &ctx).unwrap(), &ctx).unwrap();
-        let LogicalPlan::Scan { columns, .. } = scan_of(&plan, 0) else {
-            unreachable!()
-        };
-        assert!(columns.is_none());
-    }
-
-    #[test]
-    fn limit_pushes_through_projection_but_not_sort_or_distinct() {
-        let db = db();
-        let scan_limit = |sql: &str| {
-            let (plan, ctx) = plan_for(&db, sql);
-            let plan = push_limit(push_predicates(plan, &ctx).unwrap());
-            match scan_of(&plan, 0) {
-                LogicalPlan::Scan { limit, .. } => *limit,
-                _ => unreachable!(),
-            }
-        };
-        assert_eq!(
-            scan_limit("SELECT t.name FROM title AS t WHERE t.year > 1995 LIMIT 3"),
-            Some(3)
+        let pushable = |sql: &str| bind(&db, &parse(sql).unwrap()).unwrap().limit_pushable();
+        assert!(pushable(
+            "SELECT t.name FROM title AS t WHERE t.year > 1995 LIMIT 3"
+        ));
+        assert!(
+            pushable("SELECT t.name FROM title AS t WHERE t.year > 1995"),
+            "a shape property: holds with no LIMIT present"
         );
-        assert_eq!(
-            scan_limit("SELECT t.name FROM title AS t ORDER BY t.year LIMIT 3"),
-            None,
+        assert!(
+            !pushable("SELECT t.name FROM title AS t ORDER BY t.year LIMIT 3"),
             "sort needs all input rows"
         );
-        assert_eq!(
-            scan_limit("SELECT DISTINCT t.name FROM title AS t LIMIT 3"),
-            None,
+        assert!(
+            !pushable("SELECT DISTINCT t.name FROM title AS t LIMIT 3"),
             "distinct counts deduplicated rows"
         );
-        assert_eq!(
-            scan_limit("SELECT t.name FROM title AS t, person AS p WHERE t.id = p.id LIMIT 3"),
-            None,
+        assert!(
+            !pushable("SELECT t.name FROM title AS t, person AS p WHERE t.id = p.id LIMIT 3"),
             "joins do not preserve scan cardinality"
         );
+        assert!(
+            !pushable("SELECT t.name FROM title AS t WHERE 1 = 0 LIMIT 3"),
+            "a residual filter drops rows after the scan"
+        );
+        assert!(!pushable("SELECT COUNT(*) FROM title AS t LIMIT 3"));
     }
 
     #[test]
-    fn split_and_rebuild_round_trip() {
+    fn aggregate_output_is_validated_at_bind_time() {
         let db = db();
-        let (plan, ctx) = plan_for(
-            &db,
-            "SELECT t.name FROM title AS t, person AS p \
-             WHERE t.id = p.id AND t.year < p.year ORDER BY t.name LIMIT 2",
+        let err = |sql: &str| bind(&db, &parse(sql).unwrap()).unwrap_err().to_string();
+        assert!(
+            err("SELECT t.name, COUNT(*) FROM title AS t GROUP BY t.year").contains("GROUP BY")
         );
-        let plan = push_predicates(plan, &ctx).unwrap();
-        let (chain, core) = split_join_tree(plan.clone());
-        assert!(matches!(core, LogicalPlan::Join { .. }));
-        assert_eq!(rebuild_chain(chain, core), plan);
+        assert!(err("SELECT COUNT(*) FROM title AS t ORDER BY t.year").contains("ORDER BY"));
     }
 }

@@ -9,13 +9,14 @@
 //!
 //! A [`CachedPlan`] stores only the optimizer's *decisions* (join order,
 //! whether LIMIT may be pushed into the scan, cardinality estimates), never
-//! rewritten expression trees — the executor re-derives conjunct
-//! classification from the incoming query, so a hit with different literals
-//! is always correct. Hits are additionally validated against per-binding
-//! schema fingerprints ([`schema_fingerprint`]), which is what makes the
-//! cache safe to share across [`Database`](crate::catalog::Database) clones
-//! and subsets: an approximation-set subset has the same schemas as its
-//! parent, so the parent's plans transfer.
+//! bound expressions — every query is bound afresh
+//! ([`crate::plan::bind`]) and the decisions are attached to that binding,
+//! so a hit with different literals is always correct. Hits are
+//! additionally validated against per-binding schema fingerprints
+//! ([`schema_fingerprint`]), which is what makes the cache safe to share
+//! across [`Database`](crate::catalog::Database) clones and subsets: an
+//! approximation-set subset has the same schemas as its parent, so the
+//! parent's plans transfer.
 //!
 //! Eviction is deterministic: a `BTreeMap` keyed store with a monotonic
 //! access tick, evicting the least-recently-used entry (lowest tick, first
@@ -27,23 +28,11 @@ use crate::query::Query;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::convert::Infallible;
+use std::sync::Mutex;
 
 /// Default number of cached plans; RL workloads hold a few dozen templates.
 pub const DEFAULT_CAPACITY: usize = 256;
-
-/// Is the plan cache enabled by default for this process? Controlled by the
-/// `ASQP_PLAN_CACHE` environment variable: `0` / `false` / `off` disable it,
-/// anything else (including unset) enables it. Read once per process.
-pub fn cache_enabled_default() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        !matches!(
-            std::env::var("ASQP_PLAN_CACHE").as_deref(),
-            Ok("0") | Ok("false") | Ok("off")
-        )
-    })
-}
 
 /// Optimizer decisions memoised for one normalized query shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +42,7 @@ pub struct CachedPlan {
     /// Shape-only flag: the operator chain between LIMIT and the single scan
     /// is order- and cardinality-preserving, so any incoming LIMIT may stop
     /// the scan early. The limit *value* is never cached (it is normalised
-    /// out of the key); the executor instantiates it from the live query.
+    /// out of the key); planning instantiates it from the live query.
     pub limit_pushdown: bool,
     /// Estimated filtered-scan rows per binding (for EXPLAIN display).
     pub est_scan_rows: Vec<f64>,
@@ -176,52 +165,17 @@ pub fn normalized_key(query: &Query) -> String {
 /// Replace every literal with the placeholder `'?'`; IN lists collapse to a
 /// single placeholder so list length does not fragment the key space.
 fn parameterize(e: &Expr) -> Expr {
+    let placeholder = || Value::Str("?".into());
     match e {
-        Expr::Literal(_) => Expr::Literal(Value::Str("?".into())),
-        Expr::Column(c) => Expr::Column(c.clone()),
-        Expr::Slot(s) => Expr::Slot(*s),
-        Expr::Cmp { op, lhs, rhs } => Expr::Cmp {
-            op: *op,
-            lhs: Box::new(parameterize(lhs)),
-            rhs: Box::new(parameterize(rhs)),
-        },
-        Expr::Arith { op, lhs, rhs } => Expr::Arith {
-            op: *op,
-            lhs: Box::new(parameterize(lhs)),
-            rhs: Box::new(parameterize(rhs)),
-        },
-        Expr::And(a, b) => Expr::And(Box::new(parameterize(a)), Box::new(parameterize(b))),
-        Expr::Or(a, b) => Expr::Or(Box::new(parameterize(a)), Box::new(parameterize(b))),
-        Expr::Not(x) => Expr::Not(Box::new(parameterize(x))),
+        Expr::Literal(_) => Expr::Literal(placeholder()),
         Expr::In { expr, negated, .. } => Expr::In {
             expr: Box::new(parameterize(expr)),
-            list: vec![Value::Str("?".into())],
+            list: vec![placeholder()],
             negated: *negated,
         },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(parameterize(expr)),
-            low: Box::new(parameterize(low)),
-            high: Box::new(parameterize(high)),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(parameterize(expr)),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(parameterize(expr)),
-            negated: *negated,
-        },
+        other => other
+            .map_children(&mut |c| Ok::<_, Infallible>(parameterize(c)))
+            .unwrap_or_else(|never| match never {}),
     }
 }
 

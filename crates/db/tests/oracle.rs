@@ -1,16 +1,47 @@
-//! Property-based executor oracle: on random databases and random SPJ
-//! queries, the vectorized executor (sharded and sequential), the legacy
-//! row-oriented executor and the nested-loop reference must agree — on
-//! result sets, on row order between the two pipelined modes, and on
-//! per-row lineage.
+//! The executor oracle: on random databases and random queries, the engine
+//! must return exactly what the reference executor
+//! ([`asqp_db::testkit::reference`]) returns when it nests its loops in the
+//! join order the engine reports — same columns, same rows in the same
+//! order, same lineage, LIMIT included — whatever the shard count and
+//! whether the plan was made cold or replayed from the plan cache.
+//!
+//! Two query generators feed it: a typed one over random schemas that
+//! spans every scan-kernel class plus the generic fallback (this file), and
+//! the canonical-AST generator of the SQL round-trip suite
+//! (`common::gen_query_upto`) over a fixed fixture, which adds aggregates,
+//! OR/NOT trees and missing join conditions. Fixed pushdown-adversarial
+//! shapes follow.
 
+mod common;
+
+use asqp_db::testkit::reference;
 use asqp_db::{
-    execute_nested_loop, execute_with_options, ColRef, Database, ExecMode, ExecOptions, Expr,
-    JoinCond, OrderKey, Query, Row, Schema, SelectItem, TableRef, Value, ValueType,
+    execute_with_options, ColRef, Database, ExecOptions, Expr, JoinCond, OrderKey, PlanCacheStatus,
+    Query, QueryOutput, Schema, SelectItem, TableRef, Value, ValueType,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The whole contract on one (db, query) pair. Returns the engine's output.
+fn check(db: &Database, q: &Query) -> QueryOutput {
+    let sql = q.to_sql();
+    let run = |shards| execute_with_options(db, q, ExecOptions { shards }).expect(&sql);
+    db.plan_cache().clear();
+    let cold = run(4);
+    let hit = run(1);
+    assert_eq!(cold.trace.cache, PlanCacheStatus::Miss, "{sql}");
+    assert_eq!(hit.trace.cache, PlanCacheStatus::Hit, "{sql}");
+    assert_eq!(cold.trace.join_order, hit.trace.join_order, "{sql}");
+    // Both runs equal the reference bit for bit, hence each other: sharding
+    // and the cache change nothing.
+    let want = reference(db, q, &cold.trace.join_order).expect(&sql);
+    for got in [&cold, &hit] {
+        assert_eq!(got.result, want.result, "{sql}");
+        assert_eq!(got.lineage, want.lineage, "lineage: {sql}");
+    }
+    cold
+}
 
 const STR_POOL: &[&str] = &["alpha", "beta", "gamma", "delta", "epsilon", "zeta", ""];
 const LIKE_PATTERNS: &[&str] = &["%a%", "a%", "%ta", "_e%", "%", "ga__a", "%z%"];
@@ -253,67 +284,6 @@ fn random_query(rng: &mut StdRng, db: &Database, ntables: usize) -> Query {
     }
 }
 
-fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
-    rows.sort();
-    rows
-}
-
-/// Run all executors on one (db, query) pair and cross-check them.
-fn check_one(db: &Database, q: &Query) {
-    let vec4 = execute_with_options(
-        db,
-        q,
-        ExecOptions {
-            mode: ExecMode::Vectorized,
-            shards: 4,
-            ..ExecOptions::default()
-        },
-    )
-    .unwrap();
-    let vec1 = execute_with_options(
-        db,
-        q,
-        ExecOptions {
-            mode: ExecMode::Vectorized,
-            shards: 1,
-            ..ExecOptions::default()
-        },
-    )
-    .unwrap();
-    let row = execute_with_options(db, q, ExecOptions::row_oriented()).unwrap();
-
-    // Sharding must not change anything, bit for bit.
-    assert_eq!(
-        vec4.result,
-        vec1.result,
-        "sharded vs sequential: {}",
-        q.to_sql()
-    );
-    assert_eq!(
-        vec4.lineage,
-        vec1.lineage,
-        "sharded lineage: {}",
-        q.to_sql()
-    );
-
-    // Vectorized and row-oriented share the plan: identical rows, order
-    // and lineage.
-    assert_eq!(vec4.result, row.result, "vectorized vs row: {}", q.to_sql());
-    assert_eq!(vec4.lineage, row.lineage, "lineage: {}", q.to_sql());
-
-    // Nested loop enumerates in a different order; compare as multisets.
-    // LIMIT without a total order is plan-dependent, so skip it there.
-    if q.limit.is_none() {
-        let nested = execute_nested_loop(db, q).unwrap();
-        assert_eq!(
-            sorted(vec4.result.rows.clone()),
-            sorted(nested.rows),
-            "vectorized vs nested loop: {}",
-            q.to_sql()
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -327,12 +297,11 @@ proptest! {
         add_random_table(&mut db, &mut rng, "t0", rows);
         for _ in 0..3 {
             let q = random_query(&mut rng, &db, 1);
-            check_one(&db, &q);
+            check(&db, &q);
         }
     }
 
-    /// Multi-table joins (hash + occasional cartesian residue) against the
-    /// exponential nested-loop reference.
+    /// Multi-table joins (hash + occasional cartesian residue).
     #[test]
     fn join_pipelines_agree(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -344,13 +313,26 @@ proptest! {
         }
         for _ in 0..2 {
             let q = random_query(&mut rng, &db, ntables);
-            check_one(&db, &q);
+            check(&db, &q);
         }
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Canonical-AST queries over the fixture: up to three bindings, joins
+    /// present or missing, OR/NOT trees, aggregates, ORDER BY, LIMIT.
+    #[test]
+    fn canonical_queries_agree(seed in any::<u64>()) {
+        let db = common::fixture_db();
+        let mut rng = StdRng::seed_from_u64(seed);
+        check(&db, &common::gen_query_upto(&mut rng, 3));
+    }
+}
+
 /// Deterministic spot-check: a selective range over a clustered column must
-/// prune most chunks yet return exactly the sequential/row-oriented answer.
+/// prune most chunks yet return exactly the reference answer.
 #[test]
 fn zone_pruning_preserves_results() {
     let mut db = Database::new();
@@ -366,7 +348,82 @@ fn zone_pruning_preserves_results() {
     let q =
         asqp_db::sql::parse("SELECT a.id FROM t0 a WHERE a.id BETWEEN 4000 AND 4100 AND a.c0 < 50")
             .unwrap();
-    check_one(&db, &q);
-    let out = db.execute(&q).unwrap();
-    assert!(!out.rows.is_empty());
+    assert!(!check(&db, &q).result.is_empty());
+}
+
+// --- Fixed pushdown-adversarial shapes ----------------------------------
+
+fn check_sql(db: &Database, sql: &str) -> QueryOutput {
+    check(db, &asqp_db::sql::parse(sql).unwrap())
+}
+
+/// Cross-binding comparison in WHERE stays a residual filter above the join;
+/// pushing it into either scan would drop rows.
+#[test]
+fn cross_binding_residual_filter_survives() {
+    let got = check_sql(
+        &common::fixture_db(),
+        "SELECT t.id, p.year FROM title AS t, person AS p \
+         WHERE t.id = p.id AND t.year < p.year",
+    );
+    assert!(!got.result.is_empty(), "fixture must exercise the residual");
+}
+
+/// LIMIT under ORDER BY must not truncate the scan: the top-k by sort key,
+/// ties included, has to match the reference exactly.
+#[test]
+fn limit_under_order_by_sorts_before_truncating() {
+    let db = common::fixture_db();
+    let got = check_sql(
+        &db,
+        "SELECT t.year FROM title AS t ORDER BY t.year DESC LIMIT 5",
+    );
+    assert_eq!(got.result.len(), 5);
+    assert_eq!(got.trace.scan_rows, [120], "the scan is not cut short");
+}
+
+/// LIMIT above DISTINCT counts distinct rows, not scanned rows.
+#[test]
+fn limit_above_distinct_counts_distinct_rows() {
+    let db = common::fixture_db();
+    let all = check_sql(&db, "SELECT DISTINCT t.kind FROM title AS t");
+    let got = check_sql(&db, "SELECT DISTINCT t.kind FROM title AS t LIMIT 2");
+    assert_eq!(got.result.rows, all.result.rows[..2]);
+}
+
+#[test]
+fn aggregate_over_join_matches_reference() {
+    let got = check_sql(
+        &common::fixture_db(),
+        "SELECT t.kind, COUNT(*), AVG(t.score) FROM title AS t, movie_cast AS mc \
+         WHERE t.id = mc.id GROUP BY t.kind ORDER BY t.kind",
+    );
+    assert!(got.result.len() > 1);
+}
+
+/// Single-binding LIMIT pushdown truncates the scan without changing the
+/// answer: scan order is table order, which is the reference's order.
+#[test]
+fn single_table_limit_pushdown_is_exact() {
+    let db = common::fixture_db();
+    let got = check_sql(
+        &db,
+        "SELECT t.id FROM title AS t WHERE t.year > 100 LIMIT 4",
+    );
+    assert_eq!(got.trace.scan_rows, [4], "the scan stopped at the limit");
+}
+
+/// NULL semantics under negation: `NOT (x < k)` must not resurrect NULL
+/// rows.
+#[test]
+fn negated_predicates_keep_null_semantics() {
+    let db = common::fixture_db();
+    let got = check_sql(&db, "SELECT t.id FROM title AS t WHERE NOT (t.year < 250)");
+    let nulls = check_sql(&db, "SELECT t.id FROM title AS t WHERE t.year IS NULL");
+    let rest = check_sql(&db, "SELECT t.id FROM title AS t WHERE t.year < 250");
+    assert!(!nulls.result.is_empty(), "fixture must have NULL years");
+    assert_eq!(
+        got.result.len() + rest.result.len() + nulls.result.len(),
+        120
+    );
 }
