@@ -2,7 +2,7 @@
 //! for executing queries.
 
 use crate::error::{DbError, DbResult};
-use crate::exec::{execute_with_options, ExecOptions, QueryOutput, ResultSet};
+use crate::exec::{execute_with_options, plan_and_execute, ExecOptions, QueryOutput, ResultSet};
 use crate::plan_cache::PlanCache;
 use crate::query::Query;
 use crate::schema::Schema;
@@ -330,9 +330,11 @@ impl Database {
         self.tables.values().map(|t| t.row_count()).sum()
     }
 
-    /// Execute a query AST.
+    /// Execute a query AST. Builds no lineage; ask
+    /// [`Database::execute_with_lineage`] for that.
     pub fn execute(&self, query: &Query) -> DbResult<ResultSet> {
-        Ok(self.execute_with_lineage(query)?.result)
+        let shards = ExecOptions::default().shards;
+        Ok(plan_and_execute(self, query, shards, false)?.result)
     }
 
     /// Execute and also report, per result row, which base-table rows

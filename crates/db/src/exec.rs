@@ -23,6 +23,7 @@ use crate::query::Query;
 use crate::value::{canonical_f64_bits, Row, Value};
 use asqp_telemetry as telemetry;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 pub(crate) mod aggregate;
 mod vector;
@@ -37,11 +38,17 @@ pub struct ExecOptions {
 }
 
 impl Default for ExecOptions {
+    /// One shard per hardware thread, read from the OS once per process:
+    /// `available_parallelism` re-reads cgroup files on every call, which
+    /// cost more than a whole scan of an approximation set.
     fn default() -> Self {
+        static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
         ExecOptions {
-            shards: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            shards: *HARDWARE_THREADS.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            }),
         }
     }
 }
@@ -105,23 +112,42 @@ pub struct ExecTrace {
 }
 
 /// Plan `query` through the shared plan cache and execute that plan.
-// asqp::panic-free-audited: bind, plan and execute index only by binding
-// indices and slots the binder allocated itself: a conjunct's bindings are
-// matched as a one-element slice before the element is used, and
-// `join_order` is a permutation of the bindings (built by `cost_order`, or
-// checked by `cache_valid` before a cached one is replayed)
 pub fn execute_with_options(
     db: &Database,
     query: &Query,
     opts: ExecOptions,
 ) -> DbResult<QueryOutput> {
+    plan_and_execute(db, query, opts.shards, true)
+}
+
+/// [`execute_with_options`], with the lineage on request: a caller that
+/// reads only the rows ([`Database::execute`]) passes `false` and gets
+/// `lineage` back empty.
+// asqp::panic-free-audited: bind, plan and execute index only by binding
+// indices and slots the binder allocated itself: a conjunct's bindings are
+// matched as a one-element slice before the element is used, and
+// `join_order` is a permutation of the bindings (built by `cost_order`, or
+// checked by `cache_valid` before a cached one is replayed)
+pub(crate) fn plan_and_execute(
+    db: &Database,
+    query: &Query,
+    shards: usize,
+    want_lineage: bool,
+) -> DbResult<QueryOutput> {
     let _exec_span = telemetry::span("db.execute");
-    execute(&plan_query(db, query)?, opts.shards)
+    execute_plan(&plan_query(db, query)?, shards, want_lineage)
 }
 
 /// Execute `plan`: its scans, its join order, its scan limit. Results
 /// (rows, order, lineage) do not depend on `shards`.
 pub fn execute(plan: &Plan, shards: usize) -> DbResult<QueryOutput> {
+    execute_plan(plan, shards, true)
+}
+
+/// The one executor. `want_lineage` decides only whether the projection
+/// keeps each result row's row-id tuple; rows, their order and the trace
+/// do not depend on it.
+fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<QueryOutput> {
     // Telemetry is per-stage, never per-row: with no recorder installed
     // each emission below is one relaxed atomic load.
     let bound = &plan.bound;
@@ -351,7 +377,9 @@ pub fn execute(plan: &Plan, shards: usize) -> DbResult<QueryOutput> {
             seen.insert(row.clone(), ());
         }
         rows.push(row);
-        lineage.push(t.clone());
+        if want_lineage {
+            lineage.push(t.clone());
+        }
     }
     telemetry::counter("db.rows_out", rows.len() as u64);
 

@@ -2,8 +2,10 @@
 //! must return exactly what the reference executor
 //! ([`asqp_db::testkit::reference`]) returns when it nests its loops in the
 //! join order the engine reports — same columns, same rows in the same
-//! order, same lineage, LIMIT included — whatever the shard count and
-//! whether the plan was made cold or replayed from the plan cache.
+//! order, same lineage, LIMIT included — whatever the shard count,
+//! whether the plan was made cold or replayed from the plan cache, and
+//! whether the caller asked for lineage (`execute_with_lineage`) or only
+//! for rows (`execute`).
 //!
 //! Two query generators feed it: a typed one over random schemas that
 //! spans every scan-kernel class plus the generic fallback (this file), and
@@ -36,10 +38,14 @@ fn check(db: &Database, q: &Query) -> QueryOutput {
     // Both runs equal the reference bit for bit, hence each other: sharding
     // and the cache change nothing.
     let want = reference(db, q, &cold.trace.join_order).expect(&sql);
-    for got in [&cold, &hit] {
+    // So do the catalog's two entry points at the default shard count: the
+    // rows-only one runs the same executor and skips only the lineage.
+    let with_lineage = db.execute_with_lineage(q).expect(&sql);
+    for got in [&cold, &hit, &with_lineage] {
         assert_eq!(got.result, want.result, "{sql}");
         assert_eq!(got.lineage, want.lineage, "lineage: {sql}");
     }
+    assert_eq!(db.execute(q).expect(&sql), want.result, "rows only: {sql}");
     cold
 }
 

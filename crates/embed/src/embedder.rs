@@ -191,23 +191,31 @@ fn literal_token(v: &Value) -> String {
 
 /// In-place L2 normalisation (no-op for the zero vector).
 pub fn l2_normalize(v: &mut [f32]) {
-    let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
-    if norm > 0.0 {
-        v.iter_mut().for_each(|x| *x /= norm);
+    let n = norm(v);
+    if n > 0.0 {
+        v.iter_mut().for_each(|x| *x /= n);
     }
 }
 
 /// Cosine similarity of two equal-length vectors (0 for zero vectors).
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
+    cosine_with_norms(a, norm(a), b, norm(b))
+}
+
+/// Euclidean norm, the squares summed left to right in `f32`.
+pub fn norm(a: &[f32]) -> f32 {
+    a.iter().map(|x| x * x).sum::<f32>().sqrt()
+}
+
+/// [`cosine`] for a caller that keeps `na = norm(a)` and `nb = norm(b)`:
+/// one pass instead of three, the same bits.
+pub fn cosine_with_norms(a: &[f32], na: f32, b: &[f32], nb: f32) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
-    let nb: f32 = b.iter().map(|x| x * x).sum::<f32>().sqrt();
     if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        (dot / (na * nb)).clamp(-1.0, 1.0)
+        return 0.0;
     }
+    let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+    (dot / (na * nb)).clamp(-1.0, 1.0)
 }
 
 /// Squared Euclidean distance.

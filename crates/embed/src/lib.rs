@@ -17,5 +17,5 @@ pub mod embedder;
 pub mod tokenize;
 
 pub use cluster::{kmeans, kmedoids, Clustering};
-pub use embedder::{cosine, l2_normalize, sq_dist, Embedder};
+pub use embedder::{cosine, cosine_with_norms, l2_normalize, norm, sq_dist, Embedder};
 pub use tokenize::{numeric_bucket, tokenize, with_bigrams};

@@ -100,6 +100,9 @@ pub struct Trainer {
     actor_opt: Adam,
     critic_opt: Adam,
     rng: StdRng,
+    /// Hardware threads, read once here: `update_minibatch` runs thousands
+    /// of times per training and the OS call re-reads cgroup files.
+    hardware_threads: usize,
 }
 
 impl Trainer {
@@ -115,6 +118,9 @@ impl Trainer {
             actor_opt,
             critic_opt,
             rng,
+            hardware_threads: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
         }
     }
 
@@ -303,11 +309,7 @@ impl Trainer {
             let threads = cfg
                 .num_workers
                 .min(shards.len())
-                .min(
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                )
+                .min(self.hardware_threads)
                 .max(1);
             if threads <= 1 {
                 shards

@@ -228,10 +228,10 @@ impl<B: SessionBackend> MtServer<B> {
             slot: Arc::clone(&slot),
         };
         match queue.try_push(job) {
-            Ok(()) => {
+            Ok(depth) => {
                 slot.counters.admitted.fetch_add(1, Ordering::Relaxed);
                 telemetry::counter("serve.admitted", 1);
-                telemetry::gauge("serve.queue.depth", queue.len() as f64);
+                telemetry::gauge("serve.queue.depth", depth as f64);
                 Ok(Ticket { request, rx })
             }
             Err(e) => {

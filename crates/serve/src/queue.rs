@@ -57,8 +57,9 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Non-blocking admission: `Overloaded` at depth, `ShuttingDown` after
-    /// close.
-    pub fn try_push(&self, item: T) -> Result<(), ServeError> {
+    /// close. Returns the queue length with `item` in it, so the submitter
+    /// need not take the lock again behind its own wake-up to report it.
+    pub fn try_push(&self, item: T) -> Result<usize, ServeError> {
         let mut st = self.lock();
         if st.closed {
             return Err(ServeError::ShuttingDown);
@@ -67,9 +68,10 @@ impl<T> AdmissionQueue<T> {
             return Err(ServeError::Overloaded { depth: self.depth });
         }
         st.items.push_back(item);
+        let len = st.items.len();
         drop(st);
         self.available.notify_one();
-        Ok(())
+        Ok(len)
     }
 
     /// Blocking worker-side pop. Returns `None` only when the queue is
