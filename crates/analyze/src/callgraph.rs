@@ -1,9 +1,7 @@
 //! Stage B: the workspace call graph and the interprocedural rules.
 //!
-//! Consumes the per-file [`FileSummary`] facts (possibly served from the
-//! incremental cache — summaries are pure functions of file bytes, so
-//! rules always run fresh here and rule changes never invalidate caches)
-//! and runs three fixpoints over the resolved graph:
+//! Consumes the per-file [`FileSummary`] facts and runs three fixpoints
+//! over the resolved graph:
 //!
 //! * `locks_touched` — which named lock fields each fn can acquire,
 //!   directly or through callees; combined with the held-guard sets from

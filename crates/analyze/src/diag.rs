@@ -95,7 +95,7 @@ impl Report {
 }
 
 /// Minimal JSON string escaping (control chars, quote, backslash).
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

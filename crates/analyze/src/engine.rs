@@ -624,7 +624,7 @@ mod tests {
             vec!["asqp_serve", "bin", "replay"]
         );
         assert!(file_module("crates/db/tests/sql_roundtrip.rs").is_none());
-        assert!(file_module("crates/nn/examples/matmul_micro.rs").is_none());
+        assert!(file_module("crates/rl/examples/ppo_profile.rs").is_none());
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! (human output) or with `--json` for the machine-readable report the
 //! CI `analyze` job uploads.
 
-pub mod cache;
 pub mod callgraph;
 pub mod diag;
 pub mod engine;
@@ -38,11 +37,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Stage A for one file: build the token model, extract the cacheable
-/// summary (fn facts, calls, lock acquisitions, panic sites), run the
-/// token-local rules and the taint pass, and fold malformed pragmas in
-/// as findings. The result is a pure function of `(rel_path, src)` —
-/// the property the incremental cache relies on.
+/// Stage A for one file: build the token model, extract the summary (fn
+/// facts, calls, lock acquisitions, panic sites), run the token-local
+/// rules and the taint pass, and fold malformed pragmas in as findings.
+/// The result is a pure function of `(rel_path, src)`.
 pub fn summarize_file(rel_path: &str, src: &str) -> FileSummary {
     let model = engine::build_model(rel_path, src);
     let mut sum = parse::summarize(&model);
@@ -193,55 +191,15 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Cache statistics from a workspace run (reported on stderr by the CLI
-/// so the JSON report stays byte-identical between cold and warm runs).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RunStats {
-    pub files: usize,
-    pub cache_hits: usize,
-    pub cache_misses: usize,
-}
-
-/// Run the full workspace gate from a workspace root, optionally backed
-/// by the per-file summary cache at `cache_path` (loaded before, saved
-/// after). The cache can only change *speed*, never findings: summaries
-/// are keyed by content hash and the workspace pass always runs fresh.
-pub fn analyze_workspace_with_cache(
-    root: &Path,
-    cache_path: Option<&Path>,
-) -> io::Result<(Report, RunStats)> {
-    let files = workspace_files(root)?;
-    let mut c = cache_path.map(cache::Cache::load).unwrap_or_default();
-    let mut sums = Vec::with_capacity(files.len());
-    for rel in &files {
-        let src = fs::read_to_string(root.join(rel))?;
-        let hash = cache::fnv1a(src.as_bytes());
-        let sum = match c.get(rel, hash) {
-            Some(s) => s,
-            None => {
-                let s = summarize_file(rel, &src);
-                c.put(rel, hash, s.clone());
-                s
-            }
-        };
-        sums.push(sum);
-    }
-    let stats = RunStats {
-        files: files.len(),
-        cache_hits: c.hits,
-        cache_misses: c.misses,
-    };
-    if let Some(path) = cache_path {
-        c.retain_files(&files);
-        // Best-effort: a read-only target/ dir must not fail the gate.
-        let _ = c.save(path);
-    }
-    Ok((analyze_summaries(&sums), stats))
-}
-
-/// Run the full workspace gate from a workspace root (no cache).
+/// Run the full workspace gate from a workspace root: Stage A over every
+/// scanned file, then Stage B over the summaries.
 pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
-    analyze_workspace_with_cache(root, None).map(|(r, _)| r)
+    let mut sums = Vec::new();
+    for rel in workspace_files(root)? {
+        let src = fs::read_to_string(root.join(&rel))?;
+        sums.push(summarize_file(&rel, &src));
+    }
+    Ok(analyze_summaries(&sums))
 }
 
 /// Walk upward from `start` to the directory whose `Cargo.toml` declares

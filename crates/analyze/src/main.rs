@@ -16,8 +16,6 @@ struct Args {
     root: Option<PathBuf>,
     json: bool,
     out: Option<PathBuf>,
-    cache: Option<PathBuf>,
-    no_cache: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -25,8 +23,6 @@ fn parse_args() -> Result<Args, String> {
         root: None,
         json: false,
         out: None,
-        cache: None,
-        no_cache: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -43,24 +39,16 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--out needs a path")?;
                 args.out = Some(PathBuf::from(v));
             }
-            "--cache" => {
-                let v = it.next().ok_or("--cache needs a path")?;
-                args.cache = Some(PathBuf::from(v));
-            }
-            "--no-cache" => args.no_cache = true,
             "--help" | "-h" => {
                 println!(
                     "asqp-analyze: determinism & panic-safety static analysis\n\n\
-                     USAGE: asqp-analyze [--workspace] [--root DIR] [--json] [--out FILE]\n\
-                            [--cache FILE | --no-cache]\n\n\
+                     USAGE: asqp-analyze [--workspace] [--root DIR] [--json] [--out FILE]\n\n\
                      Rules: nondet, iter-order, unordered-reduce, panic-path, float-libm,\n\
                      lock-order. panic-path and iter-order are interprocedural (workspace\n\
                      call graph); lock-order checks the documented state -> full_db order\n\
                      and lock-graph cycles. Suppress with `// asqp::allow(rule_id): reason`\n\
                      (unused allows error); audit opaque callees with\n\
                      `// asqp::panic-free-audited: reason`.\n\n\
-                     Per-file summaries are cached (default target/analyze-cache.json,\n\
-                     content-hash keyed); the cache never changes findings, only speed.\n\
                      Exit code 1 on any finding."
                 );
                 std::process::exit(0);
@@ -92,30 +80,19 @@ fn main() -> ExitCode {
         }
     };
 
-    let cache_path = if args.no_cache {
-        None
-    } else {
-        Some(
-            args.cache
-                .unwrap_or_else(|| root.join("target/analyze-cache.json")),
-        )
-    };
     let started = std::time::Instant::now();
-    let (report, stats) =
-        match asqp_analyze::analyze_workspace_with_cache(&root, cache_path.as_deref()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("asqp-analyze: io error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-    // Stats go to stderr only: stdout and --out must stay byte-identical
-    // between cold and warm runs (CI cmp-gates this).
+    let report = match asqp_analyze::analyze_workspace(&root) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("asqp-analyze: io error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    // The wall time goes to stderr only: stdout and --out are a pure
+    // function of the tree.
     eprintln!(
-        "asqp-analyze: {} file(s), cache {} hit(s) / {} miss(es), {:.0} ms",
-        stats.files,
-        stats.cache_hits,
-        stats.cache_misses,
+        "asqp-analyze: {} file(s), {:.0} ms",
+        report.files_scanned,
         started.elapsed().as_secs_f64() * 1000.0
     );
 

@@ -7,9 +7,9 @@
 //! call expressions, `.lock()`/`.read()`/`.write()` acquisitions on named
 //! fields, and `let`-bound guard lifetimes — and summarises each file into
 //! a [`FileSummary`] of plain facts. Summaries are pure functions of the
-//! file's bytes, which is what makes them cacheable (see `cache`): all
-//! cross-file reasoning (call resolution, fixpoints, lock graphs) happens
-//! later in `callgraph` and never needs to re-read source.
+//! file's bytes: all cross-file reasoning (call resolution, fixpoints,
+//! lock graphs) happens later in `callgraph` and never needs to re-read
+//! source.
 //!
 //! Known blind spots (documented in DESIGN.md §14): trait-object and
 //! closure calls are invisible to the call graph (the
@@ -110,7 +110,7 @@ pub struct FnFact {
     pub returns_tainted: bool,
 }
 
-/// An `asqp::allow` pragma, as a cacheable fact.
+/// An `asqp::allow` pragma, as a plain fact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowFact {
     pub rule: String,
@@ -119,7 +119,7 @@ pub struct AllowFact {
     pub target_line: usize,
 }
 
-/// The cacheable per-file summary: local findings (token-level rules,
+/// The per-file summary: local findings (token-level rules,
 /// taint, bad pragmas) plus the function facts Stage B consumes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FileSummary {

@@ -1,27 +1,31 @@
 //! # asqp-bench — experiment harness for the ASQP-RL paper
 //!
-//! One binary per table/figure (see DESIGN.md §4). Shared plumbing lives
-//! here: scale/seed selection from the environment, the paper's
-//! Score / setup / QueryAvg measurement protocol, ASCII tables, and JSON
-//! result dumps under `results/` (consumed when regenerating
-//! EXPERIMENTS.md).
+//! One binary, two verbs (DESIGN.md §4): `asqp-bench fig <id>|all|list`
+//! runs the paper's tables and figures from the one table in [`figures`];
+//! `asqp-bench ratios` is the in-process A/B perf check in [`ratios`].
+//! Absolute performance is reported by the `e2e/` package alone. Shared
+//! plumbing lives here: scale/seed selection from the environment, the
+//! [`Fixture`] the figures start from, the paper's Score / setup /
+//! QueryAvg measurement protocol, ASCII tables, and JSON result dumps
+//! under `results/` (the source of EXPERIMENTS.md).
 //!
-//! Every binary honours two environment variables:
+//! Every figure honours three environment variables:
 //!
 //! * `ASQP_SCALE` — `tiny` | `small` (default) | `medium` | an integer factor
 //! * `ASQP_SEED`  — experiment seed (default 7)
+//! * `ASQP_ZERO_TIMINGS` — `1` zeroes every reported wall-clock ([`timed`])
 
-use asqp_baselines::{Baseline, BaselineOutput};
+use asqp_baselines::Baseline;
 use asqp_core::{score_with_counts, AsqpConfig, FullCounts, MetricParams, TrainedModel};
 use asqp_data::Scale;
 use asqp_db::{Database, DbResult, Workload};
+use rand::SeedableRng;
 use serde::Serialize;
 use std::time::Instant;
 
-pub mod gate;
-pub mod measure;
+pub mod figures;
+pub mod ratios;
 pub mod report;
-pub mod workloads;
 
 pub use report::{print_table, save_json, Table as ReportTable};
 
@@ -32,20 +36,22 @@ pub struct BenchEnv {
     pub seed: u64,
 }
 
-/// When `ASQP_ZERO_TIMINGS=1`, the wall-clock fields of [`Measured`] are
-/// zeroed. Scores, tuple counts and rankings are already deterministic, so
-/// this makes experiment stdout and JSON byte-identical across runs — the
-/// CI determinism job runs each figure twice and diffs the outputs.
+/// When `ASQP_ZERO_TIMINGS=1`, every wall-clock a figure reports is zeroed.
+/// Scores, tuple counts and rankings are already deterministic, so this
+/// makes each figure's stdout and JSON byte-identical across runs and
+/// machines — CI re-derives the tiny-scale goldens in `goldens/` under it
+/// and `cmp`s them.
 pub fn zero_timings() -> bool {
     std::env::var("ASQP_ZERO_TIMINGS").map(|v| v == "1") == Ok(true)
 }
 
-fn wall_secs(s: f64) -> f64 {
-    if zero_timings() {
-        0.0
-    } else {
-        s
-    }
+/// Run `f`; return its value and the wall-clock seconds it took (`0.0`
+/// under [`zero_timings`]). The only clock a figure may read.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let value = f();
+    let secs = t0.elapsed().as_secs_f64();
+    (value, if zero_timings() { 0.0 } else { secs })
 }
 
 impl BenchEnv {
@@ -75,6 +81,95 @@ impl BenchEnv {
     }
 }
 
+/// The three generated datasets of §6.1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dataset {
+    Imdb,
+    Mas,
+    Flights,
+}
+
+impl Dataset {
+    pub fn name(self) -> &'static str {
+        match self {
+            Dataset::Imdb => "IMDB",
+            Dataset::Mas => "MAS",
+            Dataset::Flights => "FLIGHTS",
+        }
+    }
+
+    pub fn generate(self, scale: Scale, seed: u64) -> Database {
+        match self {
+            Dataset::Imdb => asqp_data::imdb::generate(scale, seed),
+            Dataset::Mas => asqp_data::mas::generate(scale, seed),
+            Dataset::Flights => asqp_data::flights::generate(scale, seed),
+        }
+    }
+
+    pub fn workload(self, n_queries: usize, seed: u64) -> Workload {
+        match self {
+            Dataset::Imdb => asqp_data::imdb::workload(n_queries, seed),
+            Dataset::Mas => asqp_data::mas::workload(n_queries, seed),
+            Dataset::Flights => asqp_data::flights::workload(n_queries, seed),
+        }
+    }
+}
+
+/// The 70/30 train/test split of a workload, seeded by the experiment seed.
+pub fn split(workload: &Workload, seed: u64) -> (Workload, Workload) {
+    workload.split(0.7, &mut rand::rngs::StdRng::seed_from_u64(seed))
+}
+
+/// What a figure starts from: the generated database, the train/test split
+/// of its workload, `|q(T)|` for the test queries, and the default budget.
+/// The four figures with no such preamble (4, 6, 7, 12) take only the
+/// [`Dataset`] and say why.
+pub struct Fixture {
+    pub db: Database,
+    pub train: Workload,
+    pub test: Workload,
+    pub counts: FullCounts,
+    pub k: usize,
+}
+
+impl Fixture {
+    pub fn load(dataset: Dataset, n_queries: usize, env: &BenchEnv) -> DbResult<Fixture> {
+        let db = dataset.generate(env.scale, env.seed);
+        let (train, test) = split(&dataset.workload(n_queries, env.seed), env.seed);
+        let counts = FullCounts::compute(&db, &test)?;
+        let k = env.default_k(&db);
+        Ok(Fixture {
+            db,
+            train,
+            test,
+            counts,
+            k,
+        })
+    }
+
+    /// [`measure_asqp`] trained on `train` (the fixture's own split or a
+    /// truncation of it), scored on the fixture's test queries.
+    pub fn asqp(
+        &self,
+        train: &Workload,
+        cfg: &AsqpConfig,
+        name: &str,
+    ) -> DbResult<(Measured, TrainedModel)> {
+        measure_asqp(&self.db, train, &self.test, &self.counts, cfg, name)
+    }
+
+    /// [`measure_baseline`] on this fixture's split.
+    pub fn baseline(
+        &self,
+        k: usize,
+        params: MetricParams,
+        baseline: &mut dyn Baseline,
+    ) -> DbResult<Measured> {
+        let (train, test) = (&self.train, &self.test);
+        measure_baseline(&self.db, train, test, &self.counts, k, params, baseline)
+    }
+}
+
 /// One measured row of the Fig. 2 table.
 #[derive(Debug, Clone, Serialize)]
 pub struct Measured {
@@ -99,10 +194,12 @@ pub fn measure_baseline(
     params: MetricParams,
     baseline: &mut dyn Baseline,
 ) -> DbResult<Measured> {
-    let t0 = Instant::now();
-    let output = baseline.build(db, train_w, k, params)?;
-    let approx = output.materialize(db)?;
-    let setup_secs = wall_secs(t0.elapsed().as_secs_f64());
+    let (built, setup_secs) = timed(|| {
+        let output = baseline.build(db, train_w, k, params)?;
+        let approx = output.materialize(db)?;
+        DbResult::Ok((output, approx))
+    });
+    let (output, approx) = built?;
 
     let score = score_with_counts(&approx, test_w, test_counts, params)?;
     let query_avg_secs = time_ten_queries(&approx, test_w)?;
@@ -124,10 +221,12 @@ pub fn measure_asqp(
     cfg: &AsqpConfig,
     name: &str,
 ) -> DbResult<(Measured, TrainedModel)> {
-    let t0 = Instant::now();
-    let model = asqp_core::train(db, train_w, cfg)?;
-    let approx = model.materialize(db, None)?;
-    let setup_secs = wall_secs(t0.elapsed().as_secs_f64());
+    let (built, setup_secs) = timed(|| {
+        let model = asqp_core::train(db, train_w, cfg)?;
+        let approx = model.materialize(db, None)?;
+        DbResult::Ok((model, approx))
+    });
+    let (model, approx) = built?;
 
     let params = cfg.metric_params();
     let score = score_with_counts(&approx, test_w, test_counts, params)?;
@@ -149,11 +248,9 @@ pub fn time_ten_queries(approx: &Database, w: &Workload) -> DbResult<f64> {
     if w.is_empty() {
         return Ok(0.0);
     }
-    let t0 = Instant::now();
-    for q in w.queries.iter().cycle().take(10) {
-        approx.execute(q)?;
-    }
-    Ok(wall_secs(t0.elapsed().as_secs_f64()))
+    let mut ten = w.queries.iter().cycle().take(10);
+    let (ran, secs) = timed(|| ten.try_for_each(|q| approx.execute(q).map(drop)));
+    ran.map(|()| secs)
 }
 
 /// An ASQP config tuned to finish the full experiment suite at `scale` in
@@ -184,28 +281,18 @@ pub fn scaled_config(env: &BenchEnv, k: usize, frame: usize) -> AsqpConfig {
     cfg
 }
 
-/// Baseline work budgets (the paper's 48-hour caps scaled to the harness:
-/// BRT and GRE always exhaust their budget, exactly as in the paper).
-/// Counted in candidate evaluations, not wall-clock, so every figure is
-/// byte-identical across runs and machines.
-pub fn brute_force_draws(env: &BenchEnv) -> usize {
-    match env.scale {
-        Scale::Tiny => 120,
-        _ => 60,
-    }
-}
-
-pub fn greedy_evals(env: &BenchEnv) -> usize {
-    match env.scale {
-        Scale::Tiny => 6_000,
-        _ => 12_000,
-    }
-}
-
 /// The full Fig. 2 baseline roster (selection + generative baselines).
+/// BRT and GRE get work budgets — the paper's 48-hour caps scaled to the
+/// harness; both always exhaust them, exactly as in the paper — counted in
+/// candidate evaluations, not wall-clock, so every figure is byte-identical
+/// across runs and machines.
 pub fn baseline_roster(env: &BenchEnv) -> Vec<Box<dyn Baseline>> {
     use asqp_baselines::*;
     let seed = env.seed;
+    let (draws, max_evals) = match env.scale {
+        Scale::Tiny => (120, 6_000),
+        _ => (60, 12_000),
+    };
     vec![
         Box::new(GenerativeVae {
             seed,
@@ -218,18 +305,13 @@ pub fn baseline_roster(env: &BenchEnv) -> Vec<Box<dyn Baseline>> {
         Box::new(QuickR { seed }),
         Box::new(Verdict { seed }),
         Box::new(Skyline),
-        Box::new(BruteForce {
-            seed,
-            draws: brute_force_draws(env),
-        }),
+        Box::new(BruteForce { seed, draws }),
         Box::new(QueryResultDiversification {
             seed,
             sample_per_table: 1500,
         }),
         Box::new(TopQueried { seed }),
-        Box::new(Greedy {
-            max_evals: greedy_evals(env),
-        }),
+        Box::new(Greedy { max_evals }),
     ]
 }
 
@@ -263,11 +345,6 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Re-export for binaries that need to materialise baseline output.
-pub fn materialize(db: &Database, out: &BaselineOutput) -> DbResult<Database> {
-    out.materialize(db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,15 +352,14 @@ mod tests {
 
     #[test]
     fn measurement_protocol_runs() {
-        let db = asqp_data::imdb::generate(Scale::Tiny, 1);
-        let w = asqp_data::imdb::workload(12, 1);
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let (train_w, test_w) = w.split(0.7, &mut rng);
-        let counts = FullCounts::compute(&db, &test_w).unwrap();
-        let params = MetricParams::new(20);
+        let env = BenchEnv {
+            scale: Scale::Tiny,
+            seed: 1,
+        };
+        let fx = Fixture::load(Dataset::Imdb, 12, &env).unwrap();
+        assert_eq!((fx.train.len(), fx.test.len()), (8, 4));
         let mut ran = RandomSampling { seed: 1 };
-        let m = measure_baseline(&db, &train_w, &test_w, &counts, 60, params, &mut ran).unwrap();
+        let m = fx.baseline(60, MetricParams::new(20), &mut ran).unwrap();
         assert_eq!(m.name, "RAN");
         assert!(m.setup_secs >= 0.0);
         assert!((0.0..=1.0).contains(&m.score));

@@ -1,7 +1,7 @@
-//! ASCII tables and JSON result persistence for the experiment binaries.
+//! ASCII tables and JSON result persistence for the figure runner.
 
-use serde::Serialize;
 use std::fmt::Write as _;
+use std::io::Write;
 use std::path::PathBuf;
 
 /// A simple column-aligned table.
@@ -54,30 +54,19 @@ impl Table {
     }
 }
 
-/// Render and print a table in one call.
-pub fn print_table(table: &Table) {
-    print!("{}", table.render());
+/// Render a table onto a figure's output stream.
+pub fn print_table(out: &mut dyn Write, table: &Table) -> std::io::Result<()> {
+    out.write_all(table.render().as_bytes())
 }
 
-/// Persist a JSON result under `results/<name>.json` (working directory),
+/// Persist a figure's JSON under `results/<name>.json` (working directory),
 /// creating the directory if needed. Errors are reported, not fatal — the
 /// printed table is the primary output.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let dir = PathBuf::from("results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create results/: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                eprintln!("[saved {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialise {name}: {e}"),
+pub fn save_json(name: &str, json: &str) {
+    let path = PathBuf::from("results").join(format!("{name}.json"));
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => eprintln!("[saved {}]", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
 }
 

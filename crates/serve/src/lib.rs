@@ -13,12 +13,13 @@
 //!   [`ServedSource::DegradedSubset`]). It reads no clock and runs no
 //!   query itself; each driver below hands it a [`ladder::Seam`].
 //! - [`MtServer`] — the only threaded server: tenants striped across
-//!   independent shard pools ([`TenantRegistry`]) behind bounded
+//!   independent shard pools from one tenant directory behind bounded
 //!   admission queues ([`ServeError::Overloaded`] backpressure),
 //!   copy-on-write approximation-set sharing per workload cluster
 //!   (`asqp_core::CowSession`), single-flight shared-scan batching
 //!   ([`ScanBatcher`]) keyed by the exact query text, and exact
-//!   per-tenant accounting. One session is one tenant on one shard.
+//!   per-tenant accounting. One session is one tenant on one shard; a
+//!   backend that panics fails its own request and the worker lives on.
 //! - [`FaultPlan`] — seeded, hash-based fault injection (transient
 //!   errors, latency spikes, a stalled worker) whose every decision is a
 //!   pure function of `(seed, request, attempt)`.
@@ -71,4 +72,4 @@ pub use sim::{run_sim, SimConfig, SimReport};
 pub use stream::{
     run_stream, stream_fixture, LiveBackend, StreamConfig, StreamReport, StreamStats,
 };
-pub use tenant::{StripedAllocator, TenantCounters, TenantId, TenantRegistry, TenantStats};
+pub use tenant::{StripedAllocator, TenantCounters, TenantId, TenantStats};

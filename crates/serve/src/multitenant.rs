@@ -9,8 +9,11 @@
 //!
 //! - **Sharding** — tenants are dealt across independent shard pools
 //!   (own [`AdmissionQueue`], own workers) by the deterministic striped
-//!   policy in [`TenantRegistry`]; one hot shard backs up without
+//!   policy ([`least_loaded`]); one hot shard backs up without
 //!   stalling the rest. One session is one tenant on one shard.
+//! - **One tenant directory** — placement, group, counters and (while
+//!   registered) the backend live in one map entry per tenant behind one
+//!   lock, next to the per-shard loads the policy balances.
 //! - **COW set sharing** — each tenant registers its *own*
 //!   [`SessionBackend`] (typically an `asqp_core::CowSession` over a
 //!   cluster-shared base), so memory scales with clusters, not tenants;
@@ -33,10 +36,11 @@ use crate::event::{EventKind, ServerStats};
 use crate::fault::FaultPlan;
 use crate::ladder::{self, Seam};
 use crate::queue::AdmissionQueue;
-use crate::tenant::{TenantCounters, TenantId, TenantRegistry, TenantStats};
-use asqp_db::{DbResult, Query, ResultSet};
+use crate::tenant::{least_loaded, TenantCounters, TenantId, TenantStats};
+use asqp_db::{DbError, DbResult, Query, ResultSet};
 use asqp_telemetry as telemetry;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
@@ -94,6 +98,38 @@ struct TenantSlot<B> {
     counters: Arc<TenantCounters>,
 }
 
+/// A tenant's directory entry: what requests run against while it is
+/// registered, and what its accounting needs once it has left.
+enum TenantEntry<B> {
+    Active(Arc<TenantSlot<B>>),
+    Departed {
+        shard: usize,
+        group: u64,
+        counters: Arc<TenantCounters>,
+    },
+}
+
+impl<B> TenantEntry<B> {
+    /// The tenant's accounting under its current (or last) placement.
+    fn stats(&self) -> TenantStats {
+        match self {
+            TenantEntry::Active(slot) => slot.counters.snapshot(slot.shard, slot.group),
+            TenantEntry::Departed {
+                shard,
+                group,
+                counters,
+            } => counters.snapshot(*shard, *group),
+        }
+    }
+}
+
+/// Every tenant ever registered plus the active tenants per shard, kept in
+/// step because nothing can change one without holding the other.
+struct Directory<B> {
+    tenants: BTreeMap<TenantId, TenantEntry<B>>,
+    loads: Vec<usize>,
+}
+
 struct MtJob<B> {
     request: u64,
     query: Query,
@@ -113,8 +149,7 @@ struct MtShared<B> {
 /// The sharded multi-tenant front-end.
 pub struct MtServer<B: SessionBackend> {
     shared: Arc<MtShared<B>>,
-    registry: Arc<TenantRegistry>,
-    slots: RwLock<BTreeMap<TenantId, Arc<TenantSlot<B>>>>,
+    directory: RwLock<Directory<B>>,
     next_request: AtomicU64,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -148,18 +183,25 @@ impl<B: SessionBackend> MtServer<B> {
                 workers.push(handle);
             }
         }
-        let registry = Arc::new(TenantRegistry::new(shared.config.shards));
+        let directory = RwLock::new(Directory {
+            tenants: BTreeMap::new(),
+            loads: vec![0; shared.config.shards],
+        });
         MtServer {
             shared,
-            registry,
-            slots: RwLock::new(BTreeMap::new()),
+            directory,
             next_request: AtomicU64::new(0),
             workers: Mutex::new(workers),
         }
     }
 
-    fn slots(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<TenantId, Arc<TenantSlot<B>>>> {
-        self.slots.read().unwrap_or_else(|p| p.into_inner())
+    // Poison recovery: every write leaves the map and the loads valid.
+    fn directory(&self) -> std::sync::RwLockReadGuard<'_, Directory<B>> {
+        self.directory.read().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn directory_mut(&self) -> std::sync::RwLockWriteGuard<'_, Directory<B>> {
+        self.directory.write().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Register `tenant` under COW cluster `group` with its own backend
@@ -172,17 +214,18 @@ impl<B: SessionBackend> MtServer<B> {
     /// allocated stripe and the new backend/group, while its lifetime
     /// counters carry over.
     pub fn register_tenant(&self, tenant: TenantId, group: u64, backend: B) -> usize {
-        // One write-locked section from the check to the insert: the
-        // registry overwrites an entry's group, so a racing first
-        // registration that lost the slot must not reach it.
-        let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
-        if let Some(slot) = slots.get(&tenant) {
-            return slot.shard;
+        // One write-locked section from the check to the insert, so racing
+        // first registrations of one tenant agree on who won.
+        let mut dir = self.directory_mut();
+        let counters = match dir.tenants.get(&tenant) {
+            Some(TenantEntry::Active(slot)) => return slot.shard,
+            Some(TenantEntry::Departed { counters, .. }) => Arc::clone(counters),
+            None => Arc::default(),
+        };
+        let shard = least_loaded(&dir.loads);
+        if let Some(load) = dir.loads.get_mut(shard) {
+            *load += 1;
         }
-        // `register` hands back the entry's counters directly (never a
-        // fabricated orphan), so a returning tenant's accounting stays
-        // lossless across the departure round trip.
-        let (shard, counters) = self.registry.register(tenant, group);
         telemetry::counter("serve.tenants", 1);
         let slot = TenantSlot {
             group,
@@ -190,17 +233,30 @@ impl<B: SessionBackend> MtServer<B> {
             backend,
             counters,
         };
-        slots.insert(tenant, Arc::new(slot));
+        dir.tenants
+            .insert(tenant, TenantEntry::Active(Arc::new(slot)));
         shard
     }
 
-    /// Deregister `tenant`: frees its stripe for future arrivals and
-    /// refuses new submissions; accounting for its served requests
-    /// survives in the registry snapshot.
+    /// Deregister `tenant`: frees its stripe for future arrivals, drops its
+    /// backend and refuses new submissions; accounting for its served
+    /// requests survives in the directory.
     pub fn depart_tenant(&self, tenant: TenantId) -> Option<usize> {
-        let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
-        slots.remove(&tenant)?;
-        self.registry.depart(tenant)
+        let mut dir = self.directory_mut();
+        let entry = dir.tenants.get_mut(&tenant)?;
+        let TenantEntry::Active(slot) = entry else {
+            return None;
+        };
+        let shard = slot.shard;
+        *entry = TenantEntry::Departed {
+            shard,
+            group: slot.group,
+            counters: Arc::clone(&slot.counters),
+        };
+        if let Some(load) = dir.loads.get_mut(shard) {
+            *load = load.saturating_sub(1);
+        }
+        Some(shard)
     }
 
     /// Submit a query on behalf of `tenant`. Fails synchronously with
@@ -211,9 +267,9 @@ impl<B: SessionBackend> MtServer<B> {
         if self.shared.draining.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        let slot = match self.slots().get(&tenant) {
-            Some(slot) => Arc::clone(slot),
-            None => return Err(ServeError::UnknownTenant { tenant }),
+        let slot = match self.directory().tenants.get(&tenant) {
+            Some(TenantEntry::Active(slot)) => Arc::clone(slot),
+            _ => return Err(ServeError::UnknownTenant { tenant }),
         };
         let Some(queue) = self.shared.queues.get(slot.shard) else {
             return Err(ServeError::UnknownTenant { tenant });
@@ -251,19 +307,24 @@ impl<B: SessionBackend> MtServer<B> {
         self.submit(tenant, query)?.wait()
     }
 
-    /// The tenant directory (placement + per-tenant accounting).
-    pub fn registry(&self) -> &Arc<TenantRegistry> {
-        &self.registry
+    /// Deterministic accounting snapshot of every tenant ever registered,
+    /// keyed by tenant id.
+    pub fn snapshot(&self) -> BTreeMap<TenantId, TenantStats> {
+        let dir = self.directory();
+        dir.tenants.iter().map(|(&t, e)| (t, e.stats())).collect()
     }
 
     /// Accounting snapshot for one tenant.
     pub fn tenant_stats(&self, tenant: TenantId) -> Option<TenantStats> {
-        self.registry.snapshot().remove(&tenant)
+        self.directory()
+            .tenants
+            .get(&tenant)
+            .map(TenantEntry::stats)
     }
 
     /// Aggregate counters across all tenants.
     pub fn stats(&self) -> ServerStats {
-        self.registry.snapshot().values().sum()
+        self.snapshot().values().sum()
     }
 
     /// Subset executions saved by shared-scan batching.
@@ -386,29 +447,46 @@ fn process<B: SessionBackend>(shared: &MtShared<B>, job: MtJob<B>) {
         reply,
         slot,
     } = job;
-    let decision = slot.backend.plan(&query);
-    let mut seam = Request {
-        shared,
-        slot: &slot,
-        query: &query,
-        admitted_at,
-    };
-    let cfg = &shared.config;
-    let served = ladder::serve(
-        &mut seam,
-        &cfg.retry,
-        &cfg.faults,
-        request,
-        decision.answerable,
-    );
-    if served.is_ok() {
-        let _ = slot.backend.finish(&query, &decision);
-        // `finish` may have crossed the tenant's drift trigger and forked
-        // its COW session.
-        if slot.backend.share_epoch() != 0 {
-            slot.counters.forked.store(1, Ordering::Relaxed);
+    // A backend that panics costs its request, not the worker: with one
+    // worker per shard a dead thread would admit every later request and
+    // answer none. `served` is set once the ladder has counted the
+    // resolution, so an unwind is counted exactly when nothing else was.
+    let mut served = None;
+    let walked = catch_unwind(AssertUnwindSafe(|| {
+        let decision = slot.backend.plan(&query);
+        let mut seam = Request {
+            shared,
+            slot: &slot,
+            query: &query,
+            admitted_at,
+        };
+        let cfg = &shared.config;
+        let outcome = ladder::serve(
+            &mut seam,
+            &cfg.retry,
+            &cfg.faults,
+            request,
+            decision.answerable,
+        );
+        if served.insert(outcome).is_ok() {
+            let _ = slot.backend.finish(&query, &decision);
+            // `finish` may have crossed the tenant's drift trigger and forked
+            // its COW session.
+            if slot.backend.share_epoch() != 0 {
+                slot.counters.forked.store(1, Ordering::Relaxed);
+            }
         }
-    }
+    }));
+    let served = served.unwrap_or_else(|| {
+        slot.counters.fatal.fetch_add(1, Ordering::Relaxed);
+        telemetry::counter("serve.fatal", 1);
+        let message = walked.as_ref().err().and_then(|payload| {
+            let text = payload.downcast_ref::<&str>().copied();
+            text.or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        });
+        let what = message.unwrap_or("opaque payload");
+        Err(DbError::Interrupted(format!("backend panicked: {what}")))
+    });
     // A dropped receiver means the client gave up waiting; the request
     // still counted as resolved above.
     let _ = reply.send(match served {
@@ -428,33 +506,72 @@ mod tests {
     use crate::backend::MirrorBackend;
     use std::sync::Barrier;
 
-    /// Regression: two racing first registrations of one tenant under
-    /// different groups left the registry reporting one group while the
-    /// slot coalesced scans under the other (a fifth of the tenants here,
-    /// before the check and the registry call shared one locked section).
+    /// Two racing first registrations of one tenant under different groups
+    /// must agree on who won: both see the winner's shard, the entry carries
+    /// one of the two groups, and the tenant is placed exactly once.
     #[test]
     fn racing_first_registrations_agree_on_the_group() {
         const TENANTS: u64 = 2_000;
         let db = Arc::new(asqp_db::Database::new());
         let server = MtServer::start(MtConfig::default());
         let barrier = Barrier::new(2);
-        std::thread::scope(|s| {
-            for group in [1u64, 2] {
-                let (server, barrier, db) = (&server, &barrier, &db);
-                s.spawn(move || {
-                    for tenant in 0..TENANTS {
-                        barrier.wait();
-                        let backend = MirrorBackend::single(Arc::clone(db), 50);
-                        server.register_tenant(tenant, group, backend);
-                    }
-                });
-            }
+        let shards: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let racers: Vec<_> = [1u64, 2]
+                .into_iter()
+                .map(|group| {
+                    let (server, barrier, db) = (&server, &barrier, &db);
+                    s.spawn(move || {
+                        let register = |tenant| {
+                            barrier.wait();
+                            let backend = MirrorBackend::single(Arc::clone(db), 50);
+                            server.register_tenant(tenant, group, backend)
+                        };
+                        (0..TENANTS).map(register).collect()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
         });
-        let snapshot = server.registry.snapshot();
-        for (tenant, slot) in server.slots().iter() {
-            let registered = snapshot.get(tenant).map(|stats| stats.group);
-            assert_eq!(registered, Some(slot.group), "tenant {tenant}");
-        }
+        assert_eq!(shards[0], shards[1], "both racers see the winner's shard");
+        let snapshot = server.snapshot();
         assert_eq!(snapshot.len() as u64, TENANTS);
+        for (tenant, stats) in &snapshot {
+            assert_eq!(stats.shard, shards[0][*tenant as usize], "tenant {tenant}");
+            assert!([1, 2].contains(&stats.group), "tenant {tenant}");
+        }
+        let loads = server.directory().loads.clone();
+        assert_eq!(loads.iter().sum::<usize>() as u64, TENANTS);
+    }
+
+    /// After depart + re-register the entry reports the freshly allocated
+    /// stripe and group, not the stale ones — while the counters carry over.
+    #[test]
+    fn reregistration_after_departure_resyncs_placement() {
+        let db = Arc::new(asqp_db::Database::new());
+        let backend = || MirrorBackend::single(Arc::clone(&db), 50);
+        let server = MtServer::start(MtConfig {
+            shards: 2,
+            ..MtConfig::default()
+        });
+        let s1 = server.register_tenant(1, 10, backend());
+        server.register_tenant(2, 10, backend());
+        server.register_tenant(3, 10, backend());
+        if let Some(TenantEntry::Active(slot)) = server.directory().tenants.get(&1) {
+            slot.counters.admitted.fetch_add(5, Ordering::Relaxed);
+        }
+        assert_eq!(server.depart_tenant(1), Some(s1));
+        assert_eq!(server.depart_tenant(1), None, "already gone");
+        let gone = server.tenant_stats(1).expect("entry retained");
+        assert_eq!((gone.shard, gone.group, gone.admitted), (s1, 10, 5));
+        // Tenant 4 fills the freed stripe; tenant 1 then lands elsewhere.
+        server.register_tenant(4, 10, backend());
+        let s1b = server.register_tenant(1, 11, backend());
+        assert_ne!(
+            s1b, s1,
+            "this layout re-places tenant 1 on the other stripe"
+        );
+        let back = server.tenant_stats(1).expect("entry retained");
+        assert_eq!((back.shard, back.group, back.admitted), (s1b, 11, 5));
+        assert_eq!(server.directory().loads, [2, 2]);
     }
 }

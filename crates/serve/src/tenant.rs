@@ -15,8 +15,10 @@
 //!    consistent-hashing rehash storm), and later arrivals refill the
 //!    emptied stripes first.
 //!
-//! [`TenantRegistry`] wraps the allocator with thread-safe per-tenant
-//! counters. Rejections are attributed to the *rejecting tenant* — the
+//! [`StripedAllocator`] is the policy with its own tenant map, which is all
+//! the multi-tenant simulator needs; the threaded server keeps placement in
+//! its one tenant directory and shares only [`least_loaded`]. Per-tenant
+//! [`TenantCounters`] attribute rejections to the *rejecting tenant* — the
 //! fix for the global `AdmissionQueue` rejection counter, which under
 //! sharding could not say whose requests were shed — so per-tenant
 //! `admitted + rejected` always equals that tenant's submissions and the
@@ -25,11 +27,17 @@
 use crate::event::ServerStats;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Tenant identity: opaque to the serving layer, dense ids in the
 /// simulator.
 pub type TenantId = u64;
+
+/// The striped policy's one decision: the least-loaded stripe, lowest index
+/// on ties (`0` for an empty slice).
+pub fn least_loaded(loads: &[usize]) -> usize {
+    let least = loads.iter().enumerate().min_by_key(|&(_, &load)| load);
+    least.map_or(0, |(idx, _)| idx)
+}
 
 /// Deterministic striped tenant→shard allocation.
 #[derive(Debug, Clone)]
@@ -79,14 +87,7 @@ impl StripedAllocator {
         if let Some(&shard) = self.assignment.get(&tenant) {
             return shard;
         }
-        let mut best = 0usize;
-        let mut best_load = usize::MAX;
-        for (idx, &l) in self.load.iter().enumerate() {
-            if l < best_load {
-                best = idx;
-                best_load = l;
-            }
-        }
+        let best = least_loaded(&self.load);
         if let Some(l) = self.load.get_mut(best) {
             *l += 1;
         }
@@ -130,7 +131,27 @@ pub struct TenantCounters {
     pub forked: AtomicU64,
 }
 
-/// Snapshot of one tenant's accounting (see [`TenantRegistry::snapshot`]).
+impl TenantCounters {
+    /// This tenant's accounting right now, under its placement.
+    pub fn snapshot(&self, shard: usize, group: u64) -> TenantStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        TenantStats {
+            shard,
+            group,
+            admitted: load(&self.admitted),
+            rejected: load(&self.rejected),
+            resolved_subset: load(&self.resolved_subset),
+            resolved_full: load(&self.resolved_full),
+            degraded: load(&self.degraded),
+            retries: load(&self.retries),
+            fatal: load(&self.fatal),
+            shared_scan_hits: load(&self.shared_scan_hits),
+            forked: load(&self.forked) != 0,
+        }
+    }
+}
+
+/// Snapshot of one tenant's accounting (see [`TenantCounters::snapshot`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantStats {
     pub shard: usize,
@@ -195,122 +216,6 @@ impl<'a> std::iter::Sum<&'a TenantStats> for ServerStats {
     }
 }
 
-struct TenantEntry {
-    shard: usize,
-    group: u64,
-    counters: Arc<TenantCounters>,
-}
-
-/// Thread-safe tenant directory: striped placement plus per-tenant
-/// accounting, shared between the submit path (admission/rejection
-/// attribution) and the shard workers (resolution attribution).
-pub struct TenantRegistry {
-    alloc: Mutex<StripedAllocator>,
-    tenants: Mutex<BTreeMap<TenantId, TenantEntry>>,
-}
-
-impl TenantRegistry {
-    pub fn new(shards: usize) -> TenantRegistry {
-        TenantRegistry {
-            alloc: Mutex::new(StripedAllocator::new(shards)),
-            tenants: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    fn alloc(&self) -> std::sync::MutexGuard<'_, StripedAllocator> {
-        // Poison recovery: the allocator is a map plus a counter vector,
-        // valid after any interrupted operation.
-        self.alloc.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn tenants(&self) -> std::sync::MutexGuard<'_, BTreeMap<TenantId, TenantEntry>> {
-        self.tenants.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Register `tenant` under approximation-set cluster `group`; returns
-    /// its shard and its counters (the registry's own `Arc`, so callers
-    /// can attribute outcomes without a fallible second lookup).
-    /// Idempotent for an active tenant; a tenant re-registering after a
-    /// departure gets a freshly allocated stripe, and its retained entry
-    /// is re-synced to the new shard and group — the counters survive the
-    /// round trip, but snapshots always report the actual placement.
-    pub fn register(&self, tenant: TenantId, group: u64) -> (usize, Arc<TenantCounters>) {
-        let shard = self.alloc().register(tenant);
-        let mut tenants = self.tenants();
-        let entry = tenants.entry(tenant).or_insert_with(|| TenantEntry {
-            shard,
-            group,
-            counters: Arc::new(TenantCounters::default()),
-        });
-        entry.shard = shard;
-        entry.group = group;
-        (shard, Arc::clone(&entry.counters))
-    }
-
-    /// Remove `tenant` from placement (its accounting survives so the
-    /// final transcript still covers departed tenants).
-    pub fn depart(&self, tenant: TenantId) -> Option<usize> {
-        self.alloc().depart(tenant)
-    }
-
-    /// The shard a registered tenant is placed on.
-    pub fn shard_of(&self, tenant: TenantId) -> Option<usize> {
-        self.alloc().shard_of(tenant)
-    }
-
-    /// This tenant's counters plus its shard and group, if registered.
-    pub fn lookup(&self, tenant: TenantId) -> Option<(usize, u64, Arc<TenantCounters>)> {
-        self.tenants()
-            .get(&tenant)
-            .map(|e| (e.shard, e.group, Arc::clone(&e.counters)))
-    }
-
-    /// Number of registered (ever-seen) tenants.
-    pub fn len(&self) -> usize {
-        self.tenants().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.tenants().is_empty()
-    }
-
-    /// Deterministic accounting snapshot, keyed by tenant id.
-    pub fn snapshot(&self) -> BTreeMap<TenantId, TenantStats> {
-        self.tenants()
-            .iter()
-            .map(|(&t, e)| {
-                let c = &e.counters;
-                (
-                    t,
-                    TenantStats {
-                        shard: e.shard,
-                        group: e.group,
-                        admitted: c.admitted.load(Ordering::Relaxed),
-                        rejected: c.rejected.load(Ordering::Relaxed),
-                        resolved_subset: c.resolved_subset.load(Ordering::Relaxed),
-                        resolved_full: c.resolved_full.load(Ordering::Relaxed),
-                        degraded: c.degraded.load(Ordering::Relaxed),
-                        retries: c.retries.load(Ordering::Relaxed),
-                        fatal: c.fatal.load(Ordering::Relaxed),
-                        shared_scan_hits: c.shared_scan_hits.load(Ordering::Relaxed),
-                        forked: c.forked.load(Ordering::Relaxed) != 0,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Canonical per-tenant accounting transcript (one line per tenant in
-    /// tenant-id order).
-    pub fn render_accounting(&self) -> String {
-        let mut out = String::new();
-        for (tenant, stats) in self.snapshot() {
-            out.push_str(&stats.render(tenant));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,49 +251,5 @@ mod tests {
         // The next arrival fills the stripe the departure emptied.
         assert_eq!(a.register(100), freed);
         assert_eq!(a.imbalance(), 0);
-    }
-
-    /// Regression (REVIEW): after depart + re-register, the retained
-    /// entry must report the freshly allocated stripe and group, not the
-    /// stale ones — while the counters carry over.
-    #[test]
-    fn reregistration_after_departure_resyncs_placement() {
-        let reg = TenantRegistry::new(2);
-        let (s1, c1) = reg.register(1, 10);
-        reg.register(2, 10);
-        reg.register(3, 10);
-        c1.admitted.fetch_add(5, Ordering::Relaxed);
-        reg.depart(1);
-        // Tenant 4 fills the freed stripe; tenant 1 then lands elsewhere.
-        reg.register(4, 10);
-        let (s1b, c1b) = reg.register(1, 11);
-        assert_ne!(
-            s1b, s1,
-            "this layout re-places tenant 1 on the other stripe"
-        );
-        assert!(Arc::ptr_eq(&c1, &c1b), "counters survive the round trip");
-        let snap = reg.snapshot();
-        let t1 = snap.get(&1).expect("entry retained");
-        assert_eq!(
-            (t1.shard, t1.group, t1.admitted),
-            (s1b, 11, 5),
-            "snapshot reports actual placement plus surviving counters"
-        );
-        assert_eq!(reg.shard_of(1), Some(s1b), "allocator and entry agree");
-    }
-
-    #[test]
-    fn registry_attributes_counters_per_tenant() {
-        let reg = TenantRegistry::new(2);
-        reg.register(7, 1);
-        reg.register(9, 1);
-        let (_, _, c7) = reg.lookup(7).expect("registered");
-        c7.admitted.fetch_add(3, Ordering::Relaxed);
-        c7.rejected.fetch_add(2, Ordering::Relaxed);
-        let snap = reg.snapshot();
-        assert_eq!(snap.get(&7).map(|s| (s.admitted, s.rejected)), Some((3, 2)));
-        assert_eq!(snap.get(&9).map(|s| (s.admitted, s.rejected)), Some((0, 0)));
-        let txt = reg.render_accounting();
-        assert!(txt.contains("tenant=7 shard=0 group=1 forked=0 admitted=3 rejected=2"));
     }
 }

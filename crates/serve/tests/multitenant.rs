@@ -6,8 +6,8 @@
 use asqp_data::{imdb, Scale};
 use asqp_db::Query;
 use asqp_serve::{
-    run_mt_sim, FaultPlan, MirrorBackend, MtConfig, MtServer, MtSimConfig, RetryPolicy, ServeError,
-    ServeResult,
+    run_mt_sim, FaultPlan, MirrorBackend, MtConfig, MtServer, MtSimConfig, RetryPolicy,
+    RouteDecision, ServeError, ServeResult, SessionBackend,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -93,7 +93,7 @@ fn concurrent_tenants_lose_nothing_and_account_exactly() {
         );
     }
 
-    let snapshot = server.registry().snapshot();
+    let snapshot = server.snapshot();
     assert_eq!(snapshot.len(), tenants.len());
     for (&t, stats) in &snapshot {
         let sub = submitted.get(&t).copied().unwrap_or(0);
@@ -167,7 +167,7 @@ fn rejections_are_attributed_to_the_submitting_tenant() {
     }
     server.shutdown();
 
-    let snap = server.registry().snapshot();
+    let snap = server.snapshot();
     let t1 = snap.get(&1).expect("tenant 1 registered");
     let t2 = snap.get(&2).expect("tenant 2 registered");
     assert_eq!(t1.rejected, rejected, "shed requests belong to tenant 1");
@@ -210,6 +210,72 @@ fn tenant_lifecycle_unknown_depart_reuse() {
     let s3 = server.register_tenant(3, 0, MirrorBackend::single(Arc::clone(&db), 100));
     assert_eq!(s3, s1);
     server.shutdown();
+}
+
+/// A backend that panics while answering queries over `LIMIT 13`.
+struct PanicsOnLimit13(MirrorBackend);
+
+impl SessionBackend for PanicsOnLimit13 {
+    fn plan(&self, q: &Query) -> RouteDecision {
+        self.0.plan(q)
+    }
+
+    fn answer_subset(&self, q: &Query) -> asqp_db::DbResult<asqp_db::ResultSet> {
+        assert_ne!(q.limit, Some(13), "marked query");
+        self.0.answer_subset(q)
+    }
+
+    fn answer_full(&self, q: &Query) -> asqp_db::DbResult<asqp_db::ResultSet> {
+        self.answer_subset(q)
+    }
+}
+
+/// A panicking backend costs its own request and nothing else: on one
+/// shard with one worker (the `e2e` configuration) the marked ticket
+/// resolves `Fatal`, the worker lives to answer the next query, and the
+/// tenant's accounting stays lossless. Before `process` caught the unwind
+/// the worker died and the second query was admitted and never answered,
+/// hence the timeout.
+#[test]
+fn panicking_backend_fails_its_request_and_keeps_the_worker() {
+    let server = Arc::new(MtServer::start(MtConfig {
+        shards: 1,
+        workers_per_shard: 1,
+        ..quiet_config()
+    }));
+    server.register_tenant(
+        1,
+        0,
+        PanicsOnLimit13(MirrorBackend::single(shared_db(), 100)),
+    );
+    let ordinary = test_queries(1).remove(0);
+    let mut marked = ordinary.clone();
+    marked.limit = Some(13);
+
+    // A detached client, so a wedged worker fails the test instead of
+    // hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = Arc::clone(&server);
+    std::thread::spawn(move || {
+        let first = client.query_blocking(1, marked);
+        let _ = tx.send((first, client.query_blocking(1, ordinary)));
+    });
+    let (first, second) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the shard's only worker is wedged");
+    match first {
+        Err(ServeError::Fatal(e)) => assert!(e.to_string().contains("backend panicked"), "{e}"),
+        other => panic!("marked query must resolve Fatal, got {other:?}"),
+    }
+    assert!(second.is_ok(), "the worker must survive: {second:?}");
+    server.shutdown();
+
+    let stats = server.tenant_stats(1).expect("registered");
+    assert_eq!(
+        (stats.admitted, stats.fatal, stats.resolved_subset),
+        (2, 1, 1)
+    );
+    assert!(stats.lossless());
 }
 
 /// Same-group tenants hammering one query concurrently behind a briefly
@@ -258,7 +324,7 @@ fn identical_inflight_scans_coalesce_across_tenants() {
     // 64 identical queries on 4 workers: with the single-flight window
     // this wide, some must have coalesced.
     let hits = server.shared_scan_hits();
-    let snap = server.registry().snapshot();
+    let snap = server.snapshot();
     let per_tenant_hits: u64 = snap.values().map(|s| s.shared_scan_hits).sum();
     assert_eq!(hits, per_tenant_hits, "batcher and tenant counters agree");
     let agg = server.stats();

@@ -26,11 +26,10 @@
 //!
 //! When no recorder is installed (the default), every free function is a
 //! single relaxed atomic load and a branch — no allocation, no clock read,
-//! no locking. Release-mode executor benchmarks stay within noise of an
-//! uninstrumented build (the `bench_report` oracle checks this). With the
-//! [`MemoryRecorder`] installed, emissions take a mutex; instrumentation in
-//! hot code is therefore *coarse* (per query / per scan / per shard), never
-//! per row.
+//! no locking. With the [`MemoryRecorder`] installed, emissions take a
+//! mutex; instrumentation in hot code is therefore *coarse* (per query / per
+//! scan / per shard), never per row, and the `e2e` benchmark reports what it
+//! costs as `telemetry.overhead_share`.
 //!
 //! ## Usage
 //!

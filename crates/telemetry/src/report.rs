@@ -1,6 +1,5 @@
 //! Serializable run-report types: what a [`crate::MemoryRecorder`] turns
-//! its state into, and what `bench_report` embeds in
-//! `results/bench_report.json`. All maps are `BTreeMap`s and all span
+//! its state into. All maps are `BTreeMap`s and all span
 //! children are sorted by first-seen order, so serialization is
 //! deterministic for a deterministic run.
 
@@ -55,8 +54,7 @@ impl HistogramReport {
     }
 }
 
-/// Everything one recorder saw: the artifact serialized into
-/// `results/bench_report.json` and diffed by the CI gate.
+/// Everything one recorder saw.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TelemetryReport {
     /// Root spans in first-seen order (one tree per instrumented entry
