@@ -14,6 +14,7 @@ use std::process::ExitCode;
 const USAGE: &str = "\
 usage: asqp-bench fig <id>   run one figure: stdout + results/<id>.json
        asqp-bench fig all    run every figure in table order; exit 1 if one fails
+                             (an error is reported and the rest run; a panic ends the suite)
        asqp-bench fig list   print `<id>\\t<title>` per figure
        asqp-bench ratios     time the A/B perf pairs; exit 1 under a floor
 env:   ASQP_SCALE=tiny|small|medium|<factor>  ASQP_SEED=<n>  ASQP_ZERO_TIMINGS=1";

@@ -76,8 +76,10 @@ pub fn run_one(fig: &Figure, env: &BenchEnv, out: &mut dyn Write) -> Result<(), 
     Ok(())
 }
 
-/// Run `figures` in order in this process; a failing figure is reported and
-/// the rest still run. Returns the ids that failed.
+/// Run `figures` in order in this process; a figure that returns an error is
+/// reported and the rest still run. Returns the ids that failed. A figure
+/// that *panics* takes the suite with it (the figures run in this process,
+/// not as children): rerun the ones after it by id.
 pub fn run_all(
     figures: &'static [Figure],
     env: &BenchEnv,
@@ -154,16 +156,6 @@ fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asqp_data::Scale;
-
-    fn ok(_: &BenchEnv, out: &mut dyn Write) -> FigResult {
-        writeln!(out, "ran")?;
-        Ok("[]".to_string())
-    }
-
-    fn failing(_: &BenchEnv, _: &mut dyn Write) -> FigResult {
-        Err("no such table".into())
-    }
 
     #[test]
     fn ids_are_unique_and_found() {
@@ -172,40 +164,5 @@ mod tests {
             assert!(FIGURES[..i].iter().all(|g| g.title != f.title));
         }
         assert!(find("fig01").is_none());
-    }
-
-    /// `fig all` keeps going past a failing figure and names it.
-    #[test]
-    fn run_all_reports_the_failing_figure() {
-        static TABLE: [Figure; 2] = [
-            Figure {
-                id: "broken",
-                title: "",
-                run: failing,
-            },
-            Figure {
-                id: "fine",
-                title: "",
-                run: ok,
-            },
-        ];
-        let env = BenchEnv {
-            scale: Scale::Tiny,
-            seed: 7,
-        };
-        // Figures save under the working directory; no other test of this
-        // binary depends on it.
-        let dir = std::env::temp_dir().join(format!("asqp-bench-all-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_current_dir(&dir).unwrap();
-        let mut out = Vec::new();
-        let failures = run_all(&TABLE, &env, &mut out).unwrap();
-        assert_eq!(failures, ["broken"]);
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("\n################ broken ################\n[broken finished in "));
-        assert!(text.contains("\n################ fine ################\nran\n[fine finished in "));
-        assert!(text.contains("; 1/2 experiments succeeded ================\n"));
-        assert_eq!(std::fs::read_to_string("results/fine.json").unwrap(), "[]");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
