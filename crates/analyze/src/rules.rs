@@ -60,7 +60,7 @@ impl Scope {
 /// Scored paths: Eq.-1 metric, the GSL/DRP environments, all of RL
 /// training, and query execution (cardinalities are rewards' raw input) —
 /// including planning: a wall-clock or ambient-randomness dependence in the
-/// optimizer or its plan cache would make join orders run-dependent.
+/// optimizer would make join orders run-dependent.
 pub const NONDET: Scope = Scope {
     applies: &[
         "asqp_core::metric",
@@ -69,7 +69,6 @@ pub const NONDET: Scope = Scope {
         "asqp_db::exec",
         "asqp_db::plan",
         "asqp_db::optimizer",
-        "asqp_db::plan_cache",
         // Multi-tenant placement and the multi-tenant simulator must be
         // pure functions of the seed: a clock or ambient-randomness read
         // would break the byte-identical double-run gate.
@@ -103,7 +102,6 @@ pub const ITER_ORDER: Scope = Scope {
         "asqp_db::exec",
         "asqp_db::plan",
         "asqp_db::optimizer",
-        "asqp_db::plan_cache",
         "asqp_db::stats",
         "asqp_telemetry",
         "asqp_bench",

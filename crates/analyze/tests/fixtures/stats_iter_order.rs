@@ -1,8 +1,8 @@
-//@path: crates/db/src/plan_cache.rs
-// Cache bookkeeping must not iterate hash structures: eviction order and
-// fingerprint accumulation would become run-dependent, so a "valid" cached
-// plan could differ between identical runs. The real cache uses BTreeMap
-// with a monotonic LRU tick for exactly this reason.
+//@path: crates/db/src/stats.rs
+// Statistics bookkeeping must not iterate hash structures: which entry goes
+// first and what a fingerprint accumulates would become run-dependent, and
+// with them the estimates join orders are chosen from. The real accumulator
+// counts values in a BTreeMap for exactly this reason.
 
 use std::collections::HashMap;
 

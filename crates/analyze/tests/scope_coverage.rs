@@ -119,7 +119,6 @@ const PANIC_OUT: &[&str] = &[
     "asqp_db::lib",
     "asqp_db::optimizer",
     "asqp_db::plan",
-    "asqp_db::plan_cache",
     "asqp_db::query",
     "asqp_db::schema",
     "asqp_db::sql",

@@ -1,4 +1,5 @@
-//! Prints the plan for a star join, cold and warm:
+//! Prints the plan for a star join, then runs it and prints it again with
+//! the actual cardinalities:
 //!
 //! ```text
 //! cargo run -p asqp-db --example explain

@@ -18,7 +18,7 @@ use crate::catalog::Database;
 use crate::error::DbResult;
 use crate::expr::Expr;
 use crate::optimizer::plan_query;
-use crate::plan::{Layout, Output, Plan, PlanCacheStatus};
+use crate::plan::{Layout, Output, Plan};
 use crate::query::Query;
 use crate::value::{canonical_f64_bits, Row, Value};
 use asqp_telemetry as telemetry;
@@ -88,16 +88,14 @@ pub struct QueryOutput {
     /// `binding_tables`. Empty when the query aggregates (no tuple-level
     /// provenance exists for aggregated outputs).
     pub lineage: Vec<Lineage>,
-    /// How this execution was planned and what it actually processed
-    /// (EXPLAIN ANALYZE renders estimated vs. actual from this).
+    /// What this execution actually processed (EXPLAIN ANALYZE renders it
+    /// next to the plan's estimates).
     pub trace: ExecTrace,
 }
 
-/// Observed execution facts, aligned with the optimizer's estimates.
+/// What an execution observed, aligned with the plan's estimates.
 #[derive(Debug, Clone, Default)]
 pub struct ExecTrace {
-    /// Whether the plan came from the shared plan cache.
-    pub cache: PlanCacheStatus,
     /// Binding indices in the order they were actually joined.
     pub join_order: Vec<usize>,
     /// Rows surviving each binding's filtered scan (FROM order).
@@ -105,13 +103,9 @@ pub struct ExecTrace {
     /// Intermediate size after each join step, before residual filters
     /// (aligned with `join_order[1..]`).
     pub join_rows: Vec<usize>,
-    /// The estimates the plan was chosen under, FROM order / join-step
-    /// order respectively.
-    pub est_scan_rows: Vec<f64>,
-    pub est_join_rows: Vec<f64>,
 }
 
-/// Plan `query` through the shared plan cache and execute that plan.
+/// Plan `query` from `db`'s statistics and execute that plan.
 pub fn execute_with_options(
     db: &Database,
     query: &Query,
@@ -126,8 +120,7 @@ pub fn execute_with_options(
 // asqp::panic-free-audited: bind, plan and execute index only by binding
 // indices and slots the binder allocated itself: a conjunct's bindings are
 // matched as a one-element slice before the element is used, and
-// `join_order` is a permutation of the bindings (built by `cost_order`, or
-// checked by `cache_valid` before a cached one is replayed)
+// `join_order` is a permutation of the bindings (built by `cost_order`)
 pub(crate) fn plan_and_execute(
     db: &Database,
     query: &Query,
@@ -312,12 +305,9 @@ fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<Quer
     inter = filter_intermediate(layout, inter, pending_residual.iter().map(|(e, _)| *e))?;
 
     let trace = ExecTrace {
-        cache: plan.cache,
         join_order: order.clone(),
         scan_rows: scans.iter().map(|s| s.len()).collect(),
         join_rows,
-        est_scan_rows: plan.est_scan_rows.clone(),
-        est_join_rows: plan.est_join_rows.clone(),
     };
     let binding_tables = layout
         .bindings

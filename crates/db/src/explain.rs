@@ -1,47 +1,31 @@
 //! Plan printer: renders a [`Plan`] with estimated (and, for `EXPLAIN
-//! ANALYZE`, actual) cardinalities plus plan-cache status.
+//! ANALYZE`, actual) cardinalities.
 //!
-//! [`explain`] costs the query from scratch without executing it or
-//! touching the plan cache; [`explain_analyze`] plans through the cache,
-//! executes *that plan* and renders it with the trace of that execution —
-//! what it prints is what ran.
+//! [`explain`] plans the query and prints the plan; [`explain_analyze`]
+//! plans it the same way, executes *that plan* and prints it with the trace
+//! of that execution. A plan is a function of the database's statistics and
+//! the query alone, so both print the plan any execution of the query runs.
 
 use crate::catalog::Database;
 use crate::error::DbResult;
 use crate::exec::{execute, ExecOptions, ExecTrace};
 use crate::expr::Expr;
-use crate::optimizer::{optimize, plan_query};
-use crate::plan::{bind, Bound, Output, Plan};
-use crate::plan_cache::normalized_key;
+use crate::optimizer::plan_query;
+use crate::plan::{Bound, Output, Plan};
 use crate::query::{Query, SelectItem};
 use std::fmt::Write as _;
 
-/// Render the plan a fresh optimization of `query` chooses, without
-/// executing it.
-///
-/// The header reports plan-cache temperature for this query shape: `warm`
-/// (an execution will replay a cached plan — chosen under whichever
-/// literals warmed it, which `EXPLAIN ANALYZE` shows) or `cold` (it will
-/// plan and populate the cache).
+/// Render the plan `query` gets on `db`, without executing it.
 pub fn explain(db: &Database, query: &Query) -> DbResult<String> {
-    let plan = optimize(db, bind(db, query)?)?;
-    // peek never refreshes the LRU tick: explaining a plan must not change
-    // eviction behaviour.
-    let cache = if db.plan_cache().peek(&normalized_key(query)) {
-        "warm"
-    } else {
-        "cold"
-    };
-    Ok(render(&plan, cache, None))
+    Ok(render(&plan_query(db, query)?, None))
 }
 
-/// Plan `query` through the cache, execute that plan (default executor
-/// configuration), and render it with actual cardinalities next to the
-/// estimates it was chosen under.
+/// Plan `query`, execute that plan (default executor configuration), and
+/// render it with actual cardinalities next to its estimates.
 pub fn explain_analyze(db: &Database, query: &Query) -> DbResult<String> {
     let plan = plan_query(db, query)?;
     let output = execute(&plan, ExecOptions::default().shards)?;
-    let mut out = render(&plan, plan.cache.as_str(), Some(&output.trace));
+    let mut out = render(&plan, Some(&output.trace));
     let _ = writeln!(out, "rows returned: {}", output.result.len());
     Ok(out)
 }
@@ -50,12 +34,12 @@ fn list<T: ToString>(items: impl Iterator<Item = T>, sep: &str) -> String {
     items.map(|i| i.to_string()).collect::<Vec<_>>().join(sep)
 }
 
-fn render(plan: &Plan, cache: &str, trace: Option<&ExecTrace>) -> String {
+fn render(plan: &Plan, trace: Option<&ExecTrace>) -> String {
     let bound = &plan.bound;
     let query = bound.query;
     let mut out = String::new();
     let _ = writeln!(out, "QUERY: {}", query.to_sql());
-    let _ = writeln!(out, "PLAN (cost-based, cache: {cache}):");
+    let _ = writeln!(out, "PLAN (cost-based):");
 
     // The fixed operator chain above the joins, outermost first.
     let mut chain: Vec<String> = Vec::new();
@@ -255,16 +239,6 @@ mod tests {
         assert!(plan.contains("Aggregate"), "{plan}");
         assert!(plan.contains("Limit 5"), "{plan}");
         assert!(plan.contains("Sort [b.x]"), "{plan}");
-    }
-
-    #[test]
-    fn cache_status_reflects_prior_planning() {
-        let db = db();
-        let q = parse("SELECT b.id FROM big b WHERE b.x = 4").unwrap();
-        assert!(explain(&db, &q).unwrap().contains("cache: cold"));
-        db.execute(&q).unwrap(); // populates the shared cache
-        let plan = explain(&db, &q).unwrap();
-        assert!(plan.contains("cache: warm"), "{plan}");
     }
 
     #[test]

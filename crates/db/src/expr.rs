@@ -213,8 +213,8 @@ impl Expr {
     }
 
     /// Rebuild this node with `f` applied to each direct child expression;
-    /// leaves come back as clones. The one structural recursion every
-    /// tree-to-tree rewrite (binding, literal parameterization) goes through.
+    /// leaves come back as clones. The one structural recursion a
+    /// tree-to-tree rewrite (binding) goes through.
     pub fn map_children<E>(&self, f: &mut impl FnMut(&Expr) -> Result<Expr, E>) -> Result<Expr, E> {
         let mut child = |e: &Expr| f(e).map(Box::new);
         Ok(match self {

@@ -7,11 +7,11 @@
 //!   canonical printer ([`Query::to_sql`])
 //! * one path from query to rows — bind → plan → execute: [`plan::bind`]
 //!   resolves names and classifies conjuncts (predicate and limit
-//!   pushdown), [`plan_query`] attaches the cost-based join order (from an
-//!   LRU [`PlanCache`] keyed by normalized SQL, so the RL loop's templated
-//!   queries plan once, not thousands of times), and [`exec::execute`] runs
-//!   exactly that [`Plan`] with vectorized scans and hash joins. EXPLAIN
-//!   ([`explain()`], [`explain_analyze`]) renders the same `Plan` value
+//!   pushdown), [`plan_query`] attaches the cost-based join order (costed
+//!   from the executing database's own statistics, for every query), and
+//!   [`exec::execute`] runs exactly that [`Plan`] with vectorized scans and
+//!   hash joins. EXPLAIN ([`explain()`], [`explain_analyze`]) renders the
+//!   same `Plan` value
 //! * per-row **lineage** ([`Database::execute_with_lineage`]) mapping
 //!   result rows back to base rows — the hook ASQP-RL's pre-processing uses
 //!   to build its action space
@@ -33,7 +33,6 @@ pub mod explain;
 pub mod expr;
 pub mod optimizer;
 pub mod plan;
-pub mod plan_cache;
 pub mod query;
 pub mod schema;
 pub mod sql;
@@ -53,8 +52,7 @@ pub use exec::{execute_with_options, ExecOptions, ExecTrace, Lineage, QueryOutpu
 pub use explain::{explain, explain_analyze};
 pub use expr::{ArithOp, CmpOp, ColRef, Expr};
 pub use optimizer::plan_query;
-pub use plan::{Plan, PlanCacheStatus};
-pub use plan_cache::PlanCache;
+pub use plan::Plan;
 pub use query::{AggExpr, AggFunc, JoinCond, OrderKey, Query, QueryBuilder, SelectItem, TableRef};
 pub use schema::{ColumnDef, Schema};
 pub use sql_stmt::{execute_statement, parse_statement, Statement, StatementResult};

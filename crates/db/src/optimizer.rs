@@ -1,24 +1,22 @@
 //! Cost-based query optimizer.
 //!
 //! [`plan_query`] is the one way a query becomes a [`Plan`]: it binds the
-//! query ([`crate::plan::bind`]) and then either replays the decisions the
-//! shared [`PlanCache`](crate::plan_cache::PlanCache) holds for this query
-//! shape — templated queries, same shape with different literals, plan once
-//! — or makes them with [`optimize`]: a [`CostModel`] fed from memoised
-//! [`TableStats`] histograms and zone-map bounds estimates every filtered
-//! scan and join, and [`cost_order`] picks the join order.
+//! query ([`crate::plan::bind`]), a [`CostModel`] fed from the executing
+//! database's memoised [`TableStats`] histograms and zone-map bounds
+//! estimates every filtered scan and join, and [`cost_order`] picks the
+//! join order. Nothing is remembered between queries, so a plan follows its
+//! own literals and its own database: the same template with other
+//! constants, or on a subset, is costed as what it is.
 //!
 //! Everything here is deterministic: cost ties break toward the lowest
-//! binding index, estimates are pure functions of table statistics, and the
-//! cache evicts in tick order — the same query against the same data always
-//! yields the same plan, which the determinism harness (fig02 double runs)
-//! relies on.
+//! binding index and estimates are pure functions of table statistics — the
+//! same query against the same data always yields the same plan, which the
+//! determinism harness (fig02 double runs) relies on.
 
 use crate::catalog::Database;
 use crate::error::DbResult;
 use crate::expr::{CmpOp, Expr};
-use crate::plan::{bind, Bound, BoundJoin, Conjunct, Plan, PlanCacheStatus};
-use crate::plan_cache::{normalized_key, schema_fingerprint, CachedPlan};
+use crate::plan::{bind, Bound, BoundJoin, Conjunct, Plan};
 use crate::query::Query;
 use crate::stats::TableStats;
 use crate::table::Table;
@@ -27,10 +25,12 @@ use crate::zonemap::{TableZones, ZoneBounds};
 use asqp_telemetry as telemetry;
 use std::sync::Arc;
 
-/// Make the optimizer's decisions for `bound` from scratch, without
-/// consulting the plan cache: estimate every filtered scan and every join
-/// condition, then order the joins by cost.
-pub fn optimize<'a>(db: &Database, bound: Bound<'a>) -> DbResult<Plan<'a>> {
+/// Plan a query for execution: bind it, estimate every filtered scan and
+/// every join condition from `db`'s statistics, then order the joins by
+/// cost.
+pub fn plan_query<'a>(db: &'a Database, query: &'a Query) -> DbResult<Plan<'a>> {
+    let bound = bind(db, query)?;
+    let _s = telemetry::span("db.optimize");
     let model = CostModel::new(db, &bound)?;
     let est_scan_rows: Vec<f64> = bound
         .pushed
@@ -50,78 +50,7 @@ pub fn optimize<'a>(db: &Database, bound: Bound<'a>) -> DbResult<Plan<'a>> {
         join_order,
         est_scan_rows,
         est_join_rows,
-        cache: PlanCacheStatus::Bypass,
     })
-}
-
-/// Plan a query for execution through the database's shared plan cache.
-/// Hits are validated against the executing database's per-binding table
-/// names, schema fingerprints and data versions, so a cache shared across
-/// clones/subsets can never produce an ill-typed or stale plan.
-pub fn plan_query<'a>(db: &'a Database, query: &'a Query) -> DbResult<Plan<'a>> {
-    let bound = bind(db, query)?;
-    let _s = telemetry::span("db.optimize");
-    let key = normalized_key(query);
-    if let Some(cached) = db.plan_cache().get(&key) {
-        if cache_valid(&bound, &cached) {
-            telemetry::counter("db.plan_cache.hit", 1);
-            return Ok(Plan {
-                scan_limit: query.limit.filter(|_| cached.limit_pushdown),
-                bound,
-                join_order: cached.join_order,
-                est_scan_rows: cached.est_scan_rows,
-                est_join_rows: cached.est_join_rows,
-                cache: PlanCacheStatus::Hit,
-            });
-        }
-    }
-    telemetry::counter("db.plan_cache.miss", 1);
-    let mut plan = optimize(db, bound)?;
-    let tables = plan.bound.layout.bindings.iter().map(|b| {
-        (
-            b.table.name().to_string(),
-            schema_fingerprint(b.table.schema()),
-            b.table.data_version(),
-        )
-    });
-    db.plan_cache().put(
-        key,
-        CachedPlan {
-            join_order: plan.join_order.clone(),
-            limit_pushdown: plan.bound.limit_pushable(),
-            est_scan_rows: plan.est_scan_rows.clone(),
-            est_join_rows: plan.est_join_rows.clone(),
-            tables: tables.collect(),
-        },
-    );
-    plan.cache = PlanCacheStatus::Miss;
-    Ok(plan)
-}
-
-/// A cached plan applies iff its join order is a permutation of the query's
-/// bindings, the query still names the same tables, and each table's schema
-/// fingerprint *and data version* are unchanged on the executing database.
-/// The version check is what makes the cache safe under incremental ingest:
-/// an append or update bumps the table's version, so plans tuned to the old
-/// statistics are replanned instead of replayed. The permutation check
-/// means a corrupt entry is replanned too, never executed.
-fn cache_valid(bound: &Bound, cached: &CachedPlan) -> bool {
-    let bindings = &bound.layout.bindings;
-    let mut seen = vec![false; bindings.len()];
-    cached.join_order.len() == bindings.len()
-        && cached
-            .join_order
-            .iter()
-            .all(|&b| b < seen.len() && !std::mem::replace(&mut seen[b], true))
-        && cached.tables.len() == bindings.len()
-        && bindings
-            .iter()
-            .zip(&cached.tables)
-            .all(|(b, (name, fingerprint, version))| {
-                b.table.name() == name
-                    && schema_fingerprint(b.table.schema()) == *fingerprint
-                    && b.table.data_version() == *version
-            })
 }
 
 /// Selectivity and cardinality estimates for one query's bindings, built on
@@ -423,118 +352,39 @@ mod tests {
     fn zone_bounds_prove_empty_ranges() {
         let db = db();
         let q = parse("SELECT d.id FROM dim AS d WHERE d.x > 5000").unwrap();
-        let plan = optimize(&db, bind(&db, &q).unwrap()).unwrap();
-        assert_eq!(plan.est_scan_rows, vec![0.0]);
-        assert_eq!(plan.cache, PlanCacheStatus::Bypass);
-        assert!(
-            db.plan_cache().is_empty(),
-            "optimize never touches the cache"
-        );
+        assert_eq!(plan_query(&db, &q).unwrap().est_scan_rows, vec![0.0]);
     }
 
+    /// Planning reads statistics once per binding per query, from every
+    /// worker sharing the database. Whichever thread builds a table's
+    /// statistics first, all of them cost with that one build: a second
+    /// build would hand its thread a second `Arc`. (This shows the shared
+    /// read path under contention. It cannot force the one interleaving
+    /// the second look under the write lock exists for, two misses within
+    /// the few nanoseconds between a planner's two locks; that is the
+    /// schedule explorer's job, ROADMAP item 3.)
     #[test]
-    fn plan_cache_hit_returns_same_decisions_with_live_limit() {
-        let db = db();
-        let q1 = parse("SELECT f.id FROM fact AS f WHERE f.dim_id = 3 LIMIT 7").unwrap();
-        let q2 = parse("SELECT f.id FROM fact AS f WHERE f.dim_id = 90 LIMIT 11").unwrap();
-        let p1 = plan_query(&db, &q1).unwrap();
-        assert_eq!(p1.cache, PlanCacheStatus::Miss);
-        assert_eq!(p1.scan_limit, Some(7));
-        let p2 = plan_query(&db, &q2).unwrap();
-        assert_eq!(p2.cache, PlanCacheStatus::Hit);
-        assert_eq!(p2.scan_limit, Some(11), "limit instantiated per query");
-        assert_eq!(p2.join_order, p1.join_order);
-        assert_eq!(
-            p2.est_scan_rows, p1.est_scan_rows,
-            "a hit carries the estimates the plan was chosen under"
-        );
-    }
-
-    fn status(db: &Database, q: &Query) -> PlanCacheStatus {
-        plan_query(db, q).unwrap().cache
-    }
-
-    #[test]
-    fn cache_rejects_schema_changes() {
-        let mut db = db();
-        let q = parse("SELECT d.id FROM dim AS d WHERE d.x < 5").unwrap();
-        assert_eq!(status(&db, &q), PlanCacheStatus::Miss);
-        assert_eq!(status(&db, &q), PlanCacheStatus::Hit);
-
-        // Replace dim with a different schema under the same name.
-        db.drop_table("dim").unwrap();
-        let dim = db
-            .create_table(
-                "dim",
-                Schema::build(&[("id", ValueType::Int), ("x", ValueType::Float)]),
-            )
-            .unwrap();
-        dim.push_row(&[Value::Int(1), Value::Float(0.5)]).unwrap();
-        assert_eq!(
-            status(&db, &q),
-            PlanCacheStatus::Miss,
-            "fingerprint mismatch forces a replan"
-        );
-    }
-
-    #[test]
-    fn cache_rejects_data_changes() {
-        // Regression test for the latent staleness bug: before data
-        // versions were recorded, a cached plan survived appends — the
-        // join order chosen for the old data kept being served even after
-        // the tables' relative sizes inverted.
-        let mut db = db();
-        let q = parse("SELECT f.id FROM fact AS f, dim AS d WHERE f.dim_id = d.id").unwrap();
-        assert_eq!(status(&db, &q), PlanCacheStatus::Miss);
-        assert_eq!(status(&db, &q), PlanCacheStatus::Hit);
-
-        let rows: Vec<Vec<Value>> = (0..10)
-            .map(|i| vec![Value::Int(100 + i), Value::Int(100 + i)])
-            .collect();
-        db.append_rows("dim", &rows).unwrap();
-        assert_eq!(
-            status(&db, &q),
-            PlanCacheStatus::Miss,
-            "data-version mismatch forces a replan after an append"
-        );
-        assert_eq!(
-            status(&db, &q),
-            PlanCacheStatus::Hit,
-            "the refreshed entry is served again at the new version"
-        );
-    }
-
-    #[test]
-    fn cache_rejects_join_orders_that_are_not_permutations() {
+    fn concurrent_planners_share_one_statistics_build() {
         let db = db();
         let q = parse("SELECT f.id FROM fact AS f, dim AS d WHERE f.dim_id = d.id").unwrap();
-        let good = plan_query(&db, &q).unwrap().join_order;
-        let key = normalized_key(&q);
-        for corrupt in [vec![0, 0], vec![0, 2], vec![1]] {
-            let mut entry = db.plan_cache().get(&key).unwrap();
-            entry.join_order = corrupt;
-            db.plan_cache().put(key.clone(), entry);
-            let replanned = plan_query(&db, &q).unwrap();
-            assert_eq!(replanned.cache, PlanCacheStatus::Miss);
-            assert_eq!(replanned.join_order, good);
+        let start = std::sync::Barrier::new(8);
+        let seen: Vec<Vec<Arc<TableStats>>> = std::thread::scope(|s| {
+            let planners: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let bound = bind(&db, &q).unwrap();
+                        CostModel::new(&db, &bound).unwrap().stats
+                    })
+                })
+                .collect();
+            planners.into_iter().map(|p| p.join().unwrap()).collect()
+        });
+        for stats in &seen {
+            assert_eq!(stats.len(), 2);
+            for (mine, first) in stats.iter().zip(&seen[0]) {
+                assert!(Arc::ptr_eq(mine, first), "{}", mine.table);
+            }
         }
-        assert_eq!(
-            status(&db, &q),
-            PlanCacheStatus::Hit,
-            "the replan overwrote the entry"
-        );
-    }
-
-    #[test]
-    fn subsets_hit_the_parent_cache() {
-        let db = db();
-        let q = parse("SELECT f.id FROM fact AS f, dim AS d WHERE f.dim_id = d.id").unwrap();
-        assert_eq!(status(&db, &q), PlanCacheStatus::Miss);
-        let sub = db.subset(&std::collections::BTreeMap::new()).unwrap();
-        assert_eq!(
-            status(&sub, &q),
-            PlanCacheStatus::Hit,
-            "subset shares the parent's plan cache and schemas"
-        );
     }
 }

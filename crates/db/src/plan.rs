@@ -1,5 +1,5 @@
 //! The binder and the plan: one bound [`Plan`] value per query, consumed by
-//! the cost model, the plan cache, the executor and EXPLAIN alike.
+//! the cost model, the executor and EXPLAIN alike.
 //!
 //! [`bind`] is the only place names become slots. It checks the FROM
 //! clause, resolves every column the query mentions, splits the WHERE
@@ -203,8 +203,8 @@ impl Bound<'_> {
     /// May a LIMIT stop the scan itself after `n` passing rows? Only when
     /// nothing between the scan and the LIMIT drops, reorders or merges
     /// rows: one table, every conjunct pushed, no aggregate, sort or
-    /// DISTINCT. A property of the query's *shape*, so the plan cache can
-    /// memoise it while LIMIT values vary per query.
+    /// DISTINCT. A property of the query's *shape*: it holds or not whatever
+    /// the LIMIT value, and with none.
     pub fn limit_pushable(&self) -> bool {
         self.layout.bindings.len() == 1
             && self.residual.is_empty()
@@ -361,26 +361,6 @@ fn bind_groups(layout: &Layout, query: &Query) -> DbResult<Groups> {
     })
 }
 
-/// Whether a plan came from the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanCacheStatus {
-    Hit,
-    Miss,
-    /// The cache was not consulted (plain EXPLAIN costs from scratch).
-    #[default]
-    Bypass,
-}
-
-impl PlanCacheStatus {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PlanCacheStatus::Hit => "hit",
-            PlanCacheStatus::Miss => "miss",
-            PlanCacheStatus::Bypass => "bypass",
-        }
-    }
-}
-
 /// The bound query plus the optimizer's decisions: everything the executor
 /// runs and everything EXPLAIN prints.
 #[derive(Debug)]
@@ -395,7 +375,6 @@ pub struct Plan<'a> {
     pub est_scan_rows: Vec<f64>,
     /// Estimated intermediate rows after each join step (len = bindings-1).
     pub est_join_rows: Vec<f64>,
-    pub cache: PlanCacheStatus,
 }
 
 impl Plan<'_> {

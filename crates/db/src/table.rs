@@ -207,9 +207,8 @@ impl Table {
         }
         // A subset is a snapshot of its parent *at the parent's current
         // version*: it inherits that version (overwriting the bumps from the
-        // build loop above) so version-fingerprinted caches shared with the
-        // parent — notably plan-cache entries — stay valid on the subset
-        // until either side mutates.
+        // build loop above), so its data fingerprint names the state of the
+        // parent it was cut from until either side mutates.
         t.data_version = self.data_version;
         Ok(t)
     }

@@ -1,14 +1,15 @@
 //! EXPLAIN goldens over the star schema of `examples/explain.rs`, plus the
-//! regression test that EXPLAIN ANALYZE renders the plan that ran.
+//! tests that a plan depends on nothing but the query and the database it
+//! runs on: not on what ran before, not on the database it was cut from.
 //!
 //! Each golden is the transcript of a few steps against a fresh database:
-//! `explain` and `analyze` print, `execute` only runs (to warm the plan
-//! cache). Together the files cover every node and annotation the printer
+//! `explain` prints the plan, `analyze` executes it and prints it with the
+//! actuals. Together the files cover every node and annotation the printer
 //! has. To re-record one, paste the `actual` the failing test prints.
 
 use asqp_db::sql::parse;
 use asqp_db::testkit::star_db;
-use asqp_db::{explain, explain_analyze};
+use asqp_db::{explain, explain_analyze, plan_query, Database};
 
 fn transcript(steps: &[(&str, &str)]) -> String {
     let db = star_db();
@@ -19,7 +20,6 @@ fn transcript(steps: &[(&str, &str)]) -> String {
         match verb {
             "explain" => out.push_str(&explain(&db, &q).unwrap()),
             "analyze" => out.push_str(&explain_analyze(&db, &q).unwrap()),
-            "execute" => drop(db.execute(&q).unwrap()),
             _ => unreachable!("unknown step {verb}"),
         }
     }
@@ -62,7 +62,7 @@ const CONSTANT: &str = "SELECT u.id FROM users AS u WHERE 1 = 0 AND u.age > 30 L
 const UNQUALIFIED: &str = "SELECT qty FROM events, users WHERE user_id = users.id AND age < 25";
 
 golden! {
-    // cache: cold → miss → warm → hit, LIMIT above a join (not pushed).
+    // The same plan before, after and with an execution; LIMIT above a join (not pushed).
     star_join: [("explain", STAR_JOIN), ("analyze", STAR_JOIN), ("explain", STAR_JOIN), ("analyze", STAR_JOIN)];
     // [pushed], [cols], [limit n] on a single scan.
     scan: [("explain", SCAN), ("analyze", SCAN)];
@@ -86,42 +86,77 @@ const WARM_TINY_USERS: &str = "SELECT e.id FROM events AS e, users AS u \
 const LIVE_TINY_EVENTS: &str = "SELECT e.id FROM events AS e, users AS u \
      WHERE e.user_id = u.id AND u.age < 89 AND e.qty < 1";
 
-golden! {
-    // Recorded after the refactor (declared exception): on a hit the
-    // estimates are the ones the cached plan was chosen under.
-    hit_other_literals: [("execute", WARM_TINY_USERS), ("analyze", LIVE_TINY_EVENTS)];
-}
-
-/// A cache hit replays the join order chosen for the literals that warmed
-/// the template. EXPLAIN ANALYZE must print that order with its actuals,
-/// not the order a fresh optimization of the live literals would choose.
+/// History cannot change a plan: after another instantiation of its
+/// template ran — one whose literals pick the opposite join order — a query
+/// gets the join order, rows, row order, lineage and printed estimates it
+/// gets on a database that never saw the first one.
 #[test]
-fn analyze_renders_the_plan_that_ran() {
+fn history_cannot_change_a_plan() {
     let (warm, live) = (
         parse(WARM_TINY_USERS).unwrap(),
         parse(LIVE_TINY_EVENTS).unwrap(),
     );
-    let fresh_order = star_db()
-        .execute_with_lineage(&live)
-        .unwrap()
-        .trace
-        .join_order;
+    let fresh = star_db().execute_with_lineage(&live).unwrap();
 
     let db = star_db();
     let warm_order = db.execute_with_lineage(&warm).unwrap().trace.join_order;
-    assert_ne!(warm_order, fresh_order, "the literals must flip cost_order");
-    let ran = db.execute_with_lineage(&live).unwrap().trace;
-    assert_eq!((ran.cache.as_str(), &ran.join_order), ("hit", &warm_order));
+    assert_ne!(
+        warm_order, fresh.trace.join_order,
+        "the literals must flip cost_order"
+    );
+    let ran = db.execute_with_lineage(&live).unwrap();
+    assert_eq!(ran.trace.join_order, fresh.trace.join_order);
+    assert_eq!(ran.result, fresh.result);
+    assert_eq!(ran.lineage, fresh.lineage);
 
     let text = explain_analyze(&db, &live).unwrap();
-    // Left-deep rendering lists scans in join order.
-    let printed: Vec<usize> = text
-        .lines()
-        .filter_map(|l| l.trim_start().strip_prefix("Scan "))
-        .map(|l| usize::from(l.starts_with("users")))
+    assert_eq!(text, explain_analyze(&star_db(), &live).unwrap());
+    // The estimates are the live literals': 1 % of events, all but a few users.
+    assert!(
+        text.contains("Scan events AS e  (est ~101 rows, actual 100)"),
+        "{text}"
+    );
+    assert!(
+        text.contains("Scan users AS u  (est ~500 rows, actual 493)"),
+        "{text}"
+    );
+}
+
+/// Every hundredth row of every table.
+fn one_percent(db: &Database) -> Database {
+    let selection = db
+        .tables()
+        .map(|t| {
+            let ids = (0..t.row_count()).step_by(100).collect();
+            (t.name().to_string(), ids)
+        })
         .collect();
-    assert_eq!(printed, ran.join_order, "{text}");
-    for join in text.lines().filter(|l| l.trim_start().starts_with("Join ")) {
-        assert!(join.contains("actual"), "{text}");
+    db.subset(&selection).unwrap()
+}
+
+/// A subset is planned as what it is, whichever of the two databases saw
+/// the template first. On the full database `LIVE_TINY_EVENTS` keeps 100
+/// events rows and nearly all users; in the subset every events row has
+/// qty 0, so its five users rows drive instead.
+#[test]
+fn a_subset_is_planned_from_its_own_statistics() {
+    let q = parse(LIVE_TINY_EVENTS).unwrap();
+    let fresh_order = plan_query(&star_db(), &q).unwrap().join_order;
+
+    let full = star_db();
+    let sub = one_percent(&full);
+    full.execute(&q).unwrap();
+    let plan = plan_query(&sub, &q).unwrap();
+    for (binding, est) in plan.bound.layout.bindings.iter().zip(&plan.est_scan_rows) {
+        let rows = binding.table.row_count();
+        assert!(*est <= rows as f64, "{}: {est} of {rows}", binding.name);
     }
+    assert_ne!(
+        plan.join_order, fresh_order,
+        "the subset orders its own way"
+    );
+
+    let full = star_db();
+    one_percent(&full).execute(&q).unwrap();
+    assert_eq!(plan_query(&full, &q).unwrap().join_order, fresh_order);
 }

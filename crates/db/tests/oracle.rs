@@ -3,9 +3,9 @@
 //! ([`asqp_db::testkit::reference`]) returns when it nests its loops in the
 //! join order the engine reports — same columns, same rows in the same
 //! order, same lineage, LIMIT included — whatever the shard count,
-//! whether the plan was made cold or replayed from the plan cache, and
-//! whether the caller asked for lineage (`execute_with_lineage`) or only
-//! for rows (`execute`).
+//! whether or not another literal instantiation of the same template ran
+//! on the database first, and whether the caller asked for lineage
+//! (`execute_with_lineage`) or only for rows (`execute`).
 //!
 //! Two query generators feed it: a typed one over random schemas that
 //! spans every scan-kernel class plus the generic fallback (this file), and
@@ -18,35 +18,70 @@ mod common;
 
 use asqp_db::testkit::reference;
 use asqp_db::{
-    execute_with_options, ColRef, Database, ExecOptions, Expr, JoinCond, OrderKey, PlanCacheStatus,
-    Query, QueryOutput, Schema, SelectItem, TableRef, Value, ValueType,
+    execute_with_options, ColRef, Database, ExecOptions, Expr, JoinCond, OrderKey, Query,
+    QueryOutput, Schema, SelectItem, TableRef, Value, ValueType,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::convert::Infallible;
+
+/// Another instantiation of `q`'s template: every literal moved within its
+/// type (BETWEEN bounds keep their order), and the LIMIT too.
+fn other_literals(q: &Query) -> Query {
+    fn moved(v: &Value) -> Value {
+        match v {
+            Value::Int(i) => Value::Int(i + 7),
+            Value::Float(f) => Value::Float(f + 3.5),
+            Value::Str(s) => Value::Str(format!("{s}a")),
+            Value::Bool(b) => Value::Bool(!b),
+            Value::Null => Value::Null,
+        }
+    }
+    fn rewrite(e: &Expr) -> Expr {
+        match e {
+            Expr::Literal(v) => Expr::Literal(moved(v)),
+            Expr::In {
+                expr,
+                list,
+                negated,
+            } => Expr::In {
+                expr: Box::new(rewrite(expr)),
+                list: list.iter().map(moved).collect(),
+                negated: *negated,
+            },
+            other => other
+                .map_children(&mut |c| Ok::<_, Infallible>(rewrite(c)))
+                .unwrap_or_else(|never| match never {}),
+        }
+    }
+    Query {
+        predicate: q.predicate.as_ref().map(rewrite),
+        limit: q.limit.map(|n| n + 3),
+        ..q.clone()
+    }
+}
 
 /// The whole contract on one (db, query) pair. Returns the engine's output.
 fn check(db: &Database, q: &Query) -> QueryOutput {
     let sql = q.to_sql();
     let run = |shards| execute_with_options(db, q, ExecOptions { shards }).expect(&sql);
-    db.plan_cache().clear();
-    let cold = run(4);
-    let hit = run(1);
-    assert_eq!(cold.trace.cache, PlanCacheStatus::Miss, "{sql}");
-    assert_eq!(hit.trace.cache, PlanCacheStatus::Hit, "{sql}");
-    assert_eq!(cold.trace.join_order, hit.trace.join_order, "{sql}");
+    let first = run(4);
+    db.execute(&other_literals(q)).expect(&sql);
+    let again = run(1);
+    assert_eq!(first.trace.join_order, again.trace.join_order, "{sql}");
     // Both runs equal the reference bit for bit, hence each other: sharding
-    // and the cache change nothing.
-    let want = reference(db, q, &cold.trace.join_order).expect(&sql);
+    // and what the database executed in between change nothing.
+    let want = reference(db, q, &first.trace.join_order).expect(&sql);
     // So do the catalog's two entry points at the default shard count: the
     // rows-only one runs the same executor and skips only the lineage.
     let with_lineage = db.execute_with_lineage(q).expect(&sql);
-    for got in [&cold, &hit, &with_lineage] {
+    for got in [&first, &again, &with_lineage] {
         assert_eq!(got.result, want.result, "{sql}");
         assert_eq!(got.lineage, want.lineage, "lineage: {sql}");
     }
     assert_eq!(db.execute(q).expect(&sql), want.result, "rows only: {sql}");
-    cold
+    first
 }
 
 const STR_POOL: &[&str] = &["alpha", "beta", "gamma", "delta", "epsilon", "zeta", ""];

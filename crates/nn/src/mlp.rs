@@ -37,11 +37,11 @@ impl Activation {
     }
 }
 
-/// Per-layer saved activations from an immutable forward pass
+/// Per-layer saved activations from a forward pass
 /// ([`Mlp::forward_tape`]): the chain of layer inputs/outputs needed by
-/// [`Mlp::backward_tape`]. Owning the tape (instead of stashing caches
-/// inside the model, as the `&mut self` API does) is what lets several
-/// threads compute gradients against one shared `&Mlp` concurrently.
+/// [`Mlp::backward_tape`]. The caller owns the tape and the model stays
+/// `&self`, which is what lets several threads compute gradients against
+/// one shared `&Mlp` concurrently.
 #[derive(Debug, Clone)]
 pub struct MlpTape {
     /// `acts[0]` is the network input, `acts[i + 1]` the activated output
@@ -86,14 +86,6 @@ pub struct Linear {
     pub w: Matrix,
     pub b: Matrix,
     pub act: Activation,
-    #[serde(skip)]
-    grad_w: Option<Matrix>,
-    #[serde(skip)]
-    grad_b: Option<Matrix>,
-    #[serde(skip)]
-    cache_x: Option<Matrix>,
-    #[serde(skip)]
-    cache_y: Option<Matrix>,
 }
 
 impl Linear {
@@ -102,10 +94,6 @@ impl Linear {
             w: Matrix::kaiming(inputs, outputs, rng),
             b: Matrix::zeros(1, outputs),
             act,
-            grad_w: None,
-            grad_b: None,
-            cache_x: None,
-            cache_y: None,
         }
     }
 
@@ -133,14 +121,7 @@ impl Linear {
         out
     }
 
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let y = self.fused_out(x);
-        self.cache_x = Some(x.clone());
-        self.cache_y = Some(y.clone());
-        y
-    }
-
-    /// Inference-only forward: no caches, `&self`.
+    /// `act(x W + b)` on a batch (rows = samples).
     pub fn infer(&self, x: &Matrix) -> Matrix {
         self.fused_out(x)
     }
@@ -163,45 +144,6 @@ impl Linear {
             self.act.epilogue(),
             out,
         );
-    }
-
-    /// Backprop: accumulate dW, db; return dX.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let x = self.cache_x.as_ref().expect("forward before backward");
-        let y = self.cache_y.as_ref().expect("forward before backward");
-        let dz = self.act.backward(dy, y);
-        let gw = x.t_matmul(&dz);
-        let gb = dz.sum_rows();
-        match &mut self.grad_w {
-            Some(g) => *g = g.add(&gw),
-            None => self.grad_w = Some(gw),
-        }
-        match &mut self.grad_b {
-            Some(g) => *g = g.add(&gb),
-            None => self.grad_b = Some(gb),
-        }
-        dz.matmul_t(&self.w)
-    }
-
-    pub fn zero_grad(&mut self) {
-        self.grad_w = None;
-        self.grad_b = None;
-    }
-
-    /// (parameter, gradient) pairs; gradient slices are zeros when no
-    /// backward pass has run since the last `zero_grad`.
-    pub fn params_and_grads(&mut self) -> Vec<(&mut [f32], Vec<f32>)> {
-        let gw = self
-            .grad_w
-            .as_ref()
-            .map(|g| g.data().to_vec())
-            .unwrap_or_else(|| vec![0.0; self.w.data().len()]);
-        let gb = self
-            .grad_b
-            .as_ref()
-            .map(|g| g.data().to_vec())
-            .unwrap_or_else(|| vec![0.0; self.b.data().len()]);
-        vec![(self.w.data_mut(), gw), (self.b.data_mut(), gb)]
     }
 
     pub fn param_count(&self) -> usize {
@@ -235,18 +177,6 @@ impl Mlp {
         Mlp { layers }
     }
 
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let t = telemetry::enabled().then(Instant::now);
-        let mut h = x.clone();
-        for l in &mut self.layers {
-            h = l.forward(&h);
-        }
-        if let Some(t) = t {
-            telemetry::observe_duration("nn.forward_ns", t.elapsed());
-        }
-        h
-    }
-
     pub fn infer(&self, x: &Matrix) -> Matrix {
         let t = telemetry::enabled().then(Instant::now);
         let mut h = x.clone();
@@ -277,22 +207,10 @@ impl Mlp {
         cur
     }
 
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let t = telemetry::enabled().then(Instant::now);
-        let mut g = dy.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(&g);
-        }
-        if let Some(t) = t {
-            telemetry::observe_duration("nn.backward_ns", t.elapsed());
-        }
-        g
-    }
-
-    /// Immutable forward pass that records the activation chain needed for
-    /// [`Mlp::backward_tape`]. Unlike [`Mlp::forward`] this takes `&self`,
-    /// so many threads can run tapes against one shared model — the basis
-    /// of the sharded PPO update.
+    /// Forward pass that records the activation chain needed for
+    /// [`Mlp::backward_tape`]. It takes `&self`, so many threads can run
+    /// tapes against one shared model — the basis of the sharded PPO
+    /// update.
     pub fn forward_tape(&self, x: &Matrix) -> MlpTape {
         let t = telemetry::enabled().then(Instant::now);
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
@@ -308,13 +226,24 @@ impl Mlp {
     }
 
     /// Backprop against a tape from [`Mlp::forward_tape`]; returns one
-    /// [`LayerGrads`] per layer (same order as `self.layers`). Does not
-    /// touch the model's internal gradient accumulators, so concurrent
-    /// calls on `&self` are safe. The per-layer math is the same as
-    /// [`Linear::backward`], so results are bit-identical to the mutable
-    /// path given the same inputs. The dX of layer 0 is never needed by
-    /// the trainer, so it is skipped.
+    /// [`LayerGrads`] per layer (same order as `self.layers`). The model is
+    /// not touched, so concurrent calls on `&self` are safe. The gradient
+    /// with respect to the network input is not computed: the trainer has
+    /// no use for it, and for the actor it is a GEMM over the widest layer.
     pub fn backward_tape(&self, tape: &MlpTape, dy: &Matrix) -> Vec<LayerGrads> {
+        self.backprop(tape, dy, false).0
+    }
+
+    /// [`Mlp::backward_tape`] plus dL/dX of the network input, for a caller
+    /// that backpropagates into whatever produced that input (the VAE's
+    /// decoder into its encoder).
+    pub fn backward_tape_dx(&self, tape: &MlpTape, dy: &Matrix) -> (Vec<LayerGrads>, Matrix) {
+        self.backprop(tape, dy, true)
+    }
+
+    /// The second value is dL/dX of layer 0 when `input_grad`, and layer
+    /// 0's incoming gradient otherwise.
+    fn backprop(&self, tape: &MlpTape, dy: &Matrix, input_grad: bool) -> (Vec<LayerGrads>, Matrix) {
         let t = telemetry::enabled().then(Instant::now);
         assert_eq!(
             tape.acts.len(),
@@ -329,7 +258,7 @@ impl Mlp {
             let dz = l.act.backward(&g, y);
             let gw = x.t_matmul(&dz);
             let gb = dz.sum_rows();
-            if i > 0 {
+            if i > 0 || input_grad {
                 g = dz.matmul_t(&l.w);
             }
             rev_grads.push(LayerGrads { gw, gb });
@@ -338,13 +267,11 @@ impl Mlp {
         if let Some(t) = t {
             telemetry::observe_duration("nn.backward_ns", t.elapsed());
         }
-        rev_grads
+        (rev_grads, g)
     }
 
-    /// (parameter, gradient) pairs for [`crate::Adam`], built from
-    /// externally-reduced tape gradients. Same parameter layout/order as
-    /// [`Mlp::params_and_grads`], so an optimizer's moment state carries
-    /// over between the two APIs.
+    /// (parameter, gradient) pairs for [`crate::Adam`], built from tape
+    /// gradients (reduced across shards by the caller where it shards).
     pub fn params_with_grads(&mut self, grads: &[LayerGrads]) -> Vec<(&mut [f32], Vec<f32>)> {
         assert_eq!(grads.len(), self.layers.len(), "one LayerGrads per layer");
         self.layers
@@ -356,19 +283,6 @@ impl Mlp {
                     (l.b.data_mut(), g.gb.data().to_vec()),
                 ]
             })
-            .collect()
-    }
-
-    pub fn zero_grad(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grad();
-        }
-    }
-
-    pub fn params_and_grads(&mut self) -> Vec<(&mut [f32], Vec<f32>)> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_and_grads())
             .collect()
     }
 
@@ -387,15 +301,18 @@ mod tests {
     #[test]
     fn gradient_check_against_finite_differences() {
         let mut rng = StdRng::seed_from_u64(42);
-        let mut mlp = Mlp::new(&[3, 4, 2], Activation::Tanh, &mut rng);
+        let mlp = Mlp::new(&[3, 4, 2], Activation::Tanh, &mut rng);
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]);
 
         // Analytic gradients: dL/dy = ones.
-        mlp.zero_grad();
-        let y = mlp.forward(&x);
+        let tape = mlp.forward_tape(&x);
+        let y = tape.output();
         let dy = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
-        mlp.backward(&dy);
-        let analytic: Vec<Vec<f32>> = mlp.params_and_grads().into_iter().map(|(_, g)| g).collect();
+        let analytic: Vec<Vec<f32>> = mlp
+            .backward_tape(&tape, &dy)
+            .iter()
+            .flat_map(|g| [g.gw.data().to_vec(), g.gb.data().to_vec()])
+            .collect();
 
         // Numeric gradients: central differences on cloned models.
         let eps = 1e-3f32;
@@ -450,21 +367,20 @@ mod tests {
         // Force a negative pre-activation.
         l.w.data_mut()[0] = 1.0;
         l.b.data_mut()[0] = -5.0;
-        let x = Matrix::from_vec(1, 1, vec![1.0]);
-        let y = l.forward(&x);
-        assert_eq!(y.data(), &[0.0]);
-        let dx = l.backward(&Matrix::from_vec(1, 1, vec![1.0]));
+        let mlp = Mlp { layers: vec![l] };
+        let tape = mlp.forward_tape(&Matrix::from_vec(1, 1, vec![1.0]));
+        assert_eq!(tape.output().data(), &[0.0]);
+        let (grads, dx) = mlp.backward_tape_dx(&tape, &Matrix::from_vec(1, 1, vec![1.0]));
         assert_eq!(dx.data(), &[0.0]);
+        assert_eq!(grads[0].gw.data(), &[0.0]);
     }
 
     #[test]
     fn forward_and_infer_agree() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut mlp = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
+        let mlp = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
         let x = Matrix::from_vec(1, 4, vec![0.5, -1.0, 2.0, 0.0]);
-        let a = mlp.forward(&x);
-        let b = mlp.infer(&x);
-        assert_eq!(a, b);
+        assert_eq!(mlp.forward_tape(&x).output(), &mlp.infer(&x));
     }
 
     #[test]
@@ -475,28 +391,6 @@ mod tests {
         let full = mlp.infer(&Matrix::from_row(&x));
         let row = mlp.infer_row(&x);
         assert_eq!(full.data(), row.as_slice());
-    }
-
-    #[test]
-    fn tape_backward_matches_mutable_backward() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut mlp = Mlp::new(&[5, 12, 7, 3], Activation::Relu, &mut rng);
-        let x = Matrix::kaiming(4, 5, &mut rng);
-        let dy = Matrix::kaiming(4, 3, &mut rng);
-
-        let tape = mlp.forward_tape(&x);
-        let tape_grads = mlp.backward_tape(&tape, &dy);
-
-        mlp.zero_grad();
-        let y = mlp.forward(&x);
-        assert_eq!(&y, tape.output());
-        mlp.backward(&dy);
-        let mutable: Vec<Vec<f32>> = mlp.params_and_grads().into_iter().map(|(_, g)| g).collect();
-        let via_tape: Vec<Vec<f32>> = tape_grads
-            .iter()
-            .flat_map(|g| [g.gw.data().to_vec(), g.gb.data().to_vec()])
-            .collect();
-        assert_eq!(mutable, via_tape, "tape grads must be bit-identical");
     }
 
     #[test]
@@ -522,20 +416,15 @@ mod tests {
     }
 
     #[test]
-    fn grads_accumulate_until_zeroed() {
+    fn grads_of_two_passes_accumulate_to_twice_one() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut mlp = Mlp::new(&[2, 2], Activation::Identity, &mut rng);
-        let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
+        let mlp = Mlp::new(&[2, 2], Activation::Identity, &mut rng);
+        let tape = mlp.forward_tape(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
         let dy = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        mlp.forward(&x);
-        mlp.backward(&dy);
-        let g1: f32 = mlp.params_and_grads()[0].1.iter().sum();
-        mlp.forward(&x);
-        mlp.backward(&dy);
-        let g2: f32 = mlp.params_and_grads()[0].1.iter().sum();
-        assert!((g2 - 2.0 * g1).abs() < 1e-5, "g1={g1} g2={g2}");
-        mlp.zero_grad();
-        let g0: f32 = mlp.params_and_grads()[0].1.iter().sum();
-        assert_eq!(g0, 0.0);
+        let one = mlp.backward_tape(&tape, &dy).remove(0);
+        let mut two = one.clone();
+        two.accumulate(&mlp.backward_tape(&tape, &dy)[0]);
+        let (g1, g2): (f32, f32) = (one.gw.data().iter().sum(), two.gw.data().iter().sum());
+        assert!(g1 != 0.0 && (g2 - 2.0 * g1).abs() < 1e-5, "g1={g1} g2={g2}");
     }
 }

@@ -49,7 +49,7 @@ impl Adam {
     }
 
     /// Apply one update to `(param, grad)` pairs (as produced by
-    /// [`crate::Mlp::params_and_grads`]).
+    /// [`crate::Mlp::params_with_grads`]).
     pub fn step(&mut self, mut params: Vec<(&mut [f32], Vec<f32>)>) {
         if self.m.is_empty() {
             self.m = params.iter().map(|(p, _)| vec![0.0; p.len()]).collect();

@@ -83,11 +83,9 @@ impl Vae {
         let n = batch.rows() as f32;
         let z_dim = self.config.latent_dim;
 
-        self.encoder.zero_grad();
-        self.decoder.zero_grad();
-
         // Encode.
-        let enc_out = self.encoder.forward(batch); // [n, 2z]
+        let enc_tape = self.encoder.forward_tape(batch);
+        let enc_out = enc_tape.output(); // [n, 2z]
         let mut mu = Matrix::zeros(batch.rows(), z_dim);
         let mut logvar = Matrix::zeros(batch.rows(), z_dim);
         for r in 0..batch.rows() {
@@ -107,10 +105,10 @@ impl Vae {
         let z = mu.add(&eps.hadamard(&sigma));
 
         // Decode.
-        let recon = self.decoder.forward(&z);
+        let dec_tape = self.decoder.forward_tape(&z);
 
         // Losses.
-        let diff = recon.sub(batch);
+        let diff = dec_tape.output().sub(batch);
         let mse = diff.data().iter().map(|d| d * d).sum::<f32>() / n;
         let kl = {
             let mut s = 0.0;
@@ -126,7 +124,7 @@ impl Vae {
 
         // Backprop. dMSE/drecon = 2*diff / n.
         let drecon = diff.scale(2.0 / n);
-        let dz = self.decoder.backward(&drecon);
+        let (dec_grads, dz) = self.decoder.backward_tape_dx(&dec_tape, &drecon);
 
         // Through reparameterisation + KL into the encoder head.
         let beta = self.config.beta;
@@ -144,10 +142,12 @@ impl Vae {
                 *denc.at_mut(r, z_dim + c) = dlv;
             }
         }
-        self.encoder.backward(&denc);
+        let enc_grads = self.encoder.backward_tape(&enc_tape, &denc);
 
-        self.enc_opt.step(self.encoder.params_and_grads());
-        self.dec_opt.step(self.decoder.params_and_grads());
+        self.enc_opt
+            .step(self.encoder.params_with_grads(&enc_grads));
+        self.dec_opt
+            .step(self.decoder.params_with_grads(&dec_grads));
         (mse, kl)
     }
 

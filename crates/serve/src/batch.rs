@@ -25,11 +25,10 @@
 //! definitionally identical; a forked tenant carries a process-unique
 //! non-zero epoch, so its scans never coalesce with anyone (including
 //! other forks of the same group). The query component is the full
-//! `Query::to_sql` rendering, literals and LIMIT intact — the plan
-//! cache's normalized *shape* key is deliberately NOT used here: a plan
-//! transfers between literal instantiations of one template, but rows do
-//! not, and coalescing `x = 1` with `x = 2` (or `LIMIT 5` with
-//! `LIMIT 90`) would hand a follower another query's result.
+//! `Query::to_sql` rendering, literals and LIMIT intact: two
+//! instantiations of one template are two queries with two answers, and
+//! coalescing `x = 1` with `x = 2` (or `LIMIT 5` with `LIMIT 90`) would
+//! hand a follower another query's result.
 
 use asqp_db::{DbError, Query, ResultSet};
 use asqp_telemetry as telemetry;
@@ -44,8 +43,8 @@ pub struct ScanKey {
     pub group: u64,
     /// `CowSession::share_epoch()`: 0 = shared base, unique when forked.
     pub epoch: u64,
-    /// Exact canonical SQL (`Query::to_sql`), literals and LIMIT intact —
-    /// full query identity, never a normalized shape.
+    /// Exact canonical SQL (`Query::to_sql`), literals and LIMIT intact:
+    /// the full identity of the query.
     pub sql: String,
 }
 
@@ -234,8 +233,7 @@ mod tests {
 
     /// Regression (REVIEW: high): same template, different literals or
     /// LIMITs must NOT share a key — a follower would be handed rows for
-    /// another query. The normalized plan-shape key would collapse all
-    /// four of these.
+    /// another query. All four of these are one template.
     #[test]
     fn keys_distinguish_literals_and_limits() {
         let parse = |s: &str| asqp_db::sql::parse(s).expect("valid test SQL");
