@@ -160,6 +160,8 @@ const NONDET_IDENTS: &[&str] = &[
     "from_entropy",
     "from_os_rng",
     "OsRng",
+    // std's per-process random hasher seed: ambient randomness by name.
+    "RandomState",
 ];
 
 /// libm-backed `f32`/`f64` methods whose results are platform-dependent.
@@ -317,6 +319,16 @@ mod tests {
         assert!(findings("crates/core/src/metric.rs", src).is_empty());
         let live = "fn f() { let t = Instant::now(); }\n";
         assert!(findings("crates/telemetry/src/lib.rs", live).is_empty());
+    }
+
+    #[test]
+    fn random_state_is_ambient_entropy() {
+        let src = "fn seed() -> u64 {\n    \
+                       std::collections::hash_map::RandomState::new().hash_one(0u64)\n}\n";
+        let fs = findings("crates/db/src/exec/join.rs", src);
+        assert_eq!(fs, vec![("nondet".to_string(), 2)]);
+        // The catalog's caches are outside the scored paths.
+        assert!(findings("crates/db/src/catalog.rs", src).is_empty());
     }
 
     /// Full single-file pipeline (summaries + taint + call graph), for

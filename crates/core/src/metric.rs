@@ -57,7 +57,9 @@ pub struct FullCounts {
 impl FullCounts {
     /// `|q(T)|` per workload query, via the database's memoised cardinality
     /// cache — repeated scoring runs against one full database (Fig. 2-style
-    /// baseline sweeps) execute each distinct query only once.
+    /// baseline sweeps) execute each distinct query only once. A count that
+    /// is not remembered joins the query's row-id tuples and counts them;
+    /// it sorts and projects nothing (`Database::cached_row_count`).
     pub fn compute(db: &Database, workload: &Workload) -> DbResult<FullCounts> {
         let counts = workload
             .queries

@@ -2,7 +2,9 @@
 //! for executing queries.
 
 use crate::error::{DbError, DbResult};
-use crate::exec::{execute_with_options, plan_and_execute, ExecOptions, QueryOutput, ResultSet};
+use crate::exec::{
+    count_rows, execute_with_options, plan_and_execute, ExecOptions, QueryOutput, ResultSet,
+};
 use crate::query::Query;
 use crate::schema::Schema;
 use crate::sql;
@@ -18,10 +20,12 @@ use std::sync::{Arc, RwLock};
 /// Eq. 1), keyed by each query's canonical SQL. Every entry records the
 /// *data fingerprint* of the query's FROM tables at compute time; a lookup
 /// whose fingerprint no longer matches is treated as a miss, so a stale
-/// cardinality can never be served after an append or update. Cloning or
-/// deserialising a database starts with an empty cache, and the wholesale
-/// mutation entry points (`table_mut`, `add_table`, `drop_table`) still
-/// clear it outright.
+/// cardinality can never be served after an append or update. A clone of
+/// the database gets its own copy of the entries — it holds the same data at
+/// the same versions, and whichever side changes a table afterwards stops
+/// matching that table's entries on its own. Deserialising starts empty, and
+/// the wholesale mutation entry points (`table_mut`, `add_table`,
+/// `drop_table`) still clear it outright.
 #[derive(Debug, Default)]
 struct CountCache(RwLock<HashMap<String, (u64, usize)>>);
 
@@ -62,7 +66,9 @@ impl CountCache {
 
 impl Clone for CountCache {
     fn clone(&self) -> Self {
-        CountCache::default()
+        CountCache(RwLock::new(
+            self.0.read().unwrap_or_else(|e| e.into_inner()).clone(),
+        ))
     }
 }
 
@@ -79,8 +85,9 @@ struct StatsEntry {
     derived: Option<Arc<TableStats>>,
 }
 
-/// Memoised per-table statistics. Derived state with the same lifecycle as
-/// [`CountCache`]: cloning or deserialising starts empty, wholesale
+/// Memoised per-table statistics. Derived state: cloning or deserialising
+/// starts empty (unlike [`CountCache`], whose entries are two words each, a
+/// copy here would be a deep copy of every column's accumulator), wholesale
 /// mutation entry points clear it, and the incremental entry points
 /// ([`Database::append_rows`] / [`Database::update_rows`]) maintain live
 /// entries in place.
@@ -348,13 +355,19 @@ impl Database {
     /// against one workload re-uses each full-database execution. Entries
     /// are pinned to the FROM tables' data fingerprint: after an append or
     /// update the fingerprint moves and the count is recomputed.
+    ///
+    /// Counting is not executing: a miss runs the scans, joins and residual
+    /// filters and counts the joined tuples under the LIMIT; nothing is
+    /// sorted or projected. Only DISTINCT and aggregate queries, whose row
+    /// count the output stage decides, run it. The count is always what
+    /// `self.execute(query)?.rows.len()` would be.
     pub fn cached_row_count(&self, query: &Query) -> DbResult<usize> {
         let key = query.to_sql();
         let fingerprint = self.query_data_fingerprint(query);
         if let Some(n) = self.count_cache.get(&key, fingerprint) {
             return Ok(n);
         }
-        let n = self.execute(query)?.rows.len();
+        let n = count_rows(self, query, ExecOptions::default().shards)?;
         self.count_cache.put(key, fingerprint, n);
         Ok(n)
     }
@@ -508,6 +521,31 @@ mod tests {
         });
         assert_eq!(rec2.report().counters["db.count_cache.stale"], 1);
         assert!(!rec2.report().counters.contains_key("db.count_cache.hit"));
+
+        // A clone owns a copy of the entries: appending to `t` in the clone
+        // leaves its count on `u` a hit, recounts `t`, and touches nothing
+        // of the original's.
+        db.create_table("u", Schema::build(&[("y", ValueType::Int)]))
+            .unwrap();
+        let qu = parse("SELECT u.y FROM u AS u").unwrap();
+        assert_eq!(db.cached_row_count(&q).unwrap(), 7);
+        assert_eq!(db.cached_row_count(&qu).unwrap(), 0);
+        let mut fork = db.clone();
+        fork.append_rows("t", &[vec![Value::Int(7)]]).unwrap();
+        let counters = |db: &Database, want_t: usize| {
+            let rec = StdArc::new(telemetry::MemoryRecorder::new());
+            telemetry::scoped(rec.clone(), || {
+                assert_eq!(db.cached_row_count(&qu).unwrap(), 0);
+                assert_eq!(db.cached_row_count(&q).unwrap(), want_t);
+            });
+            rec.report().counters
+        };
+        let forked = counters(&fork, 8);
+        assert_eq!(forked["db.count_cache.hit"], 1, "u is untouched");
+        assert_eq!(forked["db.count_cache.stale"], 1, "t is recounted");
+        let original = counters(&db, 7);
+        assert_eq!(original["db.count_cache.hit"], 2);
+        assert!(!original.contains_key("db.count_cache.stale"));
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! hash joins in the planned order, residual filters, then projection or
 //! aggregation, DISTINCT, ORDER BY and LIMIT.
 //!
-//! Intermediate join state is a vector of *row-id tuples* (one row id per
-//! bound table), never materialised rows — values are fetched lazily from the
-//! columnar storage. This keeps joins cheap and makes result **lineage**
-//! (which base rows produced each result row) fall out for free; ASQP-RL's
-//! pre-processing builds its RL action space from exactly that lineage.
+//! Intermediate join state is *row-id tuples* (one row id per bound table)
+//! in one flat buffer, never materialised rows — values are fetched lazily
+//! from the columnar storage. This keeps joins cheap and makes result
+//! **lineage** (which base rows produced each result row) fall out for free;
+//! ASQP-RL's pre-processing builds its RL action space from exactly that
+//! lineage. A caller that wants only `|q(D)|` leaves after the join and
+//! counts the tuples.
 //!
 //! Scans compile each binding's pushed conjuncts into typed column kernels
 //! evaluated over selection vectors on ~2048-row morsels with zone-map
@@ -20,12 +22,14 @@ use crate::expr::Expr;
 use crate::optimizer::plan_query;
 use crate::plan::{Layout, Output, Plan};
 use crate::query::Query;
-use crate::value::{canonical_f64_bits, Row, Value};
+use crate::value::{Row, Value};
 use asqp_telemetry as telemetry;
+use join::Tuples;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 pub(crate) mod aggregate;
+mod join;
 mod vector;
 
 /// The one execution setting.
@@ -52,9 +56,6 @@ impl Default for ExecOptions {
         }
     }
 }
-
-/// Probe sides smaller than this stay sequential regardless of `shards`.
-const PARALLEL_PROBE_MIN: usize = 4096;
 
 /// Provenance of one result row: `(binding index, base-table row id)` for
 /// every table bound in the FROM clause, in FROM order.
@@ -137,10 +138,28 @@ pub fn execute(plan: &Plan, shards: usize) -> DbResult<QueryOutput> {
     execute_plan(plan, shards, true)
 }
 
-/// The one executor. `want_lineage` decides only whether the projection
-/// keeps each result row's row-id tuple; rows, their order and the trace
-/// do not depend on it.
-fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<QueryOutput> {
+/// `|query(db)|` without building the rows: SPJ queries leave the executor
+/// after the join and count its tuples under the LIMIT — no sort, no
+/// projection, no `Value`. DISTINCT and aggregates decide their row count
+/// in the output stage, so they run it.
+// asqp::panic-free-audited: the executor `plan_and_execute` is audited for,
+// leaving before or after its output stage
+pub(crate) fn count_rows(db: &Database, query: &Query, shards: usize) -> DbResult<usize> {
+    let _exec_span = telemetry::span("db.execute");
+    let plan = plan_query(db, query)?;
+    if query.distinct || matches!(plan.bound.output, Output::Groups(_)) {
+        return Ok(execute_plan(&plan, shards, false)?.result.len());
+    }
+    let (tuples, _) = joined(&plan, shards)?;
+    let n = tuples.len().min(query.limit.unwrap_or(usize::MAX));
+    telemetry::counter("db.rows_out", n as u64);
+    Ok(n)
+}
+
+/// The executor's first stage: filtered scans, joins in the planned order
+/// and residual filters. What comes out is every tuple the output stage
+/// ([`execute_plan`]) will sort, project, group or count.
+fn joined(plan: &Plan, shards: usize) -> DbResult<(Tuples, ExecTrace)> {
     // Telemetry is per-stage, never per-row: with no recorder installed
     // each emission below is one relaxed atomic load.
     let bound = &plan.bound;
@@ -173,24 +192,15 @@ fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<Quer
             );
         }
     }
+    let scan_rows: Vec<usize> = scans.iter().map(Vec::len).collect();
 
     // --- Join ------------------------------------------------------------
-    // Intermediate rows are row-id tuples aligned with layout.bindings;
-    // usize::MAX marks a binding not yet joined.
-    const UNSET: usize = usize::MAX;
     let nb = layout.bindings.len();
     let order = &plan.join_order;
-    let mut joined = vec![false; nb];
+    let mut is_joined = vec![false; nb];
     let start = order[0];
-    let mut inter: Vec<Vec<usize>> = scans[start]
-        .iter()
-        .map(|&rid| {
-            let mut t = vec![UNSET; nb];
-            t[start] = rid;
-            t
-        })
-        .collect();
-    joined[start] = true;
+    let mut tuples = Tuples::seed(nb, start, std::mem::take(&mut scans[start]));
+    is_joined[start] = true;
     let mut pending_residual: Vec<(&Expr, &[usize])> = bound
         .residual
         .iter()
@@ -205,7 +215,7 @@ fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<Quer
     };
     for (&next, conds) in order[1..].iter().zip(plan.join_steps()) {
         // Conditions linking `next` to the joined set, as (probe slot from
-        // the intermediate, build slot from `next`).
+        // the tuples, build slot from `next`).
         let link: Vec<(usize, usize)> = conds
             .iter()
             .map(|&j| &bound.joins[j])
@@ -218,97 +228,51 @@ fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<Quer
             })
             .collect();
 
-        let b = &layout.bindings[next];
-        if link.is_empty() {
-            // Cartesian product with the filtered scan of `next`.
-            let mut out = Vec::with_capacity(inter.len().saturating_mul(scans[next].len()));
-            for t in &inter {
-                for &rid in &scans[next] {
-                    let mut nt = t.clone();
-                    nt[next] = rid;
-                    out.push(nt);
-                }
-            }
-            inter = out;
+        tuples = if link.is_empty() {
+            tuples.cross(next, &scans[next])
         } else {
-            // Hash join: build on `next`'s filtered rows, probe the
-            // intermediate (sharded when large).
-            let probe_shards = if inter.len() >= PARALLEL_PROBE_MIN {
-                shards
-            } else {
-                1
-            };
-            let numeric = |col: &crate::column::Column| {
-                matches!(
-                    col.data(),
-                    crate::column::ColumnData::Int(_) | crate::column::ColumnData::Float(_)
-                )
-            };
-            let single_numeric_key = link.len() == 1 && {
-                let (ps, bs) = link[0];
-                let (pb, pc) = layout.slot_owner(ps);
-                let bc = layout.slot_owner(bs).1;
-                numeric(layout.bindings[pb].table.column(pc)) && numeric(b.table.column(bc))
-            };
-            if single_numeric_key {
-                // Fast path: key on the canonical f64 bit pattern, which
-                // matches Value's Eq/Hash for numeric values exactly.
-                let (ps, bs) = link[0];
-                let (pb, pc) = layout.slot_owner(ps);
-                let bc = layout.slot_owner(bs).1;
-                let build_col = b.table.column(bc);
-                let mut hash: HashMap<u64, Vec<usize>> = HashMap::with_capacity(scans[next].len());
-                for &rid in &scans[next] {
-                    if let Some(v) = build_col.get_f64(rid) {
-                        hash.entry(canonical_f64_bits(v)).or_default().push(rid);
-                    }
-                }
-                inter = vector::probe_numeric(layout, &inter, &hash, pb, pc, next, probe_shards)?;
-            } else {
-                let build_local: Vec<usize> = link
-                    .iter()
-                    .map(|&(_, bs)| layout.slot_owner(bs).1)
-                    .collect();
-                let mut hash: HashMap<Vec<Value>, Vec<usize>> =
-                    HashMap::with_capacity(scans[next].len());
-                for &rid in &scans[next] {
-                    let key: Vec<Value> = build_local
-                        .iter()
-                        .map(|&c| b.table.column(c).get(rid))
-                        .collect();
-                    if key.iter().any(Value::is_null) {
-                        continue; // NULL never equi-joins
-                    }
-                    hash.entry(key).or_default().push(rid);
-                }
-                inter = vector::probe_general(layout, &inter, &hash, &link, next, probe_shards)?;
-            }
-        }
-        joined[next] = true;
-        join_rows.push(inter.len());
+            join::hash_join(layout, &tuples, &link, next, &scans[next], shards)?
+        };
+        is_joined[next] = true;
+        join_rows.push(tuples.len());
 
         // Apply residual conjuncts that are now fully bound.
         let (ready, waiting): (Vec<_>, Vec<_>) = pending_residual
             .into_iter()
-            .partition(|(_, bs)| bs.iter().all(|&bi| joined[bi]));
+            .partition(|(_, bs)| bs.iter().all(|&bi| is_joined[bi]));
         pending_residual = waiting;
-        inter = filter_intermediate(layout, inter, ready.iter().map(|(e, _)| *e))?;
+        filter_tuples(layout, &mut tuples, ready.iter().map(|(e, _)| *e))?;
     }
 
     if nb > 1 && telemetry::enabled() {
-        telemetry::counter("db.join.rows_out", inter.len() as u64);
+        telemetry::counter("db.join.rows_out", tuples.len() as u64);
     }
     drop(join_span);
 
     // Still pending only when no join step ran: the constant conjuncts
     // (e.g. `1 = 0`) of a single-table query.
-    inter = filter_intermediate(layout, inter, pending_residual.iter().map(|(e, _)| *e))?;
+    filter_tuples(
+        layout,
+        &mut tuples,
+        pending_residual.iter().map(|(e, _)| *e),
+    )?;
 
     let trace = ExecTrace {
         join_order: order.clone(),
-        scan_rows: scans.iter().map(|s| s.len()).collect(),
+        scan_rows,
         join_rows,
     };
+    Ok((tuples, trace))
+}
+
+/// The one executor: [`joined`], then the output stage — aggregate, or
+/// sort, project, DISTINCT and LIMIT. `want_lineage` decides only whether
+/// the projection keeps each result row's row-id tuple; rows, their order
+/// and the trace do not depend on it.
+fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<QueryOutput> {
+    let (mut tuples, trace) = joined(plan, shards)?;
+    let bound = &plan.bound;
+    let layout = &bound.layout;
     let binding_tables = layout
         .bindings
         .iter()
@@ -321,7 +285,7 @@ fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<Quer
         Output::Groups(groups) => {
             let _agg_span = telemetry::span("db.exec.aggregate");
             return Ok(QueryOutput {
-                result: aggregate::aggregate(layout, &inter, groups, limit),
+                result: aggregate::aggregate(layout, tuples.iter(), groups, limit),
                 binding_tables,
                 lineage: Vec::new(),
                 trace,
@@ -332,14 +296,16 @@ fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<Quer
 
     if !order.is_empty() {
         let _sort_span = telemetry::span("db.exec.sort");
-        let keys: Vec<Vec<Value>> = inter
+        // Sort keys row-major, `order.len()` per tuple.
+        let width = order.len();
+        let keys: Vec<Value> = tuples
             .iter()
-            .map(|t| order.iter().map(|&(s, _)| layout.fetch(t, s)).collect())
+            .flat_map(|t| order.iter().map(move |&(s, _)| layout.fetch(t, s)))
             .collect();
-        let mut idx: Vec<usize> = (0..inter.len()).collect();
+        let mut idx: Vec<usize> = (0..tuples.len()).collect();
         idx.sort_by(|&a, &b| {
             for (k, &(_, desc)) in order.iter().enumerate() {
-                let ord = keys[a][k].cmp(&keys[b][k]);
+                let ord = keys[a * width + k].cmp(&keys[b * width + k]);
                 let ord = if desc { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
                     return ord;
@@ -347,20 +313,24 @@ fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<Quer
             }
             std::cmp::Ordering::Equal
         });
-        inter = idx.into_iter().map(|i| inter[i].clone()).collect();
+        tuples = tuples.permuted(&idx);
     }
 
     // Project (+ DISTINCT + LIMIT with early exit when unordered).
     let _project_span = telemetry::span("db.exec.project");
-    let mut rows: Vec<Row> = Vec::new();
-    let mut lineage: Vec<Lineage> = Vec::new();
+    let distinct = bound.query.distinct;
+    let columns: Vec<_> = proj.iter().map(|&s| layout.slot_column(s)).collect();
+    // DISTINCT may keep any share of the tuples: let it grow.
+    let expected = if distinct { 0 } else { tuples.len().min(limit) };
+    let mut rows: Vec<Row> = Vec::with_capacity(expected);
+    let mut lineage: Vec<Lineage> = Vec::with_capacity(if want_lineage { expected } else { 0 });
     let mut seen: HashMap<Row, ()> = HashMap::new();
-    for t in &inter {
+    for t in tuples.iter() {
         if rows.len() >= limit {
             break;
         }
-        let row: Row = proj.iter().map(|&s| layout.fetch(t, s)).collect();
-        if bound.query.distinct {
+        let row: Row = columns.iter().map(|&(b, col)| col.get(t[b])).collect();
+        if distinct {
             if seen.contains_key(&row) {
                 continue;
             }
@@ -368,7 +338,7 @@ fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<Quer
         }
         rows.push(row);
         if want_lineage {
-            lineage.push(t.clone());
+            lineage.push(t.to_vec());
         }
     }
     telemetry::counter("db.rows_out", rows.len() as u64);
@@ -387,25 +357,21 @@ fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<Quer
 /// Keep the tuples every conjunct in `conjuncts` is `TRUE` for (evaluated
 /// as one AND under three-valued logic, so an error in any of them
 /// surfaces).
-fn filter_intermediate<'e>(
+fn filter_tuples<'e>(
     layout: &Layout,
-    inter: Vec<Vec<usize>>,
+    tuples: &mut Tuples,
     conjuncts: impl Iterator<Item = &'e Expr>,
-) -> DbResult<Vec<Vec<usize>>> {
+) -> DbResult<()> {
     let Some(pred) = Expr::conjunction(conjuncts.cloned().collect()) else {
-        return Ok(inter);
+        return Ok(());
     };
     let slots = pred.slots();
     // Evaluate against a sparse flat row holding only the needed slots.
     let mut flat: Row = vec![Value::Null; layout.total_slots()];
-    let mut out = Vec::with_capacity(inter.len());
-    for t in inter {
+    tuples.try_retain(|t| {
         for &s in &slots {
-            flat[s] = layout.fetch(&t, s);
+            flat[s] = layout.fetch(t, s);
         }
-        if pred.matches(&flat)? {
-            out.push(t);
-        }
-    }
-    Ok(out)
+        pred.matches(&flat)
+    })
 }

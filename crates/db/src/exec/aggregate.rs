@@ -99,10 +99,10 @@ impl AggState {
     }
 }
 
-/// Aggregate the joined intermediate and produce the final result set.
-pub(crate) fn aggregate(
+/// Aggregate the joined row-id tuples and produce the final result set.
+pub(crate) fn aggregate<'t>(
     layout: &Layout,
-    inter: &[Vec<usize>],
+    tuples: impl Iterator<Item = &'t [usize]>,
     groups: &Groups,
     limit: usize,
 ) -> ResultSet {
@@ -111,7 +111,7 @@ pub(crate) fn aggregate(
 
     // Accumulate.
     let mut by_key: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    for t in inter {
+    for t in tuples {
         let key: Vec<Value> = groups.keys.iter().map(|&s| layout.fetch(t, s)).collect();
         let states = by_key.entry(key).or_insert_with(fresh);
         for (st, (_, arg)) in states.iter_mut().zip(&groups.aggs) {

@@ -18,13 +18,12 @@
 use crate::column::ColumnData;
 use crate::error::{DbError, DbResult};
 use crate::expr::{CmpOp, Expr};
-use crate::plan::{Conjunct, Layout};
+use crate::plan::Conjunct;
 use crate::table::Table;
-use crate::value::{canonical_f64_bits, Row, Value};
+use crate::value::{Row, Value};
 use crate::zonemap::{Zone, ZoneBounds, MORSEL_ROWS};
 use asqp_telemetry as telemetry;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// A numeric literal, kept typed so integer comparisons stay exact.
@@ -515,6 +514,12 @@ fn apply_kernel(k: &Kernel, table: &Table, sel: &mut Vec<usize>) -> DbResult<()>
 /// Run `f` over `0..n` split into at most `shards` contiguous ranges on
 /// crossbeam scoped threads, concatenating results in range order — output
 /// is byte-identical to the sequential `f(0, n)`.
+///
+/// Every range gets a thread and the caller waits. Running the first range
+/// on the caller saves a spawn, but a serving worker that never blocks never
+/// leaves its core, and on a two-core host closed-loop throughput then took
+/// one of two values (7 200 or 9 400 q/s on `explore_hit`) by where the
+/// scheduler had put it: not worth a spawn.
 pub(super) fn run_sharded<T, F>(n: usize, shards: usize, f: F) -> DbResult<Vec<T>>
 where
     T: Send,
@@ -523,12 +528,8 @@ where
     if shards <= 1 || n < 2 {
         return f(0, n);
     }
-    let shards = shards.min(n);
-    let per = n.div_ceil(shards);
-    let ranges: Vec<(usize, usize)> = (0..shards)
-        .map(|i| (i * per, ((i + 1) * per).min(n)))
-        .filter(|(a, b)| a < b)
-        .collect();
+    let per = n.div_ceil(shards.min(n));
+    let ranges: Vec<(usize, usize)> = (0..n).step_by(per).map(|a| (a, (a + per).min(n))).collect();
     let f = &f;
     // asqp::in-order-merge: parts concatenated in range order below
     let parts: Vec<DbResult<Vec<T>>> = crossbeam::thread::scope(|s| {
@@ -544,7 +545,12 @@ where
     .map_err(|_| DbError::ShapeMismatch("parallel executor worker panicked".into()))?;
     let mut out = Vec::new();
     for p in parts {
-        out.extend(p?);
+        let p = p?;
+        if out.is_empty() {
+            out = p; // the first part is kept, not copied
+        } else {
+            out.extend(p);
+        }
     }
     Ok(out)
 }
@@ -654,66 +660,4 @@ pub(super) fn filtered_scan_vectorized(
         );
     }
     Ok(out)
-}
-
-/// Hash-join probe over the intermediate, general (multi-column) keys.
-/// Sharded over contiguous probe ranges; concatenation preserves the
-/// sequential output order exactly.
-pub(super) fn probe_general(
-    layout: &Layout,
-    inter: &[Vec<usize>],
-    hash: &HashMap<Vec<Value>, Vec<usize>>,
-    link: &[(usize, usize)],
-    next: usize,
-    shards: usize,
-) -> DbResult<Vec<Vec<usize>>> {
-    run_sharded(inter.len(), shards, |a, b| {
-        let mut out = Vec::new();
-        for t in &inter[a..b] {
-            let key: Vec<Value> = link.iter().map(|&(ps, _)| layout.fetch(t, ps)).collect();
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            if let Some(matches) = hash.get(&key) {
-                for &rid in matches {
-                    let mut nt = t.clone();
-                    nt[next] = rid;
-                    out.push(nt);
-                }
-            }
-        }
-        Ok(out)
-    })
-}
-
-/// Single numeric-key probe fast path: keys are canonical `f64` bit
-/// patterns, which agrees exactly with `Value`'s Eq/Hash for numeric values
-/// (ints and floats that compare equal share a key; NULL never joins).
-pub(super) fn probe_numeric(
-    layout: &Layout,
-    inter: &[Vec<usize>],
-    hash: &HashMap<u64, Vec<usize>>,
-    probe_binding: usize,
-    probe_col: usize,
-    next: usize,
-    shards: usize,
-) -> DbResult<Vec<Vec<usize>>> {
-    let table = layout.bindings[probe_binding].table;
-    let col = table.column(probe_col);
-    run_sharded(inter.len(), shards, |a, b| {
-        let mut out = Vec::new();
-        for t in &inter[a..b] {
-            let Some(v) = col.get_f64(t[probe_binding]) else {
-                continue; // NULL or non-numeric never equi-joins
-            };
-            if let Some(matches) = hash.get(&canonical_f64_bits(v)) {
-                for &rid in matches {
-                    let mut nt = t.clone();
-                    nt[next] = rid;
-                    out.push(nt);
-                }
-            }
-        }
-        Ok(out)
-    })
 }

@@ -16,6 +16,7 @@
 //! construction what the executor runs.
 
 use crate::catalog::Database;
+use crate::column::Column;
 use crate::error::{DbError, DbResult};
 use crate::expr::{ColRef, Expr};
 use crate::query::{AggFunc, JoinCond, Query, SelectItem};
@@ -161,11 +162,19 @@ impl<'a> Layout<'a> {
         format!("{}.{}", binding.name, binding.table.schema().column(c).name)
     }
 
+    /// The binding that owns a flat slot, and the slot's column. A loop over
+    /// tuples resolves its slots once with this and then reads
+    /// `column.get(ids[binding])` per tuple.
+    pub(crate) fn slot_column(&self, slot: usize) -> (usize, &'a Column) {
+        let (b, c) = self.slot_owner(slot);
+        (b, self.bindings[b].table.column(c))
+    }
+
     /// Fetch the value of `slot` for the row-id tuple `ids` (one base row id
     /// per binding, FROM order).
     pub fn fetch(&self, ids: &[usize], slot: usize) -> Value {
-        let (b, c) = self.slot_owner(slot);
-        self.bindings[b].table.column(c).get(ids[b])
+        let (b, column) = self.slot_column(slot);
+        column.get(ids[b])
     }
 
     /// A pushed conjunct for binding `b`: `flat` re-expressed over the

@@ -82,7 +82,7 @@ pub fn reference(db: &Database, query: &Query, order: &[usize]) -> DbResult<Quer
     let (proj, names, keys) = match &bound.output {
         Output::Groups(groups) => {
             return Ok(QueryOutput {
-                result: aggregate::aggregate(layout, &kept, groups, limit),
+                result: aggregate::aggregate(layout, kept.iter().map(Vec::as_slice), groups, limit),
                 binding_tables,
                 lineage: Vec::new(),
                 trace,

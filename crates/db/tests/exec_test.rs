@@ -283,6 +283,63 @@ fn null_join_keys_do_not_match() {
     assert_eq!(res.rows.len(), 1, "NULL = NULL must not join");
 }
 
+/// A string key joins on dictionary codes, and the two columns' codes are
+/// unrelated: "Weaver" is code 0 of `cast_info.person` and code 2 of
+/// `awards.person`, "Ford" is code 2 of the one and 0 of the other.
+#[test]
+fn string_key_join_translates_between_dictionaries() {
+    let mut db = movie_db();
+    let awards = db
+        .create_table(
+            "awards",
+            Schema::build(&[("person", ValueType::Str), ("prize", ValueType::Str)]),
+        )
+        .unwrap();
+    for (person, prize) in [
+        (Value::from("Ford"), "saturn"),
+        (Value::from("Nobody"), "razzie"),
+        (Value::from("Weaver"), "bafta"),
+        (Value::Null, "lost"),
+        (Value::from("Weaver"), "saturn"),
+    ] {
+        awards.push_row(&[person, prize.into()]).unwrap();
+    }
+    let q = asqp_db::sql::parse(
+        "SELECT c.movie_id, c.person, a.prize FROM cast_info c, awards a \
+         WHERE c.person = a.person",
+    )
+    .unwrap();
+    let mut rows = checked(&db, &q).rows;
+    rows.sort();
+    let row = |id: i64, person: &str, prize: &str| -> Vec<Value> {
+        vec![Value::Int(id), person.into(), prize.into()]
+    };
+    assert_eq!(
+        rows,
+        [
+            row(1, "Weaver", "bafta"),
+            row(1, "Weaver", "saturn"),
+            row(2, "Weaver", "bafta"),
+            row(2, "Weaver", "saturn"),
+            row(4, "Ford", "saturn"),
+        ]
+    );
+}
+
+/// A string never equals an integer, whatever either spells.
+#[test]
+fn string_key_never_joins_an_integer_key() {
+    let mut db = movie_db();
+    let ids = db
+        .create_table("ids", Schema::build(&[("n", ValueType::Str)]))
+        .unwrap();
+    for n in ["1", "2", "99"] {
+        ids.push_row(&[n.into()]).unwrap();
+    }
+    let q = asqp_db::sql::parse("SELECT * FROM cast_info c, ids i WHERE c.movie_id = i.n").unwrap();
+    assert!(checked(&db, &q).rows.is_empty());
+}
+
 #[test]
 fn ambiguous_bare_column_errors() {
     let db = movie_db();

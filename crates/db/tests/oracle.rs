@@ -5,7 +5,9 @@
 //! order, same lineage, LIMIT included — whatever the shard count,
 //! whether or not another literal instantiation of the same template ran
 //! on the database first, and whether the caller asked for lineage
-//! (`execute_with_lineage`) or only for rows (`execute`).
+//! (`execute_with_lineage`), only for rows (`execute`) or only for their
+//! number (`cached_row_count`, which leaves the executor before the output
+//! stage).
 //!
 //! Two query generators feed it: a typed one over random schemas that
 //! spans every scan-kernel class plus the generic fallback (this file), and
@@ -81,6 +83,10 @@ fn check(db: &Database, q: &Query) -> QueryOutput {
         assert_eq!(got.lineage, want.lineage, "lineage: {sql}");
     }
     assert_eq!(db.execute(q).expect(&sql), want.result, "rows only: {sql}");
+    // Nothing here counts on `db`, so a clone's cardinality cache is empty
+    // and the count is computed, not remembered.
+    let count = db.clone().cached_row_count(q).expect(&sql);
+    assert_eq!(count, want.result.len(), "count only: {sql}");
     first
 }
 
@@ -243,6 +249,46 @@ fn column_list(db: &Database, table: &str) -> Vec<(String, ValueType)> {
         .collect()
 }
 
+/// An equi-join condition between bindings `l` and `r`: the `id` = `id`
+/// link that keeps cardinalities useful, or a column of one type class on
+/// each side — numeric (Int = Float included), string, boolean — or any
+/// column against any. A side without a column of the class offers any of
+/// its columns, so mismatched-type keys (which join nothing) come up too,
+/// and every non-`id` column holds NULLs.
+fn random_link(
+    rng: &mut StdRng,
+    cols: &[Vec<(String, ValueType)>],
+    l: usize,
+    r: usize,
+) -> JoinCond {
+    let class: fn(ValueType) -> bool = match rng.random_range(0u8..10) {
+        0..=3 => {
+            return JoinCond::new(
+                ColRef::new(format!("a{l}"), "id"),
+                ColRef::new(format!("a{r}"), "id"),
+            )
+        }
+        4..=5 => |t| matches!(t, ValueType::Int | ValueType::Float),
+        6..=7 => |t| t == ValueType::Str,
+        8 => |t| t == ValueType::Bool,
+        _ => |_| true,
+    };
+    let mut side = |b: usize| {
+        let of_class: Vec<&String> = cols[b]
+            .iter()
+            .filter(|(_, t)| class(*t))
+            .map(|(n, _)| n)
+            .collect();
+        let name = if of_class.is_empty() {
+            &cols[b][rng.random_range(0..cols[b].len())].0
+        } else {
+            of_class[rng.random_range(0..of_class.len())]
+        };
+        ColRef::new(format!("a{b}"), name.clone())
+    };
+    JoinCond::new(side(l), side(r))
+}
+
 /// Build a random SPJ query over `ntables` aliased bindings.
 fn random_query(rng: &mut StdRng, db: &Database, ntables: usize) -> Query {
     let from: Vec<TableRef> = (0..ntables)
@@ -252,20 +298,14 @@ fn random_query(rng: &mut StdRng, db: &Database, ntables: usize) -> Query {
         .map(|i| column_list(db, &format!("t{i}")))
         .collect();
 
-    // Chain equi-joins on the id columns; sometimes add an extra condition
-    // (multi-column link) or a same-binding condition (pushed filter).
+    // Chain equi-joins; sometimes add an extra condition (multi-column
+    // link) or a same-binding condition (pushed filter).
     let mut joins = Vec::new();
     for i in 1..ntables {
-        joins.push(JoinCond::new(
-            ColRef::new(format!("a{}", i - 1), "id"),
-            ColRef::new(format!("a{i}"), "id"),
-        ));
+        joins.push(random_link(rng, &cols, i - 1, i));
     }
     if ntables == 3 && rng.random_bool(0.3) {
-        joins.push(JoinCond::new(
-            ColRef::new("a0", "id"),
-            ColRef::new("a2", "id"),
-        ));
+        joins.push(random_link(rng, &cols, 0, 2));
     }
     if rng.random_bool(0.1) {
         joins.push(JoinCond::new(
@@ -467,4 +507,52 @@ fn negated_predicates_keep_null_semantics() {
         got.result.len() + rest.result.len() + nulls.result.len(),
         120
     );
+}
+
+/// Every key kind probed by several shards. Probes stay sequential under
+/// 4 096 tuples, more than two of the random tables above can join into, so
+/// this builds the tuples on purpose: `a` (the smallest scan, where the plan
+/// starts) joins `b` on a two-valued key into 4 750 tuples, which then
+/// probe `c` on a string key, an Int = Float key, both at once, and a
+/// string-vs-int key.
+#[test]
+fn sharded_probes_agree_on_every_key_kind() {
+    let mut db = Database::new();
+    let abc = [("a", 95i64), ("b", 100), ("c", 110)];
+    for (name, rows) in abc {
+        let t = db
+            .create_table(
+                name,
+                Schema::build(&[
+                    ("id", ValueType::Int),
+                    ("g", ValueType::Int),
+                    ("s", ValueType::Str),
+                    ("f", ValueType::Float),
+                ]),
+            )
+            .unwrap();
+        for i in 0..rows {
+            let s = if i % 9 == 4 {
+                Value::Null
+            } else {
+                Value::Str(format!("s{}", (i * 7) % 120))
+            };
+            t.push_row(&[Value::Int(i), Value::Int(i % 2), s, Value::Float(i as f64)])
+                .unwrap();
+        }
+    }
+    for (last_link, joins_something) in [
+        ("b.s = c.s", true),
+        ("b.id = c.f", true),
+        ("b.s = c.s AND b.id = c.f", true),
+        ("b.s = c.id", false),
+    ] {
+        let got = check_sql(
+            &db,
+            &format!("SELECT a.id, b.s, c.id FROM a, b, c WHERE a.g = b.g AND {last_link}"),
+        );
+        assert_eq!(got.trace.join_order, [0, 1, 2], "{last_link}");
+        assert_eq!(got.trace.join_rows[0], 4750, "{last_link}");
+        assert_eq!(!got.result.is_empty(), joins_something, "{last_link}");
+    }
 }
