@@ -61,6 +61,9 @@ struct Run {
     attempted: u64,
     failed: u64,
     values: BTreeMap<String, f64>,
+    /// The per-round values behind `values`, where the run had several
+    /// rounds: a run's value does not say whether its rounds sat in one band.
+    rounds: Rounds,
 }
 
 #[derive(Serialize)]
@@ -148,13 +151,30 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// One benchmark run in `dir`: its result line and its `machine:` line.
+/// Per-round values by metric.
+type Rounds = BTreeMap<String, Vec<f64>>;
+
+/// [`Rounds`] from the report's `<name> <value> <unit> rounds [a b c]` lines.
+fn rounds_of(stdout: &str) -> Rounds {
+    let parse = |line: &str| {
+        let (head, list) = line.split_once(" rounds [")?;
+        let name = head.split_whitespace().next()?;
+        let values: Result<Vec<f64>, _> = (list.strip_suffix(']')?.split_whitespace())
+            .map(str::parse)
+            .collect();
+        Some((name.to_string(), values.ok()?))
+    };
+    stdout.lines().filter_map(parse).collect()
+}
+
+/// One benchmark run in `dir`: its result line, its per-round values and
+/// its `machine:` line.
 fn run_once(
     bench: &Benchmark,
     dir: &Path,
     workload: &str,
     seed: u64,
-) -> Result<(ResultLine, String), String> {
+) -> Result<(ResultLine, Rounds, String), String> {
     let (program, args) = bench.command.split_first().ok_or("empty command")?;
     let output = Command::new(program)
         .args(args)
@@ -179,7 +199,8 @@ fn run_once(
         .ok_or("the benchmark printed nothing")?;
     let result = serde_json::from_str(last).map_err(|e| format!("{e} in result line: {last}"))?;
     let machine = stdout.lines().find(|l| l.starts_with("machine:"));
-    Ok((result, machine.unwrap_or("machine: unknown").to_string()))
+    let machine = machine.unwrap_or("machine: unknown").to_string();
+    Ok((result, rounds_of(&stdout), machine))
 }
 
 /// Quartiles by linear interpolation between order statistics.
@@ -256,7 +277,8 @@ fn run_pairs(args: &Args) -> Result<(), String> {
             let mut both: Vec<Run> = Vec::new();
             for (nth, side) in order.into_iter().enumerate() {
                 eprintln!("{workload} pair {pair}: {}", SIDES[side]);
-                let (line, machine) = run_once(&bench, &args.dirs[side], workload, args.seed)?;
+                let (line, rounds, machine) =
+                    run_once(&bench, &args.dirs[side], workload, args.seed)?;
                 report.machine.entry(SIDES[side]).or_insert(machine);
                 both.push(Run {
                     pair,
@@ -270,6 +292,7 @@ fn run_pairs(args: &Args) -> Result<(), String> {
                         .into_iter()
                         .map(|(k, m)| (k, m.value))
                         .collect(),
+                    rounds,
                 });
             }
             let current = report.workloads.last_mut().expect("pushed above");
@@ -293,5 +316,20 @@ fn main() -> ExitCode {
             eprintln!("bench_pairs: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rounds_are_read_from_the_report_lines_that_have_them() {
+        let stdout = "machine: 2 vCPU\n  setup_s                      3.10000        s\n  \
+                      closed_qps                   6478.12000     1/s    rounds [6400.5 9100.25 6478.12]\n\
+                      {\"correct\": true}\n";
+        let rounds = rounds_of(stdout);
+        assert_eq!(rounds.len(), 1);
+        assert_eq!(rounds["closed_qps"], [6400.5, 9100.25, 6478.12]);
     }
 }

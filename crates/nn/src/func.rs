@@ -91,6 +91,23 @@ pub fn entropy(probs: &[f32]) -> f32 {
         .sum::<f32>()
 }
 
+/// [`entropy`], leaving `ln p` of every positive entry in `ln` (the other
+/// entries are not written) for a caller that needs both, such as the
+/// entropy bonus's gradient `p (ln p + H)`: one `ln` per action instead of
+/// two. The same terms summed in the same order, so the same bits.
+pub fn entropy_keeping_ln(probs: &[f32], ln: &mut [f32]) -> f32 {
+    assert_eq!(probs.len(), ln.len(), "one ln slot per probability");
+    -probs
+        .iter()
+        .zip(ln)
+        .filter(|(&p, _)| p > 0.0)
+        .map(|(&p, l)| {
+            *l = p.ln();
+            p * *l
+        })
+        .sum::<f32>()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,6 +165,23 @@ mod tests {
         let point = vec![1.0f32, 0.0, 0.0, 0.0];
         assert!((entropy(&uniform) - (4.0f32).ln()).abs() < 1e-5);
         assert_eq!(entropy(&point), 0.0);
+    }
+
+    #[test]
+    fn entropy_keeping_ln_is_entropy_and_fills_ln_where_p_is_positive() {
+        let mut probs = vec![0.3f32, -1.2, 2.0, 0.7, -0.4, 1.1, 0.0];
+        mask_logits(&mut probs, &[true, false, true, true, false, true, true]);
+        softmax_in_place(&mut probs);
+        let mut ln = vec![f32::NAN; probs.len()];
+        let h = entropy_keeping_ln(&probs, &mut ln);
+        assert_eq!(h.to_bits(), entropy(&probs).to_bits());
+        for (&p, &l) in probs.iter().zip(&ln) {
+            if p > 0.0 {
+                assert_eq!(l.to_bits(), p.ln().to_bits());
+            } else {
+                assert!(l.is_nan(), "a masked entry's slot is left alone");
+            }
+        }
     }
 
     #[test]

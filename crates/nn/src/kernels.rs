@@ -334,8 +334,9 @@ pub fn transpose_into(rows: usize, cols: usize, a: &[f32], out: &mut [f32]) {
 }
 
 /// Naive scalar implementations retained as the bit-exact oracle for the
-/// tiled kernels (property tests) and as the "before" side of the
-/// `nn_matmul` micro-bench. Same fma-chain numerics, no tiling, no dispatch.
+/// tiled kernels (property tests) and as the "before" side of
+/// `asqp-bench ratios`' tiled-vs-naive pair. Same fma-chain numerics, no
+/// tiling, no dispatch.
 pub mod reference {
     use super::EpilogueAct;
 

@@ -3,8 +3,9 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Row-major 2-D array of `f32`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+/// Row-major 2-D array of `f32`. The default is the empty 0×0 matrix, what
+/// a reusable output buffer starts as.
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -54,6 +55,15 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
+    /// Give the matrix this shape, keeping its allocation. What it holds
+    /// afterwards is unspecified: this is for an output buffer that the
+    /// caller overwrites whole, as every `_into` method below does.
+    pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -98,6 +108,13 @@ impl Matrix {
     /// (see [`crate::kernels`] for the tiling scheme and the bit-exactness
     /// contract with the retained naive reference).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul`] into a reused output.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols,
             other.rows,
@@ -105,7 +122,7 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        out.reshape_for_overwrite(self.rows, other.cols);
         crate::kernels::gemm_raw(
             self.rows,
             self.cols,
@@ -114,7 +131,6 @@ impl Matrix {
             &other.data,
             &mut out.data,
         );
-        out
     }
 
     /// `self^T @ other`. Materialises the (cheap, O(rows·cols)) transpose
@@ -122,41 +138,36 @@ impl Matrix {
     /// ascending shared-dimension order, so the result is bit-identical to
     /// the transpose-free naive loop.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        let at = self.transpose();
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        crate::kernels::gemm_raw(
-            self.cols,
-            self.rows,
-            other.cols,
-            &at.data,
-            &other.data,
-            &mut out.data,
-        );
+        let (mut t, mut out) = (Matrix::default(), Matrix::default());
+        self.t_matmul_into(other, &mut t, &mut out);
         out
+    }
+
+    /// [`Matrix::t_matmul`] into a reused output, with `t` as the reused
+    /// home of `self^T`.
+    pub fn t_matmul_into(&self, other: &Matrix, t: &mut Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
+        self.transpose_into(t);
+        t.matmul_into(other, out);
     }
 
     /// `self @ other^T`. Same strategy as [`Matrix::t_matmul`]: transpose
     /// the (small) right-hand side, then run the blocked GEMM.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let bt = other.transpose();
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        crate::kernels::gemm_raw(
-            self.rows,
-            self.cols,
-            other.rows,
-            &self.data,
-            &bt.data,
-            &mut out.data,
-        );
-        out
+        self.matmul(&other.transpose())
     }
 
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        crate::kernels::transpose_into(self.rows, self.cols, &self.data, &mut out.data);
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
         out
+    }
+
+    /// [`Matrix::transpose`] into a reused output.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.reshape_for_overwrite(self.cols, self.rows);
+        crate::kernels::transpose_into(self.rows, self.cols, &self.data, &mut out.data);
     }
 
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
@@ -168,16 +179,17 @@ impl Matrix {
     }
 
     pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+        let mut out = Matrix::default();
+        self.zip_map_into(other, &mut out, f);
+        out
+    }
+
+    /// [`Matrix::zip_map`] into a reused output.
+    pub fn zip_map_into(&self, other: &Matrix, out: &mut Matrix, f: impl Fn(f32, f32) -> f32) {
         assert_eq!(self.shape(), other.shape(), "zip_map shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+        out.reshape_for_overwrite(self.rows, self.cols);
+        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
+            *o = f(a, b);
         }
     }
 
@@ -212,13 +224,21 @@ impl Matrix {
 
     /// Column-wise sum into a 1xC matrix (bias gradients).
     pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
+        let mut out = Matrix::default();
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::sum_rows`] into a reused output: each column is summed
+    /// from `+0.0` in ascending row order.
+    pub fn sum_rows_into(&self, out: &mut Matrix) {
+        out.reshape_for_overwrite(1, self.cols);
+        out.data.fill(0.0);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c] += self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     pub fn frobenius_norm(&self) -> f32 {

@@ -27,57 +27,130 @@ impl Activation {
         }
     }
 
-    /// dL/dx given dL/dy and the *activated output* y.
-    fn backward(self, dy: &Matrix, y: &Matrix) -> Matrix {
+    /// dL/dz of the pre-activation given dL/dy and the *activated output*
+    /// y: `dy` itself for the identity, and otherwise written to `dz`.
+    fn backward_into<'a>(self, dy: &'a Matrix, y: &Matrix, dz: &'a mut Matrix) -> &'a Matrix {
         match self {
-            Activation::Relu => dy.zip_map(y, |g, out| if out > 0.0 { g } else { 0.0 }),
-            Activation::Tanh => dy.zip_map(y, |g, out| g * (1.0 - out * out)),
-            Activation::Identity => dy.clone(),
+            Activation::Relu => dy.zip_map_into(y, dz, |g, out| if out > 0.0 { g } else { 0.0 }),
+            Activation::Tanh => dy.zip_map_into(y, dz, |g, out| g * (1.0 - out * out)),
+            Activation::Identity => return dy,
         }
+        dz
     }
 }
 
-/// Per-layer saved activations from a forward pass
-/// ([`Mlp::forward_tape`]): the chain of layer inputs/outputs needed by
-/// [`Mlp::backward_tape`]. The caller owns the tape and the model stays
-/// `&self`, which is what lets several threads compute gradients against
-/// one shared `&Mlp` concurrently.
-#[derive(Debug, Clone)]
+/// Everything one forward and backward pass of one [`Mlp`] writes: the
+/// activated output of every layer ([`Mlp::forward_tape`]), the gradients
+/// ([`Mlp::backward_tape`]) and the temporaries between them. The caller
+/// owns the tape and the model stays `&self`, which is what lets several
+/// threads compute gradients against one shared `&Mlp` concurrently; a tape
+/// that is passed in again is overwritten in place, so a caller that keeps
+/// it allocates nothing from its second pass on. The network input is not
+/// copied in: the backward pass is handed it again.
+#[derive(Debug, Clone, Default)]
 pub struct MlpTape {
-    /// `acts[0]` is the network input, `acts[i + 1]` the activated output
-    /// of layer `i`.
+    /// `acts[i]` is the activated output of layer `i`.
     acts: Vec<Matrix>,
+    grads: Vec<LayerGrads>,
+    /// dL/dz of the layer in hand, where its activation is not the identity.
+    dz: Matrix,
+    /// The gradient coming into the layer in hand, and the one it passes on.
+    g_in: Matrix,
+    g_out: Matrix,
+    /// Transpose of the layer's input, for `gw = x^T dz`.
+    xt: Matrix,
 }
 
 impl MlpTape {
     /// The forward pass's final output.
     pub fn output(&self) -> &Matrix {
-        self.acts.last().expect("tape always holds the input")
+        self.acts
+            .last()
+            .expect("no forward pass has run on this tape")
+    }
+
+    /// The backward pass's gradients, one per layer in layer order.
+    pub fn grads(&self) -> &[LayerGrads] {
+        &self.grads
+    }
+
+    /// [`MlpTape::grads`] as the accumulator of [`reduce_in_order`].
+    pub fn grads_mut(&mut self) -> &mut [LayerGrads] {
+        &mut self.grads
+    }
+
+    /// dL/dX of the network input, after a backward pass whose
+    /// [`TransposedWeights`] asked for it.
+    pub fn input_grad(&self) -> &Matrix {
+        &self.g_in
     }
 }
 
 /// Gradients for one [`Linear`] layer, produced by [`Mlp::backward_tape`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LayerGrads {
     pub gw: Matrix,
     pub gb: Matrix,
 }
 
-impl LayerGrads {
-    /// Elementwise accumulate `other` into `self`. Callers that reduce
-    /// shard gradients must invoke this in a fixed shard order — f32
-    /// addition is not associative, and byte-determinism of the sharded
-    /// PPO update rests on this ordering.
-    pub fn accumulate(&mut self, other: &LayerGrads) {
-        debug_assert_eq!(self.gw.shape(), other.gw.shape());
-        debug_assert_eq!(self.gb.shape(), other.gb.shape());
-        for (a, b) in self.gw.data_mut().iter_mut().zip(other.gw.data()) {
-            *a += b;
+/// `W^T` of every layer whose incoming gradient the backward pass hands on
+/// to the layer below: all but the first, and the first too when the
+/// gradient of the network input is wanted. Made by
+/// [`Mlp::transpose_weights_into`] and valid until the weights change: a
+/// caller that runs several backward passes between two optimiser steps
+/// (the trainer's gradient shards) transposes once for all of them. It is
+/// the caller's to keep and to refresh, not a cache on [`Linear`], which
+/// could go stale unseen.
+#[derive(Debug, Clone, Default)]
+pub struct TransposedWeights {
+    wt: Vec<Matrix>,
+    input_grad: bool,
+}
+
+/// Add the gradients in `rest` to `acc` element by element in the order
+/// given — `((acc + rest[0]) + rest[1]) + …`; f32 addition is not
+/// associative, and byte-determinism of the sharded PPO update rests on
+/// this order — and return the sum of the squares of the result, added up
+/// serially in [`Mlp::params_with_grads`]'s order from `+0.0`: the number
+/// [`crate::Adam::step`] would compute from the reduced gradients in a pass
+/// of its own, here under the latency of the same pass.
+pub fn reduce_in_order<'a>(
+    acc: &mut [LayerGrads],
+    rest: impl Iterator<Item = &'a [LayerGrads]> + Clone,
+) -> f32 {
+    /// Elements reduced at a time: the additions run over a block that
+    /// stays in L1 and vectorise, the serial chain of squares follows.
+    const BLOCK: usize = 256;
+    fn reduce_group<'a>(
+        acc: &mut [f32],
+        rest: impl Iterator<Item = &'a Matrix> + Clone,
+        mut sum_squares: f32,
+    ) -> f32 {
+        for part in rest.clone() {
+            assert_eq!(part.data().len(), acc.len(), "gradient layout");
         }
-        for (a, b) in self.gb.data_mut().iter_mut().zip(other.gb.data()) {
-            *a += b;
+        for (block, sums) in acc.chunks_mut(BLOCK).enumerate() {
+            let span = block * BLOCK..block * BLOCK + sums.len();
+            for part in rest.clone() {
+                for (s, &x) in sums.iter_mut().zip(&part.data()[span.clone()]) {
+                    *s += x;
+                }
+            }
+            for &s in sums.iter() {
+                sum_squares += s * s;
+            }
         }
+        sum_squares
     }
+
+    let mut sum_squares = 0.0;
+    for (layer, a) in acc.iter_mut().enumerate() {
+        let gw = rest.clone().map(|r| &r[layer].gw);
+        sum_squares = reduce_group(a.gw.data_mut(), gw, sum_squares);
+        let gb = rest.clone().map(|r| &r[layer].gb);
+        sum_squares = reduce_group(a.gb.data_mut(), gb, sum_squares);
+    }
+    sum_squares
 }
 
 /// One fully-connected layer `y = act(x W + b)`.
@@ -97,9 +170,10 @@ impl Linear {
         }
     }
 
-    /// `act(x W + b)` through the fused kernel: one GEMM + one epilogue
-    /// sweep, a single output allocation, no intermediate matrices.
-    fn fused_out(&self, x: &Matrix) -> Matrix {
+    /// `act(x W + b)` on a batch (rows = samples) through the fused kernel:
+    /// one GEMM + one epilogue sweep into a reused output, no intermediate
+    /// matrices.
+    fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(
             x.cols(),
             self.w.rows(),
@@ -107,7 +181,7 @@ impl Linear {
             x.cols(),
             self.w.rows()
         );
-        let mut out = Matrix::zeros(x.rows(), self.w.cols());
+        out.reshape_for_overwrite(x.rows(), self.w.cols());
         kernels::fused_linear_into(
             x.rows(),
             x.cols(),
@@ -118,12 +192,13 @@ impl Linear {
             self.act.epilogue(),
             out.data_mut(),
         );
-        out
     }
 
-    /// `act(x W + b)` on a batch (rows = samples).
+    /// `act(x W + b)` on a batch, into a fresh matrix.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.fused_out(x)
+        let mut out = Matrix::default();
+        self.forward_into(x, &mut out);
+        out
     }
 
     /// Single-row inference fast path: `out = act(x W + b)` written straight
@@ -207,82 +282,98 @@ impl Mlp {
         cur
     }
 
-    /// Forward pass that records the activation chain needed for
+    /// Forward pass that records on `tape` the activation chain needed for
     /// [`Mlp::backward_tape`]. It takes `&self`, so many threads can run
     /// tapes against one shared model — the basis of the sharded PPO
     /// update.
-    pub fn forward_tape(&self, x: &Matrix) -> MlpTape {
+    pub fn forward_tape(&self, x: &Matrix, tape: &mut MlpTape) {
         let t = telemetry::enabled().then(Instant::now);
-        let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(x.clone());
-        for l in &self.layers {
-            let y = l.infer(acts.last().expect("acts starts non-empty"));
-            acts.push(y);
+        tape.acts.resize_with(self.layers.len(), Matrix::default);
+        let mut input = x;
+        for (l, out) in self.layers.iter().zip(&mut tape.acts) {
+            l.forward_into(input, out);
+            input = out;
         }
         if let Some(t) = t {
             telemetry::observe_duration("nn.forward_ns", t.elapsed());
         }
-        MlpTape { acts }
     }
 
-    /// Backprop against a tape from [`Mlp::forward_tape`]; returns one
-    /// [`LayerGrads`] per layer (same order as `self.layers`). The model is
-    /// not touched, so concurrent calls on `&self` are safe. The gradient
-    /// with respect to the network input is not computed: the trainer has
-    /// no use for it, and for the actor it is a GEMM over the widest layer.
-    pub fn backward_tape(&self, tape: &MlpTape, dy: &Matrix) -> Vec<LayerGrads> {
-        self.backprop(tape, dy, false).0
-    }
-
-    /// [`Mlp::backward_tape`] plus dL/dX of the network input, for a caller
-    /// that backpropagates into whatever produced that input (the VAE's
-    /// decoder into its encoder).
-    pub fn backward_tape_dx(&self, tape: &MlpTape, dy: &Matrix) -> (Vec<LayerGrads>, Matrix) {
-        self.backprop(tape, dy, true)
-    }
-
-    /// The second value is dL/dX of layer 0 when `input_grad`, and layer
-    /// 0's incoming gradient otherwise.
-    fn backprop(&self, tape: &MlpTape, dy: &Matrix, input_grad: bool) -> (Vec<LayerGrads>, Matrix) {
-        let t = telemetry::enabled().then(Instant::now);
-        assert_eq!(
-            tape.acts.len(),
-            self.layers.len() + 1,
-            "tape does not match this model"
-        );
-        let mut rev_grads = Vec::with_capacity(self.layers.len());
-        let mut g = dy.clone();
-        for (i, l) in self.layers.iter().enumerate().rev() {
-            let x = &tape.acts[i];
-            let y = &tape.acts[i + 1];
-            let dz = l.act.backward(&g, y);
-            let gw = x.t_matmul(&dz);
-            let gb = dz.sum_rows();
+    /// `W^T` of the layers a backward pass multiplies by, for
+    /// [`Mlp::backward_tape`]. `input_grad` asks that pass for dL/dX of the
+    /// network input too, for a caller that backpropagates into whatever
+    /// produced that input (the VAE's decoder into its encoder); the
+    /// trainer has no use for it, and for the actor it is a GEMM over the
+    /// widest layer.
+    pub fn transpose_weights_into(&self, input_grad: bool, out: &mut TransposedWeights) {
+        out.input_grad = input_grad;
+        out.wt.resize_with(self.layers.len(), Matrix::default);
+        for (i, (l, wt)) in self.layers.iter().zip(&mut out.wt).enumerate() {
             if i > 0 || input_grad {
-                g = dz.matmul_t(&l.w);
+                l.w.transpose_into(wt);
             }
-            rev_grads.push(LayerGrads { gw, gb });
         }
-        rev_grads.reverse();
+    }
+
+    /// Backprop of `dy` against the forward pass of `x` that `tape` holds,
+    /// with `wt` the transposes of this model's weights as they are now.
+    /// Leaves one [`LayerGrads`] per layer in [`MlpTape::grads`] (same order
+    /// as `self.layers`) and, where `wt` asks for it, dL/dX in
+    /// [`MlpTape::input_grad`]. The model is not touched, so concurrent
+    /// calls on `&self` are safe.
+    pub fn backward_tape(
+        &self,
+        x: &Matrix,
+        dy: &Matrix,
+        wt: &TransposedWeights,
+        tape: &mut MlpTape,
+    ) {
+        let t = telemetry::enabled().then(Instant::now);
+        let n = self.layers.len();
+        assert_eq!(tape.acts.len(), n, "tape does not match this model");
+        assert_eq!(wt.wt.len(), n, "transposed weights do not match this model");
+        tape.grads.resize_with(n, LayerGrads::default);
+        let MlpTape {
+            acts,
+            grads,
+            dz,
+            g_in,
+            g_out,
+            xt,
+        } = tape;
+        for (i, l) in self.layers.iter().enumerate().rev() {
+            let x = if i == 0 { x } else { &acts[i - 1] };
+            let g = if i + 1 == n { dy } else { &*g_in };
+            let dz = l.act.backward_into(g, &acts[i], &mut *dz);
+            x.t_matmul_into(dz, xt, &mut grads[i].gw);
+            dz.sum_rows_into(&mut grads[i].gb);
+            if i > 0 || wt.input_grad {
+                assert_eq!(
+                    wt.wt[i].shape(),
+                    (l.w.cols(), l.w.rows()),
+                    "transposed weights do not match this model"
+                );
+                dz.matmul_into(&wt.wt[i], g_out);
+                std::mem::swap(g_in, g_out);
+            }
+        }
         if let Some(t) = t {
             telemetry::observe_duration("nn.backward_ns", t.elapsed());
         }
-        (rev_grads, g)
     }
 
     /// (parameter, gradient) pairs for [`crate::Adam`], built from tape
-    /// gradients (reduced across shards by the caller where it shards).
-    pub fn params_with_grads(&mut self, grads: &[LayerGrads]) -> Vec<(&mut [f32], Vec<f32>)> {
+    /// gradients (reduced across shards by the caller where it shards):
+    /// layer 0's `w`, then its `b`, then layer 1's.
+    pub fn params_with_grads<'a>(
+        &'a mut self,
+        grads: &'a [LayerGrads],
+    ) -> Vec<(&'a mut [f32], &'a [f32])> {
         assert_eq!(grads.len(), self.layers.len(), "one LayerGrads per layer");
         self.layers
             .iter_mut()
             .zip(grads)
-            .flat_map(|(l, g)| {
-                [
-                    (l.w.data_mut(), g.gw.data().to_vec()),
-                    (l.b.data_mut(), g.gb.data().to_vec()),
-                ]
-            })
+            .flat_map(|(l, g)| [(l.w.data_mut(), g.gw.data()), (l.b.data_mut(), g.gb.data())])
             .collect()
     }
 
@@ -295,7 +386,24 @@ impl Mlp {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt as _, SeedableRng};
+
+    /// Forward and backward on a fresh tape.
+    fn pass(mlp: &Mlp, x: &Matrix, dy: &Matrix, input_grad: bool) -> MlpTape {
+        let mut tape = MlpTape::default();
+        mlp.forward_tape(x, &mut tape);
+        let mut wt = TransposedWeights::default();
+        mlp.transpose_weights_into(input_grad, &mut wt);
+        mlp.backward_tape(x, dy, &wt, &mut tape);
+        tape
+    }
+
+    fn flat(grads: &[LayerGrads]) -> Vec<Vec<f32>> {
+        grads
+            .iter()
+            .flat_map(|g| [g.gw.data().to_vec(), g.gb.data().to_vec()])
+            .collect()
+    }
 
     /// Finite-difference gradient check on a scalar loss L = sum(mlp(x)).
     #[test]
@@ -305,14 +413,8 @@ mod tests {
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]);
 
         // Analytic gradients: dL/dy = ones.
-        let tape = mlp.forward_tape(&x);
-        let y = tape.output();
-        let dy = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
-        let analytic: Vec<Vec<f32>> = mlp
-            .backward_tape(&tape, &dy)
-            .iter()
-            .flat_map(|g| [g.gw.data().to_vec(), g.gb.data().to_vec()])
-            .collect();
+        let dy = Matrix::from_vec(2, 2, vec![1.0; 4]);
+        let analytic = flat(pass(&mlp, &x, &dy, false).grads());
 
         // Numeric gradients: central differences on cloned models.
         let eps = 1e-3f32;
@@ -368,11 +470,11 @@ mod tests {
         l.w.data_mut()[0] = 1.0;
         l.b.data_mut()[0] = -5.0;
         let mlp = Mlp { layers: vec![l] };
-        let tape = mlp.forward_tape(&Matrix::from_vec(1, 1, vec![1.0]));
+        let one = Matrix::from_vec(1, 1, vec![1.0]);
+        let tape = pass(&mlp, &one, &one, true);
         assert_eq!(tape.output().data(), &[0.0]);
-        let (grads, dx) = mlp.backward_tape_dx(&tape, &Matrix::from_vec(1, 1, vec![1.0]));
-        assert_eq!(dx.data(), &[0.0]);
-        assert_eq!(grads[0].gw.data(), &[0.0]);
+        assert_eq!(tape.input_grad().data(), &[0.0]);
+        assert_eq!(tape.grads()[0].gw.data(), &[0.0]);
     }
 
     #[test]
@@ -380,7 +482,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mlp = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
         let x = Matrix::from_vec(1, 4, vec![0.5, -1.0, 2.0, 0.0]);
-        assert_eq!(mlp.forward_tape(&x).output(), &mlp.infer(&x));
+        let mut tape = MlpTape::default();
+        mlp.forward_tape(&x, &mut tape);
+        assert_eq!(tape.output(), &mlp.infer(&x));
     }
 
     #[test]
@@ -393,19 +497,104 @@ mod tests {
         assert_eq!(full.data(), row.as_slice());
     }
 
+    /// A tape that has held a larger batch, another model's layers and an
+    /// input gradient gives, when it is passed in again, what a fresh tape
+    /// gives.
     #[test]
-    fn layer_grads_accumulate_elementwise() {
-        let mut a = LayerGrads {
-            gw: Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]),
-            gb: Matrix::from_vec(1, 2, vec![0.5, -0.5]),
+    fn a_reused_tape_gives_what_a_fresh_one_does() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let big = Mlp::new(&[5, 9, 7, 6], Activation::Tanh, &mut rng);
+        let small = Mlp::new(&[4, 3, 2], Activation::Relu, &mut rng);
+        let batch = |rows: usize, cols: usize, rng: &mut StdRng| {
+            let data = (0..rows * cols).map(|_| rng.random_range(-1.0f32..1.0));
+            Matrix::from_vec(rows, cols, data.collect())
         };
-        let b = LayerGrads {
-            gw: Matrix::from_vec(2, 2, vec![10.0, 20.0, 30.0, 40.0]),
-            gb: Matrix::from_vec(1, 2, vec![1.0, 1.0]),
+        let (x_big, dy_big) = (batch(6, 5, &mut rng), batch(6, 6, &mut rng));
+        let (x_small, dy_small) = (batch(2, 4, &mut rng), batch(2, 2, &mut rng));
+
+        let mut reused = pass(&big, &x_big, &dy_big, true);
+        let mut wt = TransposedWeights::default();
+        for input_grad in [false, true] {
+            small.forward_tape(&x_small, &mut reused);
+            small.transpose_weights_into(input_grad, &mut wt);
+            small.backward_tape(&x_small, &dy_small, &wt, &mut reused);
+            let fresh = pass(&small, &x_small, &dy_small, input_grad);
+            assert_eq!(reused.output(), fresh.output());
+            assert_eq!(flat(reused.grads()), flat(fresh.grads()));
+            if input_grad {
+                assert_eq!(reused.input_grad(), fresh.input_grad());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transposed weights do not match this model")]
+    fn another_models_transposes_are_refused() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mlp = Mlp::new(&[3, 4, 2], Activation::Tanh, &mut rng);
+        let other = Mlp::new(&[3, 5, 2], Activation::Tanh, &mut rng);
+        let x = Matrix::from_vec(1, 3, vec![0.1, 0.2, 0.3]);
+        let mut tape = MlpTape::default();
+        mlp.forward_tape(&x, &mut tape);
+        let mut wt = TransposedWeights::default();
+        other.transpose_weights_into(false, &mut wt);
+        mlp.backward_tape(&x, &Matrix::from_vec(1, 2, vec![1.0, 1.0]), &wt, &mut tape);
+    }
+
+    /// `((a + b) + c) + d` element by element, whatever the block
+    /// boundaries, and the sum of squares that `Adam::step`'s own chain
+    /// gives for the result.
+    #[test]
+    fn reduce_in_order_adds_in_order_and_returns_adams_sum_of_squares() {
+        let mut rng = StdRng::seed_from_u64(8);
+        // 3 * 200 = 600 weights: two whole blocks of 256 and a tail.
+        let shard = |rng: &mut StdRng| -> Vec<LayerGrads> {
+            let mut m = |rows: usize, cols: usize| {
+                let data = (0..rows * cols).map(|_| rng.random_range(-1.0f32..1.0) * 1e-3);
+                Matrix::from_vec(rows, cols, data.collect())
+            };
+            vec![
+                LayerGrads {
+                    gw: m(3, 200),
+                    gb: m(1, 200),
+                },
+                LayerGrads {
+                    gw: m(200, 1),
+                    gb: m(1, 1),
+                },
+            ]
         };
-        a.accumulate(&b);
-        assert_eq!(a.gw.data(), &[11.0, 22.0, 33.0, 44.0]);
-        assert_eq!(a.gb.data(), &[1.5, 0.5]);
+        let shards: Vec<Vec<LayerGrads>> = (0..4).map(|_| shard(&mut rng)).collect();
+
+        let mut want = flat(&shards[0]);
+        for s in &shards[1..] {
+            for (w, g) in want.iter_mut().zip(flat(s)) {
+                for (a, b) in w.iter_mut().zip(g) {
+                    *a += b;
+                }
+            }
+        }
+        let want_squares: f32 = want.iter().flat_map(|g| g.iter().map(|x| x * x)).sum();
+
+        let mut acc = shards[0].clone();
+        let squares = reduce_in_order(&mut acc, shards[1..].iter().map(Vec::as_slice));
+        let bits = |g: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            g.iter()
+                .map(|g| g.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&flat(&acc)), bits(&want));
+        assert_eq!(squares.to_bits(), want_squares.to_bits());
+
+        // Nothing to add: the gradients stay, the squares are still summed.
+        let mut alone = shards[0].clone();
+        let own_squares: f32 = flat(&alone).iter().flatten().map(|x| x * x).sum();
+        let none = std::iter::empty::<&[LayerGrads]>();
+        assert_eq!(
+            reduce_in_order(&mut alone, none).to_bits(),
+            own_squares.to_bits()
+        );
+        assert_eq!(bits(&flat(&alone)), bits(&flat(&shards[0])));
     }
 
     #[test]
@@ -413,18 +602,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mlp = Mlp::new(&[10, 5, 2], Activation::Relu, &mut rng);
         assert_eq!(mlp.param_count(), 10 * 5 + 5 + 5 * 2 + 2);
-    }
-
-    #[test]
-    fn grads_of_two_passes_accumulate_to_twice_one() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mlp = Mlp::new(&[2, 2], Activation::Identity, &mut rng);
-        let tape = mlp.forward_tape(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
-        let dy = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let one = mlp.backward_tape(&tape, &dy).remove(0);
-        let mut two = one.clone();
-        two.accumulate(&mlp.backward_tape(&tape, &dy)[0]);
-        let (g1, g2): (f32, f32) = (one.gw.data().iter().sum(), two.gw.data().iter().sum());
-        assert!(g1 != 0.0 && (g2 - 2.0 * g1).abs() < 1e-5, "g1={g1} g2={g2}");
     }
 }

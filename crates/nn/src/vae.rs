@@ -7,7 +7,7 @@
 //! representative generative-model competitor.
 
 use crate::matrix::Matrix;
-use crate::mlp::{Activation, Mlp};
+use crate::mlp::{Activation, Mlp, MlpTape, TransposedWeights};
 use crate::optim::Adam;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -84,7 +84,8 @@ impl Vae {
         let z_dim = self.config.latent_dim;
 
         // Encode.
-        let enc_tape = self.encoder.forward_tape(batch);
+        let mut enc_tape = MlpTape::default();
+        self.encoder.forward_tape(batch, &mut enc_tape);
         let enc_out = enc_tape.output(); // [n, 2z]
         let mut mu = Matrix::zeros(batch.rows(), z_dim);
         let mut logvar = Matrix::zeros(batch.rows(), z_dim);
@@ -105,7 +106,8 @@ impl Vae {
         let z = mu.add(&eps.hadamard(&sigma));
 
         // Decode.
-        let dec_tape = self.decoder.forward_tape(&z);
+        let mut dec_tape = MlpTape::default();
+        self.decoder.forward_tape(&z, &mut dec_tape);
 
         // Losses.
         let diff = dec_tape.output().sub(batch);
@@ -124,7 +126,10 @@ impl Vae {
 
         // Backprop. dMSE/drecon = 2*diff / n.
         let drecon = diff.scale(2.0 / n);
-        let (dec_grads, dz) = self.decoder.backward_tape_dx(&dec_tape, &drecon);
+        let mut wt = TransposedWeights::default();
+        self.decoder.transpose_weights_into(true, &mut wt);
+        self.decoder.backward_tape(&z, &drecon, &wt, &mut dec_tape);
+        let dz = dec_tape.input_grad();
 
         // Through reparameterisation + KL into the encoder head.
         let beta = self.config.beta;
@@ -142,12 +147,13 @@ impl Vae {
                 *denc.at_mut(r, z_dim + c) = dlv;
             }
         }
-        let enc_grads = self.encoder.backward_tape(&enc_tape, &denc);
+        self.encoder.transpose_weights_into(false, &mut wt);
+        self.encoder.backward_tape(batch, &denc, &wt, &mut enc_tape);
 
         self.enc_opt
-            .step(self.encoder.params_with_grads(&enc_grads));
+            .step(self.encoder.params_with_grads(enc_tape.grads()));
         self.dec_opt
-            .step(self.decoder.params_with_grads(&dec_grads));
+            .step(self.decoder.params_with_grads(dec_tape.grads()));
         (mse, kl)
     }
 

@@ -5,7 +5,7 @@
 use crate::env::Environment;
 use crate::policy::ActorCritic;
 use crate::rollout::{RolloutBuffer, StoredStep};
-use asqp_nn::{func, Adam, LayerGrads, Matrix};
+use asqp_nn::{func, reduce_in_order, Adam, Matrix, Mlp, MlpTape, TransposedWeights};
 use asqp_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
@@ -103,6 +103,12 @@ pub struct Trainer {
     /// Hardware threads, read once here: `update_minibatch` runs thousands
     /// of times per training and the OS call re-reads cgroup files.
     hardware_threads: usize,
+    /// What a minibatch's gradient shards write, one entry per shard
+    /// position, and the transposed weights they all read: kept from one
+    /// minibatch to the next so that an update allocates nothing.
+    shards: Vec<ShardWork>,
+    actor_wt: TransposedWeights,
+    critic_wt: TransposedWeights,
 }
 
 impl Trainer {
@@ -121,6 +127,9 @@ impl Trainer {
             hardware_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
+            shards: Vec::new(),
+            actor_wt: TransposedWeights::default(),
+            critic_wt: TransposedWeights::default(),
         }
     }
 
@@ -286,11 +295,19 @@ impl Trainer {
     /// the updated parameters are byte-identical whether the shards run on
     /// one thread or many.
     ///
+    /// The caller runs the first group of shards itself beside the spawned
+    /// ones, and then reduces and steps the actor while, with a second
+    /// thread, a spawned one does the same for the critic: a caller that
+    /// spawns a thread per core and sleeps leaves their placement to the
+    /// scheduler, which on two cores put both on one often enough to cost a
+    /// quarter of the update (DESIGN §8). The optimiser phase is a second
+    /// scope and not the shards' own: there every thread reads both
+    /// networks, here each writes one of them, and a scoped thread keeps
+    /// what it borrowed until its scope ends.
+    ///
     /// Returns (policy_loss, value_loss, entropy, approx_kl) for the batch.
-    // asqp::panic-free-audited: the `.expect()`s either re-raise a worker
-    // panic (join), or assert shard-count invariants — `chunks` on a
-    // non-empty minibatch yields at least one shard, and critic shards run
-    // exactly when `use_critic` is set
+    // asqp::panic-free-audited: the `.expect()`s re-raise a worker panic
+    // (join), or take the first of the shards of a non-empty minibatch
     fn update_minibatch(
         &mut self,
         buf: &RolloutBuffer,
@@ -300,82 +317,106 @@ impl Trainer {
     ) -> (f32, f32, f32, f32) {
         let _span = telemetry::span("rl.update_minibatch");
         let m = idx.len();
+        let n_shards = m.div_ceil(GRAD_SHARD_ROWS);
+        let threads = self
+            .config
+            .num_workers
+            .min(n_shards)
+            .min(self.hardware_threads)
+            .max(1);
+        if self.shards.len() < n_shards {
+            self.shards.resize_with(n_shards, ShardWork::default);
+        }
+        let shards = &mut self.shards[..n_shards];
+        let ActorCritic { actor, critic, .. } = &mut self.policy;
         let use_critic = !matches!(self.config.agent, AgentKind::Reinforce);
 
-        let shards: Vec<&[usize]> = idx.chunks(GRAD_SHARD_ROWS).collect();
-        let results: Vec<ShardGrads> = {
-            let policy = &self.policy;
-            let cfg = &self.config;
-            let threads = cfg
-                .num_workers
-                .min(shards.len())
-                .min(self.hardware_threads)
-                .max(1);
-            if threads <= 1 {
-                shards
-                    .iter()
-                    .map(|s| minibatch_shard(policy, cfg, buf, s, advantages, returns, m))
-                    .collect()
-            } else {
-                // asqp::in-order-merge: handles joined in spawn order below
-                // Static contiguous partition of the shard list; joining the
-                // thread handles in spawn order keeps the flattened result in
-                // shard order, which the reduction below relies on.
-                let per_thread = shards.len().div_ceil(threads);
-                let mut out = Vec::with_capacity(shards.len());
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = shards
-                        .chunks(per_thread)
-                        .map(|group| {
-                            scope.spawn(move |_| {
-                                group
-                                    .iter()
-                                    .map(|s| {
-                                        minibatch_shard(policy, cfg, buf, s, advantages, returns, m)
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        out.extend(h.join().expect("gradient shard worker panicked"));
-                    }
-                })
-                .expect("crossbeam scope failed");
-                out
+        {
+            let _grad_span = telemetry::span("rl.update.grad");
+            // The weights do not change within a minibatch: every shard's
+            // backward pass reads the same transposes.
+            actor.transpose_weights_into(false, &mut self.actor_wt);
+            if use_critic {
+                critic.transpose_weights_into(false, &mut self.critic_wt);
             }
-        };
-
-        // In-order reduction (f32 addition is not associative; see the
-        // determinism note above).
-        let mut results = results.into_iter();
-        let first = results.next().expect("minibatch has at least one shard");
-        let mut actor_grads = first.actor;
-        let mut critic_grads = first.critic;
-        let (mut policy_loss, mut value_loss) = (first.policy_loss, first.value_loss);
-        let (mut entropy_total, mut approx_kl) = (first.entropy, first.approx_kl);
-        for r in results {
-            for (acc, g) in actor_grads.iter_mut().zip(&r.actor) {
-                acc.accumulate(g);
-            }
-            if let (Some(acc_layers), Some(g_layers)) = (critic_grads.as_mut(), r.critic.as_ref()) {
-                for (acc, g) in acc_layers.iter_mut().zip(g_layers) {
-                    acc.accumulate(g);
+            let minibatch = Minibatch {
+                actor,
+                critic: use_critic.then_some((&*critic, &self.critic_wt)),
+                actor_wt: &self.actor_wt,
+                cfg: &self.config,
+                buf,
+                advantages,
+                returns,
+                rows: m,
+            };
+            // Static contiguous partition of the shard list: which thread
+            // runs a shard changes nothing that the shard writes.
+            let per_thread = n_shards.div_ceil(threads);
+            let mut groups = shards
+                .chunks_mut(per_thread)
+                .zip(idx.chunks(per_thread * GRAD_SHARD_ROWS));
+            let own = groups.next().expect("minibatch has at least one shard");
+            let run = |(group, rows): (&mut [ShardWork], &[usize])| {
+                for (shard, rows) in group.iter_mut().zip(rows.chunks(GRAD_SHARD_ROWS)) {
+                    shard.run(&minibatch, rows);
                 }
-            }
-            policy_loss += r.policy_loss;
-            value_loss += r.value_loss;
-            entropy_total += r.entropy;
-            approx_kl += r.approx_kl;
+            };
+            // asqp::in-order-merge: a shard writes only its own entry of `shards`; they are reduced in shard order below
+            crossbeam::thread::scope(|scope| {
+                let beside: Vec<_> = groups.map(|g| scope.spawn(move |_| run(g))).collect();
+                run(own);
+                for h in beside {
+                    h.join().expect("gradient shard worker panicked");
+                }
+            })
+            .expect("crossbeam scope failed");
         }
 
-        self.actor_opt
-            .step(self.policy.actor.params_with_grads(&actor_grads));
-        if use_critic {
-            let cg = critic_grads.expect("critic shards ran");
-            self.critic_opt
-                .step(self.policy.critic.params_with_grads(&cg));
-        }
+        // In-order reduction into the first shard's gradients (f32 addition
+        // is not associative; see the determinism note above), then the
+        // optimiser step: per network, the two side by side, since they
+        // share no state.
+        let (policy_loss, value_loss, entropy_total, approx_kl) = shards
+            .iter()
+            .map(|s| (s.policy_loss, s.value_loss, s.entropy, s.approx_kl))
+            .reduce(|a, s| (a.0 + s.0, a.1 + s.1, a.2 + s.2, a.3 + s.3))
+            .expect("minibatch has at least one shard");
+        let (first, rest) = shards
+            .split_first_mut()
+            .expect("minibatch has at least one shard");
+        let rest: &[ShardWork] = rest;
+        let critic_opt = &mut self.critic_opt;
+        let critic_acc = &mut first.critic;
+        let mut critic_step = use_critic.then_some(move || {
+            let sum_squares = reduce_in_order(
+                critic_acc.grads_mut(),
+                rest.iter().map(|s| s.critic.grads()),
+            );
+            let params = critic.params_with_grads(critic_acc.grads());
+            critic_opt.step_with_sum_squares(params, sum_squares);
+        });
+        // asqp::in-order-merge: nothing is merged; the spawned step reads the shards' critic gradients and writes the critic and its optimiser only
+        crossbeam::thread::scope(|scope| {
+            let reduce_span = telemetry::span("rl.update.reduce");
+            let beside = critic_step
+                .take_if(|_| threads > 1)
+                .map(|mut step| scope.spawn(move |_| step()));
+            let sum_squares = reduce_in_order(
+                first.actor.grads_mut(),
+                rest.iter().map(|s| s.actor.grads()),
+            );
+            drop(reduce_span);
+            let _optim_span = telemetry::span("rl.update.optim");
+            let params = actor.params_with_grads(first.actor.grads());
+            self.actor_opt.step_with_sum_squares(params, sum_squares);
+            if let Some(mut step) = critic_step {
+                step();
+            }
+            if let Some(h) = beside {
+                h.join().expect("critic optimiser step panicked");
+            }
+        })
+        .expect("crossbeam scope failed");
 
         (
             policy_loss / m as f32,
@@ -392,128 +433,142 @@ impl Trainer {
 /// many threads execute the shards.
 const GRAD_SHARD_ROWS: usize = 16;
 
-/// Per-shard output of [`minibatch_shard`]: layer gradients plus this
-/// shard's (unnormalised) contribution to the batch diagnostics.
-struct ShardGrads {
-    actor: Vec<LayerGrads>,
-    critic: Option<Vec<LayerGrads>>,
+/// What every shard of one minibatch reads.
+struct Minibatch<'a> {
+    actor: &'a Mlp,
+    actor_wt: &'a TransposedWeights,
+    /// The critic and its transposed weights; `None` for REINFORCE.
+    critic: Option<(&'a Mlp, &'a TransposedWeights)>,
+    cfg: &'a TrainerConfig,
+    buf: &'a RolloutBuffer,
+    advantages: &'a [f32],
+    returns: &'a [f32],
+    /// Rows of the whole minibatch: gradients are pre-divided by it, so
+    /// shard sums equal the whole-batch gradient.
+    rows: usize,
+}
+
+/// What one gradient shard writes: its gathered states, one tape per
+/// network (the layer gradients are on the tapes), the loss gradients it
+/// backpropagates, two scratch rows, and its (unnormalised) contribution to
+/// the batch diagnostics. A shard overwrites all of it, so the trainer
+/// keeps one per shard position and no update allocates.
+#[derive(Default)]
+struct ShardWork {
+    states: Matrix,
+    actor: MlpTape,
+    critic: MlpTape,
+    dlogits: Matrix,
+    dvalues: Matrix,
+    probs: Vec<f32>,
+    ln_probs: Vec<f32>,
     policy_loss: f32,
     value_loss: f32,
     entropy: f32,
     approx_kl: f32,
 }
 
-/// Forward + backward for one gradient shard of a minibatch. Pure function
-/// of the shared policy and the shard's rows (`batch_m` is the full
-/// minibatch size — gradients are pre-divided by it so shard sums equal the
-/// whole-batch gradient), so shards can run on any thread in any order.
-#[allow(clippy::too_many_arguments)]
-fn minibatch_shard(
-    policy: &ActorCritic,
-    cfg: &TrainerConfig,
-    buf: &RolloutBuffer,
-    shard_idx: &[usize],
-    advantages: &[f32],
-    returns: &[f32],
-    batch_m: usize,
-) -> ShardGrads {
-    let rows = shard_idx.len();
-    let state_dim = buf.steps[shard_idx[0]].state.len();
-    let n_actions = policy.n_actions;
-    let mut states = Matrix::zeros(rows, state_dim);
-    for (bi, &i) in shard_idx.iter().enumerate() {
-        states.row_mut(bi).copy_from_slice(&buf.steps[i].state);
-    }
-
-    // ----- Actor: tape forward, per-row dL/dlogits, tape backward ---------
-    let actor_tape = policy.actor.forward_tape(&states);
-    let logits = actor_tape.output();
-    let mut dlogits = Matrix::zeros(rows, n_actions);
-    let mut policy_loss = 0.0f32;
-    let mut entropy_total = 0.0f32;
-    let mut approx_kl = 0.0f32;
-
-    for (bi, &i) in shard_idx.iter().enumerate() {
-        let step = &buf.steps[i];
-        let adv = advantages[i];
-
-        // Masked probabilities under the current policy.
-        let mut row = logits.row(bi).to_vec();
-        func::mask_logits(&mut row, &step.mask);
-        let mut probs = row.clone();
-        func::softmax_in_place(&mut probs);
-        let lp_new = probs[step.action].max(1e-20).ln();
-        let entropy = func::entropy(&probs);
-        entropy_total += entropy;
-        approx_kl += step.logprob - lp_new;
-
-        // dL/d(logprob of chosen action).
-        let dl_dlp: f32 = match cfg.agent {
-            AgentKind::Ppo => {
-                let ratio = (lp_new - step.logprob).exp();
-                let unclipped = ratio * adv;
-                let clipped = ratio.clamp(1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * adv;
-                policy_loss += -unclipped.min(clipped);
-                if unclipped <= clipped {
-                    // min picks the unclipped term → gradient flows.
-                    -ratio * adv
-                } else {
-                    0.0
-                }
-            }
-            AgentKind::A2c | AgentKind::Reinforce => {
-                policy_loss += -lp_new * adv;
-                -adv
-            }
-        };
-
-        // Assemble dL/dlogits for this row.
-        let drow = dlogits.row_mut(bi);
-        for a in 0..n_actions {
-            let p = probs[a];
-            if !step.mask[a] {
-                continue; // masked logits receive no gradient
-            }
-            let onehot = if a == step.action { 1.0 } else { 0.0 };
-            let mut g = dl_dlp * (onehot - p);
-            // Entropy bonus: L -= c_e * H  →  dL/dz = c_e * p (ln p + H).
-            if p > 0.0 {
-                g += cfg.entropy_coef * p * (p.ln() + entropy);
-            }
-            // KL penalty (PPO only): L += c_kl * KL(old ‖ new)
-            //   → dL/dz = c_kl * (p_new − p_old).
-            if matches!(cfg.agent, AgentKind::Ppo) {
-                g += cfg.kl_coef * (p - step.old_probs[a]);
-            }
-            drow[a] = g / batch_m as f32;
-        }
-    }
-    let actor = policy.actor.backward_tape(&actor_tape, &dlogits);
-
-    // ----- Critic: tape forward/backward -----------------------------------
-    let mut value_loss = 0.0f32;
-    let critic = if matches!(cfg.agent, AgentKind::Reinforce) {
-        None
-    } else {
-        let critic_tape = policy.critic.forward_tape(&states);
-        let values = critic_tape.output();
-        let mut dv = Matrix::zeros(rows, 1);
+impl ShardWork {
+    /// Forward + backward for one gradient shard of a minibatch. A pure
+    /// function of the shared policy and the shard's rows, so shards can
+    /// run on any thread in any order.
+    fn run(&mut self, mb: &Minibatch, shard_idx: &[usize]) {
+        let Minibatch { cfg, buf, .. } = *mb;
+        let rows = shard_idx.len();
+        let state_dim = buf.steps[shard_idx[0]].state.len();
+        self.states.reshape_for_overwrite(rows, state_dim);
         for (bi, &i) in shard_idx.iter().enumerate() {
-            let v = values.at(bi, 0);
-            let err = v - returns[i];
-            value_loss += err * err;
-            *dv.at_mut(bi, 0) = cfg.value_coef * 2.0 * err / batch_m as f32;
+            self.states.row_mut(bi).copy_from_slice(&buf.steps[i].state);
         }
-        Some(policy.critic.backward_tape(&critic_tape, &dv))
-    };
 
-    ShardGrads {
-        actor,
-        critic,
-        policy_loss,
-        value_loss,
-        entropy: entropy_total,
-        approx_kl,
+        // ----- Actor: tape forward, per-row dL/dlogits, tape backward -----
+        mb.actor.forward_tape(&self.states, &mut self.actor);
+        let logits = self.actor.output();
+        let n_actions = logits.cols();
+        self.dlogits.reshape_for_overwrite(rows, n_actions);
+        self.probs.resize(n_actions, 0.0);
+        self.ln_probs.resize(n_actions, 0.0);
+        let (probs, ln_probs) = (&mut self.probs[..], &mut self.ln_probs[..]);
+        let mut policy_loss = 0.0f32;
+        let mut entropy_total = 0.0f32;
+        let mut approx_kl = 0.0f32;
+
+        for (bi, &i) in shard_idx.iter().enumerate() {
+            let step = &buf.steps[i];
+            let adv = mb.advantages[i];
+
+            // Masked probabilities under the current policy.
+            probs.copy_from_slice(logits.row(bi));
+            func::mask_logits(probs, &step.mask);
+            func::softmax_in_place(probs);
+            let lp_new = probs[step.action].max(1e-20).ln();
+            let entropy = func::entropy_keeping_ln(probs, ln_probs);
+            entropy_total += entropy;
+            approx_kl += step.logprob - lp_new;
+
+            // dL/d(logprob of chosen action).
+            let dl_dlp: f32 = match cfg.agent {
+                AgentKind::Ppo => {
+                    let ratio = (lp_new - step.logprob).exp();
+                    let unclipped = ratio * adv;
+                    let clipped = ratio.clamp(1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * adv;
+                    policy_loss += -unclipped.min(clipped);
+                    if unclipped <= clipped {
+                        // min picks the unclipped term → gradient flows.
+                        -ratio * adv
+                    } else {
+                        0.0
+                    }
+                }
+                AgentKind::A2c | AgentKind::Reinforce => {
+                    policy_loss += -lp_new * adv;
+                    -adv
+                }
+            };
+
+            // Assemble dL/dlogits for this row.
+            let drow = self.dlogits.row_mut(bi);
+            for a in 0..n_actions {
+                let p = probs[a];
+                if !step.mask[a] {
+                    drow[a] = 0.0; // masked logits receive no gradient
+                    continue;
+                }
+                let onehot = if a == step.action { 1.0 } else { 0.0 };
+                let mut g = dl_dlp * (onehot - p);
+                // Entropy bonus: L -= c_e * H  →  dL/dz = c_e * p (ln p + H).
+                if p > 0.0 {
+                    g += cfg.entropy_coef * p * (ln_probs[a] + entropy);
+                }
+                // KL penalty (PPO only): L += c_kl * KL(old ‖ new)
+                //   → dL/dz = c_kl * (p_new − p_old).
+                if matches!(cfg.agent, AgentKind::Ppo) {
+                    g += cfg.kl_coef * (p - step.old_probs[a]);
+                }
+                drow[a] = g / mb.rows as f32;
+            }
+        }
+        mb.actor
+            .backward_tape(&self.states, &self.dlogits, mb.actor_wt, &mut self.actor);
+
+        // ----- Critic: tape forward/backward ------------------------------
+        let mut value_loss = 0.0f32;
+        if let Some((critic, critic_wt)) = mb.critic {
+            critic.forward_tape(&self.states, &mut self.critic);
+            let values = self.critic.output();
+            self.dvalues.reshape_for_overwrite(rows, 1);
+            for (bi, &i) in shard_idx.iter().enumerate() {
+                let err = values.at(bi, 0) - mb.returns[i];
+                value_loss += err * err;
+                *self.dvalues.at_mut(bi, 0) = cfg.value_coef * 2.0 * err / mb.rows as f32;
+            }
+            critic.backward_tape(&self.states, &self.dvalues, critic_wt, &mut self.critic);
+        }
+
+        self.policy_loss = policy_loss;
+        self.value_loss = value_loss;
+        self.entropy = entropy_total;
+        self.approx_kl = approx_kl;
     }
 }
 

@@ -7,6 +7,13 @@
 //! buffer to trainers that differ only in `num_workers` and compare the
 //! serialized policies bit for bit.
 //!
+//! Trainers compared only with each other would all pass a change that
+//! moves every one of them alike, so each agent's serialized policy is also
+//! pinned to an FNV-1a digest recorded at `c6ab3dd`, the commit before the
+//! update's non-GEMM half was rewritten (PR 20): a refactor of the update
+//! path that claims "every parameter keeps its bits" must leave
+//! [`RECORDED`] alone.
+//!
 //! (Full `train_iteration`s are *not* compared across worker counts:
 //! `collect` draws one RNG seed per worker, so the experience itself
 //! legitimately differs. The determinism contract covers the update path.)
@@ -14,6 +21,19 @@
 use asqp_rl::env::ToyCoverageEnv;
 use asqp_rl::trainer::{AgentKind, Trainer, TrainerConfig};
 use asqp_rl::RolloutBuffer;
+
+/// FNV-1a of the serialized policy after the three updates, per agent.
+const RECORDED: [(AgentKind, u64); 3] = [
+    (AgentKind::Ppo, 481_185_538_742_583_145),
+    (AgentKind::A2c, 16_944_286_330_450_552_328),
+    (AgentKind::Reinforce, 2_577_973_658_704_451_876),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 fn config(agent: AgentKind, num_workers: usize) -> TrainerConfig {
     TrainerConfig {
@@ -60,6 +80,29 @@ fn a2c_update_byte_identical_across_worker_counts() {
     let single = policy_bytes_after_updates(AgentKind::A2c, 1, &buf);
     let double = policy_bytes_after_updates(AgentKind::A2c, 2, &buf);
     assert_eq!(single, double, "A2C 1-worker vs 2-worker params diverged");
+}
+
+#[test]
+fn reinforce_update_byte_identical_across_worker_counts() {
+    let buf = collect_shared_buffer(AgentKind::Reinforce);
+    let single = policy_bytes_after_updates(AgentKind::Reinforce, 1, &buf);
+    let double = policy_bytes_after_updates(AgentKind::Reinforce, 2, &buf);
+    let many = policy_bytes_after_updates(AgentKind::Reinforce, 8, &buf);
+    assert_eq!(single, double, "REINFORCE 1-worker vs 2-worker diverged");
+    assert_eq!(single, many, "REINFORCE 1-worker vs 8-worker diverged");
+}
+
+#[test]
+fn updated_parameters_match_the_recorded_build() {
+    let got: Vec<(AgentKind, u64)> = RECORDED
+        .iter()
+        .map(|&(agent, _)| {
+            let buf = collect_shared_buffer(agent);
+            let bytes = policy_bytes_after_updates(agent, 2, &buf);
+            (agent, fnv1a(bytes.as_bytes()))
+        })
+        .collect();
+    assert_eq!(got, RECORDED, "a parameter bit moved since c6ab3dd");
 }
 
 #[test]
