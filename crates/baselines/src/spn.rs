@@ -299,6 +299,7 @@ impl Spn {
         if let Some(l) = q.limit {
             rows.truncate(l);
         }
+        let rows = rows.into_iter().collect();
         Some(ResultSet { columns, rows })
     }
 

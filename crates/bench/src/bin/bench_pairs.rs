@@ -13,8 +13,10 @@
 //! Pair `i` runs both sides on the same seed, the parent first when `i` is
 //! even and the change first when it is odd. The report holds the machine
 //! line of each side, every run's end-to-end values, and per metric each
-//! side's quartiles and how many pairs each side won. It is rewritten after
-//! every pair, so an interrupted session keeps what it measured.
+//! side's quartiles, how many pairs each side won and what that means (see
+//! [`verdict`]). It is rewritten after every pair, so an interrupted session
+//! keeps what it measured; the verdicts are printed when the session ends,
+//! and a run that was incorrect or failed an operation fails the session.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -36,6 +38,8 @@ struct MetricDecl {
     unit: String,
     /// `"lower"` or `"higher"`.
     better: String,
+    /// Share of the parent's median by which the metric may get worse.
+    bound: f64,
 }
 
 /// The result object the benchmark prints last.
@@ -83,6 +87,7 @@ struct MetricSummary {
     /// rest are ties.
     change_wins: usize,
     parent_wins: usize,
+    verdict: &'static str,
 }
 
 #[derive(Serialize)]
@@ -219,7 +224,33 @@ fn quartiles(values: &[f64]) -> Quartiles {
     }
 }
 
-/// Per declared metric: each side's quartiles over `runs` and the pairs won.
+/// What a metric's pairs mean, by the rule of `choosing-metrics` §8.
+/// `ahead`: the change won at least nine tenths of the pairs and the medians
+/// are apart, the right way, by more than the parent's own q3 − q1.
+/// `worse`: the change's median is worse by more than `bound` of the
+/// parent's. `unresolved`: a side's q3 − q1 is wider than that, so the pairs
+/// cannot tell — unless every run of the change beat every run of the
+/// parent. `within_bound` otherwise.
+fn verdict(decl: &MetricDecl, parent: &[f64], change: &[f64], change_wins: usize) -> &'static str {
+    let sign = if decl.better == "lower" { -1.0 } else { 1.0 };
+    let (p, c) = (quartiles(parent), quartiles(change));
+    let gain = sign * (c.median - p.median);
+    let allowed = decl.bound * p.median.abs();
+    let best_parent = parent.iter().map(|v| sign * v).fold(f64::MIN, f64::max);
+    let all_ahead = change.iter().all(|v| sign * v > best_parent);
+    if change_wins * 10 >= parent.len() * 9 && gain > p.q3 - p.q1 {
+        "ahead"
+    } else if -gain > allowed {
+        "worse"
+    } else if (p.q3 - p.q1).max(c.q3 - c.q1) > allowed && !all_ahead {
+        "unresolved"
+    } else {
+        "within_bound"
+    }
+}
+
+/// Per declared metric: each side's quartiles over `runs`, the pairs won and
+/// the [`verdict`].
 fn summarize(bench: &Benchmark, runs: &[Run]) -> BTreeMap<String, MetricSummary> {
     let mut summary = BTreeMap::new();
     for decl in &bench.end_to_end {
@@ -238,12 +269,14 @@ fn summarize(bench: &Benchmark, runs: &[Run]) -> BTreeMap<String, MetricSummary>
             let better = |(x, y): (&f64, &f64)| if decl.better == "lower" { x < y } else { x > y };
             a.iter().zip(b).filter(|&p| better(p)).count()
         };
+        let change_wins = won(&change, &parent);
         summary.insert(
             decl.name.clone(),
             MetricSummary {
                 unit: decl.unit.clone(),
                 better: decl.better.clone(),
-                change_wins: won(&change, &parent),
+                verdict: verdict(decl, &parent, &change, change_wins),
+                change_wins,
                 parent_wins: won(&parent, &change),
                 parent: quartiles(&parent),
                 change: quartiles(&change),
@@ -303,6 +336,21 @@ fn run_pairs(args: &Args) -> Result<(), String> {
                 .map_err(|e| format!("{}: {e}", args.out.display()))?;
         }
     }
+    let mut bad_runs = 0;
+    for w in &report.workloads {
+        for (name, m) in &w.summary {
+            let (workload, parent, change) = (&w.workload, m.parent.median, m.change.median);
+            let (unit, won, pairs, verdict) = (&m.unit, m.change_wins, w.pairs, m.verdict);
+            eprintln!("{workload:<15} {name:<14} parent {parent:>12.5} change {change:>12.5} {unit:<5} won {won:>2} of {pairs:<2} {verdict}");
+        }
+        let bad = |r: &&Run| !r.correct || r.failed > 0;
+        bad_runs += w.runs.iter().filter(bad).count();
+    }
+    if bad_runs > 0 {
+        return Err(format!(
+            "{bad_runs} run(s) incorrect or with failed operations"
+        ));
+    }
     Ok(())
 }
 
@@ -331,5 +379,33 @@ mod tests {
         let rounds = rounds_of(stdout);
         assert_eq!(rounds.len(), 1);
         assert_eq!(rounds["closed_qps"], [6400.5, 9100.25, 6478.12]);
+    }
+
+    #[test]
+    fn the_four_verdicts() {
+        let qps = MetricDecl {
+            name: "closed_qps".into(),
+            unit: "1/s".into(),
+            better: "higher".into(),
+            bound: 0.25,
+        };
+        let parent = [
+            100.0, 104.0, 96.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0,
+        ];
+        let scaled = |by: f64| parent.map(|v| v * by);
+        assert_eq!(verdict(&qps, &parent, &scaled(1.5), 10), "ahead");
+        // A win in every pair by less than the parent's own spread is not one.
+        assert_eq!(verdict(&qps, &parent, &scaled(1.01), 10), "within_bound");
+        assert_eq!(verdict(&qps, &parent, &scaled(0.7), 0), "worse");
+        let mut wide = parent;
+        (wide.iter_mut().step_by(2)).for_each(|v| *v *= 0.5);
+        (wide.iter_mut().skip(1).step_by(2)).for_each(|v| *v *= 1.5);
+        assert_eq!(verdict(&qps, &parent, &wide, 5), "unresolved");
+        let lower = MetricDecl {
+            better: "lower".into(),
+            ..qps
+        };
+        assert_eq!(verdict(&lower, &parent, &scaled(0.5), 10), "ahead");
+        assert_eq!(verdict(&lower, &parent, &scaled(1.5), 0), "worse");
     }
 }

@@ -51,7 +51,7 @@ pub fn approximate_aggregate(full: &Database, subset: &Database, q: &Query) -> D
         })
         .collect();
 
-    for row in &mut rs.rows {
+    for row in rs.rows.iter_mut() {
         for &c in &scalable {
             row[c] = match &row[c] {
                 Value::Int(i) => Value::Float((*i as f64 * factor).round()),
@@ -96,12 +96,12 @@ pub fn result_relative_error(q: &Query, pred: &ResultSet, truth: &ResultSet) -> 
         return 0.0;
     }
 
-    let key_of = |row: &Row| -> Vec<Value> { key_cols.iter().map(|&c| row[c].clone()).collect() };
+    let key_of = |row: &[Value]| -> Row { key_cols.iter().map(|&c| row[c].clone()).collect() };
     // BTreeMaps so the f64 error accumulation below runs in key order:
     // with hash maps the sum order (and thus the reported error, f64
     // addition being non-associative) varied run to run.
-    let truth_map: BTreeMap<Vec<Value>, &Row> = truth.rows.iter().map(|r| (key_of(r), r)).collect();
-    let pred_map: BTreeMap<Vec<Value>, &Row> = pred.rows.iter().map(|r| (key_of(r), r)).collect();
+    let truth_map: BTreeMap<_, _> = truth.rows.iter().map(|r| (key_of(r), r)).collect();
+    let pred_map: BTreeMap<_, _> = pred.rows.iter().map(|r| (key_of(r), r)).collect();
 
     let mut total = 0.0;
     let mut terms = 0usize;
@@ -247,14 +247,18 @@ mod tests {
         let q = parse("SELECT t.g, COUNT(*) FROM t GROUP BY t.g").unwrap();
         let truth = ResultSet {
             columns: vec!["t.g".into(), "COUNT(*)".into()],
-            rows: vec![vec![Value::Str("a".into()), Value::Int(10)]],
+            rows: [[Value::Str("a".into()), Value::Int(10)]]
+                .into_iter()
+                .collect(),
         };
         let pred = ResultSet {
             columns: truth.columns.clone(),
-            rows: vec![
-                vec![Value::Str("a".into()), Value::Int(10)],
-                vec![Value::Str("ghost".into()), Value::Int(5)],
-            ],
+            rows: [
+                [Value::Str("a".into()), Value::Int(10)],
+                [Value::Str("ghost".into()), Value::Int(5)],
+            ]
+            .into_iter()
+            .collect(),
         };
         let err = result_relative_error(&q, &pred, &truth);
         assert!((err - 0.5).abs() < 1e-12, "err = {err}");

@@ -1,12 +1,12 @@
 //! Result-diversity measurement (paper §6.2 "Diversity Comparison"): the
 //! standard pairwise-Jaccard-distance metric over query answers.
 
-use asqp_db::{Database, DbResult, Query, Row, Value, Workload};
+use asqp_db::{Database, DbResult, Query, Rows, Value, Workload};
 // Ordered sets: token iteration stays deterministic (iter-order invariant).
 use std::collections::BTreeSet;
 
 /// Token set of one result row (string values tokenize; others stringify).
-fn row_tokens(row: &Row) -> BTreeSet<String> {
+fn row_tokens(row: &[Value]) -> BTreeSet<String> {
     let mut set = BTreeSet::new();
     for v in row {
         match v {
@@ -37,7 +37,7 @@ fn jaccard_distance(a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
 /// Mean pairwise Jaccard distance over a result's rows. Results with fewer
 /// than two rows have no pairs and score 0. Row count should be bounded by
 /// the caller (the paper uses `LIMIT 100`).
-pub fn result_diversity(rows: &[Row]) -> f64 {
+pub fn result_diversity(rows: &Rows) -> f64 {
     if rows.len() < 2 {
         return 0.0;
     }
@@ -79,38 +79,33 @@ pub fn workload_diversity(db: &Database, workload: &Workload, limit: usize) -> D
 mod tests {
     use super::*;
 
+    /// Two one-column rows.
+    fn texts(rows: [&str; 2]) -> Rows {
+        rows.into_iter().map(|text| [Value::from(text)]).collect()
+    }
+
     #[test]
     fn identical_rows_have_zero_diversity() {
-        let rows = vec![
-            vec![Value::Str("same words".into())],
-            vec![Value::Str("same words".into())],
-        ];
-        assert_eq!(result_diversity(&rows), 0.0);
+        assert_eq!(result_diversity(&texts(["same words", "same words"])), 0.0);
     }
 
     #[test]
     fn disjoint_rows_have_full_diversity() {
-        let rows = vec![
-            vec![Value::Str("alpha beta".into())],
-            vec![Value::Str("gamma delta".into())],
-        ];
+        let rows = texts(["alpha beta", "gamma delta"]);
         assert!((result_diversity(&rows) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn partial_overlap_in_between() {
-        let rows = vec![
-            vec![Value::Str("alpha beta".into())],
-            vec![Value::Str("beta gamma".into())],
-        ];
-        let d = result_diversity(&rows);
+        let d = result_diversity(&texts(["alpha beta", "beta gamma"]));
         assert!(d > 0.0 && d < 1.0, "d = {d}");
     }
 
     #[test]
     fn single_row_scores_zero() {
-        assert_eq!(result_diversity(&[vec![Value::Int(1)]]), 0.0);
-        assert_eq!(result_diversity(&[]), 0.0);
+        let one: Rows = [[Value::Int(1)]].into_iter().collect();
+        assert_eq!(result_diversity(&one), 0.0);
+        assert_eq!(result_diversity(&Rows::default()), 0.0);
     }
 
     #[test]

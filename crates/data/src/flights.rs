@@ -28,10 +28,7 @@ pub fn generate(scale: Scale, seed: u64) -> Database {
         .expect("fresh database");
     for c in CARRIERS {
         carriers
-            .push_row(&[
-                Value::Str(c.to_string()),
-                Value::Str(format!("{c} airlines")),
-            ])
+            .push_row(&[Value::from(*c), Value::from(format!("{c} airlines"))])
             .expect("row matches schema");
     }
 
@@ -51,9 +48,9 @@ pub fn generate(scale: Scale, seed: u64) -> Database {
     for (i, a) in AIRPORTS.iter().enumerate() {
         airports
             .push_row(&[
-                Value::Str(a.to_string()),
-                Value::Str(format!("{} city", a.to_lowercase())),
-                Value::Str(STATES[i].to_string()),
+                Value::from(*a),
+                Value::from(format!("{} city", a.to_lowercase())),
+                Value::from(STATES[i]),
             ])
             .expect("row matches schema");
     }
@@ -95,9 +92,9 @@ pub fn generate(scale: Scale, seed: u64) -> Database {
         flights
             .push_row(&[
                 Value::Int(id as i64),
-                Value::Str(carrier.to_string()),
-                Value::Str(origin.to_string()),
-                Value::Str(dest.to_string()),
+                Value::from(carrier),
+                Value::from(origin),
+                Value::from(dest),
                 Value::Int(rng.random_range(1..13)),
                 Value::Int(rng.random_range(1..8)),
                 Value::Float((dep_delay * 10.0).round() / 10.0),

@@ -51,9 +51,9 @@ pub fn generate(scale: Scale, seed: u64) -> Database {
         title
             .push_row(&[
                 Value::Int(id as i64),
-                Value::Str(title_words.phrase(rng.random_range(1..4), &mut rng)),
+                Value::from(title_words.phrase(rng.random_range(1..4), &mut rng)),
                 Value::Int(year),
-                Value::Str(kind.to_string()),
+                Value::from(kind),
                 Value::Float((rating * 10.0).round() / 10.0),
             ])
             .expect("row matches schema");
@@ -74,8 +74,8 @@ pub fn generate(scale: Scale, seed: u64) -> Database {
         person
             .push_row(&[
                 Value::Int(id as i64),
-                Value::Str(name_words.phrase(2, &mut rng)),
-                Value::Str(GENDERS[rng.random_range(0..GENDERS.len())].to_string()),
+                Value::from(name_words.phrase(2, &mut rng)),
+                Value::from(GENDERS[rng.random_range(0..GENDERS.len())]),
             ])
             .expect("row matches schema");
     }
@@ -95,8 +95,8 @@ pub fn generate(scale: Scale, seed: u64) -> Database {
         company
             .push_row(&[
                 Value::Int(id as i64),
-                Value::Str(name_words.phrase(1, &mut rng)),
-                Value::Str(COUNTRIES[zipf_index(COUNTRIES.len(), 1.1, &mut rng)].to_string()),
+                Value::from(name_words.phrase(1, &mut rng)),
+                Value::from(COUNTRIES[zipf_index(COUNTRIES.len(), 1.1, &mut rng)]),
             ])
             .expect("row matches schema");
     }
@@ -116,7 +116,7 @@ pub fn generate(scale: Scale, seed: u64) -> Database {
         cast.push_row(&[
             Value::Int(zipf_index(n_titles, 1.05, &mut rng) as i64),
             Value::Int(zipf_index(n_people, 1.05, &mut rng) as i64),
-            Value::Str(ROLES[zipf_index(ROLES.len(), 1.2, &mut rng)].to_string()),
+            Value::from(ROLES[zipf_index(ROLES.len(), 1.2, &mut rng)]),
         ])
         .expect("row matches schema");
     }

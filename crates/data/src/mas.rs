@@ -45,8 +45,8 @@ pub fn generate(scale: Scale, seed: u64) -> Database {
         author
             .push_row(&[
                 Value::Int(id as i64),
-                Value::Str(names.phrase(2, &mut rng)),
-                Value::Str(format!("{} university", affil_words.sample(&mut rng))),
+                Value::from(names.phrase(2, &mut rng)),
+                Value::from(format!("{} university", affil_words.sample(&mut rng))),
             ])
             .expect("row matches schema");
     }
@@ -65,8 +65,8 @@ pub fn generate(scale: Scale, seed: u64) -> Database {
         venue
             .push_row(&[
                 Value::Int(id as i64),
-                Value::Str(names.phrase(1, &mut rng).to_uppercase()),
-                Value::Str(FIELDS[zipf_index(FIELDS.len(), 1.1, &mut rng)].to_string()),
+                Value::from(names.phrase(1, &mut rng).to_uppercase()),
+                Value::from(FIELDS[zipf_index(FIELDS.len(), 1.1, &mut rng)]),
             ])
             .expect("row matches schema");
     }
@@ -90,7 +90,7 @@ pub fn generate(scale: Scale, seed: u64) -> Database {
         publication
             .push_row(&[
                 Value::Int(id as i64),
-                Value::Str(title_words.phrase(rng.random_range(3..7), &mut rng)),
+                Value::from(title_words.phrase(rng.random_range(3..7), &mut rng)),
                 Value::Int(year),
                 Value::Int(zipf_index(n_venues, 1.15, &mut rng) as i64),
                 Value::Int(citations),

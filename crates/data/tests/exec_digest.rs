@@ -93,3 +93,23 @@ fn workload_digests_match_the_recorded_build() {
         "[imdb, mas, flights] as (ordered, sorted)"
     );
 }
+
+/// What a database serialises to, recorded with `Value::Str(String)` and a
+/// `Vec<String>` dictionary one step before both became `Arc<str>`: the
+/// content tree is what `serde_json` renders, so equal trees are equal bytes.
+#[test]
+fn databases_serialise_to_the_recorded_bytes() {
+    use serde::Serialize;
+    let digest = |db: Database| {
+        let mut h = FNV_OFFSET;
+        fnv1a(&mut h, format!("{:?}", db.to_content()).as_bytes());
+        format!("{h:#018x}")
+    };
+    let got = [imdb::generate, mas::generate, flights::generate].map(|g| digest(g(Scale::Tiny, 7)));
+    let want = [
+        "0x1c050ff89ffcf46c",
+        "0x89c40f2aac2cacd5",
+        "0x822f9c9ae43869b4",
+    ];
+    assert_eq!(got, want, "[imdb, mas, flights]");
+}

@@ -6,16 +6,19 @@ use crate::error::{DbError, DbResult};
 use crate::value::{Value, ValueType};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Typed column payload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ColumnData {
     Int(Vec<i64>),
     Float(Vec<f64>),
-    /// Dictionary-encoded strings: `codes[i]` indexes into `dict`.
+    /// Dictionary-encoded strings: `codes[i]` indexes into `dict`. An entry
+    /// is shared with every [`Value::Str`] read from it, the reverse index,
+    /// and the columns (subsets, clones, appends) its values were pushed into.
     Str {
         codes: Vec<u32>,
-        dict: Vec<String>,
+        dict: Vec<Arc<str>>,
     },
     Bool(Vec<bool>),
 }
@@ -27,7 +30,7 @@ pub struct Column {
     validity: Vec<bool>,
     /// Reverse dictionary kept only while building (not serialised).
     #[serde(skip)]
-    dict_index: HashMap<String, u32>,
+    dict_index: HashMap<Arc<str>, u32>,
 }
 
 impl Column {
@@ -154,7 +157,7 @@ impl Column {
         Ok(())
     }
 
-    /// Materialise the value at `idx`.
+    /// The value at `idx`; text shares the dictionary's allocation.
     pub fn get(&self, idx: usize) -> Value {
         if !self.validity[idx] {
             return Value::Null;
@@ -231,21 +234,22 @@ impl Column {
 
 /// Find-or-insert a dictionary code for `s`, lazily rebuilding the reverse
 /// index when it is stale (it is not serialised, so a deserialised column
-/// starts with a populated `dict` but an empty index).
-fn dict_code(dict: &mut Vec<String>, index: &mut HashMap<String, u32>, s: &str) -> u32 {
+/// starts with a populated `dict` but an empty index). A new entry adopts
+/// `s`'s allocation: dictionary, index and `s`'s source hold one copy.
+fn dict_code(dict: &mut Vec<Arc<str>>, index: &mut HashMap<Arc<str>, u32>, s: &Arc<str>) -> u32 {
     if index.len() < dict.len() {
         *index = dict
             .iter()
             .enumerate()
-            .map(|(i, e)| (e.clone(), i as u32))
+            .map(|(i, e)| (Arc::clone(e), i as u32))
             .collect();
     }
-    match index.get(s) {
+    match index.get(&**s) {
         Some(&c) => c,
         None => {
             let c = dict.len() as u32;
-            dict.push(s.to_string());
-            index.insert(s.to_string(), c);
+            dict.push(Arc::clone(s));
+            index.insert(Arc::clone(s), c);
             c
         }
     }

@@ -143,7 +143,7 @@ fn parse_cell(s: &str, ty: ValueType) -> DbResult<Value> {
             found: t.to_string(),
         })?),
         ValueType::Bool => Value::Bool(t.eq_ignore_ascii_case("true")),
-        ValueType::Str => Value::Str(s.to_string()),
+        ValueType::Str => Value::Str(s.into()),
     })
 }
 
@@ -200,8 +200,9 @@ pub fn load_csv(name: &str, text: &str, schema: Option<Schema>) -> DbResult<Tabl
     Ok(table)
 }
 
-/// Export a table (or query result rows with column names) as CSV text.
-pub fn to_csv(columns: &[String], rows: &[Vec<Value>]) -> String {
+/// Export rows (a table's, or a query result's `&Rows`) with their column
+/// names as CSV text.
+pub fn to_csv<'a>(columns: &[String], rows: impl IntoIterator<Item = &'a [Value]>) -> String {
     let quote = |s: &str| {
         if s.contains([',', '"', '\n']) {
             format!("\"{}\"", s.replace('"', "\"\""))
@@ -261,7 +262,7 @@ mod tests {
             .iter()
             .map(|c| c.name.clone())
             .collect();
-        let rows: Vec<Vec<Value>> = (0..t.row_count()).map(|r| t.row(r)).collect();
+        let rows: crate::exec::Rows = (0..t.row_count()).map(|r| t.row(r)).collect();
         let text = to_csv(&cols, &rows);
         let t2 = load_csv("people2", &text, Some(t.schema().clone())).unwrap();
         for r in 0..t.row_count() {

@@ -26,11 +26,15 @@ use crate::value::{Row, Value};
 use asqp_telemetry as telemetry;
 use join::Tuples;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::OnceLock;
 
 pub(crate) mod aggregate;
 mod join;
+mod rows;
 mod vector;
+
+pub use rows::Rows;
 
 /// The one execution setting.
 #[derive(Debug, Clone, Copy)]
@@ -61,12 +65,13 @@ impl Default for ExecOptions {
 /// every table bound in the FROM clause, in FROM order.
 pub type Lineage = Vec<usize>;
 
-/// Plain query result.
-#[derive(Debug, Clone, PartialEq)]
+/// Plain query result: the column names and, in one buffer, the rows
+/// under them (`rows[i][j]` is column `j` of row `i`).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResultSet {
     /// Output column names (qualified where the query qualified them).
     pub columns: Vec<String>,
-    pub rows: Vec<Row>,
+    pub rows: Rows,
 }
 
 impl ResultSet {
@@ -316,27 +321,25 @@ fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<Quer
         tuples = tuples.permuted(&idx);
     }
 
-    // Project (+ DISTINCT + LIMIT with early exit when unordered).
+    // Project (+ DISTINCT + LIMIT with early exit when unordered): each
+    // cell is written once, into the result's own buffer.
     let _project_span = telemetry::span("db.exec.project");
-    let distinct = bound.query.distinct;
     let columns: Vec<_> = proj.iter().map(|&s| layout.slot_column(s)).collect();
+    let distinct = bound.query.distinct;
+    let mut seen = distinct.then(SeenRows::default);
     // DISTINCT may keep any share of the tuples: let it grow.
     let expected = if distinct { 0 } else { tuples.len().min(limit) };
-    let mut rows: Vec<Row> = Vec::with_capacity(expected);
+    let mut rows = Rows::with_capacity(columns.len(), expected);
     let mut lineage: Vec<Lineage> = Vec::with_capacity(if want_lineage { expected } else { 0 });
-    let mut seen: HashMap<Row, ()> = HashMap::new();
     for t in tuples.iter() {
         if rows.len() >= limit {
             break;
         }
-        let row: Row = columns.iter().map(|&(b, col)| col.get(t[b])).collect();
-        if distinct {
-            if seen.contains_key(&row) {
-                continue;
-            }
-            seen.insert(row.clone(), ());
+        rows.push(columns.iter().map(|&(b, col)| col.get(t[b])));
+        if seen.as_mut().is_some_and(|seen| seen.repeats_last(&rows)) {
+            rows.pop();
+            continue;
         }
-        rows.push(row);
         if want_lineage {
             lineage.push(t.to_vec());
         }
@@ -352,6 +355,33 @@ fn execute_plan(plan: &Plan, shards: usize, want_lineage: bool) -> DbResult<Quer
         lineage,
         trace,
     })
+}
+
+/// DISTINCT's memory, as indices into the result being built so that no row
+/// is copied to be remembered: `heads` maps a row's hash to the latest kept
+/// row with it, `prev` chains each kept row to the one before it under it.
+#[derive(Default)]
+struct SeenRows {
+    heads: HashMap<u64, usize>,
+    prev: Vec<Option<usize>>,
+}
+
+impl SeenRows {
+    /// Whether the last row of `rows` (there is one) equals an earlier one,
+    /// all of which came through here and were kept; a new one is kept too.
+    fn repeats_last(&mut self, rows: &Rows) -> bool {
+        let last = &rows[rows.len() - 1];
+        let hash = self.heads.hasher().hash_one(last);
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(i) = at {
+            if rows[i] == *last {
+                return true;
+            }
+            at = self.prev[i];
+        }
+        self.prev.push(self.heads.insert(hash, rows.len() - 1));
+        false
+    }
 }
 
 /// Keep the tuples every conjunct in `conjuncts` is `TRUE` for (evaluated

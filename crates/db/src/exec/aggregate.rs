@@ -1,9 +1,9 @@
 //! Hash aggregation over joined row-id tuples.
 
-use super::ResultSet;
+use super::{ResultSet, Rows};
 use crate::plan::{GroupItem, Groups, Layout};
 use crate::query::AggFunc;
-use crate::value::{Row, Value};
+use crate::value::Value;
 use std::collections::HashMap;
 
 /// Running state for one aggregate call.
@@ -127,28 +127,24 @@ pub(crate) fn aggregate<'t>(
         by_key.insert(Vec::new(), fresh());
     }
 
-    // Emit rows (deterministic order: sort by group key).
-    let mut keyed: Vec<(Vec<Value>, Vec<AggState>)> = by_key.into_iter().collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut rows: Vec<Row> = keyed
-        .iter()
-        .map(|(key, states)| {
-            groups
-                .items
-                .iter()
-                .map(|(_, item)| match item {
-                    GroupItem::Key(i) => key[*i].clone(),
-                    GroupItem::Agg(i) => states[*i].finish(),
-                })
-                .collect()
-        })
+    // Each group as (key, finished aggregates), in a deterministic order:
+    // by group key, then (stably) by ORDER BY over the output columns.
+    let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = by_key
+        .into_iter()
+        .map(|(key, states)| (key, states.iter().map(AggState::finish).collect()))
         .collect();
-
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    fn cell<'g>((key, aggs): &'g (Vec<Value>, Vec<Value>), item: &GroupItem) -> &'g Value {
+        match item {
+            GroupItem::Key(i) => &key[*i],
+            GroupItem::Agg(i) => &aggs[*i],
+        }
+    }
     if !groups.order.is_empty() {
-        rows.sort_by(|a, b| {
+        keyed.sort_by(|a, b| {
             for &(pos, desc) in &groups.order {
-                let ord = a[pos].cmp(&b[pos]);
+                let item = &groups.items[pos].1;
+                let ord = cell(a, item).cmp(cell(b, item));
                 let ord = if desc { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
                     return ord;
@@ -157,8 +153,17 @@ pub(crate) fn aggregate<'t>(
             std::cmp::Ordering::Equal
         });
     }
-    rows.truncate(limit);
+    keyed.truncate(limit);
 
+    let mut rows = Rows::with_capacity(groups.items.len(), keyed.len());
+    for group in &keyed {
+        rows.push(
+            groups
+                .items
+                .iter()
+                .map(|(_, item)| cell(group, item).clone()),
+        );
+    }
     ResultSet {
         columns: groups.items.iter().map(|(name, _)| name.clone()).collect(),
         rows,

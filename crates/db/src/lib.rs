@@ -2,7 +2,9 @@
 //!
 //! A small but complete in-memory relational engine:
 //!
-//! * columnar storage with dictionary-encoded strings ([`Table`], [`Column`])
+//! * columnar storage with dictionary-encoded strings ([`Table`], [`Column`]);
+//!   a text [`Value`] shares its dictionary entry (`Arc<str>`), so reading a
+//!   cell, cutting a subset and appending a batch copy no string
 //! * a SQL subset (SPJ + aggregates) with a text parser ([`sql::parse`]) and
 //!   canonical printer ([`Query::to_sql`])
 //! * one path from query to rows — bind → plan → execute: [`plan::bind`]
@@ -12,6 +14,8 @@
 //!   [`exec::execute`] runs exactly that [`Plan`] with vectorized scans and
 //!   hash joins. EXPLAIN ([`explain()`], [`explain_analyze`]) renders the
 //!   same `Plan` value
+//! * a result ([`ResultSet`]) whose rows are one row-major buffer ([`Rows`]):
+//!   one allocation per answer, not one per row and text cell
 //! * per-row **lineage** ([`Database::execute_with_lineage`]) mapping
 //!   result rows back to base rows — the hook ASQP-RL's pre-processing uses
 //!   to build its action space
@@ -48,7 +52,9 @@ pub mod zonemap;
 pub use catalog::Database;
 pub use column::{Column, ColumnData};
 pub use error::{DbError, DbResult, ErrorClass};
-pub use exec::{execute_with_options, ExecOptions, ExecTrace, Lineage, QueryOutput, ResultSet};
+pub use exec::{
+    execute_with_options, ExecOptions, ExecTrace, Lineage, QueryOutput, ResultSet, Rows,
+};
 pub use explain::{explain, explain_analyze};
 pub use expr::{ArithOp, CmpOp, ColRef, Expr};
 pub use optimizer::plan_query;

@@ -431,7 +431,7 @@ mod tests {
             for i in 0..rows {
                 t.push_row(&[
                     Value::Int(i as i64),
-                    Value::Str(format!("n{i}")),
+                    Value::from(format!("n{i}")),
                     Value::Int(1990 + i as i64),
                 ])
                 .unwrap();

@@ -626,7 +626,7 @@ impl Parser {
             }
             Tok::Str(s) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Str(s)))
+                Ok(Expr::Literal(Value::Str(s.into())))
             }
             Tok::Ident(s) if s.eq_ignore_ascii_case("NULL") => {
                 self.bump();
@@ -650,7 +650,7 @@ impl Parser {
         match self.bump() {
             Tok::Int(i) => Ok(Value::Int(if neg { -i } else { i })),
             Tok::Float(f) => Ok(Value::Float(if neg { -f } else { f })),
-            Tok::Str(s) if !neg => Ok(Value::Str(s)),
+            Tok::Str(s) if !neg => Ok(Value::Str(s.into())),
             Tok::Ident(s) if !neg && s.eq_ignore_ascii_case("NULL") => Ok(Value::Null),
             Tok::Ident(s) if !neg && s.eq_ignore_ascii_case("TRUE") => Ok(Value::Bool(true)),
             Tok::Ident(s) if !neg && s.eq_ignore_ascii_case("FALSE") => Ok(Value::Bool(false)),

@@ -183,7 +183,7 @@ impl<'a> Scanner<'a> {
                         continue;
                     }
                     self.advance(i + 1);
-                    return Ok(Value::Str(out));
+                    return Ok(Value::Str(out.into()));
                 }
                 out.push(c);
             }
@@ -348,7 +348,7 @@ mod tests {
         ) else {
             panic!("expected rows")
         };
-        assert_eq!(rs.rows, vec![vec![Value::Str("Alien".into())]]);
+        assert_eq!(rs.rows.to_vecs(), vec![vec![Value::Str("Alien".into())]]);
 
         exec(&mut db, "DROP TABLE movies");
         assert!(!db.has_table("movies"));

@@ -4,7 +4,7 @@
 
 use crate::catalog::Database;
 use crate::error::DbResult;
-use crate::exec::{aggregate, ExecTrace, QueryOutput, ResultSet};
+use crate::exec::{aggregate, ExecTrace, QueryOutput, ResultSet, Rows};
 use crate::expr::Expr;
 use crate::plan::{bind, Output};
 use crate::query::Query;
@@ -104,7 +104,7 @@ pub fn reference(db: &Database, query: &Query, order: &[usize]) -> DbResult<Quer
             .find(|ord| ord.is_ne())
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows = Rows::with_capacity(proj.len(), 0);
     let mut lineage = Vec::new();
     let mut seen: HashSet<Row> = HashSet::new();
     for t in kept {

@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Logical column types supported by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -27,15 +28,24 @@ impl fmt::Display for ValueType {
 }
 
 /// A single SQL value. `Null` is a first-class member so rows are plain
-/// `Vec<Value>` with no `Option` wrapper.
+/// `[Value]` with no `Option` wrapper.
+///
+/// Text is shared, not owned: a value read from a column holds the column
+/// dictionary's own `Arc<str>`, so reading, cloning and storing a text cell
+/// is a reference count and never a copy of its bytes. Equality, order and
+/// hash are by *content* — the same text held by two tables (or by a table
+/// and a subset of it) is two allocations and one value.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Value {
     Null,
     Int(i64),
     Float(f64),
-    Str(String),
+    Str(Arc<str>),
     Bool(bool),
 }
+
+// A result is one buffer of these: its width is the memory of an answer.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl Value {
     /// Logical type of the value, `None` for `Null`.
@@ -135,6 +145,8 @@ impl Ord for Value {
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+            // Cells of one column share their dictionary's allocation.
+            (Value::Str(a), Value::Str(b)) if Arc::ptr_eq(a, b) => Ordering::Equal,
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (a, b) => {
                 // Numeric rank: compare as f64 with NaN greatest.
@@ -219,12 +231,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 impl From<bool> for Value {
@@ -266,7 +278,7 @@ mod tests {
         let nan = Value::Float(f64::NAN);
         assert!(nan > Value::Float(f64::INFINITY));
         assert_eq!(nan.cmp(&Value::Float(f64::NAN)), Ordering::Equal);
-        assert!(nan < Value::Str(String::new()));
+        assert!(nan < Value::Str("".into()));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub fn is_text_column(name: &str) -> bool {
 
 pub fn literal(rng: &mut StdRng, text: bool) -> Value {
     if text {
-        return Value::Str(pick(rng, WORDS).to_string());
+        return Value::from(pick(rng, WORDS));
     }
     if rng.random_bool(0.5) {
         Value::Int(rng.random_range(0..10_000i64))
@@ -93,9 +93,7 @@ pub fn atom(rng: &mut StdRng, bindings: &[&str]) -> Expr {
         2 => {
             let n = rng.random_range(1..4usize);
             let list = if text {
-                (0..n)
-                    .map(|_| Value::Str(pick(rng, WORDS).to_string()))
-                    .collect()
+                (0..n).map(|_| Value::from(pick(rng, WORDS))).collect()
             } else {
                 (0..n)
                     .map(|_| Value::Int(rng.random_range(0..100)))
@@ -277,11 +275,11 @@ pub fn fixture_db() -> Database {
             let id = (i as i64 * 3) % 90; // overlaps across all tables
             let mut row = vec![
                 Value::Int(id),
-                Value::Str(pick(&mut rng, WORDS).to_string()),
+                Value::from(pick(&mut rng, WORDS)),
                 Value::Int((i as i64 * 13) % 500),
-                Value::Str(pick(&mut rng, WORDS).to_string()),
+                Value::from(pick(&mut rng, WORDS)),
                 Value::Float((i % 50) as f64 / 2.0 + 0.5),
-                Value::Str(pick(&mut rng, WORDS).to_string()),
+                Value::from(pick(&mut rng, WORDS)),
             ];
             for cell in row.iter_mut().skip(1) {
                 if rng.random_bool(0.08) {

@@ -136,7 +136,8 @@ fn subset_execution_returns_subset_of_full_result() {
         "SELECT m.title, c.person FROM movies m, cast_info c WHERE m.id = c.movie_id",
     )
     .unwrap();
-    let full: std::collections::BTreeSet<_> = db.execute(&q).unwrap().rows.into_iter().collect();
+    let full: std::collections::BTreeSet<_> =
+        db.execute(&q).unwrap().rows.to_vecs().into_iter().collect();
     let part = sub.execute(&q).unwrap().rows;
     assert!(!part.is_empty());
     for row in &part {
@@ -203,7 +204,7 @@ fn order_by_desc_and_limit() {
         .sql("SELECT m.title FROM movies m ORDER BY m.rating DESC, m.title LIMIT 2")
         .unwrap();
     assert_eq!(
-        r.rows,
+        r.rows.to_vecs(),
         vec![
             vec![Value::Str("Alien".into())],
             vec![Value::Str("Aliens".into())]
@@ -309,7 +310,7 @@ fn string_key_join_translates_between_dictionaries() {
          WHERE c.person = a.person",
     )
     .unwrap();
-    let mut rows = checked(&db, &q).rows;
+    let mut rows = checked(&db, &q).rows.to_vecs();
     rows.sort();
     let row = |id: i64, person: &str, prize: &str| -> Vec<Value> {
         vec![Value::Int(id), person.into(), prize.into()]
@@ -451,7 +452,7 @@ mod proptests {
             let r = db.sql("SELECT DISTINCT a.id FROM a").unwrap();
             let mut seen = std::collections::HashSet::new();
             for row in &r.rows {
-                prop_assert!(seen.insert(row.clone()));
+                prop_assert!(seen.insert(row.to_vec()));
             }
         }
 

@@ -21,11 +21,11 @@ use std::collections::BTreeMap;
 fn gen_row(rng: &mut StdRng) -> Row {
     let mut row = vec![
         Value::Int(rng.random_range(0..90i64)),
-        Value::Str(pick(rng, WORDS).to_string()),
+        Value::from(pick(rng, WORDS)),
         Value::Int(rng.random_range(0..500i64)),
-        Value::Str(pick(rng, WORDS).to_string()),
+        Value::from(pick(rng, WORDS)),
         Value::Float(rng.random_range(0..100i64) as f64 / 2.0 + 0.5),
-        Value::Str(pick(rng, WORDS).to_string()),
+        Value::from(pick(rng, WORDS)),
     ];
     for cell in row.iter_mut().skip(1) {
         if rng.random_bool(0.08) {

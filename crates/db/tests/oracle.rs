@@ -35,7 +35,7 @@ fn other_literals(q: &Query) -> Query {
         match v {
             Value::Int(i) => Value::Int(i + 7),
             Value::Float(f) => Value::Float(f + 3.5),
-            Value::Str(s) => Value::Str(format!("{s}a")),
+            Value::Str(s) => Value::from(format!("{s}a")),
             Value::Bool(b) => Value::Bool(!b),
             Value::Null => Value::Null,
         }
@@ -101,7 +101,7 @@ fn random_value(rng: &mut StdRng, ty: ValueType) -> Value {
         ValueType::Int => Value::Int(rng.random_range(-20i64..50)),
         // Quantized floats so equality predicates and joins actually hit.
         ValueType::Float => Value::Float(rng.random_range(-10i64..10) as f64 * 0.5),
-        ValueType::Str => Value::Str(STR_POOL[rng.random_range(0..STR_POOL.len())].to_string()),
+        ValueType::Str => Value::from(STR_POOL[rng.random_range(0..STR_POOL.len())]),
         ValueType::Bool => Value::Bool(rng.random_bool(0.5)),
     }
 }
@@ -469,7 +469,7 @@ fn limit_above_distinct_counts_distinct_rows() {
     let db = common::fixture_db();
     let all = check_sql(&db, "SELECT DISTINCT t.kind FROM title AS t");
     let got = check_sql(&db, "SELECT DISTINCT t.kind FROM title AS t LIMIT 2");
-    assert_eq!(got.result.rows, all.result.rows[..2]);
+    assert_eq!(got.result.rows.to_vecs(), all.result.rows.to_vecs()[..2]);
 }
 
 #[test]
@@ -535,7 +535,7 @@ fn sharded_probes_agree_on_every_key_kind() {
             let s = if i % 9 == 4 {
                 Value::Null
             } else {
-                Value::Str(format!("s{}", (i * 7) % 120))
+                Value::from(format!("s{}", (i * 7) % 120))
             };
             t.push_row(&[Value::Int(i), Value::Int(i % 2), s, Value::Float(i as f64)])
                 .unwrap();
@@ -554,5 +554,59 @@ fn sharded_probes_agree_on_every_key_kind() {
         assert_eq!(got.trace.join_order, [0, 1, 2], "{last_link}");
         assert_eq!(got.trace.join_rows[0], 4750, "{last_link}");
         assert_eq!(!got.result.is_empty(), joins_something, "{last_link}");
+    }
+}
+
+/// Strings across dictionaries that disagree (ROADMAP item 2). `s` is a
+/// reversed every-other-row `Table::subset` of `t` under its own name, so it
+/// holds `t`'s strings under other codes; an append gives `s` entries `t`
+/// lacks; overwrites leave `t` entries no row uses and its own allocation of
+/// a text `s` holds too. The engine joins on codes and must still agree with
+/// the reference, which compares text.
+#[test]
+fn strings_across_rebuilt_dictionaries() {
+    use std::hash::{BuildHasher, RandomState};
+    let schema = || Schema::build(&[("id", ValueType::Int), ("s", ValueType::Str)]);
+    let text_at = |v: &Value| v.as_str().map(str::as_ptr);
+    for seed in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut db = Database::new();
+        let n = rng.random_range(24usize..60);
+        let t = db.create_table("t", schema()).unwrap();
+        for i in 0..n {
+            let s = random_value(&mut rng, ValueType::Str);
+            t.push_row(&[Value::Int(i as i64), s]).unwrap();
+        }
+        let ids: Vec<usize> = (0..n).rev().step_by(2).collect();
+        let cut = t.subset(&ids).unwrap();
+        let mut rows: Vec<_> = cut.row_ids().map(|i| cut.row(i)).collect();
+        for (row, &rid) in rows.iter().zip(&ids) {
+            assert_eq!(text_at(&row[1]), text_at(&t.value(rid, 1)), "shared");
+        }
+        rows.push(vec![Value::Int(-1), "omega".into()]);
+        rows.push(vec![Value::Int(-2), "alpha".into()]);
+        let s = db.create_table("s", schema()).unwrap();
+        s.append_rows(&rows).unwrap();
+        let in_s = s.value(ids.len(), 1);
+        for text in ["stale", "omega"] {
+            let row = vec![Value::Int(0), text.into()];
+            db.update_rows("t", &[(0, row), (1, vec![Value::Int(1), Value::Null])])
+                .unwrap();
+        }
+        let in_t = db.table("t").unwrap().value(0, 1);
+        assert_ne!(text_at(&in_t), text_at(&in_s), "two allocations");
+        assert!(in_t == in_s && in_t.sql_cmp(&in_s).is_some_and(|o| o.is_eq()));
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&in_t), hasher.hash_one(&in_s));
+        for sql in [
+            "SELECT t.id, s.id FROM t, s WHERE t.s = s.s",
+            "SELECT DISTINCT t.s FROM t, s WHERE t.s = s.s AND s.s >= 'beta' ORDER BY t.s DESC",
+            "SELECT s.id, t.s FROM s, t WHERE s.s = t.s AND t.s LIKE '%a%' LIMIT 7",
+            "SELECT s.s, COUNT(*), MAX(t.s) FROM s, t WHERE s.s = t.s \
+             AND t.s IN ('omega', 'stale', 'alpha', '') GROUP BY s.s",
+            "SELECT t.id FROM t WHERE t.s = 'stale' OR t.s = 'omega'",
+        ] {
+            check_sql(&db, sql);
+        }
     }
 }

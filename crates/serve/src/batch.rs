@@ -217,10 +217,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn empty_rs() -> ResultSet {
-        ResultSet {
-            columns: Vec::new(),
-            rows: Vec::new(),
-        }
+        ResultSet::default()
     }
 
     fn key(group: u64, epoch: u64, sql: &str) -> ScanKey {

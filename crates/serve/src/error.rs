@@ -124,10 +124,7 @@ mod tests {
     fn degraded_flag_tracks_source() {
         let a = Answer {
             request: 1,
-            rows: ResultSet {
-                columns: Vec::new(),
-                rows: Vec::new(),
-            },
+            rows: ResultSet::default(),
             source: ServedSource::DegradedSubset,
             attempts: 3,
         };

@@ -103,7 +103,7 @@ fn session_end_to_end_with_fine_tune() {
         // Subset answers must be subsets of the truth for SPJ queries.
         if src == AnswerSource::ApproximationSet {
             let truth: std::collections::BTreeSet<_> =
-                db.execute(q).unwrap().rows.into_iter().collect();
+                db.execute(q).unwrap().rows.to_vecs().into_iter().collect();
             for row in &rs.rows {
                 assert!(truth.contains(row), "approximate answers must be sound");
             }
@@ -146,7 +146,7 @@ fn concurrent_server_over_trained_session() {
                     if answer.source != ServedSource::Full {
                         // Subset and degraded answers must be sound.
                         let truth: std::collections::BTreeSet<_> =
-                            db.execute(q).unwrap().rows.into_iter().collect();
+                            db.execute(q).unwrap().rows.to_vecs().into_iter().collect();
                         for row in &answer.rows.rows {
                             assert!(truth.contains(row), "approximate answers must be sound");
                         }
