@@ -244,8 +244,8 @@ impl<'a> Index<'a> {
     }
 }
 
-/// Qualify a lock field by the impl owner so `Session.drift` and
-/// `CowSession.drift` are distinct graph nodes.
+/// Qualify a lock field by the impl owner so two types' same-named lock
+/// fields (`Session.state`, `AdmissionQueue.state`) are distinct graph nodes.
 fn lock_node(owner: &str, field: &str) -> String {
     if owner.is_empty() {
         field.to_string()

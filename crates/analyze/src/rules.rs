@@ -24,7 +24,7 @@
 //!   hatch for callees the graph cannot see (trait objects, closures).
 //! * `lock-order` — the workspace lock-acquisition graph (built from
 //!   held-guard analysis in `parse` + the call graph) must be acyclic,
-//!   and `core::session`/`core::cow` must follow the documented
+//!   and `core::session` must follow the documented
 //!   `state` → `full_db` order ([`SESSION_LOCK_ORDER`], PR 8).
 //! * `float-libm` — no libm-backed transcendental calls inside
 //!   `nn::kernels`: libm results differ across platforms/versions, while
@@ -150,7 +150,7 @@ pub struct LockOrderPolicy {
 }
 
 pub const SESSION_LOCK_ORDER: LockOrderPolicy = LockOrderPolicy {
-    modules: &["asqp_core::session", "asqp_core::cow"],
+    modules: &["asqp_core::session"],
     order: &["state", "full_db"],
 };
 

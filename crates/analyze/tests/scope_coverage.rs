@@ -22,7 +22,6 @@ use asqp_analyze::rules::{Scope, ITER_ORDER, NONDET, PANIC};
 const NONDET_OUT: &[&str] = &[
     "asqp_core::aggregates",
     "asqp_core::anaqp",
-    "asqp_core::cow",
     "asqp_core::diversity",
     "asqp_core::estimator",
     "asqp_core::lib",
@@ -63,7 +62,6 @@ const NONDET_OUT: &[&str] = &[
 /// containers into scores, transcripts or serialized output.
 const ITER_ORDER_OUT: &[&str] = &[
     "asqp_core::anaqp",
-    "asqp_core::cow",
     "asqp_core::lib",
     "asqp_core::model",
     "asqp_core::session",
@@ -100,7 +98,6 @@ const ITER_ORDER_OUT: &[&str] = &[
 const PANIC_OUT: &[&str] = &[
     "asqp_core::aggregates",
     "asqp_core::anaqp",
-    "asqp_core::cow",
     "asqp_core::diversity",
     "asqp_core::envs",
     "asqp_core::estimator",

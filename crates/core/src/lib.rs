@@ -12,9 +12,10 @@
 //! * [`model`] — training (Algorithm 1), inference (Algorithm 2), and the
 //!   full / ASQP-Light / adaptive configurations (§4.5)
 //! * [`estimator`] — the answerability estimator (§4.4)
-//! * [`session`] — query routing, drift detection and fine-tuning (§4.4)
-//! * [`cow`] — copy-on-write approximation-set sharing between clustered
-//!   tenants, with private forking on drift-triggered fine-tune
+//! * [`session`] — the shared approximation set (`Session`, refreshed on
+//!   data drift) and the per-user copy-on-write view that routes queries,
+//!   detects interest drift and fine-tunes into a private fork
+//!   (`CowSession`, §4.4)
 //! * [`aggregates`] — scale-corrected approximate aggregates + relative
 //!   error (§6.4)
 //! * [`workload_synth`] — the unknown-workload mode (§4.5)
@@ -38,7 +39,6 @@
 
 pub mod aggregates;
 pub mod anaqp;
-pub mod cow;
 pub mod diversity;
 pub mod envs;
 pub mod estimator;
@@ -52,7 +52,6 @@ pub use aggregates::{
     approximate_aggregate, operator_class, relative_error, result_relative_error,
 };
 pub use anaqp::{AnaqpInstance, MaxKVertexCover, Selection};
-pub use cow::{CowSession, CowStats};
 pub use diversity::{result_diversity, workload_diversity};
 pub use envs::{AsqpEnv, CoverageTracker, EnvConfig, EnvKind};
 pub use estimator::{AnswerabilityEstimator, Prediction};
@@ -61,5 +60,7 @@ pub use model::{fine_tune, train, AsqpConfig, ModelSnapshot, TrainedModel};
 pub use preprocess::{
     preprocess, relax_query, Action, ActionSpace, PreprocessConfig, Preprocessed,
 };
-pub use session::{AnswerSource, RoutePlan, Session, SessionConfig, SessionState, SessionStats};
+pub use session::{
+    AnswerSource, CowSession, CowStats, RoutePlan, Session, SessionConfig, SessionState,
+};
 pub use workload_synth::{detect_joins, synthesize_workload, JoinEdge};

@@ -1,31 +1,40 @@
-//! The user-facing inference session (paper §4.4 / Figure 1b): each query
-//! is routed either to the approximation set or to the full database by the
-//! answerability estimator; confidently-deviating queries accumulate and,
-//! at three or more *consecutive* misses, trigger interest-drift
-//! fine-tuning (challenge C5). A confident hit — the estimator recognising
-//! a query as answerable from `S` — breaks the miss streak and resets the
-//! counter.
+//! The inference session (paper §4.4 / Figure 1b), as two types.
 //!
-//! The session is **thread-shareable**: all interior state (the
-//! model-derived routing state, the drift tracker, the statistics) lives
-//! behind interior locks, so `asqp-serve` can fan queries out from a pool
-//! of worker threads over one `Arc<Session>`. The routing pipeline is also
-//! decomposed into [`Session::plan`] / [`Session::answer_subset`] /
-//! [`Session::answer_full`] / [`Session::finish`] so a serving layer can
-//! interleave its own deadline and degradation logic between the routing
-//! decision and the answer; [`Session::query`] composes them for the
-//! simple synchronous path.
+//! A [`Session`] is one materialised **approximation set**: the trained
+//! model, the subset `S` it selects, the answerability estimator fitted
+//! against it, and the full database it falls back to. It routes nothing
+//! and tracks no user; any number of users share one behind an `Arc`. Its
+//! state has one writer, [`Session::observe_data`], which answers **data
+//! drift** (rows appended or updated underneath `S`) with a targeted
+//! refresh: `S` is re-materialised and the estimator refit from the
+//! **same** model, without retraining. The state records the
+//! [`Database::data_fingerprint`] it was built against, so staleness is a
+//! single fingerprint comparison.
 //!
-//! Sessions also track **data drift**, which is distinct from interest
-//! drift: interest drift means the *user* moved (their queries left the
-//! trained region) and is answered by fine-tuning the model on the drift
-//! queries; data drift means the *database* moved (rows were appended or
-//! updated underneath the session) and is answered by
-//! [`Session::observe_data`] — a targeted refresh that re-materialises
-//! the approximation set and refits the estimator from the **same**
-//! model, without any retraining. The state records the
-//! [`Database::data_fingerprint`] it was built against, so staleness is
-//! detected by a single fingerprint comparison.
+//! A [`CowSession`] is one user's **view** of a set, and the only thing
+//! that routes queries. Each query goes to `S` or to the full database by
+//! the estimator ([`CowSession::plan`] / [`CowSession::answer_subset`] /
+//! [`CowSession::answer_full`] / [`CowSession::finish`], so a serving layer
+//! can put its own deadline and degradation logic between the decision and
+//! the answer; [`CowSession::query`] composes them). Confidently-deviating
+//! full-database answers accumulate, and at three or more *consecutive*
+//! misses trigger **interest-drift** fine-tuning (challenge C5); a
+//! confident hit breaks the streak.
+//!
+//! Views never write their set. A fine-tune **forks**: the view gets a
+//! private `Session` built around its drift queries, while the shared set
+//! — and every other view still reading it — stays byte-for-byte
+//! untouched, so the safety argument is structural, not lock-ordering.
+//! Tenants whose workloads cluster hold views of one set (one `S`, one
+//! estimator, one model in memory however many tenants); a single user is
+//! a view of a set nobody else holds. Fork identity is
+//! [`CowSession::share_epoch`]: `0` while on the shared set (views of one
+//! set at epoch 0 answer subset queries identically, which lets the
+//! serving layer batch their scans), a process-unique non-zero epoch once
+//! forked. Data drift forks the same way ([`CowSession::observe_data`]):
+//! a view on the shared set gets a private set rebuilt from the set's
+//! unchanged model over the new data; a view that already owns a fork
+//! refreshes it in place.
 
 use crate::aggregates::approximate_aggregate;
 use crate::estimator::{AnswerabilityEstimator, Prediction};
@@ -33,7 +42,7 @@ use crate::model::{fine_tune, TrainedModel};
 use asqp_db::{Database, DbResult, Query, ResultSet};
 use asqp_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
@@ -42,19 +51,6 @@ use std::time::Instant;
 pub enum AnswerSource {
     ApproximationSet,
     FullDatabase,
-}
-
-/// Point-in-time snapshot of session telemetry (see [`Session::stats`]).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct SessionStats {
-    pub queries: usize,
-    pub subset_answers: usize,
-    pub full_db_answers: usize,
-    pub fine_tunes: usize,
-    /// Data-drift refreshes (same model re-materialised over new data),
-    /// counted separately from interest-drift `fine_tunes`.
-    #[serde(default)]
-    pub data_refreshes: usize,
 }
 
 /// Session routing/drift policy (paper defaults: answerability threshold
@@ -85,7 +81,7 @@ impl Default for SessionConfig {
     }
 }
 
-/// The model-derived routing state, replaced wholesale by fine-tuning.
+/// The model-derived routing state, replaced wholesale by a data refresh.
 /// Reached through [`Session::state`].
 pub struct SessionState {
     pub model: TrainedModel,
@@ -113,7 +109,7 @@ impl SessionState {
 }
 
 /// The estimator's verdict for one query: the interior routing plan a
-/// serving layer acts on (and reports back through [`Session::finish`]).
+/// serving layer acts on (and reports back through [`CowSession::finish`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RoutePlan {
     pub prediction: Prediction,
@@ -121,28 +117,16 @@ pub struct RoutePlan {
     pub answerable: bool,
 }
 
-#[derive(Default)]
-struct Counters {
-    queries: AtomicUsize,
-    subset_answers: AtomicUsize,
-    full_db_answers: AtomicUsize,
-    fine_tunes: AtomicUsize,
-    data_refreshes: AtomicUsize,
-}
-
-/// A live exploration session over a trained model, shareable across
-/// threads (`&self` methods throughout).
+/// One materialised approximation set over a full database, shareable
+/// across threads and views (`&self` methods throughout).
 pub struct Session {
-    /// The full database answered against and fine-tuned over. Behind a
-    /// lock so a data-drift refresh ([`Session::observe_data`]) can swap
-    /// in the new snapshot together with the rebuilt routing state.
+    /// The full database answered against. Behind a lock so a data-drift
+    /// refresh ([`Session::observe_data`]) can swap in the new snapshot
+    /// together with the rebuilt state.
     full_db: RwLock<Arc<Database>>,
+    /// The default config of the views attached to this set.
     pub config: SessionConfig,
     state: RwLock<SessionState>,
-    /// Consecutive confidently-deviating queries since the last confident
-    /// hit or fine-tune.
-    drift: Mutex<Vec<Query>>,
-    counters: Counters,
 }
 
 impl Session {
@@ -157,54 +141,24 @@ impl Session {
             full_db: RwLock::new(full_db),
             config,
             state: RwLock::new(state),
-            drift: Mutex::new(Vec::new()),
-            counters: Counters::default(),
         })
     }
 
-    /// The full database this session currently falls back to (a cheap
-    /// `Arc` snapshot; [`Session::observe_data`] may swap it later).
+    /// The full database this set currently falls back to (a cheap `Arc`
+    /// snapshot; [`Session::observe_data`] may swap it later).
     pub fn full_db(&self) -> Arc<Database> {
         Arc::clone(&self.full_db.read().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// Fingerprint of the data the current routing state was built on.
+    /// Fingerprint of the data the current state was built on.
     pub fn data_fingerprint(&self) -> u64 {
         self.state().data_fingerprint
     }
 
     /// Read access to the model-derived state (estimator, subset, model).
-    /// The guard blocks fine-tuning while held — keep it short-lived.
+    /// The guard blocks a data refresh while held — keep it short-lived.
     pub fn state(&self) -> RwLockReadGuard<'_, SessionState> {
         self.state.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Snapshot of the session statistics.
-    pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            queries: self.counters.queries.load(Ordering::Relaxed),
-            subset_answers: self.counters.subset_answers.load(Ordering::Relaxed),
-            full_db_answers: self.counters.full_db_answers.load(Ordering::Relaxed),
-            fine_tunes: self.counters.fine_tunes.load(Ordering::Relaxed),
-            data_refreshes: self.counters.data_refreshes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of deviating queries currently accumulated.
-    pub fn pending_drift(&self) -> usize {
-        self.drift.lock().unwrap_or_else(|p| p.into_inner()).len()
-    }
-
-    /// Consult the estimator and decide the route for `q` (pure: no
-    /// statistics or drift bookkeeping — that happens in [`finish`]).
-    ///
-    /// [`finish`]: Session::finish
-    pub fn plan(&self, q: &Query) -> RoutePlan {
-        let prediction = self.state().estimator.predict(q);
-        RoutePlan {
-            prediction,
-            answerable: prediction.score >= self.config.answer_threshold,
-        }
     }
 
     /// Answer `q` from the approximation set. Aggregates are
@@ -223,12 +177,179 @@ impl Session {
         self.full_db().execute(q)
     }
 
+    /// Observe the live database for **data drift**: rows appended or
+    /// updated since this set's state was materialised. A fingerprint
+    /// match returns `false` immediately (the cheap steady state). On a
+    /// mismatch the set runs a *targeted refresh* — `S` is
+    /// re-materialised and the estimator refit from the **same** trained
+    /// model over the new snapshot (no retraining; the users' interest
+    /// region did not move, the data under it did) — and the new database
+    /// replaces the old one for full-DB fallbacks. Returns `true` when a
+    /// refresh ran.
+    ///
+    /// The rebuild happens outside the state lock, so concurrent readers
+    /// keep routing against the old (internally consistent) state until
+    /// the swap; a concurrent refresh to the same fingerprint is detected
+    /// under the write lock and skipped.
+    pub fn observe_data(&self, live: &Arc<Database>) -> DbResult<bool> {
+        let live_fp = live.data_fingerprint();
+        if live_fp == self.state().data_fingerprint {
+            return Ok(false);
+        }
+        telemetry::counter("session.data_drift.detected", 1);
+        let _refresh_span = telemetry::span("session.data_refresh");
+        let model = self.state().model.clone();
+        let new_state = SessionState::build(live, model)?;
+        {
+            // Lock order: state before full_db, matching `answer_subset`
+            // (which reads full_db while holding the state guard).
+            let mut state_guard = self.state.write().unwrap_or_else(|p| p.into_inner());
+            if state_guard.data_fingerprint == live_fp {
+                // Another thread refreshed to this snapshot while we were
+                // building; ours is byte-identical, so drop it.
+                return Ok(false);
+            }
+            let mut db_guard = self.full_db.write().unwrap_or_else(|p| p.into_inner());
+            *db_guard = Arc::clone(live);
+            *state_guard = new_state;
+        }
+        telemetry::counter("session.data_refresh.runs", 1);
+        Ok(true)
+    }
+}
+
+/// The private fork: epoch and session are published *together* under
+/// the fork lock, so a reader can never observe the fork at epoch 0 (or
+/// the epoch without the fork) — see [`CowSession::snapshot`].
+struct ForkState {
+    epoch: u64,
+    session: Arc<Session>,
+}
+
+/// Process-wide fork-epoch allocator: forked sessions need *unique*
+/// epochs (so two forked tenants never batch together), not reproducible
+/// ones — the epoch value never reaches scores or transcripts.
+static NEXT_FORK_EPOCH: AtomicU64 = AtomicU64::new(1);
+
+/// Point-in-time statistics of one view (see [`CowSession::stats`]).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct CowStats {
+    pub queries: usize,
+    pub subset_answers: usize,
+    pub full_db_answers: usize,
+    /// Interest-drift fine-tunes (each one a fork or a re-fork).
+    pub fine_tunes: usize,
+    /// `true` once this view has forked off the shared set.
+    pub forked: bool,
+}
+
+#[derive(Default)]
+struct Counters {
+    queries: AtomicUsize,
+    subset_answers: AtomicUsize,
+    full_db_answers: AtomicUsize,
+    fine_tunes: AtomicUsize,
+}
+
+/// One user's copy-on-write view of an approximation set: the router and
+/// drift tracker of the session.
+///
+/// Cheap to create (two `Arc` clones); the expensive work — materialising
+/// a private set — happens only on the first fine-tune or data fork.
+pub struct CowSession {
+    base: Arc<Session>,
+    config: SessionConfig,
+    /// The private fork (epoch + session), present only after the first
+    /// fork.
+    fork: RwLock<Option<ForkState>>,
+    /// Consecutive confidently-deviating queries since the last confident
+    /// hit or fine-tune.
+    drift: Mutex<Vec<Query>>,
+    counters: Counters,
+}
+
+impl CowSession {
+    /// Attach a view to a set. `config` governs this view's own routing
+    /// thresholds and drift policy (it may differ from the set's) and
+    /// becomes the config of its private fork.
+    pub fn new(base: Arc<Session>, config: SessionConfig) -> CowSession {
+        CowSession {
+            base,
+            config,
+            fork: RwLock::new(None),
+            drift: Mutex::new(Vec::new()),
+            counters: Counters::default(),
+        }
+    }
+
+    /// Atomically observe `(share_epoch, routing session)`: `(0, base)`
+    /// while shared, `(unique epoch, fork)` once forked. Both come from
+    /// one read of the fork lock, so a concurrent fork can never be seen
+    /// half-published — this is the snapshot the serving layer must key
+    /// shared-scan batching on.
+    pub fn snapshot(&self) -> (u64, Arc<Session>) {
+        let guard = self.fork.read().unwrap_or_else(|p| p.into_inner());
+        match guard.as_ref() {
+            Some(fork) => (fork.epoch, Arc::clone(&fork.session)),
+            None => (0, Arc::clone(&self.base)),
+        }
+    }
+
+    /// The set this view currently routes against.
+    fn active(&self) -> Arc<Session> {
+        self.snapshot().1
+    }
+
+    /// Scan-sharing identity: `0` while on the shared set, unique and
+    /// non-zero after forking. To key work on the epoch *and* execute
+    /// against the matching set, use [`CowSession::snapshot`].
+    pub fn share_epoch(&self) -> u64 {
+        self.snapshot().0
+    }
+
+    /// Deviating queries accumulated towards this view's fine-tune.
+    pub fn pending_drift(&self) -> usize {
+        self.drift.lock().unwrap_or_else(|p| p.into_inner()).len()
+    }
+
+    /// Snapshot of this view's statistics.
+    pub fn stats(&self) -> CowStats {
+        CowStats {
+            queries: self.counters.queries.load(Ordering::Relaxed),
+            subset_answers: self.counters.subset_answers.load(Ordering::Relaxed),
+            full_db_answers: self.counters.full_db_answers.load(Ordering::Relaxed),
+            fine_tunes: self.counters.fine_tunes.load(Ordering::Relaxed),
+            forked: self.share_epoch() != 0,
+        }
+    }
+
+    /// Consult the active set's estimator and decide the route for `q`
+    /// under this view's threshold (pure: no statistics or drift
+    /// bookkeeping — that happens in [`CowSession::finish`]).
+    pub fn plan(&self, q: &Query) -> RoutePlan {
+        let prediction = self.active().state().estimator.predict(q);
+        RoutePlan {
+            prediction,
+            answerable: prediction.score >= self.config.answer_threshold,
+        }
+    }
+
+    /// Answer from the active approximation set.
+    pub fn answer_subset(&self, q: &Query) -> DbResult<ResultSet> {
+        self.active().answer_subset(q)
+    }
+
+    /// Answer from the active set's full database.
+    pub fn answer_full(&self, q: &Query) -> DbResult<ResultSet> {
+        self.active().answer_full(q)
+    }
+
     /// Record the outcome of one routed query: statistics, the
     /// consecutive-miss drift counter (a miss with deviation certainty
     /// ≥ `drift_confidence` extends the streak; an answerable query whose
     /// estimator confidence reaches the same bar resets it), and — at
     /// `drift_trigger` consecutive misses — automatic fine-tuning.
-    /// Returns `true` when a fine-tune ran.
+    /// Returns `true` when a fine-tune was triggered.
     pub fn finish(&self, q: &Query, plan: &RoutePlan) -> DbResult<bool> {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
         telemetry::counter("session.queries", 1);
@@ -269,45 +390,46 @@ impl Session {
                 self.config.auto_fine_tune && drift.len() >= self.config.drift_trigger;
         }
         if should_fine_tune {
-            self.run_fine_tune()?;
-            return Ok(true);
+            self.fork_fine_tune()?;
         }
-        Ok(false)
+        Ok(should_fine_tune)
     }
 
     /// Answer a query (Figure 1b): consult the estimator, route, and track
     /// drift. Aggregates answered from the subset are scale-corrected.
-    /// With a telemetry recorder installed, each call emits the route
-    /// decision and a subset-vs-full-DB latency observation.
+    /// With a telemetry recorder installed, each call emits the predicted
+    /// score and a subset-vs-full-DB latency observation.
     pub fn query(&self, q: &Query) -> DbResult<(ResultSet, AnswerSource)> {
         let _query_span = telemetry::span("session.query");
         let t0 = telemetry::enabled().then(Instant::now);
         let plan = self.plan(q);
         telemetry::gauge("session.predicted_score", plan.prediction.score);
-
-        if plan.answerable {
+        let (rs, source, latency) = if plan.answerable {
             let rs = self.answer_subset(q)?;
-            self.finish(q, &plan)?;
-            if let Some(t0) = t0 {
-                telemetry::observe_duration("session.latency.subset_ns", t0.elapsed());
-            }
-            return Ok((rs, AnswerSource::ApproximationSet));
-        }
-
-        let rs = self.answer_full(q)?;
+            (
+                rs,
+                AnswerSource::ApproximationSet,
+                "session.latency.subset_ns",
+            )
+        } else {
+            let rs = self.answer_full(q)?;
+            (rs, AnswerSource::FullDatabase, "session.latency.full_db_ns")
+        };
         self.finish(q, &plan)?;
         if let Some(t0) = t0 {
-            telemetry::observe_duration("session.latency.full_db_ns", t0.elapsed());
+            telemetry::observe_duration(latency, t0.elapsed());
         }
-        Ok((rs, AnswerSource::FullDatabase))
+        Ok((rs, source))
     }
 
-    /// Force a fine-tuning pass on the accumulated drift queries. The new
-    /// model is trained outside the state lock — concurrent readers keep
-    /// routing against the old state until the atomic swap at the end.
-    pub fn run_fine_tune(&self) -> DbResult<()> {
-        // Taking the queries up front also serialises concurrent callers:
-        // the second one sees an empty drift set and returns immediately.
+    /// Fine-tune on the accumulated drift queries. The active set is read
+    /// (model clone) but never written: the view's routing switches to a
+    /// private set built around the drift queries — on the first call a
+    /// fork at a new epoch, later a replacement of the fork, which is
+    /// exclusively ours.
+    fn fork_fine_tune(&self) -> DbResult<()> {
+        // Taking the queries up front serialises concurrent callers: the
+        // loser sees an empty drift set and returns immediately.
         let drift = {
             let mut guard = self.drift.lock().unwrap_or_else(|p| p.into_inner());
             std::mem::take(&mut *guard)
@@ -317,311 +439,73 @@ impl Session {
         }
         let _ft_span = telemetry::span("session.fine_tune");
         telemetry::counter("session.fine_tune.runs", 1);
-        let full_db = self.full_db();
-        let old_model = self.state().model.clone();
+        let active = self.active();
+        let old_model = active.state().model.clone();
+        let full_db = active.full_db();
         // Boost each drift query to the weight mass of the average original.
         let boost = 1.0 / old_model.train_workload.len().max(1) as f64;
         let new_model = fine_tune(&full_db, &old_model, &drift, boost)?;
-        let new_state = SessionState::build(&full_db, new_model)?;
-        *self.state.write().unwrap_or_else(|p| p.into_inner()) = new_state;
+        let forked = Arc::new(Session::new(full_db, new_model, self.config.clone())?);
+        let mut guard = self.fork.write().unwrap_or_else(|p| p.into_inner());
+        match guard.as_mut() {
+            Some(fork) => {
+                // Post-fork refinement: the epoch (already unique) stays.
+                fork.session = forked;
+                telemetry::counter("session.cow.refine", 1);
+            }
+            None => {
+                // First fork: epoch and session become visible in the
+                // same store, so no reader can key a scan at epoch 0 and
+                // then execute it against the fork.
+                let epoch = NEXT_FORK_EPOCH.fetch_add(1, Ordering::Relaxed);
+                *guard = Some(ForkState {
+                    epoch,
+                    session: forked,
+                });
+                telemetry::counter("session.cow.fork", 1);
+            }
+        }
         self.counters.fine_tunes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Observe the live database for **data drift**: rows appended or
-    /// updated since this session's routing state was materialised. A
-    /// fingerprint match returns `false` immediately (the cheap steady
-    /// state). On a mismatch the session runs a *targeted refresh* — the
-    /// approximation set is re-materialised and the estimator refit from
-    /// the **same** trained model over the new snapshot (no retraining;
-    /// the user's interest region did not move, the data under it did) —
-    /// and the new database replaces the old one for full-DB fallbacks.
-    /// Returns `true` when a refresh ran.
-    ///
-    /// The rebuild happens outside the state lock, so concurrent readers
-    /// keep routing against the old (internally consistent) state until
-    /// the swap; a concurrent refresh to the same fingerprint is detected
-    /// under the write lock and skipped.
+    /// Observe the live database for **data drift** — the view-side
+    /// counterpart of [`Session::observe_data`]. While this view still
+    /// shares its set, a stale fingerprint **forks**: the view gets a
+    /// private set built from the shared set's unchanged model over `live`
+    /// (a data refresh, not interest retraining — the drift streak is
+    /// untouched); the shared set and its other views are never written.
+    /// A view that already owns a fork refreshes it in place. Returns
+    /// `true` when a fork or refresh happened.
     pub fn observe_data(&self, live: &Arc<Database>) -> DbResult<bool> {
-        let live_fp = live.data_fingerprint();
-        if live_fp == self.state().data_fingerprint {
+        let (epoch, active) = self.snapshot();
+        if live.data_fingerprint() == active.data_fingerprint() {
             return Ok(false);
         }
+        if epoch != 0 {
+            // The fork is exclusively ours: refresh it in place.
+            telemetry::counter("session.cow.data_refresh", 1);
+            return active.observe_data(live);
+        }
         telemetry::counter("session.data_drift.detected", 1);
-        let _refresh_span = telemetry::span("session.data_refresh");
-        let model = self.state().model.clone();
-        let new_state = SessionState::build(live, model)?;
-        {
-            // Lock order: state before full_db, matching `answer_subset`
-            // (which reads full_db while holding the state guard).
-            let mut state_guard = self.state.write().unwrap_or_else(|p| p.into_inner());
-            if state_guard.data_fingerprint == live_fp {
-                // Another thread refreshed to this snapshot while we were
-                // building; ours is byte-identical, so drop it.
-                return Ok(false);
-            }
-            let mut db_guard = self.full_db.write().unwrap_or_else(|p| p.into_inner());
-            *db_guard = Arc::clone(live);
-            *state_guard = new_state;
+        let model = active.state().model.clone();
+        let refreshed = Arc::new(Session::new(Arc::clone(live), model, self.config.clone())?);
+        let mut guard = self.fork.write().unwrap_or_else(|p| p.into_inner());
+        if let Some(fork) = guard.as_ref() {
+            // Lost a fork race: another thread published a private set
+            // (with a possibly fine-tuned model) between our snapshot and
+            // this lock. Its model supersedes the shared one — refresh it
+            // rather than overwrite it.
+            let session = Arc::clone(&fork.session);
+            drop(guard);
+            return session.observe_data(live);
         }
-        self.counters.data_refreshes.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter("session.data_refresh.runs", 1);
-        Ok(true)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::model::{train, AsqpConfig};
-    use asqp_data::{imdb, Scale};
-
-    fn quick_config() -> AsqpConfig {
-        let mut cfg = AsqpConfig::full(60, 20);
-        cfg.preprocess.n_representatives = 6;
-        cfg.preprocess.max_actions = 64;
-        cfg.preprocess.per_query_cap = 40;
-        cfg.trainer.num_workers = 2;
-        cfg.trainer.steps_per_worker = 64;
-        cfg.trainer.hidden = vec![32];
-        cfg.iterations = 6;
-        cfg
-    }
-
-    fn alien_queries() -> Vec<Query> {
-        [
-            "SELECT p.name FROM person p WHERE p.gender = 'f' AND p.name LIKE 'q%'",
-            "SELECT p.name FROM person p WHERE p.gender = 'm' AND p.name LIKE 'w%'",
-            "SELECT p.name FROM person p WHERE p.name LIKE 'e%'",
-            "SELECT p.name FROM person p WHERE p.name LIKE 'zzz%' AND p.gender = 'f'",
-            "SELECT p.name FROM person p WHERE p.gender = 'f' AND p.name LIKE 'x%'",
-        ]
-        .iter()
-        .map(|t| asqp_db::sql::parse(t).unwrap())
-        .collect()
-    }
-
-    #[test]
-    fn session_routes_known_queries_to_subset() {
-        let db = Arc::new(imdb::generate(Scale::Tiny, 1));
-        let w = imdb::workload(12, 1);
-        let model = train(&db, &w, &quick_config()).unwrap();
-        // The unit-test budget (k=60 across 12 queries) yields fractions
-        // around 0.3, so route with a threshold matched to that scale.
-        let cfg = SessionConfig {
-            answer_threshold: 0.25,
-            ..SessionConfig::default()
-        };
-        let session = Session::new(db, model, cfg).unwrap();
-
-        let mut subset_hits = 0;
-        for q in &w.queries {
-            let (_, src) = session.query(q).unwrap();
-            if src == AnswerSource::ApproximationSet {
-                subset_hits += 1;
-            }
-        }
-        assert!(
-            subset_hits > 0,
-            "some training queries must be answered from the subset"
-        );
-        assert_eq!(session.stats().queries, 12);
-    }
-
-    #[test]
-    fn unknown_queries_fall_back_to_full_db_and_accumulate_drift() {
-        let db = Arc::new(imdb::generate(Scale::Tiny, 1));
-        let w = imdb::workload(8, 1);
-        let model = train(&db, &w, &quick_config()).unwrap();
-        let cfg = SessionConfig {
-            auto_fine_tune: false,
-            ..SessionConfig::default()
-        };
-        let session = Session::new(db, model, cfg).unwrap();
-
-        // A MAS-style query the IMDB model has never seen (unknown tables
-        // would fail execution, so use an IMDB table with an alien shape).
-        let alien = asqp_db::sql::parse(
-            "SELECT p.name FROM person p WHERE p.name LIKE 'zzz%' AND p.gender = 'f'",
-        )
-        .unwrap();
-        let (_, src) = session.query(&alien).unwrap();
-        assert_eq!(src, AnswerSource::FullDatabase);
-        assert!(session.stats().full_db_answers >= 1);
-    }
-
-    #[test]
-    fn fine_tune_triggers_after_drift_trigger_queries() {
-        let db = Arc::new(imdb::generate(Scale::Tiny, 1));
-        let w = imdb::workload(8, 2);
-        let model = train(&db, &w, &quick_config()).unwrap();
-        let cfg = SessionConfig {
-            drift_trigger: 2,
-            ..SessionConfig::default()
-        };
-        let session = Session::new(db, model, cfg).unwrap();
-
-        for q in alien_queries().iter().take(3) {
-            session.query(q).unwrap();
-        }
-        assert!(
-            session.stats().fine_tunes >= 1 || session.pending_drift() < 2,
-            "drift accumulation must trigger fine-tuning: {:?}",
-            session.stats()
-        );
-    }
-
-    /// Regression for the consecutive-miss semantics: a confident hit in
-    /// the middle of a miss streak resets the counter, so the ≥3-miss
-    /// fine-tune trigger only fires on three *consecutive* misses.
-    #[test]
-    fn confident_hit_resets_consecutive_miss_counter() {
-        let db = Arc::new(imdb::generate(Scale::Tiny, 1));
-        let w = imdb::workload(12, 1);
-        let model = train(&db, &w, &quick_config()).unwrap();
-        // drift_confidence 0.0: every miss extends the streak and every
-        // hit (training queries have estimator confidence 1.0) resets it,
-        // making the boundary deterministic.
-        let cfg = SessionConfig {
-            answer_threshold: 0.25,
-            drift_confidence: 0.0,
-            drift_trigger: 3,
-            auto_fine_tune: true,
-        };
-        let session = Session::new(db, model, cfg).unwrap();
-
-        let hit = w
-            .queries
-            .iter()
-            .find(|q| session.plan(q).answerable)
-            .expect("at least one training query routes to the subset")
-            .clone();
-        let aliens: Vec<Query> = alien_queries()
-            .into_iter()
-            .filter(|q| !session.plan(q).answerable)
-            .collect();
-        assert!(
-            aliens.len() >= 3,
-            "need ≥3 missing queries for the boundary"
-        );
-
-        // Two misses, then a confident hit: streak resets, no fine-tune.
-        for q in aliens.iter().take(2) {
-            session.query(q).unwrap();
-        }
-        assert_eq!(session.pending_drift(), 2);
-        session.query(&hit).unwrap();
-        assert_eq!(
-            session.pending_drift(),
-            0,
-            "a confident hit must reset the consecutive-miss counter"
-        );
-
-        // Two more misses stay under the trigger (would have fired at 3
-        // and 4 without the reset)...
-        for q in aliens.iter().take(2) {
-            session.query(q).unwrap();
-        }
-        assert_eq!(session.stats().fine_tunes, 0);
-        assert_eq!(session.pending_drift(), 2);
-
-        // ...and the third consecutive miss fires exactly at the boundary.
-        session.query(&aliens[2]).unwrap();
-        assert_eq!(session.stats().fine_tunes, 1);
-        assert_eq!(session.pending_drift(), 0, "fine-tune consumes the streak");
-    }
-
-    /// Data drift (the database moved) must trigger a targeted refresh —
-    /// same model, new materialisation — never an interest-drift retrain.
-    #[test]
-    fn data_drift_refreshes_without_retraining() {
-        let db = Arc::new(imdb::generate(Scale::Tiny, 1));
-        let w = imdb::workload(12, 1);
-        let model = train(&db, &w, &quick_config()).unwrap();
-        let cfg = SessionConfig {
-            answer_threshold: 0.25,
-            ..SessionConfig::default()
-        };
-        let session = Session::new(Arc::clone(&db), model, cfg).unwrap();
-        let before = session.data_fingerprint();
-
-        // Same snapshot → steady-state no-op.
-        assert!(!session.observe_data(&db).unwrap());
-        assert_eq!(session.stats().data_refreshes, 0);
-
-        // Rewrite one row in place: contents identical, but the data
-        // version moved, so the routing state is provably stale.
-        let mut live = (*db).clone();
-        let row = live.table("title").unwrap().row(0);
-        live.update_rows("title", &[(0, row)]).unwrap();
-        let live = Arc::new(live);
-        assert_ne!(live.data_fingerprint(), before);
-
-        assert!(session.observe_data(&live).unwrap());
-        assert_eq!(session.stats().data_refreshes, 1);
-        assert_eq!(session.stats().fine_tunes, 0, "refresh must not retrain");
-        assert_eq!(session.data_fingerprint(), live.data_fingerprint());
-        assert!(
-            Arc::ptr_eq(&session.full_db(), &live),
-            "full-DB fallbacks must move to the new snapshot"
-        );
-
-        // Observing the same snapshot again is a no-op, and queries still
-        // route against the refreshed state.
-        assert!(!session.observe_data(&live).unwrap());
-        assert_eq!(session.stats().data_refreshes, 1);
-        session.query(&w.queries[0]).unwrap();
-    }
-
-    #[test]
-    fn aggregates_answered_from_subset_are_scaled() {
-        let db = Arc::new(imdb::generate(Scale::Tiny, 1));
-        let w = imdb::workload(12, 1);
-        let model = train(&db, &w, &quick_config()).unwrap();
-        let cfg = SessionConfig {
-            answer_threshold: 0.0, // force subset answering
-            ..SessionConfig::default()
-        };
-        let session = Session::new(db.clone(), model, cfg).unwrap();
-        let agg =
-            asqp_db::sql::parse("SELECT COUNT(*) FROM title t WHERE t.production_year > 1900")
-                .unwrap();
-        let (rs, src) = session.query(&agg).unwrap();
-        assert_eq!(src, AnswerSource::ApproximationSet);
-        // Scaled count should be in the order of the true count, not the
-        // raw subset count.
-        let truth = db.execute(&agg).unwrap().rows[0][0].as_i64().unwrap() as f64;
-        let pred = rs.rows[0][0].as_f64().unwrap();
-        assert!(pred > 0.0 && pred <= truth * 20.0);
-    }
-
-    #[test]
-    fn session_is_shareable_across_threads() {
-        let db = Arc::new(imdb::generate(Scale::Tiny, 1));
-        let w = imdb::workload(12, 1);
-        let model = train(&db, &w, &quick_config()).unwrap();
-        let cfg = SessionConfig {
-            answer_threshold: 0.25,
-            auto_fine_tune: false,
-            ..SessionConfig::default()
-        };
-        let session = Arc::new(Session::new(db, model, cfg).unwrap());
-
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let session = Arc::clone(&session);
-                let queries = w.queries.clone();
-                s.spawn(move || {
-                    for q in queries.iter().skip(t).step_by(4) {
-                        session.query(q).unwrap();
-                    }
-                });
-            }
+        let epoch = NEXT_FORK_EPOCH.fetch_add(1, Ordering::Relaxed);
+        *guard = Some(ForkState {
+            epoch,
+            session: refreshed,
         });
-        assert_eq!(session.stats().queries, 12);
-        assert_eq!(
-            session.stats().subset_answers + session.stats().full_db_answers,
-            12
-        );
+        telemetry::counter("session.cow.data_fork", 1);
+        Ok(true)
     }
 }

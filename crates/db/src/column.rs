@@ -193,16 +193,6 @@ impl Column {
         }
     }
 
-    pub fn get_i64(&self, idx: usize) -> Option<i64> {
-        if !self.validity[idx] {
-            return None;
-        }
-        match &self.data {
-            ColumnData::Int(d) => Some(d[idx]),
-            _ => None,
-        }
-    }
-
     /// Dictionary code for string columns — cheap equality key.
     pub fn str_code(&self, idx: usize) -> Option<u32> {
         if !self.validity[idx] {

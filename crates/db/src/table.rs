@@ -83,11 +83,6 @@ impl Table {
         &self.columns[idx]
     }
 
-    pub fn column_by_name(&self, name: &str) -> DbResult<&Column> {
-        let idx = self.schema.require(name)?;
-        Ok(&self.columns[idx])
-    }
-
     /// Append a row after validating it against the schema.
     pub fn push_row(&mut self, row: &[Value]) -> DbResult<()> {
         self.schema.check_row(row)?;
@@ -166,25 +161,9 @@ impl Table {
         self.zones.get_or_build(|| TableZones::build(self))
     }
 
-    /// Bulk load; fails on the first bad row (rows before it stay loaded).
-    pub fn extend_rows<'a, I: IntoIterator<Item = &'a [Value]>>(
-        &mut self,
-        rows: I,
-    ) -> DbResult<()> {
-        for r in rows {
-            self.push_row(r)?;
-        }
-        Ok(())
-    }
-
     /// Materialise a full row.
     pub fn row(&self, idx: usize) -> Row {
         self.columns.iter().map(|c| c.get(idx)).collect()
-    }
-
-    /// Materialise a projection of a row.
-    pub fn row_projected(&self, idx: usize, cols: &[usize]) -> Row {
-        cols.iter().map(|&c| self.columns[c].get(idx)).collect()
     }
 
     pub fn value(&self, row: usize, col: usize) -> Value {
@@ -278,15 +257,6 @@ mod tests {
     fn subset_out_of_range() {
         let t = movies();
         assert!(t.subset(&[99]).is_err());
-    }
-
-    #[test]
-    fn row_projected() {
-        let t = movies();
-        assert_eq!(
-            t.row_projected(1, &[2, 0]),
-            vec![Value::Int(2016), Value::Int(2)]
-        );
     }
 
     #[test]

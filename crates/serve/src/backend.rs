@@ -2,13 +2,14 @@
 //!
 //! [`SessionBackend`] is the seam between the serving layer and the
 //! ASQP session logic. The real implementation is
-//! [`asqp_core::Session`] (estimator-routed, drift-tracked); the
-//! [`MirrorBackend`] is a model-free stand-in — hash-routed over two
-//! plain databases — so chaos tests and throughput benches can hammer
-//! the concurrency machinery without paying for RL training.
+//! [`asqp_core::CowSession`] (one user's estimator-routed, drift-tracked
+//! view of a shared approximation set); the [`MirrorBackend`] is a
+//! model-free stand-in — hash-routed over two plain databases — so chaos
+//! tests and throughput benches can hammer the concurrency machinery
+//! without paying for RL training.
 
 use crate::fault::fnv1a;
-use asqp_core::{CowSession, RoutePlan, Session};
+use asqp_core::{CowSession, RoutePlan};
 use asqp_db::{Database, DbResult, Query, ResultSet};
 use std::sync::Arc;
 
@@ -102,31 +103,6 @@ impl<B: SessionBackend> SessionBackend for Arc<B> {
         q: &'a Query,
     ) -> (u64, Box<dyn FnOnce() -> DbResult<ResultSet> + Send + 'a>) {
         (**self).pinned_subset_scan(q)
-    }
-}
-
-impl SessionBackend for Session {
-    fn plan(&self, q: &Query) -> RouteDecision {
-        let plan = Session::plan(self, q);
-        RouteDecision {
-            answerable: plan.answerable,
-            plan: Some(plan),
-        }
-    }
-
-    fn answer_subset(&self, q: &Query) -> DbResult<ResultSet> {
-        Session::answer_subset(self, q)
-    }
-
-    fn answer_full(&self, q: &Query) -> DbResult<ResultSet> {
-        Session::answer_full(self, q)
-    }
-
-    fn finish(&self, q: &Query, decision: &RouteDecision) -> DbResult<()> {
-        if let Some(plan) = &decision.plan {
-            Session::finish(self, q, plan)?;
-        }
-        Ok(())
     }
 }
 

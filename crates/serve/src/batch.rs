@@ -1,7 +1,7 @@
 //! Single-flight batching of similar in-flight subset queries.
 //!
 //! Two tenants whose workloads cluster together read the *same* shared
-//! approximation set (see `asqp_core::cow`), so identical subset queries
+//! approximation set (see `asqp_core::CowSession`), so identical subset queries
 //! arriving close together would run the identical scan twice.
 //! [`ScanBatcher`] coalesces them: concurrent executions are keyed by
 //! [`ScanKey`] — the tenant's COW group, its share epoch, and the

@@ -13,7 +13,7 @@
 //!   tenant in a cluster reads that cluster's shared approximation set
 //!   (share epoch 0) until its own drift streak trips and it forks to a
 //!   private set (a unique non-zero epoch) — the virtual-time mirror of
-//!   `asqp_core::cow`;
+//!   `asqp_core::CowSession`;
 //! - concurrent subset scans with equal (group, epoch, shape) coalesce,
 //!   crediting followers with `shared_scan_hits` exactly like the
 //!   threaded [`ScanBatcher`](crate::ScanBatcher) — a simulated "shape"

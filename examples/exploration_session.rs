@@ -23,12 +23,15 @@ fn main() {
         drift_confidence: 0.55,
         ..SessionConfig::default()
     };
-    let session = Session::new(db.clone(), model, session_cfg)
+    let set = Session::new(db.clone(), model, session_cfg.clone())
         .expect("session materialises the approximation set");
     println!(
         "session ready: approximation set holds {} tuples\n",
-        session.state().subset.total_rows()
+        set.state().subset.total_rows()
     );
+    // The user's view of the set routes their queries and tracks their
+    // drift; its fine-tune forks a private set.
+    let session = CowSession::new(std::sync::Arc::new(set), session_cfg);
 
     // Phase 1 — queries close to the training workload: mostly answered
     // from the approximation set, instantly.
@@ -67,7 +70,7 @@ fn main() {
     }
 }
 
-fn route_and_report(session: &Session, q: &Query) {
+fn route_and_report(session: &CowSession, q: &Query) {
     let preview: String = q.to_sql().chars().take(72).collect();
     let (result, source) = session.query(q).expect("query executes");
     let tag = match source {

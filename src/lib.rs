@@ -39,8 +39,8 @@ pub use asqp_serve as serve;
 pub mod prelude {
     pub use asqp_baselines::{Baseline, BaselineOutput};
     pub use asqp_core::{
-        fine_tune, score, train, AnswerSource, AsqpConfig, MetricParams, Session, SessionConfig,
-        TrainedModel,
+        fine_tune, score, train, AnswerSource, AsqpConfig, CowSession, MetricParams, Session,
+        SessionConfig, TrainedModel,
     };
     pub use asqp_data::Scale;
     pub use asqp_db::{Database, Query, Value, Workload};

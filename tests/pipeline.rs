@@ -96,7 +96,8 @@ fn session_end_to_end_with_fine_tune() {
         drift_trigger: 2,
         ..SessionConfig::default()
     };
-    let session = Session::new(db.clone(), model, cfg).unwrap();
+    let set = Session::new(db.clone(), model, cfg.clone()).unwrap();
+    let session = CowSession::new(std::sync::Arc::new(set), cfg);
 
     for q in &workload.queries {
         let (rs, src) = session.query(q).unwrap();
@@ -119,9 +120,10 @@ fn concurrent_server_over_trained_session() {
     let db = std::sync::Arc::new(asqp::data::imdb::generate(Scale::Tiny, 8));
     let workload = asqp::data::imdb::workload(12, 8);
     let model = train(&db, &workload, &quick_cfg(80, 20, 8)).unwrap();
-    let session = Session::new(db.clone(), model, SessionConfig::default()).unwrap();
+    let set = Session::new(db.clone(), model, SessionConfig::default()).unwrap();
+    let session = CowSession::new(std::sync::Arc::new(set), SessionConfig::default());
 
-    // One session is one tenant on one shard.
+    // One view is one tenant on one shard.
     let server = MtServer::start(MtConfig {
         shards: 1,
         workers_per_shard: 3,
