@@ -113,6 +113,17 @@ pub(crate) fn run<S: Scenario>(
     }
 }
 
+/// Per-request deadline from admission: a base attempt (20 µs injected
+/// latency + [`FULL_SERVICE_NS`]) fits comfortably, but a 400 µs spike or
+/// an error + backoff cycle blows it, so chaos runs exercise the degrade
+/// path.
+pub(crate) const DEADLINE_NS: u64 = 300_000;
+/// Virtual cost of a subset (or degraded) answer.
+pub(crate) const SUBSET_SERVICE_NS: u64 = 15_000;
+/// Virtual cost of a successful full-database execution, after the
+/// injected latency.
+pub(crate) const FULL_SERVICE_NS: u64 = 60_000;
+
 /// A request's virtual clock: `now`, and the deadline it runs against.
 pub(crate) struct Clock {
     pub now: u64,
@@ -120,13 +131,10 @@ pub(crate) struct Clock {
 }
 
 impl Clock {
-    /// A worker picks the request up at `now`; `deadline_ns` (`0` = none)
-    /// counts from its admission.
-    pub fn start(admitted_ns: u64, now: u64, deadline_ns: u64) -> Clock {
-        let deadline = match deadline_ns {
-            0 => u64::MAX,
-            d => admitted_ns.saturating_add(d),
-        };
+    /// A worker picks the request up at `now`; the [`DEADLINE_NS`] counts
+    /// from its admission.
+    pub fn start(admitted_ns: u64, now: u64) -> Clock {
+        let deadline = admitted_ns.saturating_add(DEADLINE_NS);
         Clock { now, deadline }
     }
 

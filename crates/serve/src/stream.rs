@@ -169,32 +169,16 @@ fn materialize_view(db: &Database, stride: usize) -> DbResult<Database> {
     db.subset(&sel)
 }
 
-/// Configuration of one streaming chaos run.
+/// Configuration of one streaming chaos run. Full-database query attempts
+/// run under [`FaultPlan::chaos`] of the seed with [`RetryPolicy::chaos`];
+/// the operation mix is fixed by the constants below.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
+    /// Seeds the fault plan, the operation mix, batch contents and query
+    /// generation.
+    pub seed: u64,
     /// Total interleaved operations (ingest batches, updates, queries).
     pub ops: u64,
-    /// Fault plan for full-DB query attempts; its seed also drives the
-    /// operation mix, batch contents, and query generation.
-    pub faults: FaultPlan,
-    pub retry: RetryPolicy,
-    /// Percentage (0–100) of operations that are ingest batches.
-    pub append_pct: u8,
-    /// Percentage (0–100) of operations that are in-place update batches.
-    pub update_pct: u8,
-    /// Maximum ingest batch size.
-    pub batch_max: usize,
-    /// Maximum rows per update batch.
-    pub update_max: usize,
-    /// Run a data-drift observation after every N operations (0 = only
-    /// the final reconciliation observes).
-    pub observe_every: u64,
-    /// Percentage (0–100) of queries hash-routed to the view.
-    pub subset_pct: u8,
-    /// View sampling stride.
-    pub stride: usize,
-    /// Rows in the seed fixture before streaming starts.
-    pub seed_rows: usize,
 }
 
 impl StreamConfig {
@@ -202,25 +186,26 @@ impl StreamConfig {
     /// them writes) against a 256-row fixture under [`FaultPlan::chaos`],
     /// observing for drift every 8 operations.
     pub fn chaos(seed: u64) -> StreamConfig {
-        StreamConfig {
-            ops: 96,
-            faults: FaultPlan::chaos(seed),
-            retry: RetryPolicy {
-                max_retries: 3,
-                base_ns: 50_000,
-                cap_ns: 400_000,
-            },
-            append_pct: 25,
-            update_pct: 15,
-            batch_max: 24,
-            update_max: 6,
-            observe_every: 8,
-            subset_pct: 50,
-            stride: 4,
-            seed_rows: 256,
-        }
+        StreamConfig { seed, ops: 96 }
     }
 }
+
+/// Percentage (0–100) of operations that are ingest batches.
+const APPEND_PCT: u8 = 25;
+/// Percentage (0–100) of operations that are in-place update batches.
+const UPDATE_PCT: u8 = 15;
+/// Maximum ingest batch size.
+const BATCH_MAX: u64 = 24;
+/// Maximum rows per update batch.
+const UPDATE_MAX: u64 = 6;
+/// Run a data-drift observation after every N operations.
+const OBSERVE_EVERY: u64 = 8;
+/// Percentage (0–100) of queries hash-routed to the view.
+const SUBSET_PCT: u8 = 50;
+/// View sampling stride.
+const STRIDE: usize = 4;
+/// Rows in the seed fixture before streaming starts.
+const SEED_ROWS: usize = 256;
 
 /// Counters of one streaming run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -335,25 +320,22 @@ fn gen_stream_query(h: u64, id_bound: u64) -> DbResult<Query> {
 /// byte-identical double run certifies the whole ingest + maintenance +
 /// serving pipeline, not just the scheduler.
 pub fn run_stream(cfg: &StreamConfig) -> DbResult<StreamReport> {
-    let seed = cfg.faults.seed;
-    let backend = LiveBackend::new(
-        stream_fixture(seed, cfg.seed_rows)?,
-        cfg.subset_pct,
-        cfg.stride,
-    )?;
+    let seed = cfg.seed;
+    let faults = FaultPlan::chaos(seed);
+    let backend = LiveBackend::new(stream_fixture(seed, SEED_ROWS)?, SUBSET_PCT, STRIDE)?;
     let mut log = EventLog::new();
     let mut stats = StreamStats::default();
     let mut served = ServerStats::default();
     // The no-lost-writes ledger: every acknowledged append adds here, and
     // the final row count must match exactly.
-    let mut ledger_rows = cfg.seed_rows as u64;
-    let mut next_id = cfg.seed_rows as u64;
+    let mut ledger_rows = SEED_ROWS as u64;
+    let mut next_id = SEED_ROWS as u64;
 
     for op in 0..cfg.ops {
         let h = splitmix64(seed ^ op.wrapping_mul(0xA076_1D64_78BD_642F));
         let roll = (h % 100) as u8;
-        if roll < cfg.append_pct {
-            let batch_len = 1 + (splitmix64(h ^ 0xB10C) % cfg.batch_max.max(1) as u64) as usize;
+        if roll < APPEND_PCT {
+            let batch_len = 1 + (splitmix64(h ^ 0xB10C) % BATCH_MAX) as usize;
             let rows: Vec<Row> = (0..batch_len)
                 .map(|i| gen_event_row(seed ^ 0xFEED, next_id + i as u64))
                 .collect();
@@ -370,9 +352,9 @@ pub fn run_stream(cfg: &StreamConfig) -> DbResult<StreamReport> {
                     total: backend.row_count("events"),
                 },
             );
-        } else if roll < cfg.append_pct.saturating_add(cfg.update_pct) {
+        } else if roll < APPEND_PCT + UPDATE_PCT {
             let live_rows = backend.row_count("events") as u64;
-            let k = 1 + (splitmix64(h ^ 0x0DD5) % cfg.update_max.max(1) as u64) as usize;
+            let k = 1 + (splitmix64(h ^ 0x0DD5) % UPDATE_MAX) as usize;
             let updates: Vec<(usize, Row)> = (0..k)
                 .map(|i| {
                     let rid = (splitmix64(h ^ ((i as u64) << 8)) % live_rows.max(1)) as usize;
@@ -400,10 +382,10 @@ pub fn run_stream(cfg: &StreamConfig) -> DbResult<StreamReport> {
                     seq: 0,
                 },
             };
-            ladder::serve(&mut seam, &cfg.retry, &cfg.faults, op, answerable)?;
+            ladder::serve(&mut seam, &RetryPolicy::chaos(), &faults, op, answerable)?;
             stats.queries += 1;
         }
-        if cfg.observe_every > 0 && (op + 1) % cfg.observe_every == 0 {
+        if (op + 1) % OBSERVE_EVERY == 0 {
             let refreshed = backend.observe_data()?;
             if refreshed {
                 stats.refreshes += 1;

@@ -44,11 +44,7 @@ fn chaos_config(seed: u64) -> MtConfig {
         workers_per_shard: 4,
         queue_depth: 64,
         deadline_ns: 300_000,
-        retry: RetryPolicy {
-            max_retries: 3,
-            base_ns: 50_000,
-            cap_ns: 400_000,
-        },
+        retry: RetryPolicy::chaos(),
         faults: FaultPlan::chaos(seed),
     }
 }

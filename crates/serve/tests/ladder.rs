@@ -83,11 +83,7 @@ fn fault_plans(seed: u64) -> Vec<FaultPlan> {
     ]
 }
 
-const RETRY: RetryPolicy = RetryPolicy {
-    max_retries: 3,
-    base_ns: 50_000,
-    cap_ns: 400_000,
-};
+const RETRY: RetryPolicy = RetryPolicy::chaos();
 
 fn is_resolution(k: &EventKind) -> bool {
     matches!(k, EventKind::Resolved { .. } | EventKind::Failed)

@@ -46,11 +46,7 @@ fn concurrent_tenants_lose_nothing_and_account_exactly() {
         workers_per_shard: 2,
         queue_depth: 16,
         deadline_ns: 300_000,
-        retry: RetryPolicy {
-            max_retries: 3,
-            base_ns: 50_000,
-            cap_ns: 400_000,
-        },
+        retry: RetryPolicy::chaos(),
         faults: FaultPlan::chaos(0xBEEF),
     }));
     let tenants: Vec<u64> = (0..8).collect();
