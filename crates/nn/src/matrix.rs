@@ -240,10 +240,6 @@ impl Matrix {
             }
         }
     }
-
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
 }
 
 #[cfg(test)]

@@ -40,10 +40,6 @@ impl Adam {
         self
     }
 
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     pub fn steps_taken(&self) -> u64 {
         self.t
     }

@@ -133,14 +133,6 @@ impl Trainer {
         }
     }
 
-    /// Change the learning rate mid-run (used by ASQP-Light and the
-    /// adaptive-configuration mode).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.config.learning_rate = lr;
-        self.actor_opt.set_lr(lr);
-        self.critic_opt.set_lr(lr);
-    }
-
     /// Collect one iteration's worth of experience. With more than one
     /// worker, environments are cloned and rolled out on parallel threads
     /// (crossbeam scope), mirroring the paper's asynchronous actor-learners.

@@ -103,7 +103,6 @@ fn mt(flags: &Flags) {
         print!("{full}");
     }
     println!("lossless={}", u8::from(report.lossless()));
-    println!("throughput_per_vsec={:.0}", report.throughput_per_sec());
 }
 
 fn stream(flags: &Flags) -> ExitCode {

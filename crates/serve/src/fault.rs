@@ -16,8 +16,6 @@
 //!
 //! [splitmix64]: https://prng.di.unimi.it/splitmix64.c
 
-use serde::{Deserialize, Serialize};
-
 /// splitmix64 finalizer: a high-quality 64-bit mix, the standard choice
 /// for stateless hash-based decision streams.
 #[inline]
@@ -54,7 +52,7 @@ pub struct FaultDecision {
 }
 
 /// A seeded, fully deterministic fault-injection plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Root seed; equal seeds ⇒ byte-identical injected fault streams.
     pub seed: u64,

@@ -15,7 +15,7 @@
 //! - [`MtServer`] — the only threaded server: tenants striped across
 //!   independent shard pools from one tenant directory behind bounded
 //!   admission queues ([`ServeError::Overloaded`] backpressure),
-//!   copy-on-write approximation-set sharing per workload cluster
+//!   copy-on-write approximation-set sharing per tenant group
 //!   (`asqp_core::CowSession`), single-flight shared-scan batching
 //!   ([`ScanBatcher`]) keyed by the exact query text, and exact
 //!   per-tenant accounting. One session is one tenant on one shard; a
@@ -24,11 +24,13 @@
 //!   errors, latency spikes, a stalled worker) whose every decision is a
 //!   pure function of `(seed, request, attempt)`.
 //! - `kernel` — the only discrete-event kernel: a virtual clock and one
-//!   `(time, tie)`-ordered heap over per-shard queues and workers.
-//!   [`run_sim`] is its one-shard scenario with a full event transcript;
-//!   [`run_mt_sim`] its N-shard one, replaying a generated trace of up to
-//!   ~10⁶ tenants into a digest-based transcript. Both are byte-for-byte
-//!   reproducible and diffable across runs and machines.
+//!   `(time, tie)`-ordered heap over per-shard queues and workers, with
+//!   fixed virtual service costs. [`run_sim`] is its one-shard scenario
+//!   with a full event transcript; [`run_mt_sim`] its N-shard one,
+//!   replaying a generated trace of up to ~10⁶ tenants, grouped by their
+//!   trace archetype, into a digest-based transcript. Both replay the
+//!   ladder's decisions byte-for-byte across runs and machines; neither
+//!   models throughput.
 //! - [`run_stream`] — the living-data scenario: a [`LiveBackend`] serves
 //!   fault-injected queries while seeded ingest batches and in-place
 //!   updates mutate the full database, with periodic data-drift
@@ -41,8 +43,7 @@
 //! Telemetry: the server emits `serve.*` counters (admitted, rejected,
 //! degraded, retries, resolved.{subset,full}, fatal, tenants,
 //! scan.{lead,shared}) and a `serve.queue.depth` gauge through
-//! `asqp-telemetry`; the simulators add `serve.mtsim.*` aggregates and
-//! the living-data backend `serve.stream.*`.
+//! `asqp-telemetry`; the living-data backend adds `serve.stream.*`.
 
 pub mod backend;
 pub mod backoff;

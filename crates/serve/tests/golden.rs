@@ -1,14 +1,17 @@
 //! Golden transcripts: the replay transcripts are byte-identical *across
 //! commits*, not only across two runs of one build.
 //!
-//! `chaos_seed7.txt` and `mt_seed7_20k_summary.txt` were printed by the
-//! last commit that had a ladder per driver (`chaos_run --seed 7`,
-//! `mt_run --seed 7 --tenants 20000 --summary-only`), before the drivers
-//! were moved onto the one ladder and the one kernel. `stream_seed7.txt`
-//! is from the first commit after: the one ladder added the `backoff`
-//! lines the streaming copy never logged. A change that alters any of
-//! them changes serving behaviour and must regenerate them on purpose
-//! (`asqp-replay <chaos|mt|stream> --seed 7`).
+//! `chaos_seed7.txt` was printed by the last commit that had a ladder per
+//! driver (`chaos_run --seed 7`), before the drivers were moved onto the
+//! one ladder and the one kernel. `stream_seed7.txt` is from the first
+//! commit after: the one ladder added the `backoff` lines the streaming
+//! copy never logged. `mt_seed7_20k_summary.txt` was re-recorded when a
+//! tenant's group became its trace archetype instead of a k-means
+//! cluster; its header, its request total (`admitted + rejected`) and
+//! `departed` do not depend on grouping and did not move. A change that
+//! alters any of them changes serving behaviour and must regenerate them
+//! on purpose (`asqp-replay <chaos|mt|stream> --seed 7`, `mt` with
+//! `--tenants 20000 --summary-only` and without its `lossless=` line).
 
 use asqp_serve::{run_mt_sim, run_sim, run_stream, MtSimConfig, SimConfig, StreamConfig};
 

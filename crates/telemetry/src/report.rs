@@ -66,10 +66,6 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
     pub fn to_json_pretty(&self) -> Result<String, serde_json::Error> {
         serde_json::to_string_pretty(self)
     }
