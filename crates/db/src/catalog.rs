@@ -8,7 +8,7 @@ use crate::exec::{
 use crate::query::Query;
 use crate::schema::Schema;
 use crate::sql;
-use crate::stats::{StatsAccum, TableStats};
+use crate::stats::TableStats;
 use crate::table::Table;
 use crate::value::Row;
 use asqp_telemetry as telemetry;
@@ -26,8 +26,8 @@ use std::sync::{Arc, RwLock};
 /// appended row. A clone of the database gets its own copy of the entries —
 /// it holds the same data at the same versions, and whichever side changes
 /// a table afterwards stops matching that table's entries on its own.
-/// Deserialising starts empty, and the wholesale mutation entry points
-/// (`table_mut`, `add_table`, `drop_table`) still clear it outright.
+/// Deserialising starts empty, and adding or dropping a table clears it
+/// outright.
 #[derive(Debug, Default)]
 struct CountCache(RwLock<HashMap<String, CountEntry>>);
 
@@ -70,137 +70,14 @@ impl Clone for CountCache {
     }
 }
 
-/// One table's memoised statistics state: the order-insensitive accumulator
-/// pinned to the data version it reflects, plus the (lazily) derived
-/// [`TableStats`]. Keeping the accumulator lets an append absorb just the
-/// new rows instead of rescanning the table; keeping derivation lazy means
-/// a burst of appends pays one O(distinct) derive at the next read, not one
-/// per batch. Both halves sit behind an `Arc`, so copying an entry is three
-/// words.
-#[derive(Debug, Clone)]
-struct StatsEntry {
-    version: u64,
-    accum: Arc<StatsAccum>,
-    derived: Option<Arc<TableStats>>,
-}
-
-/// Memoised per-table statistics. Wholesale mutation entry points clear it,
-/// and the incremental entry points ([`Database::append_rows`] /
-/// [`Database::update_rows`]) maintain live entries in place. A clone of the
-/// database starts with a copy of the map whose entries *share* their
-/// accumulators and derived statistics with the original's (copy-on-write):
-/// both hold the same tables at the same versions, so every entry is as
-/// valid for one as for the other. Whichever side then changes a table
-/// copies that table's accumulator before absorbing the change; the tables
-/// neither side touches are never rescanned. An entry is only ever checked
-/// against a table of the database that owns the map, and a table's
-/// version only grows, so a shared entry can never describe another
-/// database's data. Deserialising starts empty.
-#[derive(Debug, Default)]
-struct StatsCache(RwLock<HashMap<String, StatsEntry>>);
-
-impl StatsCache {
-    /// Stats for `table` at its current version: served from the entry when
-    /// fresh, derived from the cached accumulator when only derivation is
-    /// missing, recomputed from scratch otherwise.
-    ///
-    /// Every binding of every planned query comes through here, from every
-    /// worker sharing the database, so the fresh case takes only the read
-    /// lock. Whoever then takes the write lock looks again: another thread
-    /// may have derived or rebuilt the entry between the two locks, and all
-    /// of them must leave with that one `Arc`.
-    fn get_or_compute(&self, table: &Table) -> Arc<TableStats> {
-        let version = table.data_version();
-        let map = self.0.read().unwrap_or_else(|e| e.into_inner());
-        let fresh = map.get(table.name()).filter(|e| e.version == version);
-        if let Some(d) = fresh.and_then(|e| e.derived.clone()) {
-            return d;
-        }
-        drop(map);
-        let mut map = self.0.write().unwrap_or_else(|e| e.into_inner());
-        match map.get_mut(table.name()) {
-            Some(e) if e.version == version => {
-                if let Some(d) = &e.derived {
-                    return Arc::clone(d);
-                }
-                let d = Arc::new(e.accum.derive(table.name(), table.schema()));
-                e.derived = Some(Arc::clone(&d));
-                d
-            }
-            _ => {
-                let accum = StatsAccum::from_table(table);
-                let d = Arc::new(accum.derive(table.name(), table.schema()));
-                map.insert(
-                    table.name().to_string(),
-                    StatsEntry {
-                        version,
-                        accum: Arc::new(accum),
-                        derived: Some(Arc::clone(&d)),
-                    },
-                );
-                d
-            }
-        }
-    }
-
-    /// Absorb an append into the cached accumulator, if the entry was
-    /// current at `old_version` (see [`StatsCache::advance`]).
-    fn absorb_append(&self, table: &Table, old_rows: usize, old_version: u64) {
-        self.advance(table, old_version, |accum| {
-            accum.absorb_rows(table, old_rows)
-        });
-    }
-
-    /// Apply in-place row overwrites to the cached accumulator, mirroring
-    /// [`StatsCache::absorb_append`]'s version discipline.
-    fn absorb_update(&self, table: &Table, old_version: u64, changes: &[(Row, &Row)]) {
-        self.advance(table, old_version, |accum| {
-            for (old_row, new_row) in changes {
-                accum.apply_update(old_row, new_row);
-            }
-        });
-    }
-
-    /// Carry `table`'s entry from `old_version` to the table's current
-    /// version through `change`. An accumulator a clone of the database
-    /// still shares is copied first, so the change is this database's
-    /// alone. A stale entry is dropped (the next read recomputes from
-    /// scratch); a missing entry stays missing (lazy).
-    fn advance(&self, table: &Table, old_version: u64, change: impl FnOnce(&mut StatsAccum)) {
-        let mut map = self.0.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(e) = map.get_mut(table.name()) {
-            if e.version == old_version {
-                telemetry::counter("db.stats.incremental", 1);
-                change(Arc::make_mut(&mut e.accum));
-                e.version = table.data_version();
-                e.derived = None;
-            } else {
-                map.remove(table.name());
-            }
-        }
-    }
-
-    fn clear(&self) {
-        self.0.write().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-}
-
-impl Clone for StatsCache {
-    fn clone(&self) -> Self {
-        StatsCache(RwLock::new(
-            self.0.read().unwrap_or_else(|e| e.into_inner()).clone(),
-        ))
-    }
-}
-
 /// An in-memory database: named tables in deterministic (sorted) order.
+/// What is derived from one table's rows (statistics, zone maps) is kept by
+/// that [`Table`]; the database keeps only the counts that span tables.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
     #[serde(skip)]
     count_cache: CountCache,
-    #[serde(skip)]
-    stats_cache: StatsCache,
 }
 
 impl Database {
@@ -214,7 +91,6 @@ impl Database {
             return Err(DbError::Duplicate(table.name().to_string()));
         }
         self.count_cache.clear();
-        self.stats_cache.clear();
         self.tables.insert(table.name().to_string(), table);
         Ok(())
     }
@@ -233,72 +109,29 @@ impl Database {
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
     }
 
-    pub fn table_mut(&mut self, name: &str) -> DbResult<&mut Table> {
-        // Handing out mutable table access may change any cached count or
-        // statistic.
-        self.count_cache.clear();
-        self.stats_cache.clear();
-        self.tables
-            .get_mut(name)
-            .ok_or_else(|| DbError::UnknownTable(name.to_string()))
-    }
-
     pub fn has_table(&self, name: &str) -> bool {
         self.tables.contains_key(name)
     }
 
-    /// Append a batch of rows to `name` through the incremental maintenance
-    /// path: the batch is validated atomically, the table's zone maps are
-    /// extended rather than rebuilt, cached statistics absorb just the new
-    /// rows, and the version-fingerprinted cardinality cache invalidates
-    /// itself lazily on next use — nothing is wholesale-cleared. Returns
-    /// the number of rows appended.
+    /// Append a batch of rows to `name` ([`Table::append_rows`]: validated
+    /// atomically, the table's statistics and zone maps carried forward).
+    /// The cardinality cache needs nothing: its entries are pinned to table
+    /// versions, and a count on the grown table adds just the appended
+    /// rows' tuples at its next read. Returns the number of rows appended.
     pub fn append_rows(&mut self, name: &str, rows: &[Row]) -> DbResult<usize> {
-        let table = self
-            .tables
+        self.tables
             .get_mut(name)
-            .ok_or_else(|| DbError::UnknownTable(name.to_string()))?;
-        let old_rows = table.row_count();
-        let old_version = table.data_version();
-        let n = table.append_rows(rows)?;
-        if n > 0 {
-            let table = &self.tables[name];
-            self.stats_cache.absorb_append(table, old_rows, old_version);
-        }
-        Ok(n)
+            .ok_or_else(|| DbError::UnknownTable(name.to_string()))?
+            .append_rows(rows)
     }
 
     /// Overwrite existing rows of `name` in place (row id → replacement
-    /// row), with the same incremental cache maintenance as
-    /// [`Database::append_rows`]. Returns the number of rows updated.
+    /// row; [`Table::update_rows`]). Returns the number of rows updated.
     pub fn update_rows(&mut self, name: &str, updates: &[(usize, Row)]) -> DbResult<usize> {
-        let table = self
-            .tables
+        self.tables
             .get_mut(name)
-            .ok_or_else(|| DbError::UnknownTable(name.to_string()))?;
-        let old_version = table.data_version();
-        // Pair each update with the value it actually overwrites: when one
-        // batch touches the same row twice, the second overwrite retracts
-        // the first one's row, not the pre-batch original.
-        let mut overwritten: HashMap<usize, Row> = HashMap::new();
-        let mut changes: Vec<(Row, &Row)> = Vec::with_capacity(updates.len());
-        for (rid, new_row) in updates {
-            if *rid >= table.row_count() {
-                break; // update_rows below rejects the whole batch
-            }
-            let old = overwritten
-                .get(rid)
-                .cloned()
-                .unwrap_or_else(|| table.row(*rid));
-            changes.push((old, new_row));
-            overwritten.insert(*rid, new_row.clone());
-        }
-        let n = table.update_rows(updates)?;
-        if n > 0 {
-            let table = &self.tables[name];
-            self.stats_cache.absorb_update(table, old_version, &changes);
-        }
-        Ok(n)
+            .ok_or_else(|| DbError::UnknownTable(name.to_string()))?
+            .update_rows(updates)
     }
 
     /// FNV-1a fingerprint of every table's (name, data version) pair — a
@@ -353,7 +186,6 @@ impl Database {
     /// Remove a table from the catalog, returning it.
     pub fn drop_table(&mut self, name: &str) -> DbResult<Table> {
         self.count_cache.clear();
-        self.stats_cache.clear();
         self.tables
             .remove(name)
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
@@ -430,14 +262,9 @@ impl Database {
         self.execute(&q)
     }
 
-    /// Statistics for one table, memoised until the table's data version
-    /// moves. The optimizer's cost model calls this per query; without
-    /// memoisation every `explain()`/plan recomputed an O(rows × columns)
-    /// pass. After [`Database::append_rows`] / [`Database::update_rows`]
-    /// the cached accumulator is already up to date and only the cheap
-    /// O(distinct) derivation runs here.
+    /// Statistics for one table ([`Table::stats`]).
     pub fn table_stats(&self, name: &str) -> DbResult<Arc<TableStats>> {
-        Ok(self.stats_cache.get_or_compute(self.table(name)?))
+        Ok(self.table(name)?.stats())
     }
 
     /// Build a sub-database holding only the listed row ids per table.
@@ -537,10 +364,7 @@ mod tests {
         }
 
         // Mutation invalidates; the next call recomputes exactly once.
-        db.table_mut("t")
-            .unwrap()
-            .push_row(&[Value::Int(99)])
-            .unwrap();
+        db.append_rows("t", &[vec![Value::Int(99)]]).unwrap();
         let t1 = db.table_stats("t").unwrap();
         assert!(!Arc::ptr_eq(&t0, &t1));
         assert_eq!(t1.row_count, 6);

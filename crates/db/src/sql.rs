@@ -114,14 +114,16 @@ impl<'a> Lexer<'a> {
             };
             return Ok((tok, start));
         }
-        // Strings with '' escaping
+        // Strings with '' escaping. The bytes between the quotes are decoded
+        // once, as UTF-8: the source is a `&str` and the quote is ASCII, so
+        // they are whole characters.
         if b == b'\'' {
             let mut end = self.pos + 1;
-            let mut out = String::new();
+            let mut out = Vec::new();
             loop {
                 match self.src.get(end) {
                     Some(b'\'') if self.src.get(end + 1) == Some(&b'\'') => {
-                        out.push('\'');
+                        out.push(b'\'');
                         end += 2;
                     }
                     Some(b'\'') => {
@@ -129,12 +131,13 @@ impl<'a> Lexer<'a> {
                         break;
                     }
                     Some(&c) => {
-                        out.push(c as char);
+                        out.push(c);
                         end += 1;
                     }
                     None => return Err(self.error("unterminated string literal")),
                 }
             }
+            let out = String::from_utf8(out).map_err(|_| self.error("non-utf8 string literal"))?;
             self.pos = end;
             return Ok((Tok::Str(out), start));
         }
@@ -725,6 +728,12 @@ mod tests {
     #[test]
     fn string_escape_roundtrip() {
         let q = parse("SELECT * FROM t WHERE t.name = 'it''s'").unwrap();
+        assert_eq!(parse(&q.to_sql()).unwrap(), q);
+        let q = parse("SELECT * FROM t WHERE t.name = 'Amélie'").unwrap();
+        let Some(Expr::Cmp { rhs, .. }) = &q.predicate else {
+            panic!("expected a comparison: {:?}", q.predicate)
+        };
+        assert_eq!(**rhs, Expr::Literal(Value::Str("Amélie".into())));
         assert_eq!(parse(&q.to_sql()).unwrap(), q);
     }
 

@@ -68,15 +68,9 @@ pub fn execute_statement(db: &mut Database, text: &str) -> DbResult<StatementRes
             db.drop_table(&name)?;
             Ok(StatementResult::Done { affected: 0 })
         }
-        Statement::Insert { table, rows } => {
-            let t = db.table_mut(&table)?;
-            for r in &rows {
-                t.push_row(r)?;
-            }
-            Ok(StatementResult::Done {
-                affected: rows.len(),
-            })
-        }
+        Statement::Insert { table, rows } => Ok(StatementResult::Done {
+            affected: db.append_rows(&table, &rows)?,
+        }),
     }
 }
 
@@ -113,8 +107,10 @@ impl<'a> Scanner<'a> {
 
     fn eat_kw(&mut self, kw: &str) -> bool {
         self.skip_ws();
-        if self.rest.len() >= kw.len()
-            && self.rest[..kw.len()].eq_ignore_ascii_case(kw)
+        if self
+            .rest
+            .get(..kw.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(kw))
             && !self.rest[kw.len()..]
                 .chars()
                 .next()
@@ -360,6 +356,9 @@ mod tests {
         exec(&mut db, "CREATE TABLE t (x INT NOT NULL)");
         assert!(execute_statement(&mut db, "INSERT INTO t VALUES ('nope')").is_err());
         assert!(execute_statement(&mut db, "INSERT INTO t VALUES (NULL)").is_err());
+        // A batch is stored whole or not at all.
+        assert!(execute_statement(&mut db, "INSERT INTO t VALUES (1), ('nope')").is_err());
+        assert_eq!(db.table("t").unwrap().row_count(), 0);
         assert!(execute_statement(&mut db, "INSERT INTO t VALUES (-5)").is_ok());
     }
 
@@ -381,6 +380,8 @@ mod tests {
         assert!(parse_statement("UPDATE t SET x = 1").is_err());
         assert!(parse_statement("CREATE TABLE t (x BLOB)").is_err());
         assert!(parse_statement("DROP TABLE t extra").is_err());
+        assert!(parse_statement("DROP ééé").is_err());
+        assert!(parse_statement("CREATE TABLE t (x ééééé)").is_err());
     }
 
     #[test]

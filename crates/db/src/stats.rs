@@ -127,10 +127,10 @@ pub struct StatsAccum {
 
 impl StatsAccum {
     /// Full O(rows × columns) pass over a table. This is the expensive
-    /// stage; per-query callers should go through
-    /// [`crate::catalog::Database::table_stats`], which memoises the
-    /// accumulator until the table's data version moves. The counter below
-    /// is what the memoisation regression test asserts on.
+    /// stage; per-query callers should go through [`Table::stats`]: the
+    /// table builds its accumulator once and carries it across appends and
+    /// updates. The counter below is what the memoisation regression test
+    /// asserts on.
     pub fn from_table(table: &Table) -> StatsAccum {
         telemetry::counter("db.stats.computes", 1);
         let mut acc = StatsAccum {

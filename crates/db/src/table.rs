@@ -3,11 +3,13 @@
 use crate::column::Column;
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
+use crate::stats::{StatsAccum, TableStats};
 use crate::value::{Row, Value};
-use crate::zonemap::{TableZones, ZoneCache, MORSEL_ROWS};
+use crate::zonemap::{TableZones, MORSEL_ROWS};
+use asqp_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// In-memory table: one [`Column`] per schema column, all equal length.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -20,10 +22,11 @@ pub struct Table {
     columns: Arc<Vec<Column>>,
     row_count: usize,
     /// Monotonically increasing data version, bumped by every mutation
-    /// entry point (once per batch for the bulk paths). Derived caches —
-    /// plans, cardinalities, statistics — record the version they were
-    /// computed at and revalidate against it, so a stale read after an
-    /// append or update is structurally impossible.
+    /// entry point (once per batch for the bulk paths). What is derived
+    /// from the table outside it — cached cardinalities, a set's data
+    /// fingerprint — records the version it was computed at and revalidates
+    /// against it, so a stale read after an append or update is
+    /// structurally impossible.
     #[serde(default)]
     data_version: u64,
     /// Since this data version the table has only grown: every row it held
@@ -34,24 +37,73 @@ pub struct Table {
     /// table, so deserialising may start it at 0.
     #[serde(skip)]
     appends_only_since: u64,
-    /// Lazily built zone maps (derived state: shared by a clone, reset on
-    /// deserialize).
+    /// Zone maps, the statistics accumulator and the statistics derived
+    /// from it: each built on first read, shared by a clone and carried
+    /// across a batch append or update (see [`Derived`]). Deserialising
+    /// starts them unbuilt.
     #[serde(skip)]
-    zones: ZoneCache,
+    zones: Derived<TableZones>,
+    #[serde(skip)]
+    accum: Derived<StatsAccum>,
+    #[serde(skip)]
+    stats: Derived<TableStats>,
+}
+
+/// A value derived from a table's rows, built on the first read and cached.
+/// A clone of the table holds the same rows, so it shares the built value;
+/// a mutation replaces its own table's slot through `&mut` (no lock is
+/// taken), never the shared value. Readers on many threads take only the
+/// read lock once the value is built.
+struct Derived<T>(RwLock<Option<Arc<T>>>);
+
+impl<T> Derived<T> {
+    /// The built value, building it with `build` if there is none yet.
+    /// Whoever takes the write lock looks again: another thread may have
+    /// built it between the two locks, and all of them leave with that one
+    /// `Arc`.
+    fn get_or_build(&self, build: impl FnOnce() -> T) -> Arc<T> {
+        if let Some(v) = self.0.read().unwrap_or_else(|e| e.into_inner()).as_ref() {
+            return Arc::clone(v);
+        }
+        let mut slot = self.0.write().unwrap_or_else(|e| e.into_inner());
+        Arc::clone(slot.get_or_insert_with(|| Arc::new(build())))
+    }
+
+    /// Remove and return the built value, if any.
+    fn take(&mut self) -> Option<Arc<T>> {
+        self.0.get_mut().unwrap_or_else(|e| e.into_inner()).take()
+    }
+
+    /// Install a value (which must describe the table's current rows).
+    fn set(&mut self, value: Option<Arc<T>>) {
+        *self.0.get_mut().unwrap_or_else(|e| e.into_inner()) = value;
+    }
+}
+
+impl<T> Default for Derived<T> {
+    fn default() -> Self {
+        Derived(RwLock::new(None))
+    }
+}
+
+impl<T> Clone for Derived<T> {
+    fn clone(&self) -> Self {
+        Derived(RwLock::new(
+            self.0.read().unwrap_or_else(|e| e.into_inner()).clone(),
+        ))
+    }
+}
+
+impl<T> std::fmt::Debug for Derived<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let built = self.0.read().unwrap_or_else(|e| e.into_inner()).is_some();
+        write!(f, "Derived {{ built: {built} }}")
+    }
 }
 
 impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        let columns = Arc::new(schema.columns().iter().map(|c| Column::new(c.ty)).collect());
-        Table {
-            name: name.into(),
-            schema,
-            columns,
-            row_count: 0,
-            data_version: 0,
-            appends_only_since: 0,
-            zones: ZoneCache::default(),
-        }
+        Table::with_capacity(name, schema, 0)
     }
 
     pub fn with_capacity(name: impl Into<String>, schema: Schema, cap: usize) -> Self {
@@ -69,7 +121,9 @@ impl Table {
             row_count: 0,
             data_version: 0,
             appends_only_since: 0,
-            zones: ZoneCache::default(),
+            zones: Derived::default(),
+            accum: Derived::default(),
+            stats: Derived::default(),
         }
     }
 
@@ -105,7 +159,10 @@ impl Table {
         &self.columns[idx]
     }
 
-    /// Append a row after validating it against the schema.
+    /// Append a row after validating it against the schema. This is a
+    /// loader's path, a row at a time, so the derived values are dropped
+    /// and rebuilt once at the next read rather than carried forward per
+    /// row ([`Table::append_rows`] carries them).
     pub fn push_row(&mut self, row: &[Value]) -> DbResult<()> {
         self.schema.check_row(row)?;
         for (col, v) in Arc::make_mut(&mut self.columns).iter_mut().zip(row) {
@@ -113,15 +170,19 @@ impl Table {
         }
         self.row_count += 1;
         self.data_version += 1;
-        self.zones.invalidate();
+        self.zones.set(None);
+        self.accum.set(None);
+        self.stats.set(None);
         Ok(())
     }
 
     /// Append a batch of rows atomically: every row is validated before any
     /// row is stored, so a bad batch leaves the table untouched. Bumps the
-    /// data version once for the whole batch, and when zone maps are
-    /// already built they are *extended* (only the trailing partial chunk
-    /// plus the new rows are scanned) instead of being invalidated.
+    /// data version once for the whole batch. Built zone maps are
+    /// *extended* (only the trailing partial chunk and the new rows are
+    /// scanned), a built accumulator absorbs the new rows (copied first if
+    /// a clone still shares it), and the derived statistics are dropped,
+    /// so a burst of appends pays one derivation at the next read.
     pub fn append_rows(&mut self, rows: &[Row]) -> DbResult<usize> {
         for row in rows {
             self.schema.check_row(row)?;
@@ -130,7 +191,8 @@ impl Table {
             return Ok(0);
         }
         let old_rows = self.row_count;
-        let prior = self.zones.take_built();
+        self.stats.set(None);
+        let (zones, mut accum) = (self.zones.take(), self.accum.take());
         let columns = Arc::make_mut(&mut self.columns);
         for row in rows {
             for (col, v) in columns.iter_mut().zip(row) {
@@ -139,16 +201,23 @@ impl Table {
             self.row_count += 1;
         }
         self.data_version += 1;
-        if let Some(z) = prior {
-            self.zones.set(Arc::new(z.extended(self, old_rows)));
+        self.zones
+            .set(zones.map(|z| Arc::new(z.extended(self, old_rows))));
+        if let Some(acc) = accum.as_mut() {
+            telemetry::counter("db.stats.incremental", 1);
+            Arc::make_mut(acc).absorb_rows(self, old_rows);
         }
+        self.accum.set(accum);
         Ok(rows.len())
     }
 
     /// Overwrite existing rows in place; `updates` pairs row ids with full
     /// replacement rows. All ids and rows are validated before any write.
-    /// Bumps the data version once; built zone maps are refreshed by
-    /// recomputing only the touched chunks.
+    /// Bumps the data version once. Built zone maps are refreshed by
+    /// recomputing only the touched chunks; a built accumulator retracts
+    /// each overwritten row as it stands just before its write (so a row
+    /// the batch touches twice is retracted as the first write left it)
+    /// and absorbs the replacement.
     pub fn update_rows(&mut self, updates: &[(usize, Row)]) -> DbResult<usize> {
         for (rid, row) in updates {
             if *rid >= self.row_count {
@@ -162,28 +231,50 @@ impl Table {
         if updates.is_empty() {
             return Ok(0);
         }
-        let prior = self.zones.take_built();
+        self.stats.set(None);
+        let (zones, mut accum) = (self.zones.take(), self.accum.take());
+        let mut acc = accum.as_mut().map(|acc| {
+            telemetry::counter("db.stats.incremental", 1);
+            Arc::make_mut(acc)
+        });
         let columns = Arc::make_mut(&mut self.columns);
         let mut dirty: BTreeSet<usize> = BTreeSet::new();
         for (rid, row) in updates {
+            if let Some(acc) = acc.as_mut() {
+                let old: Row = columns.iter().map(|c| c.get(*rid)).collect();
+                acc.apply_update(&old, row);
+            }
             for (col, v) in columns.iter_mut().zip(row) {
                 col.set(*rid, v)?;
             }
             dirty.insert(*rid / MORSEL_ROWS);
         }
+        self.accum.set(accum);
         self.data_version += 1;
         self.appends_only_since = self.data_version;
-        if let Some(z) = prior {
+        self.zones.set(zones.map(|z| {
             let dirty: Vec<usize> = dirty.into_iter().collect();
-            self.zones.set(Arc::new(z.refreshed(self, &dirty)));
-        }
+            Arc::new(z.refreshed(self, &dirty))
+        }));
         Ok(updates.len())
     }
 
-    /// Zone maps for this table, built on first use and cached until the
-    /// next mutation. Used by the vectorized executor to skip morsels.
+    /// Zone maps for this table, built on first use and carried across a
+    /// batch append or update. Used by the vectorized executor to skip morsels.
     pub fn zone_maps(&self) -> Arc<TableZones> {
         self.zones.get_or_build(|| TableZones::build(self))
+    }
+
+    /// Statistics for this table. The optimizer's cost model reads them for
+    /// every binding of every planned query, so they are derived once per
+    /// data version from an accumulator that is itself built once, by the
+    /// first read: after an append or update only the O(distinct)
+    /// derivation runs here.
+    pub fn stats(&self) -> Arc<TableStats> {
+        self.stats.get_or_build(|| {
+            let accum = self.accum.get_or_build(|| StatsAccum::from_table(self));
+            accum.derive(&self.name, &self.schema)
+        })
     }
 
     /// Materialise a full row.

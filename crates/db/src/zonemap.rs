@@ -5,13 +5,13 @@
 //! Bounds are kept *typed* — `i64` for integer columns, `f64` for float
 //! columns — so pruning decisions use the same comparison semantics as
 //! [`crate::value::Value::sql_cmp`] and never misprune from lossy
-//! `i64 → f64` conversion. The maps are built lazily on first use, cached on
-//! the table behind an `RwLock`, and invalidated whenever a row is appended;
-//! cloning a table resets the cache (it is pure derived state).
+//! `i64 → f64` conversion. The maps are built lazily on first use and kept
+//! by the table beside its statistics: an append extends them, an update
+//! refreshes the chunks it touched, and a clone of the table shares them
+//! until either side mutates ([`Table::zone_maps`]).
 
 use crate::column::ColumnData;
 use crate::table::Table;
-use std::sync::{Arc, RwLock};
 
 /// Rows per execution morsel; zone-map chunks are aligned to this.
 pub const MORSEL_ROWS: usize = 2048;
@@ -210,61 +210,6 @@ fn merge_bounds(a: Option<ZoneBounds>, b: Option<ZoneBounds>) -> Option<ZoneBoun
             min: f64::NEG_INFINITY,
             max: f64::INFINITY,
         }),
-    }
-}
-
-/// Lazily built zone-map cache carried by [`Table`]. Derived state only:
-/// serialisation skips it, and a clone of the table, which holds the same
-/// rows, shares the built maps (a mutation on either side replaces its own
-/// slot, never the maps).
-#[derive(Default)]
-pub struct ZoneCache(RwLock<Option<Arc<TableZones>>>);
-
-impl ZoneCache {
-    pub fn get_or_build(&self, build: impl FnOnce() -> TableZones) -> Arc<TableZones> {
-        if let Some(z) = self.0.read().unwrap_or_else(|e| e.into_inner()).as_ref() {
-            return Arc::clone(z);
-        }
-        let mut slot = self.0.write().unwrap_or_else(|e| e.into_inner());
-        // Double-checked: another thread may have built it in between.
-        if let Some(z) = slot.as_ref() {
-            return Arc::clone(z);
-        }
-        let z = Arc::new(build());
-        *slot = Some(Arc::clone(&z));
-        z
-    }
-
-    pub fn invalidate(&self) {
-        *self.0.write().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-
-    /// Remove and return the built maps, if any. The incremental mutation
-    /// path takes the old maps out before mutating the table, then derives
-    /// the successor maps from them with [`TableZones::extended`] /
-    /// [`TableZones::refreshed`] and stores the result via [`ZoneCache::set`].
-    pub fn take_built(&self) -> Option<Arc<TableZones>> {
-        self.0.write().unwrap_or_else(|e| e.into_inner()).take()
-    }
-
-    /// Install pre-built maps (must describe the table's current contents).
-    pub fn set(&self, zones: Arc<TableZones>) {
-        *self.0.write().unwrap_or_else(|e| e.into_inner()) = Some(zones);
-    }
-}
-
-impl Clone for ZoneCache {
-    fn clone(&self) -> Self {
-        ZoneCache(RwLock::new(
-            self.0.read().unwrap_or_else(|e| e.into_inner()).clone(),
-        ))
-    }
-}
-
-impl std::fmt::Debug for ZoneCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let built = self.0.read().unwrap_or_else(|e| e.into_inner()).is_some();
-        write!(f, "ZoneCache {{ built: {built} }}")
     }
 }
 

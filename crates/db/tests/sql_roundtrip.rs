@@ -11,12 +11,23 @@
 mod common;
 
 use asqp_db::expr::ColRef;
+use asqp_db::parse_statement;
 use asqp_db::query::JoinCond;
 use asqp_db::sql::parse;
 use common::gen_query;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Heads that carry random text past each grammar's first keyword.
+const PREFIXES: [&str; 6] = [
+    "",
+    "SELECT ",
+    "SELECT * FROM t WHERE t.a = '",
+    "DROP ",
+    "CREATE TABLE t (x ",
+    "INSERT INTO t VALUES (",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -49,6 +60,15 @@ proptest! {
         let sql = q.to_sql();
         let q1 = parse(&sql).expect("stripped query must parse");
         prop_assert_eq!(&q1, &q, "stripped query round-trip\n  sql: {}", sql);
+    }
+
+    /// No SQL text makes either parser panic: every input, multi-byte
+    /// characters included, parses or returns a typed error.
+    #[test]
+    fn sql_text_never_panics(prefix in 0..PREFIXES.len(), text in any::<String>()) {
+        let text = format!("{}{text}", PREFIXES[prefix]);
+        let _ = parse(&text);
+        let _ = parse_statement(&text);
     }
 }
 
