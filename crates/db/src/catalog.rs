@@ -2,9 +2,7 @@
 //! for executing queries.
 
 use crate::error::{DbError, DbResult};
-use crate::exec::{
-    count_rows, execute_with_options, plan_and_execute, ExecOptions, QueryOutput, ResultSet,
-};
+use crate::exec::{count_rows, hardware_threads, plan_and_execute, QueryOutput, ResultSet};
 use crate::query::Query;
 use crate::schema::Schema;
 use crate::sql;
@@ -207,14 +205,13 @@ impl Database {
     /// Execute a query AST. Builds no lineage; ask
     /// [`Database::execute_with_lineage`] for that.
     pub fn execute(&self, query: &Query) -> DbResult<ResultSet> {
-        let shards = ExecOptions::default().shards;
-        Ok(plan_and_execute(self, query, shards, false)?.result)
+        Ok(plan_and_execute(self, query, hardware_threads(), false)?.result)
     }
 
     /// Execute and also report, per result row, which base-table rows
     /// produced it (the provenance ASQP-RL uses to build its action space).
     pub fn execute_with_lineage(&self, query: &Query) -> DbResult<QueryOutput> {
-        execute_with_options(self, query, ExecOptions::default())
+        plan_and_execute(self, query, hardware_threads(), true)
     }
 
     /// Result cardinality `|q(D)|`, memoised across calls keyed by the
@@ -234,7 +231,7 @@ impl Database {
     pub fn cached_row_count(&self, query: &Query) -> DbResult<usize> {
         let key = query.to_sql();
         let tables = self.query_tables(query);
-        let shards = ExecOptions::default().shards;
+        let shards = hardware_threads();
         let count = match self.count_cache.lookup(&key, &tables) {
             Ok(count) => {
                 telemetry::counter("db.count_cache.hit", 1);

@@ -36,29 +36,17 @@ mod vector;
 
 pub use rows::Rows;
 
-/// The one execution setting.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOptions {
-    /// Worker count for morsel scans and join probes (1 = sequential).
-    /// Results are identical for any value: shards are contiguous ranges
-    /// concatenated in submission order.
-    pub shards: usize,
-}
-
-impl Default for ExecOptions {
-    /// One shard per hardware thread, read from the OS once per process:
-    /// `available_parallelism` re-reads cgroup files on every call, which
-    /// cost more than a whole scan of an approximation set.
-    fn default() -> Self {
-        static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
-        ExecOptions {
-            shards: *HARDWARE_THREADS.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
-        }
-    }
+/// The shard count the catalog and `explain_analyze` execute with: one
+/// per hardware thread, read from the OS once per process.
+/// `available_parallelism` re-reads cgroup files on every call, which cost
+/// more than a whole scan of an approximation set.
+pub(crate) fn hardware_threads() -> usize {
+    static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
+    *HARDWARE_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Provenance of one result row: `(binding index, base-table row id)` for
@@ -111,18 +99,9 @@ pub struct ExecTrace {
     pub join_rows: Vec<usize>,
 }
 
-/// Plan `query` from `db`'s statistics and execute that plan.
-pub fn execute_with_options(
-    db: &Database,
-    query: &Query,
-    opts: ExecOptions,
-) -> DbResult<QueryOutput> {
-    plan_and_execute(db, query, opts.shards, true)
-}
-
-/// [`execute_with_options`], with the lineage on request: a caller that
-/// reads only the rows ([`Database::execute`]) passes `false` and gets
-/// `lineage` back empty.
+/// Plan `query` from `db`'s statistics and execute that plan on `shards`
+/// workers, with the lineage on request: a caller that reads only the rows
+/// ([`Database::execute`]) passes `false` and gets `lineage` back empty.
 // asqp::panic-free-audited: bind, plan and execute index only by binding
 // indices and slots the binder allocated itself: a conjunct's bindings are
 // matched as a one-element slice before the element is used, and

@@ -8,7 +8,7 @@
 
 use crate::catalog::Database;
 use crate::error::DbResult;
-use crate::exec::{execute, ExecOptions, ExecTrace};
+use crate::exec::{execute, hardware_threads, ExecTrace};
 use crate::expr::Expr;
 use crate::optimizer::plan_query;
 use crate::plan::{Bound, Output, Plan};
@@ -20,11 +20,11 @@ pub fn explain(db: &Database, query: &Query) -> DbResult<String> {
     Ok(render(&plan_query(db, query)?, None))
 }
 
-/// Plan `query`, execute that plan (default executor configuration), and
-/// render it with actual cardinalities next to its estimates.
+/// Plan `query`, execute that plan on every hardware thread, and render it
+/// with actual cardinalities next to its estimates.
 pub fn explain_analyze(db: &Database, query: &Query) -> DbResult<String> {
     let plan = plan_query(db, query)?;
-    let output = execute(&plan, ExecOptions::default().shards)?;
+    let output = execute(&plan, hardware_threads())?;
     let mut out = render(&plan, Some(&output.trace));
     let _ = writeln!(out, "rows returned: {}", output.result.len());
     Ok(out)

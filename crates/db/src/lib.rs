@@ -52,9 +52,7 @@ pub mod zonemap;
 pub use catalog::Database;
 pub use column::{Column, ColumnData};
 pub use error::{DbError, DbResult, ErrorClass};
-pub use exec::{
-    execute_with_options, ExecOptions, ExecTrace, Lineage, QueryOutput, ResultSet, Rows,
-};
+pub use exec::{ExecTrace, Lineage, QueryOutput, ResultSet, Rows};
 pub use explain::{explain, explain_analyze};
 pub use expr::{ArithOp, CmpOp, ColRef, Expr};
 pub use optimizer::plan_query;

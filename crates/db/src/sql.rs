@@ -1,17 +1,36 @@
-//! SQL text front-end for the supported subset.
+//! SQL text front-end: the one lexer and the one parser for the supported
+//! subset.
 //!
-//! Grammar (case-insensitive keywords):
+//! Grammar (case-insensitive keywords). [`parse`] reads a `query`;
+//! [`crate::sql_stmt::parse_statement`] reads a `statement` on the same
+//! tokens:
 //!
 //! ```text
+//! statement := query | create | insert | drop
 //! query   := SELECT [DISTINCT] select FROM tables [WHERE expr]
-//!            [GROUP BY cols] [ORDER BY key (, key)*] [LIMIT int]
+//!            [GROUP BY cols] [ORDER BY key (, key)*] [LIMIT int] [';']
 //! select  := '*' | item (',' item)*
 //! item    := (COUNT|SUM|AVG|MIN|MAX) '(' ('*'|colref) ')' | colref
 //! tables  := tref (',' tref)* (JOIN tref ON colref '=' colref)*
 //! tref    := ident [AS? ident]
-//! expr    := or-tree of comparisons, IN, BETWEEN, LIKE, IS [NOT] NULL,
-//!            arithmetic, parentheses
+//! expr    := or-tree of comparisons, IN (literal, ...), BETWEEN, LIKE,
+//!            IS [NOT] NULL, arithmetic, parentheses
+//! create  := CREATE TABLE ident '(' coldef (',' coldef)* ')' [';']
+//! coldef  := ident type ['(' literal ')'] [NOT NULL]
+//! type    := INT | INTEGER | BIGINT | FLOAT | DOUBLE | REAL
+//!          | TEXT | VARCHAR | STRING | BOOL | BOOLEAN
+//! insert  := INSERT INTO ident VALUES row (',' row)* [';']
+//! row     := '(' literal (',' literal)* ')'
+//! drop    := DROP TABLE ident [';']
+//! literal := ['-'] number | string | NULL | TRUE | FALSE
 //! ```
+//!
+//! A number with a fraction or an exponent is a `Float`. A digit run is an
+//! `Int` where `i64` holds it with its sign (`-9223372036854775808`
+//! included), and past that the nearest `Float`. So every value prints
+//! ([`Value`]'s `Display`) as text that reads back as the same value, in a
+//! WHERE clause and in an INSERT alike, except integral floats an `i64`
+//! can hold, which print as that `Int`.
 //!
 //! Top-level `col = col` equality conjuncts in WHERE that span two different
 //! table bindings are lifted into [`Query::joins`], so
@@ -27,10 +46,12 @@ use crate::value::Value;
 // Lexer
 // --------------------------------------------------------------------------
 
+/// A token. A digit run is an unsigned `Int` (past `u64`, a `Float`): the
+/// parser applies the sign, so `-9223372036854775808` is `i64::MIN`.
 #[derive(Debug, Clone, PartialEq)]
-enum Tok {
+pub(crate) enum Tok {
     Ident(String),
-    Int(i64),
+    Int(u64),
     Float(f64),
     Str(String),
     Symbol(&'static str),
@@ -38,16 +59,13 @@ enum Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-        }
+        Lexer { src, pos: 0 }
     }
 
     fn error(&self, msg: impl Into<String>) -> DbError {
@@ -57,47 +75,45 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn peek_byte(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+    fn byte_at(&self, i: usize) -> Option<u8> {
+        self.src.as_bytes().get(i).copied()
     }
 
-    // asqp::panic-free-audited: every slice is `self.src[self.pos..end]` where
-    // `end` only advances while `src.get(end)` is `Some`, so bounds always hold
+    // asqp::panic-free-audited: `start`, `end` and `pos` are 0, the source's
+    // length or just past an ASCII byte, and `find` results index the text
+    // they were found in, so every slice is in bounds and on a char boundary
     fn next_token(&mut self) -> DbResult<(Tok, usize)> {
-        while matches!(self.peek_byte(), Some(b) if b.is_ascii_whitespace()) {
+        while matches!(self.byte_at(self.pos), Some(b) if b.is_ascii_whitespace()) {
             self.pos += 1;
         }
         let start = self.pos;
-        let Some(b) = self.peek_byte() else {
+        let rest = &self.src[start..];
+        let Some(b) = self.byte_at(start) else {
             return Ok((Tok::Eof, start));
         };
         // Identifiers / keywords
         if b.is_ascii_alphabetic() || b == b'_' {
-            let mut end = self.pos;
-            while matches!(self.src.get(end), Some(c) if c.is_ascii_alphanumeric() || *c == b'_') {
-                end += 1;
-            }
-            let s = std::str::from_utf8(&self.src[self.pos..end])
-                .map_err(|_| self.error("non-utf8 identifier"))?
-                .to_string();
-            self.pos = end;
-            return Ok((Tok::Ident(s), start));
+            let len = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            self.pos += len;
+            return Ok((Tok::Ident(rest[..len].to_string()), start));
         }
         // Numbers
         if b.is_ascii_digit() {
-            let mut end = self.pos;
+            let mut end = start;
             let mut is_float = false;
-            while let Some(&c) = self.src.get(end) {
+            while let Some(c) = self.byte_at(end) {
                 if c.is_ascii_digit() {
                     end += 1;
                 } else if c == b'.'
                     && !is_float
-                    && matches!(self.src.get(end + 1), Some(d) if d.is_ascii_digit())
+                    && matches!(self.byte_at(end + 1), Some(d) if d.is_ascii_digit())
                 {
                     is_float = true;
                     end += 1;
                 } else if (c == b'e' || c == b'E')
-                    && matches!(self.src.get(end + 1), Some(d) if d.is_ascii_digit() || *d == b'-' || *d == b'+')
+                    && matches!(self.byte_at(end + 1), Some(d) if d.is_ascii_digit() || d == b'-' || d == b'+')
                 {
                     is_float = true;
                     end += 2;
@@ -105,72 +121,49 @@ impl<'a> Lexer<'a> {
                     break;
                 }
             }
-            let text = std::str::from_utf8(&self.src[self.pos..end]).unwrap();
+            let text = &self.src[start..end];
             self.pos = end;
-            let tok = if is_float {
-                Tok::Float(text.parse().map_err(|_| self.error("bad float literal"))?)
-            } else {
-                Tok::Int(text.parse().map_err(|_| self.error("bad int literal"))?)
+            let tok = match text.parse() {
+                Ok(n) => Tok::Int(n),
+                // A fraction, an exponent, or a digit run past `u64`.
+                Err(_) => Tok::Float(text.parse().map_err(|_| self.error("bad float literal"))?),
             };
             return Ok((tok, start));
         }
-        // Strings with '' escaping. The bytes between the quotes are decoded
-        // once, as UTF-8: the source is a `&str` and the quote is ASCII, so
-        // they are whole characters.
+        // Strings, with '' for a quote.
         if b == b'\'' {
-            let mut end = self.pos + 1;
-            let mut out = Vec::new();
+            let mut out = String::new();
+            let mut tail = &rest[1..];
             loop {
-                match self.src.get(end) {
-                    Some(b'\'') if self.src.get(end + 1) == Some(&b'\'') => {
-                        out.push(b'\'');
-                        end += 2;
-                    }
-                    Some(b'\'') => {
-                        end += 1;
-                        break;
-                    }
-                    Some(&c) => {
-                        out.push(c);
-                        end += 1;
-                    }
-                    None => return Err(self.error("unterminated string literal")),
-                }
+                let Some(quote) = tail.find('\'') else {
+                    return Err(self.error("unterminated string literal"));
+                };
+                out.push_str(&tail[..quote]);
+                tail = &tail[quote + 1..];
+                let Some(escaped) = tail.strip_prefix('\'') else {
+                    break;
+                };
+                out.push('\'');
+                tail = escaped;
             }
-            let out = String::from_utf8(out).map_err(|_| self.error("non-utf8 string literal"))?;
-            self.pos = end;
+            self.pos = self.src.len() - tail.len();
             return Ok((Tok::Str(out), start));
         }
-        // Symbols (two-char first)
-        let two: &[(&[u8], &'static str)] =
-            &[(b"<=", "<="), (b">=", ">="), (b"<>", "<>"), (b"!=", "<>")];
-        for (pat, sym) in two {
-            if self.src[self.pos..].starts_with(pat) {
-                self.pos += 2;
-                return Ok((Tok::Symbol(sym), start));
-            }
+        // Symbols, two-char first; `!=` is `<>`.
+        if let Some(sym) = ["<=", ">=", "<>", "!="]
+            .into_iter()
+            .find(|s| rest.starts_with(s))
+        {
+            self.pos += 2;
+            return Ok((Tok::Symbol(if sym == "!=" { "<>" } else { sym }), start));
         }
-        let one: &[(u8, &'static str)] = &[
-            (b',', ","),
-            (b'(', "("),
-            (b')', ")"),
-            (b'=', "="),
-            (b'<', "<"),
-            (b'>', ">"),
-            (b'+', "+"),
-            (b'-', "-"),
-            (b'*', "*"),
-            (b'/', "/"),
-            (b'.', "."),
-            (b';', ";"),
-        ];
-        for &(pat, sym) in one {
-            if b == pat {
-                self.pos += 1;
-                return Ok((Tok::Symbol(sym), start));
-            }
+        const ONE: &str = ",()=<>+-*/.;";
+        if let Some(i) = ONE.find(char::from(b)) {
+            self.pos += 1;
+            return Ok((Tok::Symbol(&ONE[i..=i]), start));
         }
-        Err(self.error(format!("unexpected character '{}'", b as char)))
+        let c = rest.chars().next().unwrap_or(char::REPLACEMENT_CHARACTER);
+        Err(self.error(format!("unexpected character '{c}'")))
     }
 }
 
@@ -178,42 +171,37 @@ impl<'a> Lexer<'a> {
 // Parser
 // --------------------------------------------------------------------------
 
-struct Parser {
+/// A cursor over the tokens of one SQL text. [`parse`] reads a query with
+/// it, and `sql_stmt` reads CREATE, INSERT and DROP with the same cursor.
+pub(crate) struct Parser {
     toks: Vec<(Tok, usize)>,
     idx: usize,
 }
 
 impl Parser {
-    fn new(src: &str) -> DbResult<Self> {
+    /// Tokenize `src`; a lexing error is returned here, before any parse.
+    pub(crate) fn new(src: &str) -> DbResult<Self> {
         let mut lex = Lexer::new(src);
-        let mut toks = Vec::new();
-        loop {
-            let t = lex.next_token()?;
-            let eof = t.0 == Tok::Eof;
-            toks.push(t);
-            if eof {
-                break;
-            }
+        let mut toks = vec![lex.next_token()?];
+        while toks.last().is_some_and(|(t, _)| *t != Tok::Eof) {
+            toks.push(lex.next_token()?);
         }
         Ok(Parser { toks, idx: 0 })
     }
 
-    fn peek(&self) -> &Tok {
+    pub(crate) fn peek(&self) -> &Tok {
         &self.toks[self.idx].0
     }
 
-    fn pos(&self) -> usize {
-        self.toks[self.idx].1
-    }
-
-    fn error(&self, msg: impl Into<String>) -> DbError {
+    /// An error at the next token's position.
+    pub(crate) fn error(&self, msg: impl Into<String>) -> DbError {
         DbError::Parse {
             message: msg.into(),
-            position: self.pos(),
+            position: self.toks[self.idx].1,
         }
     }
 
-    fn bump(&mut self) -> Tok {
+    pub(crate) fn bump(&mut self) -> Tok {
         let t = self.toks[self.idx].0.clone();
         if self.idx + 1 < self.toks.len() {
             self.idx += 1;
@@ -222,7 +210,7 @@ impl Parser {
     }
 
     /// Consume an identifier matching `kw` case-insensitively.
-    fn eat_kw(&mut self, kw: &str) -> bool {
+    pub(crate) fn eat_kw(&mut self, kw: &str) -> bool {
         if let Tok::Ident(s) = self.peek() {
             if s.eq_ignore_ascii_case(kw) {
                 self.bump();
@@ -232,11 +220,7 @@ impl Parser {
         false
     }
 
-    fn peek_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s.eq_ignore_ascii_case(kw))
-    }
-
-    fn expect_kw(&mut self, kw: &str) -> DbResult<()> {
+    pub(crate) fn expect_kw(&mut self, kw: &str) -> DbResult<()> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
@@ -244,7 +228,7 @@ impl Parser {
         }
     }
 
-    fn eat_sym(&mut self, sym: &str) -> bool {
+    pub(crate) fn eat_sym(&mut self, sym: &str) -> bool {
         if matches!(self.peek(), Tok::Symbol(s) if *s == sym) {
             self.bump();
             return true;
@@ -252,7 +236,7 @@ impl Parser {
         false
     }
 
-    fn expect_sym(&mut self, sym: &str) -> DbResult<()> {
+    pub(crate) fn expect_sym(&mut self, sym: &str) -> DbResult<()> {
         if self.eat_sym(sym) {
             Ok(())
         } else {
@@ -260,10 +244,23 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> DbResult<String> {
-        match self.bump() {
-            Tok::Ident(s) => Ok(s),
-            other => Err(self.error(format!("expected identifier, found {other:?}"))),
+    /// An identifier; an error names the token it found, at that token.
+    pub(crate) fn ident(&mut self) -> DbResult<String> {
+        let Tok::Ident(s) = self.peek() else {
+            return Err(self.error(format!("expected identifier, found {:?}", self.peek())));
+        };
+        let s = s.clone();
+        self.bump();
+        Ok(s)
+    }
+
+    /// The end of a statement: an optional `;`, then nothing.
+    pub(crate) fn end(&mut self) -> DbResult<()> {
+        self.eat_sym(";");
+        if self.peek() == &Tok::Eof {
+            Ok(())
+        } else {
+            Err(self.error("trailing input"))
         }
     }
 
@@ -289,7 +286,7 @@ impl Parser {
         }
     }
 
-    fn query(&mut self) -> DbResult<Query> {
+    pub(crate) fn query(&mut self) -> DbResult<Query> {
         self.expect_kw("SELECT")?;
         let distinct = self.eat_kw("DISTINCT");
 
@@ -335,8 +332,7 @@ impl Parser {
                 from.push(self.table_ref()?);
                 continue;
             }
-            if self.peek_kw("INNER") {
-                self.bump();
+            if self.eat_kw("INNER") {
                 self.expect_kw("JOIN")?;
             } else if !self.eat_kw("JOIN") {
                 break;
@@ -408,15 +404,11 @@ impl Parser {
         let mut limit = None;
         if self.eat_kw("LIMIT") {
             match self.bump() {
-                Tok::Int(n) if n >= 0 => limit = Some(n as usize),
+                Tok::Int(n) => limit = Some(n as usize),
                 _ => return Err(self.error("expected non-negative integer after LIMIT")),
             }
         }
-
-        self.eat_sym(";");
-        if self.peek() != &Tok::Eof {
-            return Err(self.error("trailing input after query"));
-        }
+        self.end()?;
 
         Ok(Query {
             select,
@@ -598,9 +590,15 @@ impl Parser {
 
     fn unary(&mut self) -> DbResult<Expr> {
         if self.eat_sym("-") {
+            // The sign of an integer literal is its own: `-9223372036854775808`
+            // is an `Int`, although `9223372036854775808` is not.
+            if let Tok::Int(n) = *self.peek() {
+                self.bump();
+                return Ok(Expr::Literal(int_value(n, true)));
+            }
             // Fold negation into numeric literals; otherwise 0 - x.
             return Ok(match self.unary()? {
-                Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
+                Expr::Literal(Value::Int(i)) if i != i64::MIN => Expr::Literal(Value::Int(-i)),
                 Expr::Literal(Value::Float(f)) => Expr::Literal(Value::Float(-f)),
                 other => Expr::Arith {
                     op: ArithOp::Sub,
@@ -618,51 +616,46 @@ impl Parser {
             self.expect_sym(")")?;
             return Ok(e);
         }
-        match self.peek().clone() {
-            Tok::Int(i) => {
-                self.bump();
-                Ok(Expr::lit(i))
+        match self.peek() {
+            Tok::Ident(s)
+                if !["NULL", "TRUE", "FALSE"]
+                    .iter()
+                    .any(|k| s.eq_ignore_ascii_case(k)) =>
+            {
+                Ok(Expr::Column(self.colref()?))
             }
-            Tok::Float(f) => {
-                self.bump();
-                Ok(Expr::lit(f))
-            }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Str(s.into())))
-            }
-            Tok::Ident(s) if s.eq_ignore_ascii_case("NULL") => {
-                self.bump();
-                Ok(Expr::Literal(Value::Null))
-            }
-            Tok::Ident(s) if s.eq_ignore_ascii_case("TRUE") => {
-                self.bump();
-                Ok(Expr::Literal(Value::Bool(true)))
-            }
-            Tok::Ident(s) if s.eq_ignore_ascii_case("FALSE") => {
-                self.bump();
-                Ok(Expr::Literal(Value::Bool(false)))
-            }
-            Tok::Ident(_) => Ok(Expr::Column(self.colref()?)),
-            other => Err(self.error(format!("unexpected token {other:?}"))),
+            // `unary` took any `-`, so this is an unsigned literal.
+            _ => Ok(Expr::Literal(self.literal_value()?)),
         }
     }
 
-    fn literal_value(&mut self) -> DbResult<Value> {
+    /// A literal: an optionally negated number, a string, NULL, TRUE or
+    /// FALSE. IN lists and INSERT rows read their values here; an error is
+    /// at the token that is not a literal.
+    pub(crate) fn literal_value(&mut self) -> DbResult<Value> {
         let neg = self.eat_sym("-");
-        match self.bump() {
-            Tok::Int(i) => Ok(Value::Int(if neg { -i } else { i })),
-            Tok::Float(f) => Ok(Value::Float(if neg { -f } else { f })),
-            Tok::Str(s) if !neg => Ok(Value::Str(s.into())),
-            Tok::Ident(s) if !neg && s.eq_ignore_ascii_case("NULL") => Ok(Value::Null),
-            Tok::Ident(s) if !neg && s.eq_ignore_ascii_case("TRUE") => Ok(Value::Bool(true)),
-            Tok::Ident(s) if !neg && s.eq_ignore_ascii_case("FALSE") => Ok(Value::Bool(false)),
-            other => Err(self.error(format!("expected literal, found {other:?}"))),
-        }
+        let value = match self.peek() {
+            Tok::Int(n) => int_value(*n, neg),
+            Tok::Float(f) => Value::Float(if neg { -f } else { *f }),
+            Tok::Str(s) if !neg => Value::Str(s.as_str().into()),
+            Tok::Ident(s) if !neg && s.eq_ignore_ascii_case("NULL") => Value::Null,
+            Tok::Ident(s) if !neg && s.eq_ignore_ascii_case("TRUE") => Value::Bool(true),
+            Tok::Ident(s) if !neg && s.eq_ignore_ascii_case("FALSE") => Value::Bool(false),
+            other => return Err(self.error(format!("expected literal, found {other:?}"))),
+        };
+        self.bump();
+        Ok(value)
     }
 }
 
-/// Parse one SQL statement into a [`Query`].
+/// An integer literal's value: an `Int` where `i64` holds it (with `neg`,
+/// down to `i64::MIN`), past that the nearest `Float`, as `1e19` would be.
+fn int_value(n: u64, neg: bool) -> Value {
+    let v = if neg { -i128::from(n) } else { i128::from(n) };
+    i64::try_from(v).map_or(Value::Float(v as f64), Value::Int)
+}
+
+/// Parse one SELECT into a [`Query`].
 pub fn parse(text: &str) -> DbResult<Query> {
     Parser::new(text)?.query()
 }
@@ -765,6 +758,13 @@ mod tests {
         assert!(parse("SELECT * FROM t LIMIT x").is_err());
         assert!(parse("SELECT * FROM t WHERE t.a = 'unterminated").is_err());
         assert!(parse("SELECT * FROM t extra garbage !").is_err());
+        // A lexer error names the character, not its first byte.
+        assert_eq!(
+            parse("SELECT * FROM t WHERE t.a = é")
+                .unwrap_err()
+                .to_string(),
+            "parse error at byte 28: unexpected character 'é'"
+        );
     }
 
     #[test]

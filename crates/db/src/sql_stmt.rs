@@ -1,13 +1,16 @@
-//! Statement-level SQL: DDL (`CREATE TABLE`, `DROP TABLE`) and DML
-//! (`INSERT INTO ... VALUES`) on top of the query parser, so the engine is
-//! usable as a small standalone database (e.g. from the `sql_repl` example).
+//! Statements besides SELECT: DDL (`CREATE TABLE`, `DROP TABLE`) and DML
+//! (`INSERT INTO ... VALUES`), so the engine is usable as a small
+//! standalone database (e.g. from the `sql_repl` example). They are read on
+//! the query parser's tokens, with its cursor ([`crate::sql`] documents the
+//! grammar of both); this module holds the statement types, their grammar
+//! and their execution.
 
 use crate::catalog::Database;
-use crate::error::{DbError, DbResult};
+use crate::error::DbResult;
 use crate::exec::ResultSet;
 use crate::query::Query;
 use crate::schema::{ColumnDef, Schema};
-use crate::sql;
+use crate::sql::{Parser, Tok};
 use crate::value::{Value, ValueType};
 
 /// A parsed SQL statement.
@@ -36,23 +39,20 @@ pub enum StatementResult {
     Done { affected: usize },
 }
 
-/// Parse a statement. SELECTs delegate to [`sql::parse`].
+/// Parse a statement: tokenize `text` once, then read the statement its
+/// first keyword names.
 pub fn parse_statement(text: &str) -> DbResult<Statement> {
-    let trimmed = text.trim_start();
-    let head: String = trimmed
-        .chars()
-        .take_while(|c| c.is_ascii_alphabetic())
-        .collect::<String>()
-        .to_ascii_uppercase();
+    let mut p = Parser::new(text)?;
+    let head = match p.peek() {
+        Tok::Ident(kw) => kw.to_ascii_uppercase(),
+        _ => String::new(),
+    };
     match head.as_str() {
-        "SELECT" => Ok(Statement::Select(sql::parse(text)?)),
-        "CREATE" => parse_create(trimmed),
-        "DROP" => parse_drop(trimmed),
-        "INSERT" => parse_insert(trimmed),
-        other => Err(DbError::Parse {
-            message: format!("unsupported statement '{other}'"),
-            position: 0,
-        }),
+        "SELECT" => Ok(Statement::Select(p.query()?)),
+        "CREATE" => parse_create(&mut p),
+        "DROP" => parse_drop(&mut p),
+        "INSERT" => parse_insert(&mut p),
+        other => Err(p.error(format!("unsupported statement '{other}'"))),
     }
 }
 
@@ -74,252 +74,88 @@ pub fn execute_statement(db: &mut Database, text: &str) -> DbResult<StatementRes
     }
 }
 
-// ---------------------------------------------------------------------------
-// Tiny hand-rolled tokenizer for DDL/DML (the query lexer stays private to
-// the query parser; these grammars are simple enough for direct scanning).
-// ---------------------------------------------------------------------------
-
-struct Scanner<'a> {
-    rest: &'a str,
-    consumed: usize,
+fn parse_type(p: &mut Parser) -> DbResult<ValueType> {
+    let name = match p.peek() {
+        Tok::Ident(name) => name.to_ascii_uppercase(),
+        _ => String::new(),
+    };
+    let ty = match name.as_str() {
+        "INT" | "INTEGER" | "BIGINT" => ValueType::Int,
+        "FLOAT" | "DOUBLE" | "REAL" => ValueType::Float,
+        "TEXT" | "VARCHAR" | "STRING" => ValueType::Str,
+        "BOOL" | "BOOLEAN" => ValueType::Bool,
+        _ => return Err(p.error("expected a column type (INT/FLOAT/TEXT/BOOL)")),
+    };
+    p.bump();
+    // Optional (n) length suffix, ignored.
+    if p.eat_sym("(") {
+        p.literal_value()?;
+        p.expect_sym(")")?;
+    }
+    Ok(ty)
 }
 
-impl<'a> Scanner<'a> {
-    fn new(text: &'a str) -> Self {
-        Scanner {
-            rest: text,
-            consumed: 0,
-        }
-    }
-
-    fn error(&self, message: impl Into<String>) -> DbError {
-        DbError::Parse {
-            message: message.into(),
-            position: self.consumed,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        let trimmed = self.rest.trim_start();
-        self.consumed += self.rest.len() - trimmed.len();
-        self.rest = trimmed;
-    }
-
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        self.skip_ws();
-        if self
-            .rest
-            .get(..kw.len())
-            .is_some_and(|head| head.eq_ignore_ascii_case(kw))
-            && !self.rest[kw.len()..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
-        {
-            self.advance(kw.len());
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_kw(&mut self, kw: &str) -> DbResult<()> {
-        if self.eat_kw(kw) {
-            Ok(())
-        } else {
-            Err(self.error(format!("expected {kw}")))
-        }
-    }
-
-    fn eat_sym(&mut self, sym: char) -> bool {
-        self.skip_ws();
-        if self.rest.starts_with(sym) {
-            self.advance(sym.len_utf8());
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_sym(&mut self, sym: char) -> DbResult<()> {
-        if self.eat_sym(sym) {
-            Ok(())
-        } else {
-            Err(self.error(format!("expected '{sym}'")))
-        }
-    }
-
-    fn ident(&mut self) -> DbResult<String> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .char_indices()
-            .find(|(_, c)| !(c.is_ascii_alphanumeric() || *c == '_'))
-            .map(|(i, _)| i)
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            return Err(self.error("expected identifier"));
-        }
-        let id = self.rest[..end].to_string();
-        self.advance(end);
-        Ok(id)
-    }
-
-    fn literal(&mut self) -> DbResult<Value> {
-        self.skip_ws();
-        if self.rest.starts_with('\'') {
-            // String with '' escapes.
-            let mut out = String::new();
-            let mut chars = self.rest.char_indices().skip(1).peekable();
-            while let Some((i, c)) = chars.next() {
-                if c == '\'' {
-                    if matches!(chars.peek(), Some((_, '\''))) {
-                        out.push('\'');
-                        chars.next();
-                        continue;
-                    }
-                    self.advance(i + 1);
-                    return Ok(Value::Str(out.into()));
-                }
-                out.push(c);
-            }
-            return Err(self.error("unterminated string literal"));
-        }
-        if self.eat_kw("NULL") {
-            return Ok(Value::Null);
-        }
-        if self.eat_kw("TRUE") {
-            return Ok(Value::Bool(true));
-        }
-        if self.eat_kw("FALSE") {
-            return Ok(Value::Bool(false));
-        }
-        // Number.
-        let end = self
-            .rest
-            .char_indices()
-            .find(|(_, c)| !(c.is_ascii_digit() || *c == '.' || *c == '-' || *c == '+'))
-            .map(|(i, _)| i)
-            .unwrap_or(self.rest.len());
-        let text = &self.rest[..end];
-        if text.is_empty() {
-            return Err(self.error("expected literal"));
-        }
-        let v = if let Ok(i) = text.parse::<i64>() {
-            Value::Int(i)
-        } else if let Ok(f) = text.parse::<f64>() {
-            Value::Float(f)
-        } else {
-            return Err(self.error(format!("bad literal '{text}'")));
-        };
-        self.advance(end);
-        Ok(v)
-    }
-
-    fn advance(&mut self, n: usize) {
-        self.consumed += n;
-        self.rest = &self.rest[n..];
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.skip_ws();
-        self.rest.is_empty() || self.rest == ";"
-    }
-}
-
-fn parse_type(sc: &mut Scanner) -> DbResult<ValueType> {
-    for (names, ty) in [
-        (&["INT", "INTEGER", "BIGINT"][..], ValueType::Int),
-        (&["FLOAT", "DOUBLE", "REAL"][..], ValueType::Float),
-        (&["TEXT", "VARCHAR", "STRING"][..], ValueType::Str),
-        (&["BOOL", "BOOLEAN"][..], ValueType::Bool),
-    ] {
-        for n in names {
-            if sc.eat_kw(n) {
-                // Optional (n) length suffix, ignored.
-                if sc.eat_sym('(') {
-                    let _ = sc.literal();
-                    sc.expect_sym(')')?;
-                }
-                return Ok(ty);
-            }
-        }
-    }
-    Err(sc.error("expected a column type (INT/FLOAT/TEXT/BOOL)"))
-}
-
-fn parse_create(text: &str) -> DbResult<Statement> {
-    let mut sc = Scanner::new(text);
-    sc.expect_kw("CREATE")?;
-    sc.expect_kw("TABLE")?;
-    let name = sc.ident()?;
-    sc.expect_sym('(')?;
+fn parse_create(p: &mut Parser) -> DbResult<Statement> {
+    p.expect_kw("CREATE")?;
+    p.expect_kw("TABLE")?;
+    let name = p.ident()?;
+    p.expect_sym("(")?;
     let mut cols = Vec::new();
     loop {
-        let col = sc.ident()?;
-        let ty = parse_type(&mut sc)?;
-        let mut def = ColumnDef::new(col, ty);
-        if sc.eat_kw("NOT") {
-            sc.expect_kw("NULL")?;
+        let col = p.ident()?;
+        let mut def = ColumnDef::new(col, parse_type(p)?);
+        if p.eat_kw("NOT") {
+            p.expect_kw("NULL")?;
             def = def.not_null();
         }
         cols.push(def);
-        if !sc.eat_sym(',') {
+        if !p.eat_sym(",") {
             break;
         }
     }
-    sc.expect_sym(')')?;
-    if !sc.at_end() {
-        return Err(sc.error("trailing input after CREATE TABLE"));
-    }
+    p.expect_sym(")")?;
+    p.end()?;
     Ok(Statement::CreateTable {
         name,
         schema: Schema::new(cols)?,
     })
 }
 
-fn parse_drop(text: &str) -> DbResult<Statement> {
-    let mut sc = Scanner::new(text);
-    sc.expect_kw("DROP")?;
-    sc.expect_kw("TABLE")?;
-    let name = sc.ident()?;
-    if !sc.at_end() {
-        return Err(sc.error("trailing input after DROP TABLE"));
-    }
+fn parse_drop(p: &mut Parser) -> DbResult<Statement> {
+    p.expect_kw("DROP")?;
+    p.expect_kw("TABLE")?;
+    let name = p.ident()?;
+    p.end()?;
     Ok(Statement::DropTable { name })
 }
 
-fn parse_insert(text: &str) -> DbResult<Statement> {
-    let mut sc = Scanner::new(text);
-    sc.expect_kw("INSERT")?;
-    sc.expect_kw("INTO")?;
-    let table = sc.ident()?;
-    sc.expect_kw("VALUES")?;
+fn parse_insert(p: &mut Parser) -> DbResult<Statement> {
+    p.expect_kw("INSERT")?;
+    p.expect_kw("INTO")?;
+    let table = p.ident()?;
+    p.expect_kw("VALUES")?;
     let mut rows = Vec::new();
     loop {
-        sc.expect_sym('(')?;
-        let mut row = Vec::new();
-        loop {
-            row.push(sc.literal()?);
-            if !sc.eat_sym(',') {
-                break;
-            }
+        p.expect_sym("(")?;
+        let mut row = vec![p.literal_value()?];
+        while p.eat_sym(",") {
+            row.push(p.literal_value()?);
         }
-        sc.expect_sym(')')?;
+        p.expect_sym(")")?;
         rows.push(row);
-        if !sc.eat_sym(',') {
+        if !p.eat_sym(",") {
             break;
         }
     }
-    if !sc.at_end() {
-        return Err(sc.error("trailing input after VALUES"));
-    }
+    p.end()?;
     Ok(Statement::Insert { table, rows })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DbError;
+    use crate::sql;
 
     fn exec(db: &mut Database, text: &str) -> StatementResult {
         execute_statement(db, text).unwrap()
@@ -382,6 +218,46 @@ mod tests {
         assert!(parse_statement("DROP TABLE t extra").is_err());
         assert!(parse_statement("DROP ééé").is_err());
         assert!(parse_statement("CREATE TABLE t (x ééééé)").is_err());
+        // The error is at the unknown type, not past it.
+        let Err(DbError::Parse { position, .. }) = parse_statement("CREATE TABLE t (x BLOB)")
+        else {
+            panic!("BLOB is not a type")
+        };
+        assert_eq!(position, 18);
+
+        // INSERT reads literals as WHERE does, `i64::MIN` included; a
+        // digit run past `i64` is a Float in both. Debug text tells `Int`
+        // from `Float` (`Value`'s `==` is numeric).
+        for (lit, want) in [
+            ("1e3", Value::Float(1e3)),
+            ("1E5", Value::Float(1e5)),
+            ("1e-3", Value::Float(1e-3)),
+            ("- 3", Value::Int(-3)),
+            ("-9223372036854775808", Value::Int(i64::MIN)),
+            ("9223372036854775808", Value::Float(9223372036854775808.0)),
+        ] {
+            let insert = parse_statement(&format!("INSERT INTO t VALUES ({lit})"));
+            assert!(
+                format!("{insert:?}").contains(&format!("rows: [[{want:?}]]")),
+                "{insert:?}"
+            );
+            let select = sql::parse(&format!("SELECT * FROM t WHERE t.x = {lit}"));
+            assert!(
+                format!("{select:?}").contains(&format!("Literal({want:?})")),
+                "{select:?}"
+            );
+        }
+        // What WHERE and FROM reject, INSERT and CREATE reject too.
+        for lit in ["+5", ".5", "5."] {
+            assert!(parse_statement(&format!("INSERT INTO t VALUES ({lit})")).is_err());
+            assert!(sql::parse(&format!("SELECT * FROM t WHERE t.x = {lit}")).is_err());
+        }
+        assert!(parse_statement("CREATE TABLE t (x VARCHAR())").is_err());
+        assert!(parse_statement("CREATE TABLE 1t (x INT)").is_err());
+        assert!(sql::parse("SELECT * FROM 1t").is_err());
+        // A statement ends as a query does: an optional `;`, then blanks.
+        assert!(parse_statement("DROP TABLE t ;  ").is_ok());
+        assert!(sql::parse("SELECT * FROM t ;  ").is_ok());
     }
 
     #[test]

@@ -20,8 +20,8 @@ mod common;
 
 use asqp_db::testkit::reference;
 use asqp_db::{
-    execute_with_options, ColRef, Database, ExecOptions, Expr, JoinCond, OrderKey, Query,
-    QueryOutput, Schema, SelectItem, TableRef, Value, ValueType,
+    exec, plan_query, ColRef, Database, Expr, JoinCond, OrderKey, Query, QueryOutput, Schema,
+    SelectItem, TableRef, Value, ValueType,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -67,7 +67,7 @@ fn other_literals(q: &Query) -> Query {
 /// The whole contract on one (db, query) pair. Returns the engine's output.
 fn check(db: &Database, q: &Query) -> QueryOutput {
     let sql = q.to_sql();
-    let run = |shards| execute_with_options(db, q, ExecOptions { shards }).expect(&sql);
+    let run = |shards| exec::execute(&plan_query(db, q).expect(&sql), shards).expect(&sql);
     let first = run(4);
     db.execute(&other_literals(q)).expect(&sql);
     let again = run(1);

@@ -10,6 +10,7 @@
 //! `\tables`, `\approx <k>` (train ASQP-RL on the queries issued so far and
 //! switch to the approximation set), `\full` (switch back), `\quit`.
 
+use asqp::db::{Statement, StatementResult};
 use asqp::prelude::*;
 use std::io::{BufRead, Write};
 
@@ -104,26 +105,20 @@ fn main() {
             continue;
         }
 
-        // DDL / DML statements mutate the full database directly.
-        let head: String = line
-            .chars()
-            .take_while(|c| c.is_ascii_alphabetic())
-            .collect::<String>()
-            .to_ascii_uppercase();
-        if matches!(head.as_str(), "CREATE" | "DROP" | "INSERT") {
-            match asqp::db::execute_statement(&mut db, line) {
-                Ok(asqp::db::StatementResult::Done { affected }) => {
-                    println!("ok ({affected} rows affected)");
+        // A SELECT runs on the current target; CREATE / INSERT / DROP
+        // mutate the full database directly.
+        let query = match asqp::db::parse_statement(line) {
+            Ok(Statement::Select(q)) => q,
+            Ok(_) => {
+                match asqp::db::execute_statement(&mut db, line) {
+                    Ok(StatementResult::Done { affected }) => {
+                        println!("ok ({affected} rows affected)");
+                    }
+                    Ok(_) => unreachable!("DDL/DML never returns rows"),
+                    Err(e) => println!("error: {e}"),
                 }
-                Ok(_) => unreachable!("DDL/DML never returns rows"),
-                Err(e) => println!("error: {e}"),
+                continue;
             }
-            continue;
-        }
-
-        // Plain SQL.
-        let query = match asqp::db::sql::parse(line) {
-            Ok(q) => q,
             Err(e) => {
                 println!("parse error: {e}");
                 continue;
