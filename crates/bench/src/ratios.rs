@@ -3,7 +3,8 @@
 //! `e2e` owns absolute time. What it cannot see is an *asymptotic* slip
 //! worth a few milliseconds: statistics or zone maps falling back from
 //! O(batch) to O(rows) on an append would hide inside `refresh_s`'s bound,
-//! and a GEMM that lost its tiling inside `rl.update_s`'s. Each [`PAIRS`]
+//! and a GEMM that lost its tiling, or a policy layer that went back to
+//! multiplying its state's zeros, inside `rl.update_s`'s. Each [`PAIRS`]
 //! entry therefore times a fast side and the slow side it replaced back to
 //! back in one process and judges only their **quotient**, so the host
 //! cancels; a quotient under the pair's floor fails the run. Each floor is
@@ -12,7 +13,7 @@
 
 use asqp_db::zonemap::TableZones;
 use asqp_db::{Database, Row, Schema, StatsAccum, Table, Value, ValueType};
-use asqp_nn::Matrix;
+use asqp_nn::{Activation, LayerInput, Linear, Matrix, SetBits};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -83,7 +84,7 @@ pub struct Pair {
     pub run: fn() -> (u64, u64),
 }
 
-pub const PAIRS: [Pair; 3] = [
+pub const PAIRS: [Pair; 4] = [
     Pair {
         name: "stats: absorb a 1% append vs rebuild",
         floor: 30.0,
@@ -98,6 +99,11 @@ pub const PAIRS: [Pair; 3] = [
         name: "256x256x256 GEMM: tiled kernel vs pre-kernel loop",
         floor: 1.4,
         run: gemm_tiled_vs_naive,
+    },
+    Pair {
+        name: "policy layer 0, 16x1026->128: set bits vs GEMM",
+        floor: 1.2,
+        run: first_layer_set_bits_vs_gemm,
     },
 ];
 
@@ -173,6 +179,32 @@ fn gemm_tiled_vs_naive() -> (u64, u64) {
         naive_out[0]
     });
     (tiled, naive)
+}
+
+/// One gradient shard of the actor's first layer at the e2e fixture's
+/// shape: 16 indicator states 1 026 wide with ~96 bits set, forward and
+/// `gw = x^T dz`, on their set bits against the tiled GEMM on the rows.
+fn first_layer_set_bits_vs_gemm() -> (u64, u64) {
+    let (rows, width, n) = (16, 1026, 128);
+    let mut rng = StdRng::seed_from_u64(3);
+    let layer = Linear::new(width, n, Activation::Tanh, &mut rng);
+    let mut dense = Matrix::zeros(rows, width);
+    for r in 0..rows {
+        (0..96).for_each(|_| *dense.at_mut(r, rng.random_range(0..width)) = 1.0);
+    }
+    let mut bits = SetBits::default();
+    bits.clear(width);
+    (0..rows).for_each(|r| bits.push_row(dense.row(r)));
+    let dz = Matrix::kaiming(rows, n, &mut rng);
+    let [mut out, mut t, mut gw] = <[Matrix; 3]>::default();
+    let mut pass = |x: &dyn LayerInput| {
+        x.linear_into(&layer, &mut out);
+        x.weight_grad_into(&dz, &mut t, &mut gw);
+    };
+    (
+        measure(20, 101, || pass(&bits)),
+        measure(20, 101, || pass(&dense)),
+    )
 }
 
 /// Run every pair, print one line each, and return how many fell under

@@ -56,7 +56,7 @@ pub use diversity::{result_diversity, workload_diversity};
 pub use envs::{AsqpEnv, CoverageTracker, EnvConfig, EnvKind};
 pub use estimator::{AnswerabilityEstimator, Prediction};
 pub use metric::{per_query_fractions, score, score_with_counts, FullCounts, MetricParams};
-pub use model::{fine_tune, train, AsqpConfig, ModelSnapshot, TrainedModel};
+pub use model::{fine_tune, train, AsqpConfig, ModelSnapshot, SnapshotError, TrainedModel};
 pub use preprocess::{
     preprocess, relax_query, Action, ActionSpace, PreprocessConfig, Preprocessed,
 };

@@ -214,9 +214,22 @@ impl TrainedModel {
         }
     }
 
-    /// Rebuild a model from a snapshot.
-    pub fn from_snapshot(snapshot: ModelSnapshot) -> TrainedModel {
-        TrainedModel {
+    /// Rebuild a model from a snapshot, if its policy fits its action space
+    /// of `n` actions: `n + 2` state inputs, `n + 1` logits, one value, and
+    /// finite weights, the premise of the set-bit first layer's exactness.
+    pub fn from_snapshot(snapshot: ModelSnapshot) -> Result<TrainedModel, SnapshotError> {
+        let (n, p) = (snapshot.space.len(), &snapshot.policy);
+        let (a, c) = (p.actor.widths(), p.critic.widths());
+        if a.map(|w| w.0) != Some(n + 2) || c.map(|w| w.0) != Some(n + 2) {
+            return Err(SnapshotError::StateWidth { expected: n + 2 });
+        }
+        if a.map(|w| w.1) != Some(n + 1) || p.n_actions != n + 1 || c.map(|w| w.1) != Some(1) {
+            return Err(SnapshotError::ActionCount { expected: n + 1 });
+        }
+        if !(p.actor.is_finite() && p.critic.is_finite()) {
+            return Err(SnapshotError::NonFiniteWeight);
+        }
+        Ok(TrainedModel {
             policy: snapshot.policy,
             space: Arc::new(snapshot.space),
             embedder: snapshot.embedder,
@@ -224,9 +237,34 @@ impl TrainedModel {
             train_workload: snapshot.train_workload,
             config: snapshot.config,
             history: snapshot.history,
+        })
+    }
+}
+
+/// Why [`TrainedModel::from_snapshot`] refused a snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// A network does not read the state's width, or its layers do not chain.
+    StateWidth { expected: usize },
+    /// The actor does not score every action, or the critic not one value.
+    ActionCount { expected: usize },
+    /// A weight or bias is NaN or infinite.
+    NonFiniteWeight,
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::StateWidth { expected } => {
+                write!(f, "policy does not read {expected}-wide states")
+            }
+            Self::ActionCount { expected } => write!(f, "policy does not score {expected} actions"),
+            Self::NonFiniteWeight => write!(f, "policy holds a NaN or infinite weight"),
         }
     }
 }
+
+impl std::error::Error for SnapshotError {}
 
 /// Train ASQP-RL on a database and workload (Algorithm 1).
 pub fn train(db: &Database, workload: &Workload, config: &AsqpConfig) -> DbResult<TrainedModel> {
@@ -457,8 +495,53 @@ mod tests {
         let w = imdb::workload(8, 6);
         let model = train(&db, &w, &quick_config()).unwrap();
         let json = serde_json::to_string(&model.snapshot()).unwrap();
-        let restored = TrainedModel::from_snapshot(serde_json::from_str(&json).unwrap());
+        let restored = TrainedModel::from_snapshot(serde_json::from_str(&json).unwrap()).unwrap();
         assert_eq!(model.selection(None), restored.selection(None));
         assert_eq!(model.train_workload.len(), restored.train_workload.len());
+    }
+
+    /// A policy that does not fit its action space, or holds a non-finite
+    /// weight, is refused at load time rather than panicking at the first
+    /// rollout.
+    #[test]
+    fn snapshot_that_does_not_fit_is_refused() {
+        let db = imdb::generate(Scale::Tiny, 1);
+        let model = train(&db, &imdb::workload(8, 6), &quick_config()).unwrap();
+        let n = model.space.len();
+        let load = |edit: &dyn Fn(&mut ModelSnapshot)| {
+            let mut snapshot = model.snapshot();
+            edit(&mut snapshot);
+            TrainedModel::from_snapshot(snapshot).err()
+        };
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        let wide = ActorCritic::new(n + 3, n + 1, &[8], &mut rng);
+        let few = ActorCritic::new(n + 2, n, &[8], &mut rng);
+        let (state, actions) = (n + 2, n + 1);
+        assert_eq!(
+            load(&|s| s.policy = wide.clone()),
+            Some(SnapshotError::StateWidth { expected: state })
+        );
+        assert_eq!(
+            load(&|s| s.policy = few.clone()),
+            Some(SnapshotError::ActionCount { expected: actions })
+        );
+        assert_eq!(
+            load(&|s| s.policy.critic.layers[1] = s.policy.actor.layers[1].clone()),
+            Some(SnapshotError::ActionCount { expected: actions })
+        );
+        let loose = asqp_nn::Linear::new(16, actions, asqp_nn::Activation::Identity, &mut rng);
+        assert_eq!(
+            load(&|s| s.policy.actor.layers[1] = loose.clone()),
+            Some(SnapshotError::StateWidth { expected: state })
+        );
+        assert_eq!(
+            load(&|s| s.policy.actor.layers[0].b.data_mut()[3] = f32::INFINITY),
+            Some(SnapshotError::NonFiniteWeight)
+        );
+        assert_eq!(
+            load(&|s| s.policy.critic.layers[1].w.data_mut()[0] = f32::NAN),
+            Some(SnapshotError::NonFiniteWeight)
+        );
+        assert_eq!(load(&|_| ()), None);
     }
 }

@@ -1,10 +1,11 @@
-//! Cache-blocked, register-tiled f32 GEMM kernels with runtime ISA dispatch.
+//! Cache-blocked, register-tiled f32 GEMM kernels, and the set-bit gather
+//! of a layer whose input is mostly zeros, with runtime ISA dispatch.
 //!
-//! One kernel body (`gemm_raw_body`) written as plain safe Rust that LLVM
-//! autovectorizes, compiled three times: once at the build's baseline ISA,
-//! once under `#[target_feature(enable = "avx2,fma")]` and once under
-//! `#[target_feature(enable = "avx512f")]`. The widest variant the CPU
-//! supports is picked at runtime (detection is cached in an atomic).
+//! Each kernel body (`gemm_raw_body`, `gather_rows_body` and Adam's update
+//! pass) is plain safe Rust that LLVM autovectorizes, compiled three times
+//! by `dispatched!`: at the build's baseline ISA, under `avx2,fma` and
+//! under `avx512f`. The widest variant the CPU supports is picked at
+//! runtime (detection is cached in an atomic).
 //!
 //! ## Numerics contract
 //!
@@ -23,8 +24,12 @@
 //! parallel; it never reassociates a single element's chain. The property
 //! tests in `tests/kernel_props.rs` assert exact bit equality.
 //!
-//! Per-element zero-skip branches (the old `if a == 0.0 { continue }`) are
-//! deliberately gone: they defeated vectorization and perturbed signed zeros.
+//! The set-bit gather (behind [`crate::LayerInput`] for [`SetBits`]) runs
+//! the same chain with its zero links left out. A zero link `fma(±0, b,
+//! acc)` is `±0 + acc` when `b` is finite, which is `acc` unless `acc` is
+//! `-0.0`; and a chain seeded at `+0.0` reaches `-0.0` only by underflow,
+//! from a product with bits below 2⁻¹⁴⁹ (never when a factor is `1.0` or
+//! both exceed 2⁻⁵⁰). DESIGN §8 has the argument in full.
 //!
 //! ## Tiling scheme
 //!
@@ -39,6 +44,8 @@
 //! No explicit k-blocking: the matrices this workspace multiplies
 //! (`batch × state_dim × hidden`, ≤ a few hundred per side) fit the panel
 //! working set in L2 comfortably.
+
+use crate::matrix::SetBits;
 
 /// Rows per register tile.
 pub const MR: usize = 4;
@@ -155,9 +162,9 @@ fn panel<const W: usize>(
 /// all row-major; `out` is fully overwritten.
 #[inline(always)]
 fn gemm_raw_body(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+    assert_eq!(a.len(), m * k, "gemm a length");
+    assert_eq!(b.len(), k * n, "gemm b length");
+    assert_eq!(out.len(), m * n, "gemm out length");
     let mut j = 0;
     while j + NR <= n {
         panel::<NR>(a, b, out, j, m, k, n);
@@ -180,48 +187,7 @@ fn gemm_raw_body(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
     }
 }
 
-// The workspace denies `unsafe_code`; this module and the dispatcher below
-// are the one sanctioned exception — `#[target_feature]` monomorphization
-// requires `unsafe fn`, and each call site documents the runtime feature
-// check that upholds the contract.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod x86 {
-    /// The same kernel body compiled with 256-bit vectors and hardware FMA.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_raw_avx2(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        super::gemm_raw_body(m, k, n, a, b, out);
-    }
-
-    /// The same kernel body compiled with 512-bit vectors and hardware FMA
-    /// (`avx512f` implies `avx2` and `fma` in LLVM's feature lattice).
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm_raw_avx512(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) {
-        super::gemm_raw_body(m, k, n, a, b, out);
-    }
-}
-
-/// Which compiled variant of the kernel body to run.
+/// Which compiled variant of a kernel body to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Isa {
     Generic = 0,
@@ -261,22 +227,104 @@ fn detect_isa() -> Isa {
     Isa::Generic
 }
 
-/// `out = a @ b`, dispatching to the widest compiled kernel variant the
-/// running CPU supports. Bit-identical results on every path.
-#[allow(unsafe_code)] // see the note on `mod x86`
-pub fn gemm_raw(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm a length");
-    assert_eq!(b.len(), k * n, "gemm b length");
-    assert_eq!(out.len(), m * n, "gemm out length");
-    match detect_isa() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `detect_isa` verified the feature at runtime.
-        Isa::Avx512 => unsafe { x86::gemm_raw_avx512(m, k, n, a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `detect_isa` verified the features at runtime.
-        Isa::Avx2Fma => unsafe { x86::gemm_raw_avx2(m, k, n, a, b, out) },
-        _ => gemm_raw_body(m, k, n, a, b, out),
+/// `$vis fn $name(args)`: `$body(args)` compiled three times — at the
+/// build's baseline ISA, under `avx2,fma` and under `avx512f` (which
+/// implies both in LLVM's feature lattice) — and run in the widest variant
+/// the CPU supports. `$body` is `#[inline(always)]`, so each variant is the
+/// whole body at that vector width.
+///
+/// The workspace denies `unsafe_code`; the dispatchers this macro writes
+/// are the one sanctioned exception: `#[target_feature]` requires an
+/// `unsafe fn`, and each call is guarded by the runtime feature check.
+macro_rules! dispatched {
+    ($(#[$doc:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) => $body:path;) => {
+        $(#[$doc])*
+        #[allow(unsafe_code)]
+        $vis fn $name($($arg: $ty),*) {
+            /// # Safety
+            /// The CPU must support AVX2 and FMA.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn avx2($($arg: $ty),*) {
+                $body($($arg),*)
+            }
+            /// # Safety
+            /// The CPU must support AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            unsafe fn avx512($($arg: $ty),*) {
+                $body($($arg),*)
+            }
+            match detect_isa() {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `detect_isa` verified the feature at runtime.
+                Isa::Avx512 => unsafe { avx512($($arg),*) },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `detect_isa` verified the features at runtime.
+                Isa::Avx2Fma => unsafe { avx2($($arg),*) },
+                _ => $body($($arg),*),
+            }
+        }
+    };
+}
+
+dispatched! {
+    /// `out = a @ b`. Bit-identical results on every ISA.
+    pub fn gemm_raw(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) => gemm_raw_body;
+}
+
+/// `out[r] = x[r] @ w` over row `r`'s set bits only: per element, the
+/// dense chain of [`gemm_raw`] without its zero links (`w: x.width × n`).
+/// Column panels as in [`gemm_raw_body`], the accumulators in registers.
+#[inline(always)]
+fn gather_rows_body(x: &SetBits, w: &[f32], n: usize, out: &mut [f32]) {
+    assert_eq!(w.len(), x.width * n, "gather w length");
+    assert_eq!(out.len(), x.ends.len() * n, "gather out length");
+    for (orow, bits) in out.chunks_exact_mut(n.max(1)).zip(x.rows()) {
+        let mut j = 0;
+        while j < n {
+            j += match n - j {
+                NR.. => gather_panel::<NR>(bits, w, n, j, orow),
+                NR_EDGE.. => gather_panel::<NR_EDGE>(bits, w, n, j, orow),
+                _ => gather_panel::<1>(bits, w, n, j, orow),
+            };
+        }
     }
+}
+
+/// Columns `j..j + W` of one row of [`gather_rows_body`]; returns `W`.
+#[inline(always)]
+fn gather_panel<const W: usize>(
+    x: &[(usize, f32)],
+    w: &[f32],
+    n: usize,
+    j: usize,
+    o: &mut [f32],
+) -> usize {
+    let mut acc = [0.0f32; W];
+    for &(c, v) in x {
+        for (a, &wv) in acc.iter_mut().zip(&w[c * n + j..c * n + j + W]) {
+            *a = v.mul_add(wv, *a);
+        }
+    }
+    o[j..j + W].copy_from_slice(&acc);
+    W
+}
+
+dispatched! {
+    pub(crate) fn gather_rows(x: &SetBits, w: &[f32], n: usize, out: &mut [f32]) => gather_rows_body;
+}
+
+dispatched! {
+    /// [`crate::optim`]'s Adam update pass at the widest vector width: its
+    /// `+ - * / sqrt` are exactly rounded at any width.
+    pub(crate) fn adam_update_pass(
+        p: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &[f32],
+        k: &crate::optim::PassConsts,
+    ) => crate::optim::update_pass;
 }
 
 /// Fused linear layer: `out = act(a @ w + bias)` in one kernel invocation —
@@ -295,6 +343,11 @@ pub fn fused_linear_into(
     out: &mut [f32],
 ) {
     gemm_raw(m, k, n, a, w, out);
+    epilogue(n, bias, act, out);
+}
+
+/// `out = act(out + bias)`, row by row.
+pub(crate) fn epilogue(n: usize, bias: Option<&[f32]>, act: EpilogueAct, out: &mut [f32]) {
     if let Some(b) = bias {
         assert_eq!(b.len(), n, "bias length");
         for row in out.chunks_exact_mut(n.max(1)) {

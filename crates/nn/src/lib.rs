@@ -25,7 +25,9 @@ pub mod vae;
 pub use func::{
     argmax, entropy, log_softmax, mask_logits, sample_categorical, softmax_in_place, softmax_rows,
 };
-pub use matrix::Matrix;
-pub use mlp::{reduce_in_order, Activation, LayerGrads, Linear, Mlp, MlpTape, TransposedWeights};
+pub use matrix::{Matrix, SetBits};
+pub use mlp::{
+    reduce_in_order, Activation, LayerGrads, LayerInput, Linear, Mlp, MlpTape, TransposedWeights,
+};
 pub use optim::Adam;
 pub use vae::{randn, Vae, VaeConfig};

@@ -5,7 +5,7 @@
 //! module provides exactly that, plus the gradients PPO needs.
 
 use crate::kernels::{self, EpilogueAct};
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, SetBits};
 use asqp_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -194,35 +194,48 @@ impl Linear {
         );
     }
 
-    /// `act(x W + b)` on a batch, into a fresh matrix.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(x, &mut out);
-        out
-    }
-
-    /// Single-row inference fast path: `out = act(x W + b)` written straight
-    /// into a reusable buffer — no `Matrix` wrappers, no per-layer
-    /// allocations once `out`'s capacity has warmed up. Bit-identical to
-    /// [`Linear::infer`] on a 1-row matrix (same kernel, same order).
-    pub fn infer_row_into(&self, x: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(x.len(), self.w.rows(), "row width != weight rows");
-        out.clear();
-        out.resize(self.w.cols(), 0.0);
-        kernels::fused_linear_into(
-            1,
-            x.len(),
-            self.w.cols(),
-            x,
-            self.w.data(),
-            Some(self.b.data()),
-            self.act.epilogue(),
-            out,
-        );
-    }
-
     pub fn param_count(&self) -> usize {
         self.w.data().len() + self.b.data().len()
+    }
+}
+
+/// What the first layer of an [`Mlp`] reads: a dense batch, or the
+/// [`SetBits`] of one. The layers after it read the dense output of the
+/// layer before.
+pub trait LayerInput {
+    /// `act(self W + b)` of layer `l`, into `out`.
+    fn linear_into(&self, l: &Linear, out: &mut Matrix);
+    /// `self^T dz`, the weight gradient, into `gw`; `t` is scratch.
+    fn weight_grad_into(&self, dz: &Matrix, t: &mut Matrix, gw: &mut Matrix);
+}
+
+impl LayerInput for Matrix {
+    fn linear_into(&self, l: &Linear, out: &mut Matrix) {
+        l.forward_into(self, out);
+    }
+    fn weight_grad_into(&self, dz: &Matrix, t: &mut Matrix, gw: &mut Matrix) {
+        self.t_matmul_into(dz, t, gw);
+    }
+}
+
+impl LayerInput for SetBits {
+    /// The dense rows' bits from their set bits (see [`crate::kernels`]).
+    fn linear_into(&self, l: &Linear, out: &mut Matrix) {
+        let n = l.w.cols();
+        out.reshape_for_overwrite(self.ends.len(), n);
+        kernels::gather_rows(self, l.w.data(), n, out.data_mut());
+        kernels::epilogue(n, Some(l.b.data()), l.act.epilogue(), out.data_mut());
+    }
+    /// `gw[c]` gathers the rows of `dz` whose row of `self` sets column `c`,
+    /// in ascending order. A `dz` holding a NaN or an infinity, where a
+    /// left-out `fma(0, inf, acc)` would not be `acc`, takes the dense path.
+    fn weight_grad_into(&self, dz: &Matrix, t: &mut Matrix, gw: &mut Matrix) {
+        if !dz.data().iter().all(|v| v.is_finite()) {
+            return self.to_dense().t_matmul_into(dz, t, gw);
+        }
+        assert_eq!(dz.rows(), self.ends.len(), "t_matmul shape mismatch");
+        gw.reshape_for_overwrite(self.width, dz.cols());
+        kernels::gather_rows(&self.transposed(), dz.data(), dz.cols(), gw.data_mut());
     }
 }
 
@@ -252,47 +265,53 @@ impl Mlp {
         Mlp { layers }
     }
 
+    /// The stack on `x`: the first layer reads `x`, every later one the
+    /// dense output of the layer before.
+    fn infer_untimed(&self, x: &impl LayerInput) -> Matrix {
+        let (first, rest) = self.layers.split_first().expect("an Mlp has a layer");
+        let (mut h, mut next) = (Matrix::default(), Matrix::default());
+        x.linear_into(first, &mut h);
+        for l in rest {
+            l.forward_into(&h, &mut next);
+            std::mem::swap(&mut h, &mut next);
+        }
+        h
+    }
+
     pub fn infer(&self, x: &Matrix) -> Matrix {
         let t = telemetry::enabled().then(Instant::now);
-        let mut h = x.clone();
-        for l in &self.layers {
-            h = l.infer(&h);
-        }
+        let h = self.infer_untimed(x);
         if let Some(t) = t {
             telemetry::observe_duration("nn.forward_ns", t.elapsed());
         }
         h
     }
 
-    /// Single-row inference fast path: runs the whole stack on one state
-    /// vector through [`Linear::infer_row_into`] with two ping-pong
-    /// buffers — no `Matrix` allocation per layer. Bit-identical to
-    /// [`Mlp::infer`] on a 1-row matrix.
+    /// Single-row inference on the set bits of one state vector.
+    /// Bit-identical to [`Mlp::infer`] on the dense row.
     ///
     /// Deliberately untimed: this is the rollout hot path, called once per
     /// environment step, and even a branch-on-disabled telemetry probe is
     /// measurable there.
-    pub fn infer_row(&self, x: &[f32]) -> Vec<f32> {
-        let mut cur = x.to_vec();
-        let mut next = Vec::new();
-        for l in &self.layers {
-            l.infer_row_into(&cur, &mut next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
+    pub fn infer_row(&self, x: &SetBits) -> Vec<f32> {
+        assert_eq!(x.ends.len(), 1, "one row");
+        self.infer_untimed(x).into_data()
     }
 
     /// Forward pass that records on `tape` the activation chain needed for
     /// [`Mlp::backward_tape`]. It takes `&self`, so many threads can run
     /// tapes against one shared model — the basis of the sharded PPO
     /// update.
-    pub fn forward_tape(&self, x: &Matrix, tape: &mut MlpTape) {
+    pub fn forward_tape(&self, x: &impl LayerInput, tape: &mut MlpTape) {
         let t = telemetry::enabled().then(Instant::now);
         tape.acts.resize_with(self.layers.len(), Matrix::default);
-        let mut input = x;
+        let mut input = None;
         for (l, out) in self.layers.iter().zip(&mut tape.acts) {
-            l.forward_into(input, out);
-            input = out;
+            match input {
+                None => x.linear_into(l, out),
+                Some(h) => l.forward_into(h, out),
+            }
+            input = Some(&*out);
         }
         if let Some(t) = t {
             telemetry::observe_duration("nn.forward_ns", t.elapsed());
@@ -323,7 +342,7 @@ impl Mlp {
     /// calls on `&self` are safe.
     pub fn backward_tape(
         &self,
-        x: &Matrix,
+        x: &impl LayerInput,
         dy: &Matrix,
         wt: &TransposedWeights,
         tape: &mut MlpTape,
@@ -342,10 +361,12 @@ impl Mlp {
             xt,
         } = tape;
         for (i, l) in self.layers.iter().enumerate().rev() {
-            let x = if i == 0 { x } else { &acts[i - 1] };
             let g = if i + 1 == n { dy } else { &*g_in };
             let dz = l.act.backward_into(g, &acts[i], &mut *dz);
-            x.t_matmul_into(dz, xt, &mut grads[i].gw);
+            match i {
+                0 => x.weight_grad_into(dz, xt, &mut grads[i].gw),
+                _ => acts[i - 1].t_matmul_into(dz, xt, &mut grads[i].gw),
+            }
             dz.sum_rows_into(&mut grads[i].gb);
             if i > 0 || wt.input_grad {
                 assert_eq!(
@@ -379,6 +400,25 @@ impl Mlp {
 
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(Linear::param_count).sum()
+    }
+
+    /// `(inputs, outputs)`, or `None` for a stack that does not hold
+    /// together, as a deserialized one may not: a matrix whose data is not
+    /// its shape, a bias that is not one row of outputs, or a layer that
+    /// does not read what the one before writes.
+    pub fn widths(&self) -> Option<(usize, usize)> {
+        let ls = &self.layers;
+        let whole = |m: &Matrix| m.data().len() == m.rows() * m.cols();
+        let sound = |l: &Linear| whole(&l.w) && whole(&l.b) && l.b.shape() == (1, l.w.cols());
+        let chained = ls.windows(2).all(|p| p[0].w.cols() == p[1].w.rows());
+        let (first, last) = (ls.first()?, ls.last()?);
+        (chained && ls.iter().all(sound)).then(|| (first.w.rows(), last.w.cols()))
+    }
+
+    /// Whether every weight and bias is finite.
+    pub fn is_finite(&self) -> bool {
+        let finite = |m: &Matrix| m.data().iter().all(|v| v.is_finite());
+        self.layers.iter().all(|l| finite(&l.w) && finite(&l.b))
     }
 }
 
@@ -493,7 +533,7 @@ mod tests {
         let mlp = Mlp::new(&[6, 16, 9, 4], Activation::Tanh, &mut rng);
         let x = vec![0.3, -0.7, 1.4, 0.0, -2.2, 0.9];
         let full = mlp.infer(&Matrix::from_row(&x));
-        let row = mlp.infer_row(&x);
+        let row = mlp.infer_row(&SetBits::of_row(&x));
         assert_eq!(full.data(), row.as_slice());
     }
 

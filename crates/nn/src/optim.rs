@@ -98,13 +98,13 @@ impl Adam {
             eps: self.eps,
         };
         for (((p, g), m), v) in params.into_iter().zip(&mut self.m).zip(&mut self.v) {
-            update_pass(p, m, v, g, &k);
+            crate::kernels::adam_update_pass(p, m, v, g, &k);
         }
     }
 }
 
 /// What [`update_pass`] reads besides its four slices.
-struct PassConsts {
+pub(crate) struct PassConsts {
     /// `max_grad_norm / norm` when the global norm exceeds the maximum, and
     /// `1.0` otherwise, where `g * 1.0` is `g` bit for bit.
     clip: f32,
@@ -120,17 +120,19 @@ struct PassConsts {
 /// One Adam update over one parameter group: four equal-length slices and
 /// no branch, so the compiler vectorises it. Every operation is one of
 /// `+ - * / sqrt` on the operands the scalar loop used, each exactly rounded
-/// at any vector width, so the results are the scalar loop's bit for bit.
+/// at any vector width, so the results are the scalar loop's bit for bit;
+/// it runs at the widest width the CPU has, through the kernels' ISA
+/// dispatch ([`crate::kernels::adam_update_pass`]).
 ///
 /// The guard against a non-finite gradient (an exploding batch) keeps the
 /// element's old `m`, `v` and `p`. It is a blend on the bit patterns because
 /// the compiler turns `if finite { new } else { old }` back into the branch
 /// around the divisions, and the loop then stays scalar (read from the
-/// assembly: one `divss`/`sqrtss` per parameter). For the same reason the
-/// pass is not inlined: as a function of its own its four slices are known
-/// not to overlap.
-#[inline(never)]
-fn update_pass(p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], k: &PassConsts) {
+/// assembly: one `divss`/`sqrtss` per parameter). It is inlined only into
+/// the dispatcher's per-ISA functions, whose four slices are known not to
+/// overlap.
+#[inline(always)]
+pub(crate) fn update_pass(p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], k: &PassConsts) {
     let blend = |keep: u32, old: f32, new: f32| {
         f32::from_bits((old.to_bits() & keep) | (new.to_bits() & !keep))
     };

@@ -4,7 +4,7 @@
 //! followed by smaller fully-connected layers", softmax policy head, linear
 //! value head).
 
-use asqp_nn::{func, Activation, Mlp};
+use asqp_nn::{func, Activation, Mlp, SetBits};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -42,30 +42,14 @@ impl ActorCritic {
         }
     }
 
-    /// Masked action probabilities for one state (inference, no caches).
-    pub fn action_probs(&self, state: &[f32], mask: &[bool]) -> Vec<f32> {
-        let mut row = self.actor.infer_row(state);
-        func::mask_logits(&mut row, mask);
-        func::softmax_in_place(&mut row);
-        row
-    }
-
-    /// State value estimate (inference).
-    pub fn value(&self, state: &[f32]) -> f32 {
-        self.critic.infer_row(state)[0]
-    }
-
-    /// Fused rollout-path evaluation: masked action distribution and state
-    /// value from one pass over the state, using the allocation-light
-    /// single-row kernels. Bit-identical to calling [`Self::action_probs`]
-    /// and [`Self::value`] separately (same kernels, same order) — the win
-    /// is walking the state once and skipping the `Matrix` wrappers, which
-    /// dominates at rollout batch size 1.
+    /// Masked action distribution and state value for one state, from one
+    /// scan of it into the set bits that both networks' first layers read.
     pub fn probs_and_value(&self, state: &[f32], mask: &[bool]) -> (Vec<f32>, f32) {
-        let mut row = self.actor.infer_row(state);
+        let x = SetBits::of_row(state);
+        let mut row = self.actor.infer_row(&x);
         func::mask_logits(&mut row, mask);
         func::softmax_in_place(&mut row);
-        let value = self.critic.infer_row(state)[0];
+        let value = self.critic.infer_row(&x)[0];
         (row, value)
     }
 
@@ -88,7 +72,7 @@ impl ActorCritic {
     /// Skips the softmax: argmax over masked logits equals argmax over
     /// masked probabilities.
     pub fn act_greedy(&self, state: &[f32], mask: &[bool]) -> usize {
-        let mut row = self.actor.infer_row(state);
+        let mut row = self.actor.infer_row(&SetBits::of_row(state));
         func::mask_logits(&mut row, mask);
         func::argmax(&row)
     }
@@ -122,7 +106,7 @@ mod tests {
     fn probs_sum_to_one() {
         let mut rng = StdRng::seed_from_u64(1);
         let ac = ActorCritic::new(3, 5, &[8], &mut rng);
-        let p = ac.action_probs(&[0.1, -0.2, 0.3], &[true; 5]);
+        let (p, _) = ac.probs_and_value(&[0.1, -0.2, 0.3], &[true; 5]);
         let sum: f32 = p.iter().sum();
         assert!((sum - 1.0).abs() < 1e-5);
     }
@@ -133,7 +117,7 @@ mod tests {
         let ac = ActorCritic::new(3, 4, &[8], &mut rng);
         let state = vec![1.0, 2.0, -1.0];
         let mask = vec![true; 4];
-        let probs = ac.action_probs(&state, &mask);
+        let (probs, _) = ac.probs_and_value(&state, &mask);
         let greedy = ac.act_greedy(&state, &mask);
         let best = probs
             .iter()
@@ -144,15 +128,21 @@ mod tests {
         assert_eq!(greedy, best);
     }
 
+    /// The set-bit first layers give what the dense networks give.
     #[test]
-    fn fused_probs_and_value_match_separate_calls() {
+    fn probs_and_value_match_the_dense_networks() {
         let mut rng = StdRng::seed_from_u64(5);
         let ac = ActorCritic::new(4, 6, &[16, 8], &mut rng);
         let state = vec![0.2, -1.3, 0.8, 0.0];
         let mask = vec![true, true, false, true, false, true];
         let (probs, value) = ac.probs_and_value(&state, &mask);
-        assert_eq!(probs, ac.action_probs(&state, &mask));
-        assert_eq!(value, ac.value(&state));
+        let dense = asqp_nn::Matrix::from_row(&state);
+        let mut logits = ac.actor.infer(&dense).into_data();
+        func::mask_logits(&mut logits, &mask);
+        func::softmax_in_place(&mut logits);
+        assert_eq!(probs, logits);
+        assert_eq!(value.to_bits(), ac.critic.infer(&dense).data()[0].to_bits());
+        assert_eq!(ac.act_greedy(&state, &mask), func::argmax(&probs));
     }
 
     #[test]

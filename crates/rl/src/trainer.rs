@@ -5,7 +5,7 @@
 use crate::env::Environment;
 use crate::policy::ActorCritic;
 use crate::rollout::{RolloutBuffer, StoredStep};
-use asqp_nn::{func, reduce_in_order, Adam, Matrix, Mlp, MlpTape, TransposedWeights};
+use asqp_nn::{func, reduce_in_order, Adam, Matrix, Mlp, MlpTape, SetBits, TransposedWeights};
 use asqp_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
@@ -440,14 +440,14 @@ struct Minibatch<'a> {
     rows: usize,
 }
 
-/// What one gradient shard writes: its gathered states, one tape per
+/// What one gradient shard writes: the set bits of its states, one tape per
 /// network (the layer gradients are on the tapes), the loss gradients it
 /// backpropagates, two scratch rows, and its (unnormalised) contribution to
 /// the batch diagnostics. A shard overwrites all of it, so the trainer
 /// keeps one per shard position and no update allocates.
 #[derive(Default)]
 struct ShardWork {
-    states: Matrix,
+    states: SetBits,
     actor: MlpTape,
     critic: MlpTape,
     dlogits: Matrix,
@@ -467,10 +467,11 @@ impl ShardWork {
     fn run(&mut self, mb: &Minibatch, shard_idx: &[usize]) {
         let Minibatch { cfg, buf, .. } = *mb;
         let rows = shard_idx.len();
-        let state_dim = buf.steps[shard_idx[0]].state.len();
-        self.states.reshape_for_overwrite(rows, state_dim);
-        for (bi, &i) in shard_idx.iter().enumerate() {
-            self.states.row_mut(bi).copy_from_slice(&buf.steps[i].state);
+        // Both networks' first layers, forward and backward, read the set
+        // bits of the states, gathered once here.
+        self.states.clear(buf.steps[shard_idx[0]].state.len());
+        for &i in shard_idx {
+            self.states.push_row(&buf.steps[i].state);
         }
 
         // ----- Actor: tape forward, per-row dL/dlogits, tape backward -----
