@@ -241,11 +241,13 @@ impl Table {
         let mut dirty: BTreeSet<usize> = BTreeSet::new();
         for (rid, row) in updates {
             if let Some(acc) = acc.as_mut() {
-                let old: Row = columns.iter().map(|c| c.get(*rid)).collect();
-                acc.apply_update(&old, row);
+                acc.step_row(columns, *rid, false);
             }
             for (col, v) in columns.iter_mut().zip(row) {
                 col.set(*rid, v)?;
+            }
+            if let Some(acc) = acc.as_mut() {
+                acc.step_row(columns, *rid, true);
             }
             dirty.insert(*rid / MORSEL_ROWS);
         }
@@ -273,7 +275,7 @@ impl Table {
     pub fn stats(&self) -> Arc<TableStats> {
         self.stats.get_or_build(|| {
             let accum = self.accum.get_or_build(|| StatsAccum::from_table(self));
-            accum.derive(&self.name, &self.schema)
+            accum.derive(self)
         })
     }
 
