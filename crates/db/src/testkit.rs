@@ -1,6 +1,8 @@
 //! Test support shared by this crate's unit tests, integration tests,
 //! example and benches: the reference executor every oracle compares the
-//! engine against, and the star-schema fixture the EXPLAIN goldens print.
+//! engine against, the value-keyed statistics accumulator the maintained
+//! statistics are compared against, and the star-schema fixture the
+//! EXPLAIN goldens print.
 
 use crate::catalog::Database;
 use crate::error::DbResult;
@@ -9,8 +11,10 @@ use crate::expr::Expr;
 use crate::plan::{bind, Output};
 use crate::query::Query;
 use crate::schema::Schema;
+use crate::stats::{ColumnStats, TableStats, HIST_BUCKETS, TOP_K};
+use crate::table::Table;
 use crate::value::{Row, Value, ValueType};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// Reference executor: nested loops over the *unfiltered* tables, nesting
 /// the bindings in `order` (outermost first), with the whole predicate —
@@ -127,6 +131,162 @@ pub fn reference(db: &Database, query: &Query, order: &[usize]) -> DbResult<Quer
         lineage,
         trace,
     })
+}
+
+/// One column of [`ValueCounts`]: each distinct value's count, and the
+/// nulls.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ColumnCounts {
+    counts: BTreeMap<Value, usize>,
+    null_count: usize,
+}
+
+impl ColumnCounts {
+    fn add(&mut self, v: Value) {
+        if v.is_null() {
+            self.null_count += 1;
+        } else {
+            *self.counts.entry(v).or_insert(0) += 1;
+        }
+    }
+
+    fn remove(&mut self, v: &Value) {
+        if v.is_null() {
+            self.null_count = self.null_count.saturating_sub(1);
+        } else if let Some(c) = self.counts.get_mut(v) {
+            *c -= 1;
+            if *c == 0 {
+                self.counts.remove(v);
+            }
+        }
+    }
+}
+
+/// The statistics accumulator [`Table::stats`] kept until it counted by
+/// dictionary code and typed key: a `BTreeMap` from each distinct value to
+/// its count, per column, derived by a walk in value order. The oracle the
+/// maintained statistics are checked against: driven through the same
+/// appends and updates as a table, it derives the same [`TableStats`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ValueCounts {
+    row_count: usize,
+    columns: Vec<ColumnCounts>,
+}
+
+impl ValueCounts {
+    /// Count every row of `table`.
+    pub fn from_table(table: &Table) -> ValueCounts {
+        let mut acc = ValueCounts {
+            row_count: 0,
+            columns: vec![ColumnCounts::default(); table.schema().len()],
+        };
+        acc.absorb_rows(table, 0);
+        acc
+    }
+
+    /// Count rows `[from_row, table.row_count())` in.
+    pub fn absorb_rows(&mut self, table: &Table, from_row: usize) {
+        let n = table.row_count();
+        for (ci, acc) in self.columns.iter_mut().enumerate() {
+            let col = table.column(ci);
+            for rid in from_row..n {
+                acc.add(col.get(rid));
+            }
+        }
+        self.row_count = n;
+    }
+
+    /// Apply an in-place row overwrite: retract the old row's values and
+    /// absorb the new row's. Row count is unchanged.
+    pub fn apply_update(&mut self, old_row: &[Value], new_row: &[Value]) {
+        for (ci, acc) in self.columns.iter_mut().enumerate() {
+            if let (Some(old), Some(new)) = (old_row.get(ci), new_row.get(ci)) {
+                acc.remove(old);
+                acc.add(new.clone());
+            }
+        }
+    }
+
+    /// Derive [`TableStats`]: a walk in value order (distinct counts, map
+    /// endpoints for min/max, count-weighted sums for mean/std, per-value
+    /// histogram bucketing, top-K by count-then-value).
+    pub fn derive(&self, table_name: &str, schema: &Schema) -> TableStats {
+        let columns = schema
+            .columns()
+            .iter()
+            .zip(&self.columns)
+            .map(|(cdef, acc)| {
+                let distinct = acc.counts.len();
+                let min = acc.counts.keys().next().cloned();
+                let max = acc.counts.keys().next_back().cloned();
+
+                let mut sum = 0.0f64;
+                let mut sum_sq = 0.0f64;
+                let mut numeric_n = 0usize;
+                for (v, &c) in &acc.counts {
+                    if let Some(f) = v.as_f64() {
+                        sum += f * c as f64;
+                        sum_sq += f * f * c as f64;
+                        numeric_n += c;
+                    }
+                }
+                let (mean, std) = if numeric_n > 0 {
+                    let m = sum / numeric_n as f64;
+                    let var = (sum_sq / numeric_n as f64 - m * m).max(0.0);
+                    (Some(m), Some(var.sqrt()))
+                } else {
+                    (None, None)
+                };
+
+                // Count descending, then value: a total order, since the
+                // values are distinct keys. Selecting the first TOP_K and
+                // sorting only those gives what sorting all of them would.
+                let by_count = |a: &(&Value, usize), b: &(&Value, usize)| {
+                    b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
+                };
+                let mut top: Vec<(&Value, usize)> =
+                    acc.counts.iter().map(|(v, &c)| (v, c)).collect();
+                if top.len() > TOP_K {
+                    top.select_nth_unstable_by(TOP_K - 1, by_count);
+                    top.truncate(TOP_K);
+                }
+                top.sort_unstable_by(by_count);
+                let top = top.into_iter().map(|(v, c)| (v.clone(), c)).collect();
+
+                let mut histogram = vec![0usize; 0];
+                if numeric_n > 0 {
+                    let minf = min.as_ref().and_then(Value::as_f64).unwrap_or(0.0);
+                    let maxf = max.as_ref().and_then(Value::as_f64).unwrap_or(0.0);
+                    histogram = vec![0usize; HIST_BUCKETS];
+                    let width = ((maxf - minf) / HIST_BUCKETS as f64).max(f64::MIN_POSITIVE);
+                    for (v, &c) in &acc.counts {
+                        if let Some(f) = v.as_f64() {
+                            let b = (((f - minf) / width) as usize).min(HIST_BUCKETS - 1);
+                            histogram[b] += c;
+                        }
+                    }
+                }
+
+                ColumnStats {
+                    name: cdef.name.clone(),
+                    ty: cdef.ty,
+                    null_count: acc.null_count,
+                    distinct,
+                    min,
+                    max,
+                    mean,
+                    std,
+                    top_values: top,
+                    histogram,
+                }
+            })
+            .collect();
+        TableStats {
+            table: table_name.to_string(),
+            row_count: self.row_count,
+            columns,
+        }
+    }
 }
 
 /// The star schema of `examples/explain.rs` and the EXPLAIN goldens:
