@@ -84,11 +84,16 @@ pub struct Pair {
     pub run: fn() -> (u64, u64),
 }
 
-pub const PAIRS: [Pair; 4] = [
+pub const PAIRS: [Pair; 5] = [
     Pair {
         name: "stats: absorb a 1% append vs rebuild",
         floor: 30.0,
         run: stats_maintain_vs_rebuild,
+    },
+    Pair {
+        name: "stats: absorb a 1% append vs rebuild, dictionary-coded text",
+        floor: 20.0,
+        run: text_stats_maintain_vs_rebuild,
     },
     Pair {
         name: "zone maps: extend over a 1% append vs rebuild",
@@ -128,13 +133,48 @@ fn events(db: &Database) -> &Table {
 /// O(batch × columns) vs O(rows × columns) asymmetry. Re-absorbing the same
 /// batch inflates the value counts but touches exactly the same map
 /// entries, so the timing stays representative.
+fn stats_pair(old: &Table, grown: &Table) -> (u64, u64) {
+    let mut acc = StatsAccum::from_table(old);
+    let maintain = measure(4, 15, || acc.absorb_rows(grown, old.row_count()));
+    let rebuild = measure(4, 15, || StatsAccum::from_table(grown));
+    (maintain, rebuild)
+}
+
 fn stats_maintain_vs_rebuild() -> (u64, u64) {
     let (old, grown) = append_fixture();
-    let (t_old, t_new) = (events(&old), events(&grown));
-    let mut acc = StatsAccum::from_table(t_old);
-    let maintain = measure(4, 15, || acc.absorb_rows(t_new, t_old.row_count()));
-    let rebuild = measure(4, 15, || StatsAccum::from_table(t_new));
-    (maintain, rebuild)
+    stats_pair(events(&old), events(&grown))
+}
+
+/// One seeded row of the text-heavy `people(name, city, tag, note)`: four
+/// dictionary-coded columns drawing from 1:2, 1:100, 1:1 000 and 1:10 of
+/// `rows` distinct values.
+fn person(rows: usize, rng: &mut StdRng) -> Row {
+    [2, 100, 1_000, 10]
+        .iter()
+        .map(|d| Value::from(format!("v{}", rng.random_range(0..rows / d))))
+        .collect()
+}
+
+/// Text columns count by dictionary code, not by map entry: the pair that
+/// keeps that path O(batch) too.
+fn text_stats_maintain_vs_rebuild() -> (u64, u64) {
+    let schema = Schema::build(&[
+        ("name", ValueType::Str),
+        ("city", ValueType::Str),
+        ("tag", ValueType::Str),
+        ("note", ValueType::Str),
+    ]);
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut batch =
+        |n: usize| -> Vec<Row> { (0..n).map(|_| person(FACT_ROWS, &mut rng)).collect() };
+    let mut old = Table::new("people", schema);
+    old.append_rows(&batch(FACT_ROWS))
+        .expect("rows match the schema");
+    let mut grown = old.clone();
+    grown
+        .append_rows(&batch(FACT_ROWS / 100))
+        .expect("rows match the schema");
+    stats_pair(&old, &grown)
 }
 
 fn zonemap_extend_vs_rebuild() -> (u64, u64) {
