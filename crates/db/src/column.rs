@@ -28,7 +28,8 @@ pub enum ColumnData {
 pub struct Column {
     data: ColumnData,
     validity: Vec<bool>,
-    /// Reverse dictionary kept only while building (not serialised).
+    /// Reverse dictionary, for pushes and overwrites. It lives as long as
+    /// the column and is copied with it; not serialised.
     #[serde(skip)]
     dict_index: HashMap<Arc<str>, u32>,
 }
