@@ -269,7 +269,8 @@ mod tests {
         let joined = sub
             .sql("SELECT COUNT(*) FROM flights f JOIN carriers c ON f.carrier = c.code")
             .unwrap()
-            .rows[0][0]
+            .rows
+            .get(0, 0)
             .as_i64()
             .unwrap() as usize;
         assert!(

@@ -627,8 +627,8 @@ mod tests {
     fn count_estimate_close_to_truth() {
         let (spn, db) = spn_and_db();
         let q = parse("SELECT COUNT(*) FROM flights f WHERE f.distance >= 1000").unwrap();
-        let truth = db.execute(&q).unwrap().rows[0][0].as_i64().unwrap() as f64;
-        let est = spn.estimate(&q).unwrap().rows[0][0].as_f64().unwrap();
+        let truth = db.execute(&q).unwrap().rows.get(0, 0).as_i64().unwrap() as f64;
+        let est = spn.estimate(&q).unwrap().rows.get(0, 0).as_f64().unwrap();
         let err = (est - truth).abs() / truth;
         assert!(err < 0.25, "COUNT estimate err {err}: {est} vs {truth}");
     }
@@ -637,8 +637,8 @@ mod tests {
     fn avg_estimate_reasonable() {
         let (spn, db) = spn_and_db();
         let q = parse("SELECT AVG(f.distance) FROM flights f WHERE f.month = 3").unwrap();
-        let truth = db.execute(&q).unwrap().rows[0][0].as_f64().unwrap();
-        let est = spn.estimate(&q).unwrap().rows[0][0].as_f64().unwrap();
+        let truth = db.execute(&q).unwrap().rows.get(0, 0).as_f64().unwrap();
+        let est = spn.estimate(&q).unwrap().rows.get(0, 0).as_f64().unwrap();
         let err = (est - truth).abs() / truth;
         assert!(err < 0.3, "AVG err {err}: {est} vs {truth}");
     }
@@ -656,11 +656,11 @@ mod tests {
             truth.rows.len()
         );
         // Largest group's count within 2x.
-        let t0 = truth.rows[0][1].as_f64().unwrap();
+        let t0 = truth.rows.get(0, 1).as_f64().unwrap();
         let e0 = est
             .rows
             .iter()
-            .find(|r| r[0] == truth.rows[0][0])
+            .find(|r| r[0] == truth.rows.get(0, 0))
             .map(|r| r[1].as_f64().unwrap())
             .unwrap_or(0.0);
         assert!(e0 > t0 * 0.4 && e0 < t0 * 2.5, "{e0} vs {t0}");
@@ -682,8 +682,8 @@ mod tests {
     fn full_table_count_is_exact() {
         let (spn, db) = spn_and_db();
         let q = parse("SELECT COUNT(*) FROM flights f").unwrap();
-        let truth = db.execute(&q).unwrap().rows[0][0].as_i64().unwrap() as f64;
-        let est = spn.estimate(&q).unwrap().rows[0][0].as_f64().unwrap();
+        let truth = db.execute(&q).unwrap().rows.get(0, 0).as_i64().unwrap() as f64;
+        let est = spn.estimate(&q).unwrap().rows.get(0, 0).as_f64().unwrap();
         assert!((est - truth).abs() < 1.0, "{est} vs {truth}");
     }
 
@@ -691,8 +691,8 @@ mod tests {
     fn sum_estimate_reasonable() {
         let (spn, db) = spn_and_db();
         let q = parse("SELECT SUM(f.distance) FROM flights f WHERE f.distance >= 500").unwrap();
-        let truth = db.execute(&q).unwrap().rows[0][0].as_f64().unwrap();
-        let est = spn.estimate(&q).unwrap().rows[0][0].as_f64().unwrap();
+        let truth = db.execute(&q).unwrap().rows.get(0, 0).as_f64().unwrap();
+        let est = spn.estimate(&q).unwrap().rows.get(0, 0).as_f64().unwrap();
         let err = (est - truth).abs() / truth;
         assert!(err < 0.3, "SUM err {err}: {est} vs {truth}");
     }

@@ -51,15 +51,20 @@ pub fn approximate_aggregate(full: &Database, subset: &Database, q: &Query) -> D
         })
         .collect();
 
-    for row in rs.rows.iter_mut() {
-        for &c in &scalable {
-            row[c] = match &row[c] {
-                Value::Int(i) => Value::Float((*i as f64 * factor).round()),
-                Value::Float(f) => Value::Float(f * factor),
-                other => other.clone(),
-            };
-        }
-    }
+    rs.rows = rs
+        .rows
+        .iter()
+        .map(|mut row| {
+            for &c in &scalable {
+                row[c] = match row[c] {
+                    Value::Int(i) => Value::Float((i as f64 * factor).round()),
+                    Value::Float(f) => Value::Float(f * factor),
+                    ref other => other.clone(),
+                };
+            }
+            row
+        })
+        .collect();
     Ok(rs)
 }
 
@@ -100,8 +105,8 @@ pub fn result_relative_error(q: &Query, pred: &ResultSet, truth: &ResultSet) -> 
     // BTreeMaps so the f64 error accumulation below runs in key order:
     // with hash maps the sum order (and thus the reported error, f64
     // addition being non-associative) varied run to run.
-    let truth_map: BTreeMap<_, _> = truth.rows.iter().map(|r| (key_of(r), r)).collect();
-    let pred_map: BTreeMap<_, _> = pred.rows.iter().map(|r| (key_of(r), r)).collect();
+    let truth_map: BTreeMap<_, _> = truth.rows.iter().map(|r| (key_of(&r), r)).collect();
+    let pred_map: BTreeMap<_, _> = pred.rows.iter().map(|r| (key_of(&r), r)).collect();
 
     let mut total = 0.0;
     let mut terms = 0usize;
@@ -196,7 +201,7 @@ mod tests {
         let q = parse("SELECT AVG(t.x) FROM t").unwrap();
         let approx = approximate_aggregate(&db, &sub, &q).unwrap();
         // subset = {0,10,...,90}, avg = 45; truth avg = 49.5.
-        let a = approx.rows[0][0].as_f64().unwrap();
+        let a = approx.rows.get(0, 0).as_f64().unwrap();
         assert!((a - 45.0).abs() < 1e-9);
         let truth = db.execute(&q).unwrap();
         let err = result_relative_error(&q, &approx, &truth);

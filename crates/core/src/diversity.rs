@@ -41,7 +41,7 @@ pub fn result_diversity(rows: &Rows) -> f64 {
     if rows.len() < 2 {
         return 0.0;
     }
-    let tokens: Vec<BTreeSet<String>> = rows.iter().map(row_tokens).collect();
+    let tokens: Vec<BTreeSet<String>> = rows.iter().map(|row| row_tokens(&row)).collect();
     let mut total = 0.0;
     let mut pairs = 0usize;
     for i in 0..tokens.len() {

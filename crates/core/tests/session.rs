@@ -328,8 +328,8 @@ fn aggregates_answered_from_subset_are_scaled() {
     assert_eq!(src, AnswerSource::ApproximationSet);
     // Scaled count should be in the order of the true count, not the
     // raw subset count.
-    let truth = db.execute(&agg).unwrap().rows[0][0].as_i64().unwrap() as f64;
-    let pred = rs.rows[0][0].as_f64().unwrap();
+    let truth = db.execute(&agg).unwrap().rows.get(0, 0).as_i64().unwrap() as f64;
+    let pred = rs.rows.get(0, 0).as_f64().unwrap();
     assert!(pred > 0.0 && pred <= truth * 20.0);
 }
 

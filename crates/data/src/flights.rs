@@ -253,7 +253,7 @@ mod tests {
         let late = db
             .sql("SELECT COUNT(*) FROM flights f WHERE f.dep_delay > 60")
             .unwrap();
-        let n = late.rows[0][0].as_i64().unwrap();
+        let n = late.rows.get(0, 0).as_i64().unwrap();
         assert!(n > 20 && n < 600, "tail count = {n}");
     }
 
@@ -298,6 +298,6 @@ mod tests {
         let r = db
             .sql("SELECT COUNT(*) FROM flights f WHERE f.origin = f.dest")
             .unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(0));
+        assert_eq!(r.rows.get(0, 0), Value::Int(0));
     }
 }

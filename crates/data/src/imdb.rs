@@ -315,6 +315,6 @@ mod tests {
             )
             .unwrap();
         // Every cast row joins (ids generated within range).
-        assert_eq!(r.rows[0][0], Value::Int(900));
+        assert_eq!(r.rows.get(0, 0), Value::Int(900));
     }
 }

@@ -242,6 +242,6 @@ mod tests {
         let r = db
             .sql("SELECT COUNT(*) FROM writes w JOIN author a ON w.author_id = a.id")
             .unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(700));
+        assert_eq!(r.rows.get(0, 0), Value::Int(700));
     }
 }

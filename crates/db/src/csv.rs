@@ -9,7 +9,7 @@
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
 use crate::table::Table;
-use crate::value::{Value, ValueType};
+use crate::value::{Row, Value, ValueType};
 use std::fmt::Write as _;
 
 /// Parse one CSV record (handles quotes); returns fields and consumed bytes.
@@ -202,7 +202,7 @@ pub fn load_csv(name: &str, text: &str, schema: Option<Schema>) -> DbResult<Tabl
 
 /// Export rows (a table's, or a query result's `&Rows`) with their column
 /// names as CSV text.
-pub fn to_csv<'a>(columns: &[String], rows: impl IntoIterator<Item = &'a [Value]>) -> String {
+pub fn to_csv(columns: &[String], rows: impl IntoIterator<Item = Row>) -> String {
     let quote = |s: &str| {
         if s.contains([',', '"', '\n']) {
             format!("\"{}\"", s.replace('"', "\"\""))
@@ -299,6 +299,6 @@ mod tests {
             .sql("SELECT people.name FROM people WHERE people.score >= 8")
             .unwrap();
         assert_eq!(r.rows.len(), 1);
-        assert_eq!(r.rows[0][0], Value::Str("alice".into()));
+        assert_eq!(r.rows.get(0, 0), Value::Str("alice".into()));
     }
 }

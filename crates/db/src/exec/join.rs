@@ -99,6 +99,22 @@ fn push_joined(ids: &mut Vec<usize>, t: &[usize], next: usize, rid: usize) {
     ids[at] = rid;
 }
 
+/// Row `rid` of `c` as one word, `None` for NULL. Two cells of one column
+/// have equal words exactly when they are equal as [`Value`]s: ints by
+/// their own bits, floats by canonical bits, text by dictionary code (a
+/// dictionary holds each string once).
+pub(super) fn cell_word(c: &Column, rid: usize) -> Option<u64> {
+    if c.is_null(rid) {
+        return None;
+    }
+    Some(match c.data() {
+        ColumnData::Int(d) => d[rid] as u64,
+        ColumnData::Float(d) => canonical_f64_bits(d[rid]),
+        ColumnData::Str { codes, .. } => codes[rid].into(),
+        ColumnData::Bool(d) => d[rid].into(),
+    })
+}
+
 /// murmur3's 64-bit finaliser. Join keys are canonical `f64` bit patterns,
 /// whose low 32 bits are all zero for small integers, and dictionary codes,
 /// whose high 32 are: every input bit has to reach the bits the table
@@ -231,20 +247,14 @@ pub(super) fn hash_join(
 
     if let [(ps, bs)] = *link {
         let ((pb, probe), (_, build)) = (layout.slot_column(ps), layout.slot_column(bs));
-        if numeric(probe) && numeric(build) {
-            // A word per value as `sql_cmp` equates them: two int columns
-            // by the ints' own bits, anything else by canonical f64 bits,
-            // so an int and a float that compare equal share a key.
-            let ints = probe.ty() == ValueType::Int && build.ty() == ValueType::Int;
-            let word = |c: &Column, rid: usize| match c.data() {
-                ColumnData::Int(d) if ints => (!c.is_null(rid)).then(|| d[rid] as u64),
-                _ => c.get_f64(rid).map(canonical_f64_bits),
-            };
+        if probe.ty() == build.ty() && numeric(probe) {
+            // Two int or two float columns: a word per value (an int and a
+            // float take the `Value`-keyed path below, which is exact).
             for &rid in scan {
-                chains.push(word(build, rid));
+                chains.push(cell_word(build, rid));
             }
             return join.run(&chains, |_: &mut (), t| {
-                word(probe, t[pb]).map_or(NONE, |w| chains.first(w))
+                cell_word(probe, t[pb]).map_or(NONE, |w| chains.first(w))
             });
         }
         if probe.ty() == ValueType::Str && build.ty() == ValueType::Str {

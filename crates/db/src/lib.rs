@@ -14,8 +14,8 @@
 //!   [`exec::execute`] runs exactly that [`Plan`] with vectorized scans and
 //!   hash joins. EXPLAIN ([`explain()`], [`explain_analyze`]) renders the
 //!   same `Plan` value
-//! * a result ([`ResultSet`]) whose rows are one row-major buffer ([`Rows`]):
-//!   one allocation per answer, not one per row and text cell
+//! * a result ([`ResultSet`]) whose rows ([`Rows`]) are gathered column by
+//!   column: text stays dictionary codes, with no reference count per cell
 //! * per-row **lineage** ([`Database::execute_with_lineage`]) mapping
 //!   result rows back to base rows — the hook ASQP-RL's pre-processing uses
 //!   to build its action space

@@ -274,6 +274,6 @@ mod tests {
         let StatementResult::Rows(rs) = exec(&mut db, "SELECT * FROM n") else {
             panic!()
         };
-        assert_eq!(rs.rows[0], vec![Value::Int(-3), Value::Float(-2.5)]);
+        assert_eq!(rs.rows.row(0), vec![Value::Int(-3), Value::Float(-2.5)]);
     }
 }

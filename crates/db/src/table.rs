@@ -159,6 +159,12 @@ impl Table {
         &self.columns[idx]
     }
 
+    /// The columns, as a clone of the table would share them: a holder
+    /// keeps reading them as they are now whatever the table does next.
+    pub(crate) fn shared_columns(&self) -> &Arc<Vec<Column>> {
+        &self.columns
+    }
+
     /// Append a row after validating it against the schema. This is a
     /// loader's path, a row at a time, so the derived values are dropped
     /// and rebuilt once at the next read rather than carried forward per

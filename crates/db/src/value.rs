@@ -44,7 +44,7 @@ pub enum Value {
     Bool(bool),
 }
 
-// A result is one buffer of these: its width is the memory of an answer.
+// Sort keys, join keys and computed result cells are these: keep it narrow.
 const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl Value {
@@ -93,15 +93,17 @@ impl Value {
         }
     }
 
-    /// SQL three-valued comparison: `None` when either side is NULL or the
-    /// types are incomparable; ints and floats compare numerically.
+    /// SQL three-valued comparison: `None` when either side is NULL or NaN
+    /// or the types are incomparable; ints and floats compare exactly.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
+            (Value::Int(a), Value::Float(b)) => (!b.is_nan()).then(|| cmp_int_float(*a, *b)),
+            (Value::Float(a), Value::Int(b)) => {
+                (!a.is_nan()).then(|| cmp_int_float(*b, *a).reverse())
+            }
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             _ => None,
@@ -168,7 +170,7 @@ pub(crate) fn cmp_floats(a: f64, b: f64) -> Ordering {
 }
 
 /// `i` against `f` with NaN greatest, exactly: the int is never rounded.
-fn cmp_int_float(i: i64, f: f64) -> Ordering {
+pub(crate) fn cmp_int_float(i: i64, f: f64) -> Ordering {
     if f.is_nan() {
         return Ordering::Less;
     }
@@ -197,12 +199,16 @@ impl Hash for Value {
                 2u8.hash(state);
                 canonical_f64_bits(*f).hash(state);
             }
-            Value::Str(s) => {
-                3u8.hash(state);
-                s.hash(state);
-            }
+            Value::Str(s) => hash_str(s, state),
         }
     }
+}
+
+/// How a [`Value::Str`] holding `s` hashes, for readers that hold the text
+/// without a `Value`.
+pub(crate) fn hash_str<H: Hasher>(s: &str, state: &mut H) {
+    3u8.hash(state);
+    s.hash(state);
 }
 
 /// Bit pattern with -0.0 folded into +0.0 and all NaNs folded together, so

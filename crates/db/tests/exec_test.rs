@@ -142,7 +142,7 @@ fn subset_execution_returns_subset_of_full_result() {
     assert!(!part.is_empty());
     for row in &part {
         assert!(
-            full.contains(row),
+            full.contains(&row),
             "subset produced a row not in the full answer"
         );
     }
@@ -177,12 +177,12 @@ fn global_aggregates() {
         .sql("SELECT COUNT(*), AVG(m.rating), MIN(m.year), MAX(m.year), SUM(m.id) FROM movies m")
         .unwrap();
     assert_eq!(r.rows.len(), 1);
-    assert_eq!(r.rows[0][0], Value::Int(6));
-    let avg = r.rows[0][1].as_f64().unwrap();
+    assert_eq!(r.rows.get(0, 0), Value::Int(6));
+    let avg = r.rows.get(0, 1).as_f64().unwrap();
     assert!((avg - 8.15).abs() < 1e-9);
-    assert_eq!(r.rows[0][2], Value::Int(1979));
-    assert_eq!(r.rows[0][3], Value::Int(2021));
-    assert_eq!(r.rows[0][4], Value::Int(21));
+    assert_eq!(r.rows.get(0, 2), Value::Int(1979));
+    assert_eq!(r.rows.get(0, 3), Value::Int(2021));
+    assert_eq!(r.rows.get(0, 4), Value::Int(21));
 }
 
 #[test]
@@ -192,9 +192,9 @@ fn global_aggregate_over_empty_input() {
         .sql("SELECT COUNT(*), SUM(m.id), AVG(m.rating) FROM movies m WHERE m.year > 3000")
         .unwrap();
     assert_eq!(r.rows.len(), 1);
-    assert_eq!(r.rows[0][0], Value::Int(0));
-    assert_eq!(r.rows[0][1], Value::Null);
-    assert_eq!(r.rows[0][2], Value::Null);
+    assert_eq!(r.rows.get(0, 0), Value::Int(0));
+    assert_eq!(r.rows.get(0, 1), Value::Null);
+    assert_eq!(r.rows.get(0, 2), Value::Null);
 }
 
 #[test]
@@ -391,9 +391,9 @@ fn like_and_in_execution() {
 fn sum_int_stays_int_avg_is_float() {
     let db = movie_db();
     let r = db.sql("SELECT SUM(m.year) FROM movies m").unwrap();
-    assert!(matches!(r.rows[0][0], Value::Int(_)));
+    assert!(matches!(r.rows.get(0, 0), Value::Int(_)));
     let r = db.sql("SELECT AVG(m.year) FROM movies m").unwrap();
-    assert!(matches!(r.rows[0][0], Value::Float(_)));
+    assert!(matches!(r.rows.get(0, 0), Value::Float(_)));
 }
 
 mod proptests {
@@ -473,7 +473,7 @@ mod proptests {
         ) {
             let db = arb_db(rows_a.clone(), vec![]);
             let r = db.sql("SELECT COUNT(*) FROM a").unwrap();
-            prop_assert_eq!(r.rows[0][0].clone(), Value::Int(rows_a.len() as i64));
+            prop_assert_eq!(r.rows.get(0, 0), Value::Int(rows_a.len() as i64));
         }
 
         #[test]
@@ -598,4 +598,85 @@ fn joins_on_ints_beyond_two_to_the_53_are_exact() {
     }
     let q = asqp_db::sql::parse("SELECT a.x FROM a, b WHERE a.x = b.x").unwrap();
     assert_eq!(checked(&db, &q).len(), 3);
+}
+
+/// A result holds text as dictionary codes: gathering 12 000 text cells
+/// takes a handful of references to the table's dictionary (one per
+/// projected column), not one per cell.
+#[test]
+fn a_result_takes_no_reference_per_text_cell() {
+    use asqp_db::ColumnData;
+    use std::sync::Arc;
+    let mut db = Database::new();
+    let t = db
+        .create_table(
+            "t",
+            Schema::build(&[("id", ValueType::Int), ("s", ValueType::Str)]),
+        )
+        .unwrap();
+    for i in 0..12_000i64 {
+        t.push_row(&[Value::Int(i), format!("s{}", i % 3).into()])
+            .unwrap();
+    }
+    let first_entry = |db: &Database| match db.table("t").unwrap().column(1).data() {
+        ColumnData::Str { dict, .. } => Arc::strong_count(&dict[0]),
+        _ => unreachable!("s is a text column"),
+    };
+    let sql = "SELECT t.s, t.id, t.s FROM t";
+    db.sql(sql).unwrap(); // statistics are built once, and keep their own
+    let before = first_entry(&db);
+    let rs = db.sql(sql).unwrap();
+    assert_eq!(rs.len(), 12_000);
+    assert!(
+        first_entry(&db) <= before + 4,
+        "{before} references before, {} while the result is held",
+        first_entry(&db)
+    );
+    assert_eq!(rs.rows.get(3, 0), Value::from("s0"));
+    drop(rs);
+    assert_eq!(first_entry(&db), before);
+}
+
+/// A result is a snapshot: appending to and updating its table through
+/// `&mut Database` leaves it reading the rows it was built from, and the
+/// next result reads the new ones.
+#[test]
+fn a_result_outlives_changes_to_its_table() {
+    let mut db = movie_db();
+    let sql = "SELECT m.id, m.title, m.rating FROM movies m WHERE m.year < 1990";
+    let before = db.sql(sql).unwrap();
+    let held = before.rows.to_vecs();
+    let rows = |rs: &ResultSet| rs.rows.to_vecs();
+    db.append_rows(
+        "movies",
+        &[vec![
+            Value::Int(7),
+            "Solaris".into(),
+            Value::Int(1972),
+            Value::Float(8.1),
+        ]],
+    )
+    .unwrap();
+    db.update_rows(
+        "movies",
+        &[(
+            0,
+            vec![
+                Value::Int(1),
+                "Alien³".into(),
+                Value::Int(1979),
+                Value::Null,
+            ],
+        )],
+    )
+    .unwrap();
+    assert_eq!(rows(&before), held, "the held result did not move");
+    assert_eq!(before.rows.get(0, 1), Value::from("Alien"));
+    let after = db.sql(sql).unwrap();
+    assert_eq!(after.len(), before.len() + 1);
+    assert_eq!(
+        after.rows.row(0),
+        vec![Value::Int(1), "Alien³".into(), Value::Null]
+    );
+    assert_eq!(after.rows.get(after.len() - 1, 1), Value::from("Solaris"));
 }

@@ -27,6 +27,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::convert::Infallible;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// Another instantiation of `q`'s template: every literal moved within its
 /// type (BETWEEN bounds keep their order), and the LIMIT too.
@@ -82,6 +83,16 @@ fn check(db: &Database, q: &Query) -> QueryOutput {
         assert_eq!(got.result, want.result, "{sql}");
         assert_eq!(got.lineage, want.lineage, "lineage: {sql}");
     }
+    // The engine gathers its columns, the reference pushes `Value` rows:
+    // both hash and print alike.
+    let hash = |out: &QueryOutput| {
+        let mut h = DefaultHasher::new();
+        out.result.rows.hash(&mut h);
+        h.finish()
+    };
+    assert_eq!(hash(&first), hash(&want), "hash: {sql}");
+    let debug = |out: &QueryOutput| format!("{:?}", out.result.rows);
+    assert_eq!(debug(&first), debug(&want), "debug: {sql}");
     assert_eq!(db.execute(q).expect(&sql), want.result, "rows only: {sql}");
     // Nothing here counts on `db`, so a clone's cardinality cache is empty
     // and the count is computed, not remembered.
@@ -609,4 +620,49 @@ fn strings_across_rebuilt_dictionaries() {
             check_sql(&db, sql);
         }
     }
+}
+
+/// Ints beyond ±2⁵³ against float literals and a float column compare
+/// exactly in every scan kernel, in zone pruning, in an int-to-float join
+/// and in the reference executor: `2⁵³ + 1` is not `2⁵³` as a float.
+#[test]
+fn ints_beyond_two_to_the_53_against_floats_are_exact() {
+    let p53 = 1i64 << 53;
+    let mut db = Database::new();
+    let schema = [
+        ("id", ValueType::Int),
+        ("x", ValueType::Int),
+        ("f", ValueType::Float),
+    ];
+    let t = db.create_table("t", Schema::build(&schema)).unwrap();
+    // `f` is `x` rounded to a float: exact in rows 0, 1, 4 and 5.
+    let xs = [p53 - 1, p53, p53 + 1, -p53 - 1, -p53, -p53 + 1];
+    for (id, x) in (0..).zip(xs) {
+        let row = [Value::Int(id), Value::Int(x), Value::Float(x as f64)];
+        t.push_row(&row).unwrap();
+    }
+    let big = "9007199254740992.0";
+    for (pred, rows) in [
+        (format!("t.x = {big}"), 1),
+        (format!("t.x > {big}"), 1),
+        (format!("{big} <= t.x"), 2),
+        (format!("t.x < -{big}"), 1),
+        (format!("t.x BETWEEN {big} AND 9007199254740994.0"), 2),
+        (format!("t.x NOT BETWEEN -{big} AND {big}"), 2),
+        (format!("t.x IN ({big}, -{big})"), 2),
+        (format!("t.x NOT IN ({big}, -{big})"), 4),
+        ("t.x = t.f".into(), 4),
+        ("t.f = 9007199254740993".into(), 0),
+        ("t.f < 9007199254740993".into(), 6),
+        ("t.f IN (9007199254740993, 9007199254740991)".into(), 1),
+        (
+            "t.f BETWEEN -9007199254740993 AND -9007199254740991".into(),
+            3,
+        ),
+    ] {
+        let got = check_sql(&db, &format!("SELECT t.id FROM t WHERE {pred}"));
+        assert_eq!(got.result.len(), rows, "{pred}");
+    }
+    let join = check_sql(&db, "SELECT a.id, b.id FROM t a, t b WHERE a.x = b.f");
+    assert_eq!(join.result.len(), 6);
 }

@@ -113,7 +113,7 @@ fn spn_beats_subset_counting_on_full_table_aggregates() {
     let db = asqp::data::flights::generate(Scale::Tiny, 4);
     let spn = Spn::learn(db.table("flights").unwrap());
     let q = asqp::db::sql::parse("SELECT COUNT(*) FROM flights f WHERE f.distance >= 800").unwrap();
-    let truth = db.execute(&q).unwrap().rows[0][0].as_i64().unwrap() as f64;
-    let est = spn.estimate(&q).unwrap().rows[0][0].as_f64().unwrap();
+    let truth = db.execute(&q).unwrap().rows.get(0, 0).as_i64().unwrap() as f64;
+    let est = spn.estimate(&q).unwrap().rows.get(0, 0).as_f64().unwrap();
     assert!(relative_error(est, truth) < 0.2);
 }

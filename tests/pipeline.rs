@@ -106,7 +106,7 @@ fn session_end_to_end_with_fine_tune() {
             let truth: std::collections::BTreeSet<_> =
                 db.execute(q).unwrap().rows.to_vecs().into_iter().collect();
             for row in &rs.rows {
-                assert!(truth.contains(row), "approximate answers must be sound");
+                assert!(truth.contains(&row), "approximate answers must be sound");
             }
         }
     }
@@ -150,7 +150,7 @@ fn concurrent_server_over_trained_session() {
                         let truth: std::collections::BTreeSet<_> =
                             db.execute(q).unwrap().rows.to_vecs().into_iter().collect();
                         for row in &answer.rows.rows {
-                            assert!(truth.contains(row), "approximate answers must be sound");
+                            assert!(truth.contains(&row), "approximate answers must be sound");
                         }
                     }
                 }
