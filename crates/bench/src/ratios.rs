@@ -3,14 +3,18 @@
 //! `e2e` owns absolute time. What it cannot see is an *asymptotic* slip
 //! worth a few milliseconds: statistics or zone maps falling back from
 //! O(batch) to O(rows) on an append would hide inside `refresh_s`'s bound,
-//! and a GEMM that lost its tiling, or a policy layer that went back to
-//! multiplying its state's zeros, inside `rl.update_s`'s. Each [`PAIRS`]
-//! entry therefore times a fast side and the slow side it replaced back to
-//! back in one process and judges only their **quotient**, so the host
-//! cancels; a quotient under the pair's floor fails the run. Each floor is
+//! a GEMM that lost its tiling, or a policy layer that went back to
+//! multiplying its state's zeros, inside `rl.update_s`'s, and a LIKE
+//! matcher that went back to collecting characters, inside
+//! `db.scan_us_mean`'s. Each [`PAIRS`] entry therefore times a fast side
+//! and the slow side it replaced back to back in one process and judges
+//! only their **quotient**, so the host cancels; a quotient under the
+//! pair's floor fails the run. Each floor is
 //! about a third of the lowest quotient observed on the 2-vCPU build host
 //! (the runs are in CHANGES.md, PR 17).
 
+use asqp_db::expr::like_match;
+use asqp_db::testkit::like_match_chars;
 use asqp_db::zonemap::TableZones;
 use asqp_db::{Database, Row, Schema, StatsAccum, Table, Value, ValueType};
 use asqp_nn::{Activation, LayerInput, Linear, Matrix, SetBits};
@@ -84,7 +88,7 @@ pub struct Pair {
     pub run: fn() -> (u64, u64),
 }
 
-pub const PAIRS: [Pair; 5] = [
+pub const PAIRS: [Pair; 6] = [
     Pair {
         name: "stats: absorb a 1% append vs rebuild",
         floor: 30.0,
@@ -109,6 +113,11 @@ pub const PAIRS: [Pair; 5] = [
         name: "policy layer 0, 16x1026->128: set bits vs GEMM",
         floor: 1.2,
         run: first_layer_set_bits_vs_gemm,
+    },
+    Pair {
+        name: "LIKE mask, 20 000 titles: byte offsets vs Vec<char>",
+        floor: 1.8,
+        run: like_mask_bytes_vs_chars,
     },
 ];
 
@@ -244,6 +253,32 @@ fn first_layer_set_bits_vs_gemm() -> (u64, u64) {
     (
         measure(20, 101, || pass(&bits)),
         measure(20, 101, || pass(&dense)),
+    )
+}
+
+/// The dictionary mask a scan compiles for `title LIKE p`, over 20 000
+/// distinct seeded titles (some with multi-byte text) and the workload's
+/// prefix, suffix and infix patterns: the byte-offset matcher against the
+/// `Vec<char>` reference it replaced.
+fn like_mask_bytes_vs_chars() -> (u64, u64) {
+    let words = [
+        "star", "war", "night", "amélie", "river", "東京", "blue", "the",
+    ];
+    let mut rng = StdRng::seed_from_u64(9);
+    let mut word = || words[rng.random_range(0..words.len())];
+    let titles: Vec<String> = (0..20_000)
+        .map(|i| format!("{} {} {i}", word(), word()))
+        .collect();
+    let mask = |like: fn(&str, &str) -> bool| -> Vec<bool> {
+        let patterns = ["b%", "%a", "%r%"];
+        patterns
+            .iter()
+            .flat_map(|p| titles.iter().map(move |t| like(t, p)))
+            .collect()
+    };
+    (
+        measure(3, 15, || mask(like_match)),
+        measure(3, 15, || mask(like_match_chars)),
     )
 }
 

@@ -476,33 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn append_rows_absorbs_into_cached_stats() {
-        use asqp_telemetry as telemetry;
-        use std::sync::Arc as StdArc;
-
-        let mut db = db();
-        db.table_stats("t").unwrap(); // warm the accumulator
-
-        let rec = StdArc::new(telemetry::MemoryRecorder::new());
-        telemetry::scoped(rec.clone(), || {
-            db.append_rows("t", &[vec![Value::Int(100)]]).unwrap();
-            let s = db.table_stats("t").unwrap();
-            assert_eq!(s.row_count, 6);
-            assert_eq!(s.columns[0].max, Some(Value::Int(100)));
-        });
-        let counters = &rec.report().counters;
-        assert_eq!(counters["db.stats.incremental"], 1);
-        assert!(
-            !counters.contains_key("db.stats.computes"),
-            "append must not trigger a full stats recompute"
-        );
-
-        // The maintained stats equal a from-scratch compute byte for byte.
-        let fresh = TableStats::compute(db.table("t").unwrap());
-        assert_eq!(*db.table_stats("t").unwrap(), fresh);
-    }
-
-    #[test]
     fn clone_shares_stats_until_either_side_changes() {
         // Sharing is observed through the `Arc`s, not through counters: the
         // recorder is process-wide (see above).

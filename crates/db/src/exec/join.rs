@@ -11,8 +11,8 @@ use super::vector::run_sharded;
 use crate::column::{Column, ColumnData};
 use crate::error::DbResult;
 use crate::plan::Layout;
-use crate::value::{canonical_f64_bits, Value, ValueType};
-use std::collections::hash_map::Entry;
+use crate::value::{canonical_f64_bits, Value};
+use crate::zonemap::ZoneBounds;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
@@ -172,19 +172,51 @@ impl Hasher for WordHasher {
     }
 }
 
+/// The keys a build column's words can take, `lo..=hi`, when that is known
+/// without reading the build scan: dictionary codes lie below the
+/// dictionary's length, ints within the table's whole-column zone bounds.
+fn word_range(layout: &Layout, slot: usize) -> Option<(u64, u64)> {
+    let (b, c) = layout.slot_owner(slot);
+    let table = layout.bindings[b].table;
+    match table.column(c).data() {
+        ColumnData::Str { dict, .. } => Some((0, dict.len().checked_sub(1)? as u64)),
+        ColumnData::Int(_) => match table.zone_maps().columns[c].as_ref()?.whole.bounds? {
+            ZoneBounds::Int { min, max } => Some((min as u64, max as u64)),
+            ZoneBounds::Float { .. } => None,
+        },
+        _ => None,
+    }
+}
+
+/// Where each key's chain starts and ends.
+enum Heads {
+    /// Keys `base..base + slots.len()` (wrapping), at `key - base`;
+    /// [`NONE`] marks a key no position holds.
+    Dense(u64, Vec<(usize, usize)>),
+    Hashed(HashMap<u64, (usize, usize), WordState>),
+}
+
 /// A hash join's build side: per key, the positions of the build scan that
 /// hold it, chained in scan order. `heads` maps a key to its first and last
 /// position and `next[p]` is the following position under `p`'s key, so a
 /// key's matches come out in ascending row id.
 struct Chains {
-    heads: HashMap<u64, (usize, usize), WordState>,
+    heads: Heads,
     next: Vec<usize>,
 }
 
 impl Chains {
-    fn with_capacity(n: usize) -> Chains {
+    /// Chains for `n` build positions whose keys, if `range` is given, lie in
+    /// `lo..=hi` (wrapping): dense heads when that spans under `2n`, else hashed.
+    fn new(n: usize, range: Option<(u64, u64)>) -> Chains {
+        let heads = match range {
+            Some((lo, hi)) if hi.wrapping_sub(lo) < (n as u64).saturating_mul(2) => {
+                Heads::Dense(lo, vec![(NONE, NONE); hi.wrapping_sub(lo) as usize + 1])
+            }
+            _ => Heads::Hashed(HashMap::with_capacity_and_hasher(n, WordState::default())),
+        };
         Chains {
-            heads: HashMap::with_capacity_and_hasher(n, WordState::default()),
+            heads,
             next: Vec::with_capacity(n),
         }
     }
@@ -195,23 +227,26 @@ impl Chains {
         let pos = self.next.len();
         self.next.push(NONE);
         let Some(key) = key else { return false };
-        match self.heads.entry(key) {
-            Entry::Vacant(e) => {
-                e.insert((pos, pos));
-                true
-            }
-            Entry::Occupied(mut e) => {
-                let last = &mut e.get_mut().1;
-                self.next[*last] = pos;
-                *last = pos;
-                false
-            }
+        let head = match &mut self.heads {
+            Heads::Dense(base, slots) => &mut slots[key.wrapping_sub(*base) as usize],
+            Heads::Hashed(map) => map.entry(key).or_insert((NONE, NONE)),
+        };
+        if head.0 == NONE {
+            *head = (pos, pos);
+            return true;
         }
+        self.next[head.1] = pos;
+        head.1 = pos;
+        false
     }
 
     /// First position under `key`, [`NONE`] without one.
     fn first(&self, key: u64) -> usize {
-        self.heads.get(&key).map_or(NONE, |&(first, _)| first)
+        let head = match &self.heads {
+            Heads::Dense(base, slots) => slots.get(key.wrapping_sub(*base) as usize),
+            Heads::Hashed(map) => map.get(&key),
+        };
+        head.map_or(NONE, |&(first, _)| first)
     }
 
     /// The positions chained from `first` on.
@@ -232,8 +267,6 @@ pub(super) fn hash_join(
     scan: &[usize],
     shards: usize,
 ) -> DbResult<Tuples> {
-    let numeric = |c: &Column| matches!(c.ty(), ValueType::Int | ValueType::Float);
-    let mut chains = Chains::with_capacity(scan.len());
     let join = Probe {
         tuples,
         next,
@@ -247,54 +280,61 @@ pub(super) fn hash_join(
 
     if let [(ps, bs)] = *link {
         let ((pb, probe), (_, build)) = (layout.slot_column(ps), layout.slot_column(bs));
-        if probe.ty() == build.ty() && numeric(probe) {
-            // Two int or two float columns: a word per value (an int and a
-            // float take the `Value`-keyed path below, which is exact).
-            for &rid in scan {
-                chains.push(cell_word(build, rid));
+        let chains = || Chains::new(scan.len(), word_range(layout, bs));
+        // Two int or two float columns: a word per value, the type matched
+        // once (an int and a float take the `Value`-keyed path below, which
+        // is exact). NaN, which `sql_cmp` finds equal to nothing, joins
+        // nothing, as NULL does.
+        match (build.data(), probe.data()) {
+            (ColumnData::Int(b), ColumnData::Int(p)) => {
+                return join.words(chains(), (build, b), (pb, probe, p), |v| Some(v as u64));
             }
-            return join.run(&chains, |_: &mut (), t| {
-                cell_word(probe, t[pb]).map_or(NONE, |w| chains.first(w))
-            });
-        }
-        if probe.ty() == ValueType::Str && build.ty() == ValueType::Str {
+            (ColumnData::Float(b), ColumnData::Float(p)) => {
+                let word = |v: f64| (!v.is_nan()).then(|| canonical_f64_bits(v));
+                return join.words(chains(), (build, b), (pb, probe, p), word);
+            }
             // A dictionary holds each string once, so the build scan chains
             // by code. The two columns' codes are unrelated: each distinct
             // build string maps to its chain once, and each distinct probe
             // code is translated through that map the first time a shard
             // meets it. Work follows the rows scanned and the distinct codes
             // among them, never dictionary size.
-            let mut by_str: HashMap<&str, usize> = HashMap::new();
-            for (pos, &rid) in scan.iter().enumerate() {
-                let first = chains.push(build.str_code(rid).map(u64::from));
-                if let (true, Some(s)) = (first, build.get_str(rid)) {
-                    by_str.insert(s, pos);
+            (ColumnData::Str { codes: b, dict }, ColumnData::Str { codes: p, .. }) => {
+                let (mut chains, bv, pv) = (chains(), build.validity(), probe.validity());
+                let mut by_str: HashMap<&str, usize> = HashMap::new();
+                for (pos, &rid) in scan.iter().enumerate() {
+                    if chains.push(bv[rid].then(|| b[rid].into())) {
+                        by_str.insert(&dict[b[rid] as usize], pos);
+                    }
                 }
+                return join.run(&chains, |seen: &mut HashMap<u64, usize, WordState>, t| {
+                    let rid = t[pb];
+                    if !pv[rid] {
+                        return NONE; // NULL never equi-joins
+                    }
+                    *seen.entry(p[rid].into()).or_insert_with(|| {
+                        let chain = probe.get_str(rid).and_then(|s| by_str.get(s));
+                        chain.copied().unwrap_or(NONE)
+                    })
+                });
             }
-            return join.run(&chains, |seen: &mut HashMap<u64, usize, WordState>, t| {
-                let rid = t[pb];
-                let Some(code) = probe.str_code(rid) else {
-                    return NONE; // NULL never equi-joins
-                };
-                *seen.entry(code.into()).or_insert_with(|| {
-                    let chain = probe.get_str(rid).and_then(|s| by_str.get(s));
-                    chain.copied().unwrap_or(NONE)
-                })
-            });
+            _ => {}
         }
     }
 
     // Several conditions, or a pair of types with no word-sized key: key on
-    // the values themselves, numbering distinct keys as they appear.
+    // the values themselves, numbered from 0 as they appear (dense heads).
     let (probes, builds): (Vec<_>, Vec<_>) = link
         .iter()
         .map(|&(ps, bs)| (layout.slot_column(ps), layout.slot_column(bs).1))
         .unzip();
+    let mut chains = Chains::new(scan.len(), Some((0, scan.len() as u64)));
     let mut key_ids: HashMap<Vec<Value>, u64> = HashMap::new();
     for &rid in scan {
         let key: Vec<Value> = builds.iter().map(|c| c.get(rid)).collect();
-        chains.push(if key.iter().any(Value::is_null) {
-            None // NULL never equi-joins
+        let joins_nothing = |v: &Value| v.is_null() || v.as_f64().is_some_and(f64::is_nan);
+        chains.push(if key.iter().any(joins_nothing) {
+            None // NULL and NaN never equi-join
         } else {
             let fresh = key_ids.len() as u64;
             Some(*key_ids.entry(key).or_insert(fresh))
@@ -315,6 +355,26 @@ struct Probe<'a> {
 }
 
 impl Probe<'_> {
+    /// Join on one column a side holding `T`s, keyed by `word` of each valid
+    /// value (`None` joins nothing): `next`'s column and the probed binding's.
+    fn words<T: Copy + Sync>(
+        &self,
+        mut chains: Chains,
+        (build, b): (&Column, &[T]),
+        (pb, probe, p): (usize, &Column, &[T]),
+        word: impl Fn(T) -> Option<u64> + Sync,
+    ) -> DbResult<Tuples> {
+        let (bv, pv) = (build.validity(), probe.validity());
+        for &rid in self.scan {
+            chains.push(if bv[rid] { word(b[rid]) } else { None });
+        }
+        self.run(&chains, |_: &mut (), t| {
+            let r = t[pb];
+            let key = if pv[r] { word(p[r]) } else { None };
+            key.map_or(NONE, |w| chains.first(w))
+        })
+    }
+
     /// Extend every tuple by each build row chained from `first_of(tuple)`.
     /// `M` is scratch each shard owns.
     fn run<M: Default>(
@@ -341,8 +401,8 @@ impl Probe<'_> {
 mod tests {
     use super::*;
 
-    fn chains_of(keys: &[Option<u64>]) -> Chains {
-        let mut c = Chains::with_capacity(keys.len());
+    fn chains_of(keys: &[Option<u64>], range: Option<(u64, u64)>) -> Chains {
+        let mut c = Chains::new(keys.len(), range);
         for &k in keys {
             c.push(k);
         }
@@ -358,7 +418,7 @@ mod tests {
         // Key 7 once, key 8 twice, key 9 many times, a NULL in between.
         let mut keys = vec![Some(9), Some(7), Some(8), None, Some(9), Some(8)];
         keys.extend([Some(9); 40]);
-        let c = chains_of(&keys);
+        let c = chains_of(&keys, None);
         assert_eq!(matches(&c, 7), [1]);
         assert_eq!(matches(&c, 8), [2, 5]);
         let nines: Vec<usize> = [0, 4].into_iter().chain(6..46).collect();
@@ -368,7 +428,7 @@ mod tests {
 
     #[test]
     fn push_reports_the_first_position_of_each_key() {
-        let mut c = Chains::with_capacity(0);
+        let mut c = Chains::new(0, None);
         let firsts: Vec<bool> = [Some(3), Some(3), None, Some(4), Some(3)]
             .into_iter()
             .map(|k| c.push(k))
@@ -378,11 +438,32 @@ mod tests {
 
     #[test]
     fn all_equal_keys_form_one_chain_and_an_empty_build_has_none() {
-        let c = chains_of(&[Some(5); 1000]);
+        let c = chains_of(&[Some(5); 1000], None);
         assert_eq!(matches(&c, 5), (0..1000).collect::<Vec<_>>());
-        let empty = chains_of(&[]);
+        let empty = chains_of(&[], None);
         assert!(matches(&empty, 5).is_empty());
         assert!(matches(&empty, 0).is_empty());
+    }
+
+    #[test]
+    fn dense_heads_straddle_zero_and_hashed_heads_take_sparse_keys() {
+        // Ints -2..=2 as words wrap from u64::MAX - 1 to 2; a NULL among them.
+        let mut keys = [-2i64, 2, -1, 0, -2, 1].map(|i| Some(i as u64)).to_vec();
+        keys.insert(3, None);
+        let c = chains_of(&keys, Some((-2i64 as u64, 2)));
+        assert!(matches!(&c.heads, Heads::Dense(_, slots) if slots.len() == 5));
+        let got = [-2i64, -1, 0, 1, 2, 3, -3, 1 << 40].map(|k| matches(&c, k as u64));
+        let want: [&[usize]; 8] = [&[0, 5], &[2], &[4], &[6], &[1], &[], &[], &[]];
+        assert_eq!(got, want);
+        // Keys spread over 2⁶⁴, far wider than the scan, and a NULL.
+        let sparse = [Some(0), None, Some(u64::MAX), Some(1 << 63), Some(0)];
+        let c = chains_of(&sparse, Some((0, u64::MAX)));
+        assert!(matches!(c.heads, Heads::Hashed(_)));
+        let want = [vec![0, 4], vec![2], vec![3]];
+        assert_eq!([0, u64::MAX, 1 << 63].map(|k| matches(&c, k)), want);
+        // Only NULL keys: every position is taken and none joins.
+        let c = chains_of(&[None; 3], Some((0, 0)));
+        assert_eq!((c.next.len(), matches(&c, 0)), (3, vec![]));
     }
 
     /// The keys the engine really feeds the map — small integral floats as

@@ -480,33 +480,43 @@ fn three_valued_or(l: &Value, r: &Value) -> Value {
 }
 
 /// SQL LIKE matcher: `%` matches any run (including empty), `_` one char.
-/// Case-sensitive, iterative two-pointer algorithm (no backtracking blowup).
+/// Case-sensitive, iterative two-pointer algorithm (no backtracking blowup)
+/// on byte offsets, allocating nothing: a wildcard is tested before a
+/// literal, `_` takes one whole UTF-8 character, a literal one byte.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
+    let (s, p) = (s.as_bytes(), pattern.as_bytes());
+    // The bytes of the UTF-8 character that starts with `lead`.
+    let width = |lead: u8| (lead.leading_ones() as usize).max(1);
     let (mut si, mut pi) = (0usize, 0usize);
     let (mut star_p, mut star_s) = (usize::MAX, 0usize);
     while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
+        if p.get(pi) == Some(&b'%') {
+            if pi + 1 == p.len() {
+                return true; // a trailing `%` takes the rest
+            }
+            (star_p, star_s) = (pi, si);
+            pi += 1;
+        } else if p.get(pi) == Some(&b'_') {
+            si += width(s[si]);
+            pi += 1;
+        } else if p.get(pi) == Some(&s[si]) {
             si += 1;
             pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star_p = pi;
-            star_s = si;
-            pi += 1;
         } else if star_p != usize::MAX {
-            // Backtrack: let the last % swallow one more char.
+            // Backtrack: the last `%` swallows one more character, and every
+            // byte before the next that can start the literal after it.
             pi = star_p + 1;
-            star_s += 1;
+            star_s += width(s[star_s]);
+            if !matches!(p[pi], b'_' | b'%') {
+                let skip = s[star_s..].iter().position(|&b| b == p[pi]);
+                star_s = skip.map_or(s.len(), |k| star_s + k);
+            }
             si = star_s;
         } else {
             return false;
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    p[pi..].iter().all(|&c| c == b'%')
 }
 
 impl fmt::Display for Expr {
@@ -639,6 +649,9 @@ mod tests {
         assert!(like_match("aaab", "%ab"));
         assert!(!like_match("abc", "abcd"));
         assert!(like_match("mississippi", "%iss%pi"));
+        // `%` is a wildcard where the text has one; `_` takes a whole character.
+        assert!(like_match("50% off", "50%") && like_match("%abc", "%"));
+        assert!(like_match("%日本", "%_") && like_match("Amélie", "Am_lie"));
     }
 
     #[test]

@@ -101,15 +101,35 @@ fn check(db: &Database, q: &Query) -> QueryOutput {
     first
 }
 
-const STR_POOL: &[&str] = &["alpha", "beta", "gamma", "delta", "epsilon", "zeta", ""];
-const LIKE_PATTERNS: &[&str] = &["%a%", "a%", "%ta", "_e%", "%", "ga__a", "%z%"];
+const STR_POOL: &[&str] = &[
+    "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "", "50% off", "a_b", "Amélie",
+];
+const LIKE_PATTERNS: &[&str] = &[
+    "%a%", "a%", "%ta", "_e%", "%", "ga__a", "%z%", "50%", "%é%", "_b%",
+];
+
+/// Ints a float cannot hold and the ends of `i64`, drawn at a small rate.
+const EDGE_INTS: [i64; 6] = [
+    (1 << 53) + 1,
+    (1 << 53) - 1,
+    -(1 << 53) - 1,
+    -(1 << 53) + 1,
+    i64::MIN,
+    i64::MAX,
+];
 
 fn random_value(rng: &mut StdRng, ty: ValueType) -> Value {
     if rng.random_bool(0.12) {
         return Value::Null;
     }
+    let edge = rng.random_bool(0.04);
     match ty {
+        ValueType::Int if edge => Value::Int(EDGE_INTS[rng.random_range(0..EDGE_INTS.len())]),
         ValueType::Int => Value::Int(rng.random_range(-20i64..50)),
+        // NaN equals nothing, not even NaN; -0.0 equals 0.0.
+        ValueType::Float if edge => {
+            Value::Float(if rng.random_bool(0.5) { f64::NAN } else { -0.0 })
+        }
         // Quantized floats so equality predicates and joins actually hit.
         ValueType::Float => Value::Float(rng.random_range(-10i64..10) as f64 * 0.5),
         ValueType::Str => Value::from(STR_POOL[rng.random_range(0..STR_POOL.len())]),
@@ -665,4 +685,31 @@ fn ints_beyond_two_to_the_53_against_floats_are_exact() {
     }
     let join = check_sql(&db, "SELECT a.id, b.id FROM t a, t b WHERE a.x = b.f");
     assert_eq!(join.result.len(), 6);
+}
+
+/// NaN keys equi-join nothing, NaN included, on the word path (two float
+/// columns) and on the `Value`-keyed path (an int against a float, and two
+/// conditions); -0.0 joins 0.0. `sql_cmp` decides both, in the engine as
+/// in the reference.
+#[test]
+fn nan_keys_join_nothing_and_signed_zeros_join() {
+    let mut db = Database::new();
+    let schema = [("id", ValueType::Int), ("x", ValueType::Float)];
+    for (name, xs) in [
+        ("a", [f64::NAN, -0.0, 0.0, 1.5]),
+        ("b", [f64::NAN, 0.0, 2.0, -0.0]),
+    ] {
+        let t = db.create_table(name, Schema::build(&schema)).unwrap();
+        for (id, x) in (0..).zip(xs) {
+            t.push_row(&[Value::Int(id), Value::Float(x)]).unwrap();
+        }
+    }
+    for (sql, rows) in [
+        ("SELECT a.x, b.x FROM a, b WHERE a.x = b.x", 4),
+        ("SELECT a.id, b.id FROM a, b WHERE a.id = b.x", 3),
+        ("SELECT a.id FROM a, b WHERE a.x = b.x AND a.id = b.id", 1),
+        ("SELECT a.id FROM a, b WHERE a.x = b.x AND a.id < b.id", 2),
+    ] {
+        assert_eq!(check_sql(&db, sql).result.len(), rows, "{sql}");
+    }
 }
