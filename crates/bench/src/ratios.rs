@@ -6,7 +6,8 @@
 //! a GEMM that lost its tiling, or a policy layer that went back to
 //! multiplying its state's zeros, inside `rl.update_s`'s, and a LIKE
 //! matcher that went back to collecting characters, inside
-//! `db.scan_us_mean`'s. Each [`PAIRS`] entry therefore times a fast side
+//! `db.scan_us_mean`'s, and an appended count that went back to scanning
+//! the tables the batch joins, inside `refresh_s`'s. Each [`PAIRS`] entry therefore times a fast side
 //! and the slow side it replaced back to back in one process and judges
 //! only their **quotient**, so the host cancels; a quotient under the
 //! pair's floor fails the run. Each floor is
@@ -88,7 +89,7 @@ pub struct Pair {
     pub run: fn() -> (u64, u64),
 }
 
-pub const PAIRS: [Pair; 6] = [
+pub const PAIRS: [Pair; 7] = [
     Pair {
         name: "stats: absorb a 1% append vs rebuild",
         floor: 30.0,
@@ -118,6 +119,11 @@ pub const PAIRS: [Pair; 6] = [
         name: "LIKE mask, 20 000 titles: byte offsets vs Vec<char>",
         floor: 1.8,
         run: like_mask_bytes_vs_chars,
+    },
+    Pair {
+        name: "count of a 3-table join: a 1% append vs a recount",
+        floor: 18.0,
+        run: appended_count_vs_recount,
     },
 ];
 
@@ -279,6 +285,33 @@ fn like_mask_bytes_vs_chars() -> (u64, u64) {
     (
         measure(3, 15, || mask(like_match)),
         measure(3, 15, || mask(like_match_chars)),
+    )
+}
+
+/// The fact table after a 1 % append, joined to two dimensions of 10 000
+/// and 5 000 rows, each half filtered: what the append added to the count
+/// (the plan starts from the batch and probes both dimensions through their
+/// join indexes) against the whole count (a dimension's filtered scan
+/// probes a build over every fact row).
+fn appended_count_vs_recount() -> (u64, u64) {
+    let (_, mut db) = append_fixture();
+    for (name, rows) in [("users", FACT_ROWS / 10), ("items", FACT_ROWS / 20)] {
+        let schema = Schema::build(&[("id", ValueType::Int), ("x", ValueType::Int)]);
+        let table = db.create_table(name, schema).expect("fresh table");
+        for id in 0..rows as i64 {
+            let row = [Value::Int(id), Value::Int(id % 10)];
+            table.push_row(&row).expect("row matches schema");
+        }
+    }
+    let q = asqp_db::sql::parse(
+        "SELECT e.id FROM users AS u, events AS e, items AS i \
+         WHERE e.user_id = u.id AND e.item_id = i.id AND u.x < 5 AND i.x > 4",
+    )
+    .expect("valid SQL");
+    let count = |added| asqp_db::testkit::count(&db, &q, added).expect("the query runs");
+    (
+        measure(3, 15, || count(Some(("events", FACT_ROWS)))),
+        measure(3, 15, || count(None)),
     )
 }
 

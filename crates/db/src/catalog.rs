@@ -240,14 +240,14 @@ impl Database {
             Err(Some(e)) => match self.appended_to(query, &e.tables, &tables) {
                 Some(added) => {
                     telemetry::counter("db.count_cache.appended", 1);
-                    e.count + count_rows(self, query, shards, Some(added))?
+                    e.count + count_rows(self, query, shards, Some(added))?.0
                 }
                 None => {
                     telemetry::counter("db.count_cache.stale", 1);
-                    count_rows(self, query, shards, None)?
+                    count_rows(self, query, shards, None)?.0
                 }
             },
-            Err(None) => count_rows(self, query, shards, None)?,
+            Err(None) => count_rows(self, query, shards, None)?.0,
         };
         self.count_cache.put(key, CountEntry { tables, count });
         Ok(count)

@@ -213,6 +213,41 @@ impl Column {
         }
     }
 
+    /// Rows `rids` of this column, in that order, stored as pushing their
+    /// values would store them: NULL as the zero value, text re-coded in
+    /// first-seen order, sharing this dictionary's entries.
+    pub(crate) fn gather(&self, rids: &[usize]) -> Column {
+        let valid = &self.validity;
+        let data = match &self.data {
+            ColumnData::Int(d) => ColumnData::Int(gather_valid(d, rids, valid)),
+            ColumnData::Float(d) => ColumnData::Float(gather_valid(d, rids, valid)),
+            ColumnData::Bool(d) => ColumnData::Bool(gather_valid(d, rids, valid)),
+            ColumnData::Str { codes, dict } => {
+                let (mut recoded, mut entries) = (vec![u32::MAX; dict.len()], Vec::new());
+                let mut recode = |code: u32| {
+                    let new = &mut recoded[code as usize];
+                    if *new == u32::MAX {
+                        *new = entries.len() as u32;
+                        entries.push(Arc::clone(&dict[code as usize]));
+                    }
+                    *new
+                };
+                let codes = rids
+                    .iter()
+                    .map(|&r| if valid[r] { recode(codes[r]) } else { 0 });
+                ColumnData::Str {
+                    codes: codes.collect(),
+                    dict: entries,
+                }
+            }
+        };
+        Column {
+            data,
+            validity: rids.iter().map(|&r| valid[r]).collect(),
+            dict_index: HashMap::new(), // rebuilt by the first push
+        }
+    }
+
     /// Raw access to the payload for vectorised operators.
     pub fn data(&self) -> &ColumnData {
         &self.data
@@ -221,6 +256,13 @@ impl Column {
     pub fn validity(&self) -> &[bool] {
         &self.validity
     }
+}
+
+/// `d` at `rids`, the zero value where `valid` is false.
+fn gather_valid<T: Copy + Default>(d: &[T], rids: &[usize], valid: &[bool]) -> Vec<T> {
+    rids.iter()
+        .map(|&r| if valid[r] { d[r] } else { T::default() })
+        .collect()
 }
 
 /// Find-or-insert a dictionary code for `s`, lazily rebuilding the reverse

@@ -19,7 +19,7 @@
 use crate::catalog::Database;
 use crate::error::DbResult;
 use crate::expr::Expr;
-use crate::optimizer::plan_query;
+use crate::optimizer::{plan_counting, plan_query};
 use crate::plan::{Layout, Output, Plan};
 use crate::query::Query;
 use crate::value::{Row, Value};
@@ -29,7 +29,7 @@ use std::collections::HashSet;
 use std::sync::OnceLock;
 
 pub(crate) mod aggregate;
-mod join;
+pub(crate) mod join;
 mod rows;
 mod vector;
 
@@ -91,8 +91,12 @@ pub struct QueryOutput {
 pub struct ExecTrace {
     /// Binding indices in the order they were actually joined.
     pub join_order: Vec<usize>,
-    /// Rows surviving each binding's filtered scan (FROM order).
+    /// Rows surviving each binding's filtered scan (FROM order); for a
+    /// binding probed through its join index, the matches kept.
     pub scan_rows: Vec<usize>,
+    /// Per binding, `Some(n)` when it was probed through its join index,
+    /// `n` the matches the index returned before the binding's filters.
+    pub probed: Vec<Option<usize>>,
     /// Intermediate size after each join step, before residual filters
     /// (aligned with `join_order[1..]`).
     pub join_rows: Vec<usize>,
@@ -130,7 +134,7 @@ pub fn execute(plan: &Plan, shards: usize) -> DbResult<QueryOutput> {
 /// `table` at or past `from_row` are counted: for an SPJ query without a
 /// LIMIT that names `table` once, what appending those rows added to the
 /// count. The caller ([`Database::cached_row_count`]) checks those
-/// conditions.
+/// conditions. Returns the count and the execution's trace.
 // asqp::panic-free-audited: the executor `plan_and_execute` is audited for,
 // leaving before or after its output stage
 pub(crate) fn count_rows(
@@ -138,16 +142,17 @@ pub(crate) fn count_rows(
     query: &Query,
     shards: usize,
     added: Option<(&str, usize)>,
-) -> DbResult<usize> {
+) -> DbResult<(usize, ExecTrace)> {
     let _exec_span = telemetry::span("db.execute");
-    let plan = plan_query(db, query)?;
+    let plan = plan_counting(db, query, added)?;
     if query.distinct || matches!(plan.bound.output, Output::Groups(_)) {
-        return Ok(execute_plan(&plan, shards, false)?.result.len());
+        let out = execute_plan(&plan, shards, false)?;
+        return Ok((out.result.len(), out.trace));
     }
-    let (tuples, _) = joined(&plan, shards, added)?;
+    let (tuples, trace) = joined(&plan, shards, added)?;
     let n = tuples.len().min(query.limit.unwrap_or(usize::MAX));
     telemetry::counter("db.rows_out", n as u64);
-    Ok(n)
+    Ok((n, trace))
 }
 
 /// The executor's first stage: filtered scans, joins in the planned order
@@ -163,44 +168,69 @@ fn joined(
     // each emission below is one relaxed atomic load.
     let bound = &plan.bound;
     let layout = &bound.layout;
-
-    // --- Filtered scans (predicate pushdown) ----------------------------
-    let mut scans: Vec<Vec<usize>> = Vec::with_capacity(layout.bindings.len());
-    {
-        let _scan_span = telemetry::span("db.exec.scan");
-        for (b, pushed) in layout.bindings.iter().zip(&bound.pushed) {
-            let from_row = match added {
-                Some((table, from_row)) if b.table.name() == table => from_row,
-                _ => 0,
-            };
-            scans.push(vector::filtered_scan_vectorized(
-                b.table,
-                pushed,
-                shards,
-                plan.scan_limit,
-                from_row,
-            )?);
-        }
-        if telemetry::enabled() {
-            telemetry::counter(
-                "db.scan.rows_in",
-                layout
-                    .bindings
-                    .iter()
-                    .map(|b| b.table.row_count() as u64)
-                    .sum(),
-            );
-            telemetry::counter(
-                "db.scan.rows_out",
-                scans.iter().map(|s| s.len() as u64).sum(),
-            );
-        }
-    }
-    let scan_rows: Vec<usize> = scans.iter().map(Vec::len).collect();
-
-    // --- Join ------------------------------------------------------------
     let nb = layout.bindings.len();
     let order = &plan.join_order;
+    let from_row = |b: usize| match added {
+        Some((table, from_row)) if layout.bindings[b].table.name() == table => from_row,
+        _ => 0,
+    };
+    // Per join step, the conditions linking its binding to the joined set,
+    // as (probe slot from the tuples, build slot from the binding).
+    let links: Vec<Vec<(usize, usize)>> = (order[1..].iter().zip(plan.join_steps()))
+        .map(|(&next, conds)| {
+            let link = conds.iter().map(|&j| &bound.joins[j]).map(|j| {
+                let mut slots = [j.left_slot, j.right_slot];
+                slots.rotate_left(usize::from(j.left_binding == next));
+                (slots[0], slots[1])
+            });
+            link.collect()
+        })
+        .collect();
+
+    // --- Filtered scans (predicate pushdown) ----------------------------
+    // The start binding is scanned. A later one joined on one int or float
+    // key is probed through its table's join index instead when it has no
+    // filter and no `added` bound, or when the tuples expected to enter its
+    // step times its rows per key fall under its rows: the crossover
+    // measured on the miss templates (DESIGN §11).
+    let mut scans: Vec<Vec<usize>> = vec![Vec::new(); nb];
+    let mut index_keys: Vec<Option<(usize, usize)>> = vec![None; nb];
+    {
+        let _scan_span = telemetry::span("db.exec.scan");
+        let scan = |b: usize| {
+            let table = layout.bindings[b].table;
+            let (pushed, limit) = (&bound.pushed[b], plan.scan_limit);
+            vector::filtered_scan_vectorized(table, pushed, shards, limit, from_row(b))
+        };
+        scans[order[0]] = scan(order[0])?;
+        // Tuples entering each step: the start scan's, then the plan's
+        // estimates scaled by how far off its start estimate was.
+        let started = scans[order[0]].len() as f64;
+        let scale = started / plan.est_scan_rows[order[0]].max(1.0);
+        let entering = std::iter::once(started).chain(plan.est_join_rows.iter().map(|e| e * scale));
+        for ((&b, link), tuples) in order[1..].iter().zip(&links).zip(entering) {
+            let table = layout.bindings[b].table;
+            index_keys[b] = join::indexable(layout, link).filter(|&(_, col)| {
+                let rows = table.row_count() as f64;
+                let distinct = table.stats().columns[col].distinct.max(1) as f64;
+                (bound.pushed[b].is_empty() && from_row(b) == 0) || tuples * rows / distinct < rows
+            });
+            if index_keys[b].is_none() {
+                scans[b] = scan(b)?;
+            }
+        }
+        if telemetry::enabled() {
+            let scanned = (0..nb).filter(|&b| index_keys[b].is_none());
+            let rows_in = scanned.map(|b| layout.bindings[b].table.row_count() as u64);
+            telemetry::counter("db.scan.rows_in", rows_in.sum());
+            let rows_out = scans.iter().map(|s| s.len() as u64);
+            telemetry::counter("db.scan.rows_out", rows_out.sum());
+        }
+    }
+    let mut scan_rows: Vec<usize> = scans.iter().map(Vec::len).collect();
+    let mut probed = vec![None; nb];
+
+    // --- Join ------------------------------------------------------------
     let mut is_joined = vec![false; nb];
     let start = order[0];
     let mut tuples = Tuples::seed(nb, start, std::mem::take(&mut scans[start]));
@@ -217,25 +247,28 @@ fn joined(
     } else {
         None
     };
-    for (&next, conds) in order[1..].iter().zip(plan.join_steps()) {
-        // Conditions linking `next` to the joined set, as (probe slot from
-        // the tuples, build slot from `next`).
-        let link: Vec<(usize, usize)> = conds
-            .iter()
-            .map(|&j| &bound.joins[j])
-            .map(|j| {
-                if j.left_binding == next {
-                    (j.right_slot, j.left_slot)
-                } else {
-                    (j.left_slot, j.right_slot)
+    for (&next, link) in order[1..].iter().zip(&links) {
+        tuples = match index_keys[next] {
+            Some((ps, col)) => {
+                let table = layout.bindings[next].table;
+                let probe = join::Probe::new(&tuples, next, None, shards);
+                let mut out = probe.words(&table.join_index(col), layout.slot_column(ps))?;
+                probed[next] = Some(out.len());
+                let (pushed, from) = (&bound.pushed[next], from_row(next));
+                if !pushed.is_empty() || from > 0 {
+                    // Filter the matched rows as the scan would, in tuple
+                    // order: the rows that pass are those of the kept tuples.
+                    let rows = out.iter().map(|t| t[next]);
+                    let mut sel: Vec<usize> = rows.filter(|&r| r >= from).collect();
+                    vector::compile(pushed, table).filter(table, &mut sel)?;
+                    let mut kept = sel.into_iter().peekable();
+                    out.try_retain(|t| Ok(kept.next_if_eq(&t[next]).is_some()))?;
                 }
-            })
-            .collect();
-
-        tuples = if link.is_empty() {
-            tuples.cross(next, &scans[next])
-        } else {
-            join::hash_join(layout, &tuples, &link, next, &scans[next], shards)?
+                scan_rows[next] = out.len();
+                out
+            }
+            None if link.is_empty() => tuples.cross(next, &scans[next]),
+            None => join::hash_join(layout, &tuples, link, next, &scans[next], shards)?,
         };
         is_joined[next] = true;
         join_rows.push(tuples.len());
@@ -264,6 +297,7 @@ fn joined(
     let trace = ExecTrace {
         join_order: order.clone(),
         scan_rows,
+        probed,
         join_rows,
     };
     Ok((tuples, trace))

@@ -1,16 +1,19 @@
 //! The join's own data: joined tuples as one flat buffer of row ids, the
-//! hash build as one chained index over the build scan, and the probes.
+//! hash build as one chained index over the build scan or over a whole
+//! column (the index a [`Table`] keeps), and the probes.
 //!
 //! Every probe emits, for each tuple in order, its key's matches in build
-//! scan order. Scans ascend, shards are contiguous tuple ranges concatenated
-//! in range order, so the output is lexicographic in base row ids taken in
-//! join order whatever the shard count — the order the reference executor
+//! scan order, which is ascending row id; a column index chains every row
+//! in row order. Shards are contiguous tuple ranges concatenated in range
+//! order, so the output is lexicographic in base row ids taken in join
+//! order whatever the shard count — the order the reference executor
 //! enumerates.
 
 use super::vector::run_sharded;
 use crate::column::{Column, ColumnData};
 use crate::error::DbResult;
 use crate::plan::Layout;
+use crate::table::Table;
 use crate::value::{canonical_f64_bits, Value};
 use crate::zonemap::ZoneBounds;
 use std::collections::HashMap;
@@ -115,6 +118,13 @@ pub(super) fn cell_word(c: &Column, rid: usize) -> Option<u64> {
     })
 }
 
+/// [`cell_word`] as an equi-join key: NaN, which `sql_cmp` finds equal to
+/// nothing, joins nothing, as NULL does.
+fn key_word(c: &Column, rid: usize) -> Option<u64> {
+    let nan = matches!(c.data(), ColumnData::Float(d) if d[rid].is_nan());
+    cell_word(c, rid).filter(|_| !nan)
+}
+
 /// murmur3's 64-bit finaliser. Join keys are canonical `f64` bit patterns,
 /// whose low 32 bits are all zero for small integers, and dictionary codes,
 /// whose high 32 are: every input bit has to reach the bits the table
@@ -172,12 +182,10 @@ impl Hasher for WordHasher {
     }
 }
 
-/// The keys a build column's words can take, `lo..=hi`, when that is known
-/// without reading the build scan: dictionary codes lie below the
+/// The keys column `c` of `table` can take as words, `lo..=hi`, when that is
+/// known without reading the build scan: dictionary codes lie below the
 /// dictionary's length, ints within the table's whole-column zone bounds.
-fn word_range(layout: &Layout, slot: usize) -> Option<(u64, u64)> {
-    let (b, c) = layout.slot_owner(slot);
-    let table = layout.bindings[b].table;
+fn word_range(table: &Table, c: usize) -> Option<(u64, u64)> {
     match table.column(c).data() {
         ColumnData::Str { dict, .. } => Some((0, dict.len().checked_sub(1)? as u64)),
         ColumnData::Int(_) => match table.zone_maps().columns[c].as_ref()?.whole.bounds? {
@@ -199,8 +207,9 @@ enum Heads {
 /// A hash join's build side: per key, the positions of the build scan that
 /// hold it, chained in scan order. `heads` maps a key to its first and last
 /// position and `next[p]` is the following position under `p`'s key, so a
-/// key's matches come out in ascending row id.
-struct Chains {
+/// key's matches come out in ascending row id. Over all of a column's rows
+/// (its join index) a position is a row id.
+pub(crate) struct Chains {
     heads: Heads,
     next: Vec<usize>,
 }
@@ -219,6 +228,20 @@ impl Chains {
             heads,
             next: Vec::with_capacity(n),
         }
+    }
+
+    /// Chains over rows `rids` of column `col` of `table`, keyed by
+    /// [`key_word`]; over all its rows, that column's join index.
+    pub(crate) fn over(
+        table: &Table,
+        col: usize,
+        rids: impl ExactSizeIterator<Item = usize>,
+    ) -> Chains {
+        let mut chains = Chains::new(rids.len(), word_range(table, col));
+        for rid in rids {
+            chains.push(key_word(table.column(col), rid));
+        }
+        chains
     }
 
     /// Take the build scan's next position under `key`; `None` joins
@@ -267,63 +290,47 @@ pub(super) fn hash_join(
     scan: &[usize],
     shards: usize,
 ) -> DbResult<Tuples> {
-    let join = Probe {
-        tuples,
-        next,
-        scan,
-        shards: if tuples.len() >= PARALLEL_PROBE_MIN {
-            shards
-        } else {
-            1
-        },
-    };
-
+    let join = Probe::new(tuples, next, Some(scan), shards);
+    let table = layout.bindings[next].table;
+    if let Some((ps, c)) = indexable(layout, link) {
+        let chains = Chains::over(table, c, scan.iter().copied());
+        return join.words(&chains, layout.slot_column(ps));
+    }
     if let [(ps, bs)] = *link {
         let ((pb, probe), (_, build)) = (layout.slot_column(ps), layout.slot_column(bs));
-        let chains = || Chains::new(scan.len(), word_range(layout, bs));
-        // Two int or two float columns: a word per value, the type matched
-        // once (an int and a float take the `Value`-keyed path below, which
-        // is exact). NaN, which `sql_cmp` finds equal to nothing, joins
-        // nothing, as NULL does.
-        match (build.data(), probe.data()) {
-            (ColumnData::Int(b), ColumnData::Int(p)) => {
-                return join.words(chains(), (build, b), (pb, probe, p), |v| Some(v as u64));
-            }
-            (ColumnData::Float(b), ColumnData::Float(p)) => {
-                let word = |v: f64| (!v.is_nan()).then(|| canonical_f64_bits(v));
-                return join.words(chains(), (build, b), (pb, probe, p), word);
-            }
-            // A dictionary holds each string once, so the build scan chains
-            // by code. The two columns' codes are unrelated: each distinct
-            // build string maps to its chain once, and each distinct probe
-            // code is translated through that map the first time a shard
-            // meets it. Work follows the rows scanned and the distinct codes
-            // among them, never dictionary size.
-            (ColumnData::Str { codes: b, dict }, ColumnData::Str { codes: p, .. }) => {
-                let (mut chains, bv, pv) = (chains(), build.validity(), probe.validity());
-                let mut by_str: HashMap<&str, usize> = HashMap::new();
-                for (pos, &rid) in scan.iter().enumerate() {
-                    if chains.push(bv[rid].then(|| b[rid].into())) {
-                        by_str.insert(&dict[b[rid] as usize], pos);
-                    }
+        // A dictionary holds each string once, so the build scan chains by
+        // code. The two columns' codes are unrelated: each distinct build
+        // string maps to its chain once, and each distinct probe code is
+        // translated through that map the first time a shard meets it.
+        // Work follows the rows scanned and the distinct codes among them,
+        // never dictionary size.
+        if let (ColumnData::Str { codes: b, dict }, ColumnData::Str { codes: p, .. }) =
+            (build.data(), probe.data())
+        {
+            let mut chains = Chains::new(scan.len(), word_range(table, layout.slot_owner(bs).1));
+            let (bv, pv) = (build.validity(), probe.validity());
+            let mut by_str: HashMap<&str, usize> = HashMap::new();
+            for (pos, &rid) in scan.iter().enumerate() {
+                if chains.push(bv[rid].then(|| b[rid].into())) {
+                    by_str.insert(&dict[b[rid] as usize], pos);
                 }
-                return join.run(&chains, |seen: &mut HashMap<u64, usize, WordState>, t| {
-                    let rid = t[pb];
-                    if !pv[rid] {
-                        return NONE; // NULL never equi-joins
-                    }
-                    *seen.entry(p[rid].into()).or_insert_with(|| {
-                        let chain = probe.get_str(rid).and_then(|s| by_str.get(s));
-                        chain.copied().unwrap_or(NONE)
-                    })
-                });
             }
-            _ => {}
+            return join.run(&chains, |seen: &mut HashMap<u64, usize, WordState>, t| {
+                let rid = t[pb];
+                if !pv[rid] {
+                    return NONE; // NULL never equi-joins
+                }
+                *seen.entry(p[rid].into()).or_insert_with(|| {
+                    let chain = probe.get_str(rid).and_then(|s| by_str.get(s));
+                    chain.copied().unwrap_or(NONE)
+                })
+            });
         }
     }
 
-    // Several conditions, or a pair of types with no word-sized key: key on
-    // the values themselves, numbered from 0 as they appear (dense heads).
+    // Several conditions, or a pair of types with no word-sized key (an int
+    // and a float take this path, which is exact): key on the values
+    // themselves, numbered from 0 as they appear (dense heads).
     let (probes, builds): (Vec<_>, Vec<_>) = link
         .iter()
         .map(|&(ps, bs)| (layout.slot_column(ps), layout.slot_column(bs).1))
@@ -346,32 +353,49 @@ pub(super) fn hash_join(
     })
 }
 
+/// The one condition of `link` when it joins two int or two float columns,
+/// which word keys serve: its probe slot and the build binding's column.
+pub(super) fn indexable(layout: &Layout, link: &[(usize, usize)]) -> Option<(usize, usize)> {
+    let [(ps, bs)] = *link else { return None };
+    let [probe, build] = [ps, bs].map(|s| layout.slot_column(s).1.data());
+    let numeric = matches!(build, ColumnData::Int(_) | ColumnData::Float(_));
+    let same = std::mem::discriminant(probe) == std::mem::discriminant(build);
+    (numeric && same).then(|| (ps, layout.slot_owner(bs).1))
+}
+
 /// One join step's probe side.
-struct Probe<'a> {
+pub(super) struct Probe<'a> {
     tuples: &'a Tuples,
     next: usize,
-    scan: &'a [usize],
+    /// The build scan a chain position indexes; `None` when positions are
+    /// row ids (a column index).
+    scan: Option<&'a [usize]>,
     shards: usize,
 }
 
-impl Probe<'_> {
-    /// Join on one column a side holding `T`s, keyed by `word` of each valid
-    /// value (`None` joins nothing): `next`'s column and the probed binding's.
-    fn words<T: Copy + Sync>(
-        &self,
-        mut chains: Chains,
-        (build, b): (&Column, &[T]),
-        (pb, probe, p): (usize, &Column, &[T]),
-        word: impl Fn(T) -> Option<u64> + Sync,
-    ) -> DbResult<Tuples> {
-        let (bv, pv) = (build.validity(), probe.validity());
-        for &rid in self.scan {
-            chains.push(if bv[rid] { word(b[rid]) } else { None });
+impl<'a> Probe<'a> {
+    pub(super) fn new(
+        tuples: &'a Tuples,
+        next: usize,
+        scan: Option<&'a [usize]>,
+        shards: usize,
+    ) -> Self {
+        let parallel = tuples.len() >= PARALLEL_PROBE_MIN;
+        let shards = if parallel { shards } else { 1 };
+        Probe {
+            tuples,
+            next,
+            scan,
+            shards,
         }
-        self.run(&chains, |_: &mut (), t| {
-            let r = t[pb];
-            let key = if pv[r] { word(p[r]) } else { None };
-            key.map_or(NONE, |w| chains.first(w))
+    }
+
+    /// Probe `chains` with the word key ([`key_word`]) of column `probe` of
+    /// binding `pb`: with `scan` `None`, a column's join index, for the probe
+    /// slot of an [`indexable`] link.
+    pub(super) fn words(&self, chains: &Chains, (pb, probe): (usize, &Column)) -> DbResult<Tuples> {
+        self.run(chains, |_: &mut (), t| {
+            key_word(probe, t[pb]).map_or(NONE, |w| chains.first(w))
         })
     }
 
@@ -388,7 +412,7 @@ impl Probe<'_> {
             let mut out = Vec::with_capacity((b - a) * nb);
             for t in self.tuples.ids[a * nb..b * nb].chunks_exact(nb) {
                 for p in chains.chain(first_of(&mut scratch, t)) {
-                    push_joined(&mut out, t, self.next, self.scan[p]);
+                    push_joined(&mut out, t, self.next, self.scan.map_or(p, |s| s[p]));
                 }
             }
             Ok(out)

@@ -21,7 +21,7 @@ use crate::expr::{like_match, CmpOp, Expr};
 use crate::plan::Conjunct;
 use crate::table::Table;
 use crate::value::{cmp_int_float, Row, Value};
-use crate::zonemap::{Zone, ZoneBounds, MORSEL_ROWS};
+use crate::zonemap::{ColumnZones, TableZones, Zone, ZoneBounds, MORSEL_ROWS};
 use asqp_telemetry as telemetry;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -211,6 +211,29 @@ pub(super) fn compile(conjuncts: &[Conjunct], table: &Table) -> Compiled {
         kernels,
         any_prunable,
         always_empty,
+    }
+}
+
+impl Compiled {
+    /// Whether a kernel provably rejects every row of the zone `zone_of`
+    /// picks from its column's zone maps in `zones`.
+    fn skips(&self, zones: Option<&TableZones>, zone_of: impl Fn(&ColumnZones) -> &Zone) -> bool {
+        let zones = zones.map_or(&[][..], |z| &z.columns[..]);
+        self.kernels.iter().any(|k| {
+            let column = k.prune_col().and_then(|col| zones.get(col)?.as_ref());
+            column.is_some_and(|cz| kernel_skips(k, zone_of(cz)))
+        })
+    }
+
+    /// Keep, in place and in order, the rows of `sel` every kernel passes.
+    pub(super) fn filter(&self, table: &Table, sel: &mut Vec<usize>) -> DbResult<()> {
+        for k in &self.kernels {
+            if sel.is_empty() {
+                break;
+            }
+            apply_kernel(k, table, sel)?;
+        }
+        Ok(())
     }
 }
 
@@ -611,24 +634,12 @@ pub(super) fn filtered_scan_vectorized(
     if compiled.always_empty || from_row >= n {
         return Ok(Vec::new());
     }
-    let zones = if compiled.any_prunable {
-        Some(table.zone_maps())
-    } else {
-        None
-    };
+    let zones = compiled.any_prunable.then(|| table.zone_maps());
 
     // Whole-table pruning from the fold of all chunk bounds.
-    if let Some(z) = &zones {
-        for k in &compiled.kernels {
-            if let Some(col) = k.prune_col() {
-                if let Some(cz) = &z.columns[col] {
-                    if kernel_skips(k, &cz.whole) {
-                        telemetry::counter("db.zonemap.tables_pruned", 1);
-                        return Ok(Vec::new());
-                    }
-                }
-            }
-        }
+    if compiled.skips(zones.as_deref(), |cz| &cz.whole) {
+        telemetry::counter("db.zonemap.tables_pruned", 1);
+        return Ok(Vec::new());
     }
 
     // Pruned-vs-scanned accounting: each shard tallies locally and folds
@@ -649,30 +660,17 @@ pub(super) fn filtered_scan_vectorized(
         let mut out = Vec::new();
         let mut sel: Vec<usize> = Vec::with_capacity(MORSEL_ROWS);
         let (mut pruned, mut scanned) = (0u64, 0u64);
-        'chunks: for ch in first + c0..first + c1 {
+        for ch in first + c0..first + c1 {
             let start = (ch * MORSEL_ROWS).max(from_row);
             let end = ((ch + 1) * MORSEL_ROWS).min(n);
-            if let Some(z) = &zones {
-                for k in &compiled.kernels {
-                    if let Some(col) = k.prune_col() {
-                        if let Some(cz) = &z.columns[col] {
-                            if kernel_skips(k, &cz.chunks[ch]) {
-                                pruned += 1;
-                                continue 'chunks;
-                            }
-                        }
-                    }
-                }
+            if compiled.skips(zones.as_deref(), |cz| &cz.chunks[ch]) {
+                pruned += 1;
+                continue;
             }
             scanned += 1;
             sel.clear();
             sel.extend(start..end);
-            for k in &compiled.kernels {
-                if sel.is_empty() {
-                    break;
-                }
-                apply_kernel(k, table, &mut sel)?;
-            }
+            compiled.filter(table, &mut sel)?;
             out.extend_from_slice(&sel);
             if out.len() >= cap {
                 // This shard alone can satisfy the pushed-down limit; later

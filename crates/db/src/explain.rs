@@ -92,7 +92,7 @@ fn render(plan: &Plan, trace: Option<&ExecTrace>) -> String {
             format!("ON {}", list(conds, " AND "))
         };
         let actual = trace.and_then(|t| t.join_rows.get(step));
-        let est = card(plan.est_join_rows.get(step), actual);
+        let est = card(plan.est_join_rows.get(step), "", actual);
         let _ = writeln!(out, "{}Join {on}  ({est})", pad(depth));
     }
     for (i, &b) in plan.join_order.iter().enumerate() {
@@ -101,11 +101,16 @@ fn render(plan: &Plan, trace: Option<&ExecTrace>) -> String {
             table if table == binding.name => table.to_string(),
             table => format!("{table} AS {}", binding.name),
         };
+        // A binding the execution probed through its join index prints as
+        // `Index probe`, with the matches the index returned.
+        let probed = trace.and_then(|t| t.probed.get(b).copied().flatten());
+        let candidates = probed.map_or(String::new(), |n| format!(", candidates {n}"));
         let actual = trace.and_then(|t| t.scan_rows.get(b));
-        let est = card(plan.est_scan_rows.get(b), actual);
+        let est = card(plan.est_scan_rows.get(b), &candidates, actual);
+        let access = ["Scan", "Index probe"][usize::from(probed.is_some())];
         // Scan `i` hangs under join step `i - 1`; the first two are siblings.
         let depth = steps.len() - i.saturating_sub(1);
-        let _ = write!(out, "{}Scan {name}  ({est})", pad(depth));
+        let _ = write!(out, "{}{access} {name}  ({est})", pad(depth));
         if !bound.pushed[b].is_empty() {
             let filters = bound.pushed[b].iter().map(|f| &f.named);
             let _ = write!(out, "  [pushed: {}]", list(filters, " AND "));
@@ -160,11 +165,12 @@ fn referenced_columns(bound: &Bound) -> Option<Vec<bool>> {
     Some(needed)
 }
 
-/// `est ~N rows` plus `, actual M` when an execution trace exists.
-fn card(est: Option<&f64>, actual: Option<&usize>) -> String {
+/// `est ~N rows`, then `extra`, then `, actual M` when an execution trace
+/// exists.
+fn card(est: Option<&f64>, extra: &str, actual: Option<&usize>) -> String {
     let mut s = match est {
-        Some(e) => format!("est ~{} rows", e.round().max(0.0) as u64),
-        None => "est ? rows".to_string(),
+        Some(e) => format!("est ~{} rows{extra}", e.round().max(0.0) as u64),
+        None => format!("est ? rows{extra}"),
     };
     if let Some(a) = actual {
         let _ = write!(s, ", actual {a}");

@@ -29,14 +29,30 @@ use std::sync::Arc;
 /// every join condition from `db`'s statistics, then order the joins by
 /// cost.
 pub fn plan_query<'a>(db: &'a Database, query: &'a Query) -> DbResult<Plan<'a>> {
+    plan_counting(db, query, None)
+}
+
+/// [`plan_query`] for a count of the tuples that use a row of table
+/// `added.0` at or past row `added.1` ([`crate::exec::count_rows`]): that
+/// binding is estimated over those rows alone, so the plan starts from an
+/// appended batch. A count does not depend on join order.
+pub(crate) fn plan_counting<'a>(
+    db: &'a Database,
+    query: &'a Query,
+    added: Option<(&str, usize)>,
+) -> DbResult<Plan<'a>> {
     let bound = bind(db, query)?;
     let _s = telemetry::span("db.optimize");
     let model = CostModel::new(db, &bound)?;
-    let est_scan_rows: Vec<f64> = bound
-        .pushed
-        .iter()
+    let est_scan_rows: Vec<f64> = (bound.layout.bindings.iter().zip(&bound.pushed))
         .enumerate()
-        .map(|(b, filters)| model.scan_rows(b, filters))
+        .map(|(b, (binding, filters))| {
+            let (table, rows) = (binding.table, binding.table.row_count());
+            let appended = added.filter(|&(name, _)| table.name() == name);
+            let past = appended.map_or(rows, |(_, from)| rows.saturating_sub(from));
+            // `past == rows` multiplies by exactly 1.
+            model.scan_rows(b, filters) * (past as f64 / rows.max(1) as f64)
+        })
         .collect();
     let conds: Vec<(usize, usize, f64)> = bound
         .joins

@@ -2,6 +2,7 @@
 
 use crate::column::Column;
 use crate::error::{DbError, DbResult};
+use crate::exec::join::Chains;
 use crate::schema::Schema;
 use crate::stats::{StatsAccum, TableStats};
 use crate::value::{Row, Value};
@@ -9,7 +10,7 @@ use crate::zonemap::{TableZones, MORSEL_ROWS};
 use asqp_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// In-memory table: one [`Column`] per schema column, all equal length.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -47,6 +48,11 @@ pub struct Table {
     accum: Derived<StatsAccum>,
     #[serde(skip)]
     stats: Derived<TableStats>,
+    /// Per column, the join index: [`Chains::over`] all its rows, built by
+    /// the first join that probes it. Shared by a clone like the cells
+    /// above; every mutation drops it.
+    #[serde(skip)]
+    index: Derived<Vec<OnceLock<Arc<Chains>>>>,
 }
 
 /// A value derived from a table's rows, built on the first read and cached.
@@ -124,6 +130,7 @@ impl Table {
             zones: Derived::default(),
             accum: Derived::default(),
             stats: Derived::default(),
+            index: Derived::default(),
         }
     }
 
@@ -179,6 +186,7 @@ impl Table {
         self.zones.set(None);
         self.accum.set(None);
         self.stats.set(None);
+        self.index.set(None);
         Ok(())
     }
 
@@ -198,6 +206,7 @@ impl Table {
         }
         let old_rows = self.row_count;
         self.stats.set(None);
+        self.index.set(None);
         let (zones, mut accum) = (self.zones.take(), self.accum.take());
         let columns = Arc::make_mut(&mut self.columns);
         for row in rows {
@@ -238,6 +247,7 @@ impl Table {
             return Ok(0);
         }
         self.stats.set(None);
+        self.index.set(None);
         let (zones, mut accum) = (self.zones.take(), self.accum.take());
         let mut acc = accum.as_mut().map(|acc| {
             telemetry::counter("db.stats.incremental", 1);
@@ -285,6 +295,14 @@ impl Table {
         })
     }
 
+    /// The join index of column `col` (see the field docs).
+    pub(crate) fn join_index(&self, col: usize) -> Arc<Chains> {
+        let cells =
+            (self.index).get_or_build(|| self.columns.iter().map(|_| OnceLock::new()).collect());
+        let build = || Arc::new(Chains::over(self, col, 0..self.row_count));
+        Arc::clone(cells[col].get_or_init(build))
+    }
+
     /// Materialise a full row.
     pub fn row(&self, idx: usize) -> Row {
         self.columns.iter().map(|c| c.get(idx)).collect()
@@ -294,25 +312,22 @@ impl Table {
         self.columns[col].get(row)
     }
 
-    /// Build a new table containing only `row_ids` (in the given order).
-    /// This is how approximation-set sub-databases are materialised.
+    /// Build a new table containing only `row_ids` (in the given order),
+    /// gathered column by column. This is how approximation-set
+    /// sub-databases are materialised.
     pub fn subset(&self, row_ids: &[usize]) -> DbResult<Table> {
-        let mut t = Table::with_capacity(self.name.clone(), self.schema.clone(), row_ids.len());
-        for &rid in row_ids {
-            if rid >= self.row_count {
-                return Err(DbError::ShapeMismatch(format!(
-                    "row id {rid} out of range for table {} ({} rows)",
-                    self.name, self.row_count
-                )));
-            }
-            let row = self.row(rid);
-            t.push_row(&row)?;
+        if let Some(rid) = row_ids.iter().find(|&&rid| rid >= self.row_count) {
+            return Err(DbError::ShapeMismatch(format!(
+                "row id {rid} out of range for table {} ({} rows)",
+                self.name, self.row_count
+            )));
         }
         // A subset is a snapshot of its parent *at the parent's current
-        // version*: it inherits that version (overwriting the bumps from the
-        // build loop above), so its data fingerprint names the state of the
-        // parent it was cut from until either side mutates.
-        t.data_version = self.data_version;
+        // version*: it inherits that version, so its data fingerprint names
+        // the state of the parent it was cut from until either side mutates.
+        let mut t = self.empty_like();
+        t.columns = Arc::new(self.columns.iter().map(|c| c.gather(row_ids)).collect());
+        t.row_count = row_ids.len();
         Ok(t)
     }
 
@@ -451,6 +466,31 @@ mod tests {
         );
         assert_eq!((t.row_count(), t.value(0, 1)), (3, "Alien".into()));
         assert_eq!((copy.row_count(), copy.value(0, 1)), (4, "Aliens".into()));
+    }
+
+    #[test]
+    fn every_mutation_drops_the_join_index_a_clone_shares() {
+        // Seen in the table's own cells, not through a process-wide counter.
+        let cell = |t: &Table| t.index.0.read().unwrap().clone();
+        let t = movies();
+        let (index, built) = (t.join_index(0), cell(&t).expect("built"));
+        let mutations: [fn(&mut Table, Row); 3] = [
+            |t, row| t.push_row(&row).unwrap(),
+            |t, row| assert_eq!(t.append_rows(&[row]).unwrap(), 1),
+            |t, row| assert_eq!(t.update_rows(&[(0, row)]).unwrap(), 1),
+        ];
+        for mutate in mutations {
+            let mut copy = t.clone();
+            assert!(Arc::ptr_eq(&built, &cell(&copy).expect("shared")));
+            assert!(Arc::ptr_eq(&index, &copy.join_index(0)));
+            mutate(&mut copy, vec![Value::Int(4), "Dune".into(), Value::Null]);
+            assert!(cell(&copy).is_none(), "the mutated clone dropped it");
+            assert!(!Arc::ptr_eq(&index, &copy.join_index(0)), "built anew");
+            assert!(
+                Arc::ptr_eq(&index, &t.join_index(0)),
+                "the original keeps it"
+            );
+        }
     }
 
     #[test]

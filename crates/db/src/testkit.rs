@@ -6,7 +6,7 @@
 
 use crate::catalog::Database;
 use crate::error::DbResult;
-use crate::exec::{aggregate, ExecTrace, QueryOutput, ResultSet, Rows};
+use crate::exec::{aggregate, count_rows, ExecTrace, QueryOutput, ResultSet, Rows};
 use crate::expr::Expr;
 use crate::plan::{bind, Output};
 use crate::query::Query;
@@ -15,6 +15,18 @@ use crate::stats::{ColumnStats, TableStats, HIST_BUCKETS, TOP_K};
 use crate::table::Table;
 use crate::value::{Row, Value, ValueType};
 use std::collections::{BTreeMap, HashSet};
+
+/// What [`Database::cached_row_count`] runs on a miss, on one shard: with
+/// `added = Some((table, from_row))` the count of the tuples that use a
+/// row of `table` at or past `from_row` (what an append added), else the
+/// whole count; and the trace of that execution.
+pub fn count(
+    db: &Database,
+    query: &Query,
+    added: Option<(&str, usize)>,
+) -> DbResult<(usize, ExecTrace)> {
+    count_rows(db, query, 1, added)
+}
 
 /// Reference executor: nested loops over the *unfiltered* tables, nesting
 /// the bindings in `order` (outermost first), with the whole predicate —

@@ -111,13 +111,14 @@ fn history_cannot_change_a_plan() {
 
     let text = explain_analyze(&db, &live).unwrap();
     assert_eq!(text, explain_analyze(&star_db(), &live).unwrap());
-    // The estimates are the live literals': 1 % of events, all but a few users.
+    // The estimates are the live literals': 1 % of events, all but a few
+    // users, which the 100 events rows probe through the users index.
     assert!(
         text.contains("Scan events AS e  (est ~101 rows, actual 100)"),
         "{text}"
     );
     assert!(
-        text.contains("Scan users AS u  (est ~500 rows, actual 493)"),
+        text.contains("Index probe users AS u  (est ~500 rows, candidates 100, actual 100)"),
         "{text}"
     );
 }

@@ -155,14 +155,19 @@ fn add_random_table(db: &mut Database, rng: &mut StdRng, name: &str, rows: usize
         cols.push((n.as_str(), *t));
     }
     let t = db.create_table(name, Schema::build(&cols)).unwrap();
-    let id_span = (rows as i64 / 2).max(1);
     for _ in 0..rows {
-        let mut row = vec![Value::Int(rng.random_range(0..id_span))];
-        for ty in &tys {
-            row.push(random_value(rng, *ty));
-        }
-        t.push_row(&row).unwrap();
+        t.push_row(&random_row(rng, t.schema(), rows)).unwrap();
     }
+}
+
+/// A row for `schema`, whose first column is the `id` of a table of about
+/// `rows` rows (ids in `0..rows / 2`).
+fn random_row(rng: &mut StdRng, schema: &Schema, rows: usize) -> Vec<Value> {
+    let mut row = vec![Value::Int(rng.random_range(0..(rows as i64 / 2).max(1)))];
+    for c in &schema.columns()[1..] {
+        row.push(random_value(rng, c.ty));
+    }
+    row
 }
 
 /// One random single-column (occasionally multi-column) conjunct over a
@@ -346,12 +351,21 @@ fn random_query(rng: &mut StdRng, db: &Database, ntables: usize) -> Query {
     }
 
     let nconj = rng.random_range(0usize..=3);
-    let conjs: Vec<Expr> = (0..nconj)
+    let mut conjs: Vec<Expr> = (0..nconj)
         .map(|_| {
             let b = rng.random_range(0..ntables);
             random_conjunct(rng, &format!("a{b}"), &cols[b])
         })
         .collect();
+    // Filters on two bindings at once, so that a filtered start often
+    // feeds a filtered binding few enough tuples for it to be probed
+    // through its join index and then filtered, not only scanned or
+    // probed bare.
+    if ntables > 1 && rng.random_bool(0.5) {
+        for b in [0, rng.random_range(1..ntables)] {
+            conjs.push(random_conjunct(rng, &format!("a{b}"), &cols[b]));
+        }
+    }
 
     let select = if rng.random_bool(0.5) {
         vec![SelectItem::Star]
@@ -417,15 +431,117 @@ proptest! {
     #[test]
     fn join_pipelines_agree(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let ntables = rng.random_range(2usize..=3);
-        let mut db = Database::new();
-        for i in 0..ntables {
-            let rows = rng.random_range(5usize..45);
-            add_random_table(&mut db, &mut rng, &format!("t{i}"), rows);
-        }
+        let (db, ntables) = random_join_db(&mut rng);
         for _ in 0..2 {
             let q = random_query(&mut rng, &db, ntables);
             check(&db, &q);
+        }
+    }
+}
+
+/// Two or three random tables `t0`, `t1`, … of 5–44 rows each.
+fn random_join_db(rng: &mut StdRng) -> (Database, usize) {
+    let ntables = rng.random_range(2usize..=3);
+    let mut db = Database::new();
+    for i in 0..ntables {
+        let rows = rng.random_range(5usize..45);
+        add_random_table(&mut db, rng, &format!("t{i}"), rows);
+    }
+    (db, ntables)
+}
+
+/// How each binding after the first was reached in `out`: 0 probed through
+/// its join index with nothing to filter, 1 probed and then filtered, 2
+/// scanned (and built on, or crossed).
+fn access_paths(db: &Database, q: &Query, out: &QueryOutput) -> Vec<usize> {
+    let plan = plan_query(db, q).unwrap();
+    let later = out.trace.join_order[1..].iter();
+    later
+        .map(|&b| match out.trace.probed[b] {
+            Some(_) if plan.bound.pushed[b].is_empty() => 0,
+            Some(_) => 1,
+            None => 2,
+        })
+        .collect()
+}
+
+/// The random join queries draw every access path of a later binding, each
+/// checked against the reference.
+#[test]
+fn random_joins_draw_every_access_path() {
+    let mut drawn = [0usize; 3];
+    for seed in 0..48 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (db, ntables) = random_join_db(&mut rng);
+        for _ in 0..2 {
+            let q = random_query(&mut rng, &db, ntables);
+            for path in access_paths(&db, &q, &check(&db, &q)) {
+                drawn[path] += 1;
+            }
+        }
+    }
+    assert!(drawn.iter().all(|&n| n >= 20), "{drawn:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A join index never outlives the rows it indexes: between two runs of
+    /// one join query a bound table grows by a few rows or has one row
+    /// overwritten, and both runs equal the reference, on the mutated
+    /// database and on a clone taken before the change, which shares the
+    /// indexes the first run built.
+    #[test]
+    fn join_indexes_follow_appends_and_updates(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut db, ntables) = random_join_db(&mut rng);
+        let q = random_query(&mut rng, &db, ntables);
+        check(&db, &q);
+        for _ in 0..3 {
+            let before = db.clone();
+            let name = format!("t{}", rng.random_range(0..ntables));
+            let t = db.table(&name).unwrap();
+            let (schema, n) = (t.schema().clone(), t.row_count());
+            if rng.random_bool(0.5) {
+                let rows: Vec<Vec<Value>> = (0..rng.random_range(1..6))
+                    .map(|_| random_row(&mut rng, &schema, n))
+                    .collect();
+                db.append_rows(&name, &rows).unwrap();
+            } else {
+                let row = random_row(&mut rng, &schema, n);
+                db.update_rows(&name, &[(rng.random_range(0..n), row)]).unwrap();
+            }
+            check(&db, &q);
+            check(&before, &q);
+        }
+    }
+
+    /// After random appends to random tables a count carried across them
+    /// (`db.count_cache.appended`, planned from the appended rows) is the
+    /// number of rows the query returns.
+    #[test]
+    fn appended_counts_equal_row_counts(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut db, ntables) = random_join_db(&mut rng);
+        let queries: Vec<Query> = (0..4)
+            .map(|i| {
+                let q = random_query(&mut rng, &db, ntables);
+                // Half are counted by adding what an append added.
+                Query { distinct: q.distinct && i % 2 == 0, limit: q.limit.filter(|_| i % 2 == 0), ..q }
+            })
+            .collect();
+        for round in 0..4 {
+            for q in &queries {
+                let want = db.execute(q).unwrap().rows.len();
+                prop_assert_eq!(db.cached_row_count(q).unwrap(), want, "{} (round {})", q.to_sql(), round);
+            }
+            let name = format!("t{}", rng.random_range(0..ntables));
+            let t = db.table(&name).unwrap();
+            let (schema, n) = (t.schema().clone(), t.row_count());
+            let rows: Vec<Vec<Value>> = (0..rng.random_range(1..8))
+                .map(|_| random_row(&mut rng, &schema, n))
+                .collect();
+            db.append_rows(&name, &rows).unwrap();
         }
     }
 }
@@ -711,5 +827,146 @@ fn nan_keys_join_nothing_and_signed_zeros_join() {
         ("SELECT a.id FROM a, b WHERE a.x = b.x AND a.id < b.id", 2),
     ] {
         assert_eq!(check_sql(&db, sql).result.len(), rows, "{sql}");
+    }
+}
+
+/// Keys a join index must get right, each probed through the index (the
+/// later binding has no filter): an all-NULL int key, an empty build
+/// table, NaN and −0.0 float keys, and the ends of `i64`, which span more
+/// than a dense index holds.
+#[test]
+fn index_probes_on_edge_keys() {
+    let mut db = Database::new();
+    let schema = [("k", ValueType::Int), ("f", ValueType::Float)];
+    let null = Value::Null;
+    let (min, max) = (Value::Int(i64::MIN), Value::Int(i64::MAX));
+    let nan = Value::Float(f64::NAN);
+    let tables: [(&str, Vec<[Value; 2]>); 5] = [
+        (
+            "a",
+            vec![
+                [min.clone(), nan.clone()],
+                [max.clone(), Value::Float(-0.0)],
+            ],
+        ),
+        (
+            "b",
+            vec![
+                [max, Value::Float(0.0)],
+                [Value::Int(0), nan.clone()],
+                [min, Value::Float(-0.0)],
+                [Value::Int(7), nan],
+                [Value::Int(0), Value::Float(1.0)],
+            ],
+        ),
+        ("n", vec![[null.clone(), null.clone()]; 6]),
+        ("e", vec![]),
+        ("e2", vec![]),
+    ];
+    for (name, rows) in tables {
+        let t = db.create_table(name, Schema::build(&schema)).unwrap();
+        for row in rows {
+            t.push_row(&row).unwrap();
+        }
+    }
+    for (sql, rows) in [
+        ("SELECT a.k, b.k FROM a, b WHERE a.k = b.k", 2),
+        ("SELECT a.f, b.f FROM a, b WHERE a.f = b.f", 2),
+        ("SELECT a.k FROM a, b WHERE a.k = b.k AND b.f >= 0.0", 2),
+        ("SELECT a.k FROM a, n WHERE a.k = n.k", 0),
+        ("SELECT a.f FROM a, n WHERE a.f = n.f", 0),
+        ("SELECT e.k FROM e, e2 WHERE e.k = e2.k", 0),
+    ] {
+        let got = check_sql(&db, sql);
+        assert_eq!(got.result.len(), rows, "{sql}");
+        assert!(got.trace.probed[1].is_some(), "{sql}: {:?}", got.trace);
+    }
+}
+
+/// An appended count of a three-table join starts from the appended rows
+/// and reaches both other tables through their join indexes, scanning
+/// neither; what it adds is what the append added to the count.
+#[test]
+fn appended_three_table_count_probes_both_indexes() {
+    let mut db = Database::new();
+    let tables = [("title", "id", "year"), ("person", "id", "gender")];
+    for (name, key, attr) in tables {
+        let t = db
+            .create_table(
+                name,
+                Schema::build(&[(key, ValueType::Int), (attr, ValueType::Int)]),
+            )
+            .unwrap();
+        for i in 0..400i64 {
+            t.push_row(&[Value::Int(i), Value::Int(i % 7)]).unwrap();
+        }
+    }
+    let cast = db
+        .create_table(
+            "cast_info",
+            Schema::build(&[("movie_id", ValueType::Int), ("person_id", ValueType::Int)]),
+        )
+        .unwrap();
+    for i in 0..2000i64 {
+        cast.push_row(&[Value::Int(i % 400), Value::Int(i * 7 % 400)])
+            .unwrap();
+    }
+    let q = asqp_db::sql::parse(
+        "SELECT t.id, p.id FROM title AS t, cast_info AS c, person AS p \
+         WHERE t.id = c.movie_id AND c.person_id = p.id AND p.gender = 1 AND t.year > 2",
+    )
+    .unwrap();
+    let before = db.cached_row_count(&q).unwrap();
+    let batch: Vec<Vec<Value>> = (0..20i64)
+        .map(|i| vec![Value::Int(i * 19 % 400), Value::Int(i * 3 % 400)])
+        .collect();
+    db.append_rows("cast_info", &batch).unwrap();
+    let added = Some(("cast_info", 2000));
+    let (added, trace) = asqp_db::testkit::count(&db, &q, added).unwrap();
+    assert_eq!(trace.join_order[0], 1, "starts from the batch: {trace:?}");
+    assert_eq!(trace.scan_rows[1], 20);
+    assert!(
+        trace.probed[0].is_some() && trace.probed[2].is_some(),
+        "{trace:?}"
+    );
+    assert_eq!(before + added, db.execute(&q).unwrap().rows.len());
+    assert_eq!(db.cached_row_count(&q).unwrap(), before + added);
+}
+
+/// A subset gathered column by column stores what pushing its rows one by
+/// one stores: payloads, NULLs, dictionary codes in first-seen order, and
+/// so the same statistics and zone maps.
+#[test]
+fn subset_gathers_what_pushing_rows_stores() {
+    for seed in 0..16u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut db = Database::new();
+        let rows = rng.random_range(0usize..300);
+        add_random_table(&mut db, &mut rng, "t", rows);
+        let t = db.table("t").unwrap();
+        let n = t.row_count();
+        let ids: Vec<usize> = (0..rng.random_range(0..2 * n + 1))
+            .map(|_| rng.random_range(0..n.max(1)))
+            .filter(|_| n > 0)
+            .collect();
+        let got = t.subset(&ids).unwrap();
+        let mut want = asqp_db::Table::new("t", t.schema().clone());
+        for &rid in &ids {
+            want.push_row(&t.row(rid)).unwrap();
+        }
+        assert_eq!(got.row_count(), want.row_count());
+        for c in 0..t.schema().len() {
+            let (g, w) = (got.column(c), want.column(c));
+            assert_eq!(
+                format!("{:?}", g.data()),
+                format!("{:?}", w.data()),
+                "seed {seed}"
+            );
+            assert_eq!(g.validity(), w.validity());
+        }
+        // As text: a NaN among the floats is unequal to itself.
+        let text = |t: &asqp_db::Table| format!("{:?} {:?}", t.stats(), t.zone_maps());
+        assert_eq!(text(&got), text(&want), "seed {seed}");
+        assert_eq!(got.data_version(), t.data_version());
     }
 }
