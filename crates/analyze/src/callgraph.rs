@@ -1,6 +1,6 @@
 //! Stage B: the workspace call graph and the interprocedural rules.
 //!
-//! Consumes the per-file [`FileSummary`] facts and runs three fixpoints
+//! Consumes the per-file [`FileSummary`] facts and runs two fixpoints
 //! over the resolved graph:
 //!
 //! * `locks_touched` — which named lock fields each fn can acquire,
@@ -14,8 +14,6 @@
 //!   panic-family macros/indexing, unless the callee carries a
 //!   `// asqp::panic-free-audited:` pragma or the offending site is
 //!   suppressed with `asqp::allow(panic-path)`.
-//! * `returns_tainted` — iteration-order taint through return values
-//!   (the cross-file half of `taint`).
 //!
 //! Call resolution is name-based (DESIGN.md §14): `self.f()` resolves
 //! within the impl owner, `Type::f()`/`module::f()` by qualifier, bare
@@ -403,33 +401,6 @@ pub fn check_workspace(sums: &[FileSummary], allows: &AllowTable) -> Vec<Finding
         parts.join(" → ")
     };
 
-    // ---- fixpoint 3: returns_tainted ----------------------------------
-    let mut ret_taint: Vec<bool> = (0..n).map(|r| ix.fact(r).returns_tainted).collect();
-    loop {
-        let mut changed = false;
-        for r in 0..n {
-            if ret_taint[r] {
-                continue;
-            }
-            let f = ix.fact(r);
-            'calls: for (ci, c) in f.calls.iter().enumerate() {
-                if !c.to_return {
-                    continue;
-                }
-                for &cal in &resolved[r][ci] {
-                    if ret_taint[cal] {
-                        ret_taint[r] = true;
-                        changed = true;
-                        break 'calls;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
     // ---- lock-acquisition graph ---------------------------------------
     let mut edges: BTreeSet<LockEdge> = BTreeSet::new();
     for (r, res) in resolved.iter().enumerate() {
@@ -659,45 +630,6 @@ pub fn check_workspace(sums: &[FileSummary], allows: &AllowTable) -> Vec<Finding
         }
     }
 
-    // ---- rule: iter-order across calls --------------------------------
-    for (r, res) in resolved.iter().enumerate() {
-        let f = ix.fact(r);
-        if !rules::ITER_ORDER.covers(&f.module) {
-            continue;
-        }
-        for (ci, c) in f.calls.iter().enumerate() {
-            if !c.taints_sink {
-                continue;
-            }
-            for &cal in &res[ci] {
-                if ret_taint[cal] {
-                    if allows.suppressed(ix.path(r), "iter-order", c.line) {
-                        break;
-                    }
-                    let g = ix.fact(cal);
-                    let mpath = f.module.join("::");
-                    out.push(Finding {
-                        rule: "iter-order",
-                        path: ix.path(r).to_string(),
-                        line: c.line,
-                        col: c.col,
-                        message: format!(
-                            "`{}::{}` returns HashMap/HashSet-iteration-ordered values, \
-                             used unsanitised in `{mpath}`",
-                            g.module.join("::"),
-                            g.name,
-                        ),
-                        help: "sort the returned values before use, make the callee \
-                               return ordered data (BTreeMap/sorted Vec), or justify with \
-                               `// asqp::allow(iter-order): <reason>`"
-                            .to_string(),
-                    });
-                    break;
-                }
-            }
-        }
-    }
-
     out
 }
 
@@ -791,12 +723,7 @@ mod tests {
     fn workspace(files: &[(&str, &str)]) -> Vec<Finding> {
         let sums: Vec<FileSummary> = files
             .iter()
-            .map(|(p, s)| {
-                let model = build_model(p, s);
-                let mut sum = summarize(&model);
-                crate::taint::annotate(&model, &mut sum, |m| rules::ITER_ORDER.covers(m));
-                sum
-            })
+            .map(|(p, s)| summarize(&build_model(p, s)))
             .collect();
         let allows = AllowTable::build(&sums);
         check_workspace(&sums, &allows)
@@ -868,32 +795,6 @@ mod tests {
         let src = "// asqp::panic-free-audited: nothing here can panic\nfn safe() -> u32 { 1 }\n";
         let fs = workspace(&[("crates/db/src/exec.rs", src)]);
         assert!(fs.iter().any(|f| f.rule == "unused-audit"), "{fs:?}");
-    }
-
-    #[test]
-    fn taint_flows_through_helper_return() {
-        let helper = "use std::collections::HashMap;\nimpl Stats {\n  fn column_keys(&self) -> Vec<u32> {\n    let cols: HashMap<u32, u32> = HashMap::new();\n    cols.keys().cloned().collect()\n  }\n}\n";
-        let caller = "fn score(st: &Stats) {\n  let ks = st.column_keys();\n  emit(ks);\n}\n";
-        let fs = workspace(&[
-            ("crates/db/src/stats.rs", helper),
-            ("crates/db/src/exec.rs", caller),
-        ]);
-        assert!(
-            fs.iter()
-                .any(|f| f.rule == "iter-order" && f.path.contains("exec.rs")),
-            "{fs:?}"
-        );
-    }
-
-    #[test]
-    fn sorted_helper_result_is_clean() {
-        let helper = "use std::collections::HashMap;\nimpl Stats {\n  fn column_keys(&self) -> Vec<u32> {\n    let cols: HashMap<u32, u32> = HashMap::new();\n    cols.keys().cloned().collect()\n  }\n}\n";
-        let caller = "fn score(st: &Stats) {\n  let mut ks = st.column_keys();\n  ks.sort();\n  emit(ks);\n}\n";
-        let fs = workspace(&[
-            ("crates/db/src/stats.rs", helper),
-            ("crates/db/src/exec.rs", caller),
-        ]);
-        assert!(fs.iter().all(|f| f.rule != "iter-order"), "{fs:?}");
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! replayable chaos transcripts — all rest on invariants that nothing
 //! used to enforce: no wall-clock or ambient randomness in scored paths,
 //! no `HashMap` iteration order leaking into rewards or reports, in-order
-//! parallel reductions, no panics on the serve request path. This crate
-//! makes those invariants machine-checked the way clippy makes style
-//! machine-checked:
+//! parallel reductions, no panics on the serve request path. Clippy bans
+//! hash iteration by type (`clippy.toml`). This crate checks what clippy
+//! cannot: rules scoped per module, interprocedural or marker-based, and
+//! by-value `into_iter()` on a hash binding, the one form of hash
+//! iteration a clippy ban cannot name. It is built from:
 //!
 //! * a hand-rolled, lossless Rust [lexer] (raw strings, nested
 //!   block comments, lifetime vs. char-literal disambiguation);
@@ -28,7 +30,6 @@ pub mod engine;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
-pub mod taint;
 
 use callgraph::AllowTable;
 use diag::{Finding, Report};
@@ -39,12 +40,11 @@ use std::path::{Path, PathBuf};
 
 /// Stage A for one file: build the token model, extract the summary (fn
 /// facts, calls, lock acquisitions, panic sites), run the token-local
-/// rules and the taint pass, and fold malformed pragmas in as findings.
+/// rules, and fold malformed pragmas in as findings.
 /// The result is a pure function of `(rel_path, src)`.
 pub fn summarize_file(rel_path: &str, src: &str) -> FileSummary {
     let model = engine::build_model(rel_path, src);
     let mut sum = parse::summarize(&model);
-    taint::annotate(&model, &mut sum, |m| rules::ITER_ORDER.covers(m));
     sum.local_findings.extend(rules::check_file(&model));
     for bad in &model.bad_pragmas {
         sum.local_findings.push(Finding {
@@ -62,7 +62,7 @@ pub fn summarize_file(rel_path: &str, src: &str) -> FileSummary {
 }
 
 /// Stage B: run the workspace-wide pass (call graph, lock graph, panic
-/// and taint fixpoints) over the summaries, apply `asqp::allow`
+/// fixpoint) over the summaries, apply `asqp::allow`
 /// suppression globally, and validate the pragmas themselves.
 pub fn analyze_summaries(sums: &[FileSummary]) -> Report {
     let allows = AllowTable::build(sums);

@@ -44,11 +44,12 @@ fn parse_args() -> Result<Args, String> {
                     "asqp-analyze: determinism & panic-safety static analysis\n\n\
                      USAGE: asqp-analyze [--workspace] [--root DIR] [--json] [--out FILE]\n\n\
                      Rules: nondet, iter-order, unordered-reduce, panic-path, float-libm,\n\
-                     lock-order. panic-path and iter-order are interprocedural (workspace\n\
-                     call graph); lock-order checks the documented state -> full_db order\n\
-                     and lock-graph cycles. Suppress with `// asqp::allow(rule_id): reason`\n\
-                     (unused allows error); audit opaque callees with\n\
-                     `// asqp::panic-free-audited: reason`.\n\n\
+                     lock-order. panic-path is interprocedural (workspace call graph);\n\
+                     lock-order checks the documented state -> full_db order and lock-graph\n\
+                     cycles; iter-order flags by-value `into_iter()` on a HashMap/HashSet\n\
+                     (clippy bans every other hash iteration by type). Suppress with\n\
+                     `// asqp::allow(rule_id): reason` (unused allows error); audit opaque\n\
+                     callees with `// asqp::panic-free-audited: reason`.\n\n\
                      Exit code 1 on any finding."
                 );
                 std::process::exit(0);

@@ -49,11 +49,6 @@ pub struct CallFact {
     /// Names of live `let`-bound method calls (potential guard-returning
     /// accessors, e.g. `let state = self.state();`) at this call.
     pub held_calls: Vec<String>,
-    /// Set by `taint`: the call's result flows into this fn's return value.
-    pub to_return: bool,
-    /// Set by `taint`: the call's result is used unsanitised in an
-    /// order-sensitive way (finding if the callee returns tainted data).
-    pub taints_sink: bool,
 }
 
 /// One direct `.lock()` / `.read()` / `.write()` acquisition.
@@ -105,9 +100,6 @@ pub struct FnFact {
     pub panics: Vec<PanicFact>,
     pub calls: Vec<CallFact>,
     pub acqs: Vec<AcqFact>,
-    /// Set by `taint`: the fn returns values whose order derives from
-    /// `HashMap`/`HashSet` iteration.
-    pub returns_tainted: bool,
 }
 
 /// An `asqp::allow` pragma, as a plain fact.
@@ -119,8 +111,8 @@ pub struct AllowFact {
     pub target_line: usize,
 }
 
-/// The per-file summary: local findings (token-level rules,
-/// taint, bad pragmas) plus the function facts Stage B consumes.
+/// The per-file summary: local findings (token-level rules, bad
+/// pragmas) plus the function facts Stage B consumes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FileSummary {
     pub rel_path: String,
@@ -151,7 +143,7 @@ const PANIC_MACROS: &[&str] = &[
 ];
 
 /// Summarise one file model into Stage-B facts. `local_findings` is left
-/// for the caller to fill (token rules + taint run separately).
+/// for the caller to fill (the token rules run separately).
 pub fn summarize(model: &FileModel<'_>) -> FileSummary {
     let mut sum = FileSummary {
         rel_path: model.rel_path.clone(),
@@ -219,7 +211,6 @@ pub fn summarize(model: &FileModel<'_>) -> FileSummary {
             panics: Vec::new(),
             calls: Vec::new(),
             acqs: Vec::new(),
-            returns_tainted: false,
         };
         walk_body(model, &body, &mut fact);
         sum.fns.push(fact);
@@ -490,8 +481,6 @@ fn walk_body(model: &FileModel<'_>, body: &[usize], fact: &mut FnFact) {
                         col,
                         held_fields: held_fields(&live),
                         held_calls: held_calls(&live),
-                        to_return: false,
-                        taints_sink: false,
                     });
                     // `let NAME = [self.]call(…)<adapters>;` keeps a
                     // potential guard live until scope end.

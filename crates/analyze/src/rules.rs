@@ -1,16 +1,18 @@
-//! The rule set. Each rule is scoped to the module paths where its
-//! invariant is load-bearing (see DESIGN.md §10 for why each exists and
-//! which PR established the invariant it guards):
+//! The rule set. Each rule but `iter-order` is scoped to the module paths
+//! where its invariant is load-bearing (see DESIGN.md §10 for why each
+//! exists and which PR established the invariant it guards):
 //!
 //! * `nondet` — no wall-clock or ambient randomness in scored paths
 //!   (Eq.-1 scoring, environments, RL training, query execution). PR 1's
 //!   byte-identical fig02 runs and PR 3's worker-count-invariant PPO both
 //!   assume it.
-//! * `iter-order` — no `HashMap`/`HashSet` iteration feeding scores,
-//!   rewards or serialized reports; `BTreeMap`/`BTreeSet` iterate in key
-//!   order (the fix PR 1 applied to VERD strata). Detection is
-//!   taint-based (see `taint`) and chases helper returns through the
-//!   call graph (see `callgraph`).
+//! * `iter-order` — no `HashMap`/`HashSet` consumed by value with
+//!   `NAME.into_iter()`, in any scanned module; `BTreeMap`/`BTreeSet`
+//!   iterate in key order (the fix PR 1 applied to VERD strata). Every
+//!   other form of hash iteration (`for` loops, `iter`, `keys`, `values`,
+//!   `drain`, …) is banned by type through clippy (`clippy.toml` and
+//!   `[workspace.lints.clippy]`); this is the one form clippy cannot name
+//!   without banning `Vec::into_iter` too.
 //! * `unordered-reduce` — scoped-thread fan-ins must carry an
 //!   `// asqp::in-order-merge: …` marker documenting that the merge is
 //!   performed in deterministic order (f32 addition is not associative;
@@ -88,37 +90,6 @@ pub const NONDET: Scope = Scope {
     exempt: &["asqp_telemetry", "asqp_serve::fault"],
 };
 
-/// Anywhere map/set iteration can reach scores, rewards, strata, training
-/// inputs or serialized reports.
-pub const ITER_ORDER: Scope = Scope {
-    applies: &[
-        "asqp_core::metric",
-        "asqp_core::envs",
-        "asqp_core::preprocess",
-        "asqp_core::diversity",
-        "asqp_core::aggregates",
-        "asqp_core::estimator",
-        "asqp_rl",
-        "asqp_db::exec",
-        "asqp_db::plan",
-        "asqp_db::optimizer",
-        "asqp_db::stats",
-        "asqp_telemetry",
-        "asqp_bench",
-        // Multi-tenant accounting renders transcripts that CI diffs
-        // byte-for-byte; map iteration feeding them must be ordered.
-        "asqp_serve::tenant",
-        "asqp_serve::batch",
-        "asqp_serve::multitenant",
-        "asqp_serve::mt_sim",
-        "asqp_serve::stream",
-        "asqp_serve::ladder",
-        "asqp_serve::kernel",
-        "asqp_serve::sim",
-    ],
-    exempt: &[],
-};
-
 /// Compute crates that fan work out across threads and merge numeric
 /// results.
 pub const REDUCE: Scope = Scope {
@@ -172,11 +143,11 @@ const LIBM_METHODS: &[&str] = &[
     "hypot",
 ];
 
-/// Run the purely token-local rules (nondet, unordered-reduce,
-/// float-libm) over one file model. Findings come back unsuppressed; the
-/// driver applies `asqp::allow` pragmas afterwards. The interprocedural
-/// rules (iter-order, panic-path, lock-order) live in `taint` and
-/// `callgraph` and run over [`crate::parse::FileSummary`] facts instead.
+/// Run the purely token-local rules (nondet, iter-order,
+/// unordered-reduce, float-libm) over one file model. Findings come back
+/// unsuppressed; the driver applies `asqp::allow` pragmas afterwards. The
+/// interprocedural rules (panic-path, lock-order) live in `callgraph` and
+/// run over [`crate::parse::FileSummary`] facts instead.
 pub fn check_file(model: &FileModel<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     let n = model.sig.len();
@@ -243,6 +214,30 @@ pub fn check_file(model: &FileModel<'_>) -> Vec<Finding> {
                     "draw from an explicitly seeded RNG instead".to_string(),
                 );
             }
+        }
+
+        // ---- iter-order -----------------------------------------------
+        // `NAME.into_iter()` on a hash binding of this file (a bare name:
+        // `x.NAME` may be a field of another type that shares the name).
+        if text(i) == "into_iter"
+            && i >= 2
+            && text(i - 1) == "."
+            && model.hash_bindings.contains(text(i - 2))
+            && (i < 3 || text(i - 3) != ".")
+            && i + 1 < n
+            && text(i + 1) == "("
+        {
+            push(
+                i,
+                "iter-order",
+                format!(
+                    "`{}.into_iter()` consumes a HashMap/HashSet in unspecified order in `{mpath}`",
+                    text(i - 2)
+                ),
+                "collect into a BTreeMap/BTreeSet (or build one in the first place), or \
+                 justify with `// asqp::allow(iter-order): <reason>`"
+                    .to_string(),
+            );
         }
 
         // ---- unordered-reduce -----------------------------------------
@@ -331,8 +326,8 @@ mod tests {
         assert!(findings("crates/db/src/catalog.rs", src).is_empty());
     }
 
-    /// Full single-file pipeline (summaries + taint + call graph), for
-    /// the rules that moved out of `check_file`.
+    /// Full single-file pipeline (summaries + call graph), for the rules
+    /// that moved out of `check_file` and for pragma handling.
     fn full(path: &str, src: &str) -> Vec<(String, usize)> {
         crate::analyze_source(path, src)
             .0
@@ -342,35 +337,47 @@ mod tests {
     }
 
     #[test]
-    fn hash_iteration_flagged() {
-        let src = "use std::collections::HashMap;\n\
-                   fn f() {\n\
-                       let mut m: HashMap<u32, u32> = HashMap::new();\n\
-                       for (k, v) in &m { score(k, v); }\n\
+    fn by_value_hash_iteration_flagged() {
+        let src = "use std::collections::{HashMap, HashSet};\n\
+                   fn f(m: HashMap<u32, u32>, s: HashSet<u32>) {\n\
+                       let a: Vec<_> = m.into_iter().collect();\n\
+                       let b: Vec<_> = s.into_iter().collect();\n\
                        let ok = m.get(&1);\n\
                    }\n";
-        let fs = full("crates/core/src/metric.rs", src);
-        assert_eq!(fs, vec![("iter-order".to_string(), 4)], "{fs:?}");
+        let fs = findings("crates/core/src/metric.rs", src);
+        let want = vec![("iter-order".to_string(), 3), ("iter-order".to_string(), 4)];
+        assert_eq!(fs, want);
+        // No scope: a module no other rule covers is checked too.
+        assert_eq!(findings("crates/baselines/src/naive.rs", src), want);
     }
 
     #[test]
-    fn drain_then_sort_is_clean_under_taint() {
-        // The pattern the old same-scope heuristic forced a pragma onto:
-        // drain into a Vec, sort immediately, use freely.
-        let src = "use std::collections::HashMap;\n\
-                   fn f(m: &mut HashMap<u32, u32>) {\n\
-                       let mut v: Vec<_> = m.drain().collect();\n\
-                       v.sort();\n\
-                       emit(v);\n\
-                   }\n";
-        assert!(full("crates/core/src/metric.rs", src).is_empty());
+    fn ordered_containers_fields_and_tests_are_not_flagged() {
+        let src = "fn f(v: Vec<u32>, b: BTreeMap<u32, u32>, a: &Action) {\n\
+                       let x: Vec<_> = v.into_iter().collect();\n\
+                       let y: Vec<_> = b.into_iter().collect();\n\
+                       let z: Vec<_> = a.ids.into_iter().collect();\n\
+                   }\n\
+                   fn g() { let ids = HashSet::new(); }\n";
+        assert!(findings("crates/core/src/preprocess.rs", src).is_empty());
+        let test = "#[cfg(test)]\nmod tests {\n\
+                    fn t(m: HashMap<u32, u32>) { let v: Vec<_> = m.into_iter().collect(); }\n}\n";
+        assert!(findings("crates/db/src/exec/aggregate.rs", test).is_empty());
     }
 
     #[test]
-    fn lookup_only_hashmap_is_fine() {
-        let src = "use std::collections::HashMap;\n\
-                   fn f(m: &HashMap<u32, u32>) -> Option<&u32> { m.get(&1) }\n";
-        assert!(full("crates/db/src/exec.rs", src).is_empty());
+    fn iter_order_pragma_suppresses_and_must_be_used() {
+        let src = "fn f(m: HashMap<u32, u32>) -> Vec<(u32, u32)> {\n\
+                   // asqp::allow(iter-order): sorted by the caller\n\
+                   m.into_iter().collect()\n}\n";
+        assert!(full("crates/baselines/src/naive.rs", src).is_empty());
+        let unused = "fn f(m: BTreeMap<u32, u32>) -> Vec<(u32, u32)> {\n\
+                      // asqp::allow(iter-order): nothing to suppress\n\
+                      m.into_iter().collect()\n}\n";
+        assert_eq!(
+            full("crates/baselines/src/naive.rs", unused),
+            vec![("unused-allow".to_string(), 2)]
+        );
     }
 
     #[test]

@@ -1,50 +1,19 @@
 //@path: crates/core/src/metric.rs
-// Iteration-order taint: iterating a HashMap/HashSet produces tainted
-// values, and a finding fires where a tainted value reaches an
-// order-sensitive use — in the same fn, or through a helper's return.
+// By-value consumption of a HashMap/HashSet: the one form of hash
+// iteration clippy's type-resolved bans (`clippy.toml`) cannot name. The
+// finding lands on the `into_iter` itself; every other form is left to
+// clippy (see `tests/clippy_fixture`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-fn leaky_sum(weights: &HashMap<String, f64>) -> f64 {
-    let mut total = 0.0;
-    for (_q, w) in weights { //~ ERROR iter-order
-        total += w;
-    }
-    total
-}
-
-// No local finding here: the tainted Vec escapes through the return
-// value, so the analyzer records a `returns_tainted` fact and charges
-// the call sites instead.
 fn hash_order_escapes(seen: HashSet<u64>) -> Vec<u64> {
-    seen.into_iter().collect()
+    seen.into_iter().collect() //~ ERROR iter-order
 }
 
-fn consumes_escaped_order(seen: HashSet<u64>) -> u64 {
-    let ids = hash_order_escapes(seen); //~ ERROR iter-order
-    let mut acc = 0;
-    for v in &ids {
-        acc ^= acc.rotate_left(7) ^ v;
-    }
-    acc
-}
-
-fn sorts_escaped_order(seen: HashSet<u64>) -> u64 {
-    // Sanitising the helper's return value before use clears the taint.
-    let mut ids = hash_order_escapes(seen);
-    ids.sort();
-    ids.first().copied().unwrap_or(0)
-}
-
-fn binding_then_sink(scores: &HashMap<String, f64>) -> f64 {
-    // Taint survives a `let` binding; the finding anchors at the
-    // iteration that introduced it when the binding hits a sink below.
-    let vals = scores.values(); //~ ERROR iter-order
-    let mut out = 0.0;
-    for v in vals {
-        out += v;
-    }
-    out
+// Hash bindings are known by name per file, so this one needs a name of
+// its own.
+fn ordered_set_is_fine(ids: BTreeSet<u64>) -> Vec<u64> {
+    ids.into_iter().collect()
 }
 
 fn lookup_only_is_fine(cache: &HashMap<String, f64>, key: &str) -> f64 {

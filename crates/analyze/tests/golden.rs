@@ -67,7 +67,7 @@ fn check_fixture(path: &Path) {
 /// A fixture *directory* is one virtual workspace: every `.rs` inside
 /// carries its own `//@path:` header and the files are analysed together,
 /// so interprocedural rules (transitive panic-path, cross-file lock
-/// cycles, taint through helper returns) see the whole call graph.
+/// cycles) see the whole call graph.
 fn check_fixture_dir(dir: &Path) {
     let name = dir.file_name().unwrap().to_string_lossy().to_string();
     let mut files: Vec<PathBuf> = fs::read_dir(dir)
@@ -174,6 +174,30 @@ fn gate_fails_on_seeded_violation() {
     assert!(
         after.iter().any(|f| f.rule == "nondet"),
         "seeded Instant::now() must trip the nondet rule: {after:?}"
+    );
+}
+
+#[test]
+fn gate_fails_on_seeded_by_value_hash_iteration() {
+    // The residual iter-order rule has no scope: a by-value `into_iter`
+    // on a hash binding trips the gate in a module no other rule covers.
+    let root = workspace_root();
+    let rel = "crates/baselines/src/naive.rs";
+    let clean = fs::read_to_string(root.join(rel)).unwrap();
+    let (before, _) = asqp_analyze::analyze_source(rel, &clean);
+    assert!(before.is_empty(), "naive.rs should start clean: {before:?}");
+
+    let seeded = format!(
+        "{clean}\nfn seeded_order(m: std::collections::HashMap<u32, u32>) -> Vec<u32> {{\n    \
+         m.into_iter().map(|(k, _)| k).collect()\n}}\n"
+    );
+    let seeded_line = clean.lines().count() + 3;
+    let (after, _) = asqp_analyze::analyze_source(rel, &seeded);
+    let hits: Vec<_> = after.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(
+        hits,
+        vec![("iter-order", seeded_line)],
+        "seeded by-value hash iteration must trip iter-order: {after:?}"
     );
 }
 

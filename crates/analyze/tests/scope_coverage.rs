@@ -2,7 +2,7 @@
 //! *explicit* decision in the rule scope tables.
 //!
 //! The failure mode this guards against: someone adds
-//! `crates/serve/src/replay.rs`, the NONDET/ITER_ORDER tables never hear
+//! `crates/serve/src/replay.rs`, the NONDET/PANIC tables never hear
 //! about it, and the determinism gate silently doesn't apply to the new
 //! request path. Each module under `crates/{core,db,serve}` must either
 //! be covered by the scope (applies minus exempt), or appear in the
@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use asqp_analyze::engine::file_module;
-use asqp_analyze::rules::{Scope, ITER_ORDER, NONDET, PANIC};
+use asqp_analyze::rules::{Scope, NONDET, PANIC};
 
 /// Reviewed opt-outs: modules the NONDET scope deliberately does not
 /// score (no wall-clock/randomness hazard: pure data plumbing, typed
@@ -55,40 +55,6 @@ const NONDET_OUT: &[&str] = &[
     "asqp_serve::fault",
     "asqp_serve::lib",
     "asqp_serve::multitenant",
-    "asqp_serve::queue",
-];
-
-/// Reviewed opt-outs for ITER_ORDER: modules that never iterate hash
-/// containers into scores, transcripts or serialized output.
-const ITER_ORDER_OUT: &[&str] = &[
-    "asqp_core::anaqp",
-    "asqp_core::lib",
-    "asqp_core::model",
-    "asqp_core::session",
-    "asqp_core::workload_synth",
-    "asqp_db::catalog",
-    "asqp_db::column",
-    "asqp_db::csv",
-    "asqp_db::error",
-    "asqp_db::explain",
-    "asqp_db::expr",
-    "asqp_db::lib",
-    "asqp_db::query",
-    "asqp_db::schema",
-    "asqp_db::sql",
-    "asqp_db::sql_stmt",
-    "asqp_db::table",
-    "asqp_db::testkit",
-    "asqp_db::value",
-    "asqp_db::workload",
-    "asqp_db::zonemap",
-    "asqp_serve::backend",
-    "asqp_serve::backoff",
-    "asqp_serve::bin",
-    "asqp_serve::error",
-    "asqp_serve::event",
-    "asqp_serve::fault",
-    "asqp_serve::lib",
     "asqp_serve::queue",
 ];
 
@@ -180,7 +146,6 @@ fn every_scored_crate_module_has_a_scope_decision() {
         "module inventory shrank suspiciously: {modules:?}"
     );
     audit("NONDET", &NONDET, NONDET_OUT, &modules);
-    audit("ITER_ORDER", &ITER_ORDER, ITER_ORDER_OUT, &modules);
     audit("PANIC", &PANIC, PANIC_OUT, &modules);
 }
 
@@ -191,11 +156,7 @@ fn opt_out_lists_track_real_modules() {
         .expect("analyze crate lives inside the workspace");
     let files = asqp_analyze::workspace_files(&root).unwrap();
     let modules: BTreeSet<String> = files.iter().filter_map(|f| module_key(f)).collect();
-    for (name, list) in [
-        ("NONDET_OUT", NONDET_OUT),
-        ("ITER_ORDER_OUT", ITER_ORDER_OUT),
-        ("PANIC_OUT", PANIC_OUT),
-    ] {
+    for (name, list) in [("NONDET_OUT", NONDET_OUT), ("PANIC_OUT", PANIC_OUT)] {
         let ghosts: Vec<_> = list.iter().filter(|m| !modules.contains(**m)).collect();
         assert!(
             ghosts.is_empty(),

@@ -7,7 +7,7 @@ use asqp_core::{score_with_counts, AnaqpInstance, FullCounts, MetricParams, Sele
 use asqp_db::{Database, DbResult, Workload};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// RAN — uniform random rows, budget split proportionally across tables.
 pub struct RandomSampling {
@@ -133,7 +133,7 @@ impl Baseline for TopQueried {
         _params: MetricParams,
     ) -> DbResult<BaselineOutput> {
         // (table, row) → number of distinct queries touching it.
-        let mut counts: HashMap<(String, usize), u32> = HashMap::new();
+        let mut counts: BTreeMap<(String, usize), u32> = BTreeMap::new();
         for q in &train.queries {
             let out = db.execute_with_lineage(&q.strip_aggregates())?;
             let mut seen: std::collections::HashSet<(usize, usize)> = Default::default();
@@ -147,9 +147,9 @@ impl Baseline for TopQueried {
                 }
             }
         }
+        // Count descending; the stable sort keeps ties in (table, row) order.
         let mut ranked: Vec<((String, usize), u32)> = counts.into_iter().collect();
-        // Deterministic tie-break by (count desc, table, row).
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        ranked.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
         ranked.truncate(k);
         let mut sel = Selection::new();
         for ((table, rid), _) in ranked {

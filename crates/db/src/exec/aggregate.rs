@@ -1,10 +1,10 @@
-//! Hash aggregation over joined row-id tuples.
+//! Grouped aggregation over joined row-id tuples.
 
 use super::{ResultSet, Rows};
 use crate::plan::{GroupItem, Groups, Layout};
 use crate::query::AggFunc;
 use crate::value::Value;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Running state for one aggregate call.
 #[derive(Debug, Clone)]
@@ -110,7 +110,7 @@ pub(crate) fn aggregate<'t>(
         || -> Vec<AggState> { groups.aggs.iter().map(|&(f, _)| AggState::new(f)).collect() };
 
     // Accumulate.
-    let mut by_key: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+    let mut by_key: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
     for t in tuples {
         let key: Vec<Value> = groups.keys.iter().map(|&s| layout.fetch(t, s)).collect();
         let states = by_key.entry(key).or_insert_with(fresh);
@@ -127,13 +127,12 @@ pub(crate) fn aggregate<'t>(
         by_key.insert(Vec::new(), fresh());
     }
 
-    // Each group as (key, finished aggregates), in a deterministic order:
-    // by group key, then (stably) by ORDER BY over the output columns.
+    // Each group as (key, finished aggregates), in the map's key order,
+    // then (stably) by ORDER BY over the output columns.
     let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = by_key
         .into_iter()
         .map(|(key, states)| (key, states.iter().map(AggState::finish).collect()))
         .collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
     fn cell<'g>((key, aggs): &'g (Vec<Value>, Vec<Value>), item: &GroupItem) -> &'g Value {
         match item {
             GroupItem::Key(i) => &key[*i],
